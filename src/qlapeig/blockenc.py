@@ -4,11 +4,14 @@ sandwiched negative-power construction for the symmetric normalized Laplacian.
 
 Encodings carry one of three backends:
 
-* ``dense``     -- the full unitary matrix is materialized (small instances,
-  synthetic tests); the block is literally its top-left corner.
+* ``dense``     -- the full unitary matrix is materialized; the block is
+  literally its top-left corner.  Dilations use it, as do the reference
+  circuits the tests compare against (the materialized SWAP sandwich and the
+  materialized LCU).  No pipeline density encoding is materialized.
 * ``purified``  -- defined by a purification vector; the encoded block is the
   reduced density operator.  The sandwich unitary exists by construction and
-  is never materialized.
+  is never materialized.  Every density encoding the pipelines build (rho0 or
+  rho1, rho2, and I/n) takes this form.
 * ``composite`` -- produced by combination rules whose encoded block follows
   exactly from the component blocks; the equivalence of this shortcut with
   the materialized circuit is itself unit-tested on dense instances.
@@ -24,8 +27,8 @@ import numpy as np
 from .graph import GraphError, KernelParams, VertexSet, build_taylor_weight_matrix
 from .sim import SimError, operator_norm_distance
 from .stateprep import (AmplificationStats, EstimatorConfig, PhiBuild,
-                        PrepConfig, build_degree_state, build_phi_state,
-                        build_psi_state, completion_unitary, hadamard_all)
+                        PrepConfig, build_degree_state, build_weight_state,
+                        completion_unitary)
 
 __all__ = [
     "BlockEncoding",
@@ -46,6 +49,7 @@ __all__ = [
     "LaplacianEncodingResult",
     "taylor_consistent_reference",
     "w_consistent_reference",
+    "fixed_point_gram",
 ]
 
 
@@ -194,10 +198,11 @@ def purified_density_encoding(G, sys_dim: int, anc_dim: int,
                               claimed_epsilon: float = 0.0) -> BlockEncoding:
     """Block-encoding of the reduced state of a purification.
 
-    ``G`` may be the dense preparation unitary on a (sys x anc) purification
-    space (system axis first), in which case the sandwich
-    (G^dag (x) I)(SWAP (x) I-ish)(G (x) I) is materialized; or a purification
-    vector, in which case the encoding stays in purified form.
+    ``G`` is normally the purification vector G|0>, and the encoding stays in
+    purified form.  Given instead a dense preparation unitary on the
+    (sys x anc) purification space (system axis first), the sandwich
+    (G^dag (x) I)(SWAP (x) I-ish)(G (x) I) is materialized; that reference
+    path depends only on G's first column.
     """
     G = np.asarray(G)
     if G.ndim == 1:
@@ -237,17 +242,8 @@ def identity_mixture_encoding(n: int) -> BlockEncoding:
     log_n = n.bit_length() - 1
     if (1 << log_n) != n:
         raise GraphError("system size must be a power of two")
-    if n > 16:
-        # the dense sandwich grows as n^6; the purification itself suffices
-        vec = np.eye(n, dtype=complex).reshape(-1) / math.sqrt(n)
-        return purified_density_encoding(vec, n, n, ancilla_qubits=2 * log_n)
-    h = hadamard_all(log_n)
-    cnot = np.zeros((n * n, n * n))
-    for i in range(n):
-        for c in range(n):
-            cnot[i * n + (c ^ i), i * n + c] = 1.0
-    g3 = cnot @ np.kron(h, np.eye(n))
-    return purified_density_encoding(g3, n, n, ancilla_qubits=2 * log_n)
+    vec = np.eye(n, dtype=complex).reshape(-1) / math.sqrt(n)
+    return purified_density_encoding(vec, n, n, ancilla_qubits=2 * log_n)
 
 
 # ---------------------------------------------------------------------------
@@ -407,30 +403,21 @@ class LaplacianEncodingResult:
     stats: AmplificationStats
 
 
+def _purified(build) -> BlockEncoding:
+    """Purified encoding of a pipeline build's reduced state."""
+    return purified_density_encoding(build.purification, build.system_dim,
+                                     build.ancilla_dim,
+                                     ancilla_qubits=build.ancilla_qubits)
+
+
 def _component_encodings(vs: VertexSet, kp: KernelParams, prep, est,
                          norm_case: str):
     """rho-source encodings shared by the Laplacian combinations."""
     degree = build_degree_state(vs, kp, est, prep)
-    rho2_enc = purified_density_encoding(
-        degree.purification, degree.system_dim, degree.ancilla_dim,
-        ancilla_qubits=degree.ancilla_qubits)
+    rho2_enc = _purified(degree)
     rho3_enc = identity_mixture_encoding(vs.n)
-    if norm_case == "unit":
-        phi = build_phi_state(vs, kp, prep)
-        g_or_vec = phi.unitary if (
-            phi.unitary is not None and phi.system_dim * phi.ancilla_dim <= 256
-        ) else phi.purification
-        weight_enc = purified_density_encoding(
-            g_or_vec, phi.system_dim, phi.ancilla_dim,
-            ancilla_qubits=phi.ancilla_qubits)
-        weight_build = phi
-    else:
-        psi = build_psi_state(vs, kp, prep)
-        weight_enc = purified_density_encoding(
-            psi.purification, psi.system_dim, psi.ancilla_dim,
-            ancilla_qubits=psi.ancilla_qubits)
-        weight_build = psi
-    return degree, rho2_enc, rho3_enc, weight_enc, weight_build
+    weight_build = build_weight_state(vs, kp, prep, norm_case)
+    return degree, rho2_enc, rho3_enc, _purified(weight_build), weight_build
 
 
 def estimate_trace_D(stats: AmplificationStats, n: int) -> float:
@@ -500,31 +487,16 @@ def encode_W_over_n(vs: VertexSet, kp: KernelParams, norm_case: str = "auto",
     """Encoding of W_p/n: a~ (rho0 - rho3) for unit norms, rho1 - rho3 else."""
     prep = prep or PrepConfig()
     est = est or EstimatorConfig()
-    if norm_case == "auto":
-        norm_case = "unit" if vs.unit_norms() else "general"
     rho3_enc = identity_mixture_encoding(vs.n)
-    if norm_case == "unit":
-        phi = build_phi_state(vs, kp, prep)
-        g_or_vec = phi.unitary if (
-            phi.unitary is not None and phi.system_dim * phi.ancilla_dim <= 256
-        ) else phi.purification
-        weight_enc = purified_density_encoding(
-            g_or_vec, phi.system_dim, phi.ancilla_dim,
-            ancilla_qubits=phi.ancilla_qubits)
+    build = build_weight_state(vs, kp, prep, norm_case)
+    weight_enc = _purified(build)
+    if isinstance(build, PhiBuild):
         a_t = kp.a_tilde_sum
-        y = np.array([a_t, -a_t])
-        pair = make_signed_pair(y, beta=2.0 * a_t)
-        build = phi
+        pair = make_signed_pair(np.array([a_t, -a_t]), beta=2.0 * a_t)
         stats = AmplificationStats()
     else:
-        psi = build_psi_state(vs, kp, prep)
-        weight_enc = purified_density_encoding(
-            psi.purification, psi.system_dim, psi.ancilla_dim,
-            ancilla_qubits=psi.ancilla_qubits)
-        y = np.array([1.0, -1.0])
-        pair = make_signed_pair(y, beta=2.0)
-        build = psi
-        stats = psi.stats
+        pair = make_signed_pair(np.array([1.0, -1.0]), beta=2.0)
+        stats = build.stats
     enc = lcu_combine(pair, [weight_enc, rho3_enc])
     combo = CombinationSpec(c=0.5, l=max(weight_enc.ancillas, rho3_enc.ancillas))
     comps = {"rho_weight": weight_enc, "rho3": rho3_enc, "weight_build": build}
@@ -575,7 +547,14 @@ def weight_state_reference(vs: VertexSet, kp: KernelParams, weight_build) -> np.
         a_t = kp.a_tilde_sum
         return (build_taylor_weight_matrix(vs, kp, absorbed=True)[0]
                 + a_t * np.eye(n)) / (n * a_t)
-    fx = weight_build.fx_values
+    gram = fixed_point_gram(vs, kp, weight_build.fx_values)
+    return gram / np.trace(gram)
+
+
+def fixed_point_gram(vs: VertexSet, kp: KernelParams, fx: np.ndarray) -> np.ndarray:
+    """Upsilon rho1 written classically: sum_k a_k v_ik v_jk <x^_i|x^_j>^k
+    with the fixed-point values v_ik the general-norm pipeline rotated in."""
+    n = vs.n
     gram = np.zeros((n, n))
     enc = np.array([vs.vertices[i] / vs.norms[i] for i in range(n)])
     ip = enc @ enc.T
@@ -583,7 +562,7 @@ def weight_state_reference(vs: VertexSet, kp: KernelParams, weight_build) -> np.
         for j in range(n):
             gram[i, j] = sum(kp.coeffs_a[k] * fx[i, k] * fx[j, k] * ip[i, j] ** k
                              for k in range(kp.p + 1))
-    return gram / np.trace(gram)
+    return gram
 
 
 def taylor_consistent_reference(vs: VertexSet, kp: KernelParams,

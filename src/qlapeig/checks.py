@@ -19,14 +19,15 @@ import numpy as np
 
 from .arith import exp_neg_lambda_bound, exp_neg_lambda_label
 from .blockenc import (BlockEncoding, dilate, encode_barL_unit_norm,
-                       encode_calL, lcu_combine, make_signed_pair,
-                       purified_density_encoding, verify_block_encoding)
+                       encode_calL, fixed_point_gram, lcu_combine,
+                       make_signed_pair, purified_density_encoding,
+                       verify_block_encoding)
 from .graph import (KernelParams, VertexSet, build_graph,
                     build_taylor_weight_matrix, build_weight_matrix)
 from .sim import FixedPointSpec, operator_norm_distance
-from .stateprep import (EstimatorConfig, PrepConfig, QramOracle,
+from .stateprep import (ErrorBudget, EstimatorConfig, PrepConfig, QramOracle,
                         build_degree_state, build_phi_state, build_psi_state,
-                        sphere_perturb)
+                        completion_unitary, sphere_perturb)
 
 __all__ = ["run_checks", "CHECKS"]
 
@@ -113,11 +114,11 @@ def check_phi_budget(trials=100, seed=2, n=4, m=2):
         pert = build_phi_state(
             vs, kp, PrepConfig(coeff_eps=eps_x, seed=int(rng.integers(2 ** 31))),
             oracle=QramOracle(vs, eps_x=eps_x, seed=int(rng.integers(2 ** 31))))
-        v0 = exact.unitary[:, 0]
-        v1 = pert.unitary[:, 0]
+        v0 = exact.purification
+        v1 = pert.purification
         measured = np.linalg.norm(v1 - v0)
         chain = math.sqrt(n) * (eps_x + p * (p + 1) / 2 * eps_x)
-        headline = math.sqrt(n) * p * p * eps_x
+        headline = ErrorBudget(eps_x=eps_x).eps0(n, p)
         branch_bound = eps_x + p * (p + 1) / 2 * eps_x
         anc = v0.size // n
         branch_worst = 0.0
@@ -149,9 +150,8 @@ def check_psi_budget(trials=60, seed=3, n=4, m=2, regime="above"):
             vs, kp, PrepConfig(coeff_eps=eps_x, seed=s1),
             oracle_U=QramOracle(vs, eps_x=eps_x, seed=s2))
         measured = np.linalg.norm(pert.purification - exact.purification)
-        max_norm = float(np.max(vs.norms))
-        factor = max_norm ** p if max_norm > 1 else 1.0
-        headline = math.sqrt(kp.a_sum * n) * p * p * factor * eps_x
+        headline = ErrorBudget(eps_x=eps_x).eps1(n, p, kp.a_sum,
+                                                 float(np.max(vs.norms)))
         worst = max(worst, measured / headline)
         bad += measured > headline + 1e-12
     note = "norms > 1" if regime == "above" else "norms < 1"
@@ -179,7 +179,7 @@ def check_degree_budget(trials=60, seed=4, n=4, m=2):
         if ip_err > kp.lam * eps_d + 1e-12:
             bad += 1
         measured = np.linalg.norm(noisy.purification - exact.purification)
-        bound = kp.lam * eps_d / (2.0 * math.sqrt(r))
+        bound = ErrorBudget(eps_d=eps_d).eps2(kp.lam, r)
         worst = max(worst, measured / bound)
         bad += measured > bound + 1e-12
     return _summary("degree_error_budget", trials, bad, worst)
@@ -208,14 +208,7 @@ def check_rho1_identity(seed=6, n=4, m=2, p=2, lam=0.5):
     vs = _general_vertices(rng, n, m, 0.7, 1.3)
     kp = KernelParams(lam, p)
     psi = build_psi_state(vs, kp)
-    fx = psi.fx_values
-    enc = np.array([vs.vertices[i] / vs.norms[i] for i in range(n)])
-    ip = enc @ enc.T
-    gram = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            gram[i, j] = sum(kp.coeffs_a[k] * fx[i, k] * fx[j, k] * ip[i, j] ** k
-                             for k in range(p + 1))
+    gram = fixed_point_gram(vs, kp, psi.fx_values)
     ups = np.trace(gram)
     err = float(np.max(np.abs(psi.rho1.matrix * ups - gram)))
     amp_err = abs(psi.stats.initial_amplitude
@@ -240,12 +233,14 @@ def check_degree_identity(seed=7, n=4, m=2, lam=0.5):
 
 
 def check_purified_encoding_exactness(seed=8, n=4, m=2, p=2, lam=0.5):
-    """Purified encodings are exact: measured epsilon 0 within 1e-10."""
+    """Purified encodings are exact: the materialized SWAP sandwich around a
+    preparation of |Phi> has measured epsilon 0 within 1e-10."""
     rng = np.random.default_rng(seed)
     vs = _unit_vertices(rng, n, m)
     kp = KernelParams(lam, p)
     phi = build_phi_state(vs, kp)
-    enc = purified_density_encoding(phi.unitary, phi.system_dim, phi.ancilla_dim)
+    enc = purified_density_encoding(completion_unitary(phi.purification),
+                                    phi.system_dim, phi.ancilla_dim)
     measured, _ = verify_block_encoding(enc, phi.rho0.matrix)
     return _summary("purified_encoding_exactness", 1,
                     int(measured > 1e-10), measured / 1e-10)

@@ -18,6 +18,7 @@ __all__ = [
     "GraphError",
     "DegenerateGraphError",
     "VertexSet",
+    "resolve_norm_case",
     "KernelParams",
     "GraphMatrices",
     "SpectralReference",
@@ -96,6 +97,17 @@ class VertexSet:
 
     def unit_norms(self, tol: float = 1e-8) -> bool:
         return bool(np.all(np.abs(self.norms[: self.n_active] - 1.0) <= tol))
+
+
+def resolve_norm_case(vs: VertexSet, norm_case: str) -> str:
+    """The weight pipeline to run: ``unit`` or ``general`` as given, and for
+    ``auto`` ``unit`` exactly when every norm is 1 within 1e-8."""
+    if norm_case == "auto":
+        return "unit" if vs.unit_norms(1e-8) else "general"
+    if norm_case not in ("unit", "general"):
+        raise GraphError(f"unknown norm case {norm_case!r}; "
+                         "expected auto, unit or general")
+    return norm_case
 
 
 @dataclass(frozen=True)

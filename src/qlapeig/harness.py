@@ -12,10 +12,9 @@ import numpy as np
 
 from .checks import run_checks
 from .graph import (GraphError, KernelParams, VertexSet, load_vertices_csv,
-                    load_vertices_json)
+                    load_vertices_json, resolve_norm_case)
 from .spectral import PipelineConfig, full_pipeline
-from .stateprep import (EstimatorConfig, PrepConfig, build_phi_state,
-                        build_psi_state)
+from .stateprep import EstimatorConfig, PrepConfig, build_weight_state
 
 __all__ = ["RunConfig", "run", "verify_suite", "dump_json", "ConfigError"]
 
@@ -226,9 +225,7 @@ def _verify_only_report(vs, kp, pcfg) -> dict:
     from .blockenc import encode_calL, encode_W_over_n, encoding_report
     from .graph import build_graph, graph_matrices_to_json
 
-    norm_case = pcfg.norm_case
-    if norm_case == "auto":
-        norm_case = "unit" if vs.unit_norms(1e-8) else "general"
+    norm_case = resolve_norm_case(vs, pcfg.norm_case)
     gm = build_graph(vs, kp, truncated=True)
     reports = []
     if pcfg.target == "W":
@@ -252,12 +249,7 @@ def _verify_only_report(vs, kp, pcfg) -> dict:
 
 def _state_dump(vs, kp, pcfg) -> dict:
     """Debug dump of the weight-preparation state: labels plus amplitudes."""
-    case = pcfg.norm_case
-    if case == "auto":
-        case = "unit" if vs.unit_norms(1e-8) else "general"
-    build = build_phi_state(vs, kp, pcfg.prep) if case == "unit" \
-        else build_psi_state(vs, kp, pcfg.prep)
-    state = build.state
+    state = build_weight_state(vs, kp, pcfg.prep, pcfg.norm_case).state
     branches = []
     for labels, vec in sorted(state.branches.items()):
         branches.append({

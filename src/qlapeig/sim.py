@@ -219,15 +219,6 @@ class SimState:
             work[...] = (u @ flat).reshape(work.shape)
             self.branches[labels] = np.moveaxis(work, range(len(axes)), axes)
 
-    def apply_phase(self, fn):
-        """Diagonal operator: multiply each (dense basis, labels) amplitude by
-        ``fn(dense_index_tuple, labels)`` (modulus 1 for unitarity)."""
-        for labels, vec in self.branches.items():
-            it = np.nditer(vec, flags=["multi_index"], op_flags=["readwrite"])
-            for cell in it:
-                if cell != 0:
-                    cell[...] = cell * fn(it.multi_index, labels)
-
     def predicate_mask(self, predicate, labels) -> np.ndarray:
         """Boolean array of a dense-basis predicate, for reuse across
         repeated diagonal applications."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blockenc import BlockEncoding
 from .graph import (GraphError, KernelParams, VertexSet, build_graph,
-                    classical_eigensolve)
+                    classical_eigensolve, resolve_norm_case)
 from .sim import SimError, operator_norm_distance
 from .stateprep import EstimatorConfig, PrepConfig, completion_unitary
 
@@ -454,9 +454,7 @@ def full_pipeline(vs: VertexSet, kp: KernelParams, cfg: PipelineConfig):
     from .blockenc import (encode_W_over_n, encode_calL, encoding_report,
                            sandwich_negative_power, taylor_consistent_reference)
 
-    norm_case = cfg.norm_case
-    if norm_case == "auto":
-        norm_case = "unit" if vs.unit_norms(1e-8) else "general"
+    norm_case = resolve_norm_case(vs, cfg.norm_case)
     with _Stage("graph-model"):
         gm = build_graph(vs, kp, truncated=True)
     report: dict = {

@@ -26,7 +26,7 @@ import numpy as np
 from .arith import (ArithmeticError_, exp_neg_lambda_label, multiply_labels,
                     rotation_matrix)
 from .graph import (DegenerateGraphError, GraphError, KernelParams,
-                    VertexSet)
+                    VertexSet, resolve_norm_case)
 from .sim import (DensityOperator, FixedPointSpec, Register, RegisterLayout,
                   SimError, SimState, partial_trace)
 
@@ -47,6 +47,7 @@ __all__ = [
     "apply_R_U",
     "build_phi_state",
     "build_psi_state",
+    "build_weight_state",
     "build_degree_state",
     "distance_estimation",
     "inner_product_estimation",
@@ -191,7 +192,8 @@ class ErrorBudget:
         return math.sqrt(n) * p * p * self.eps_x
 
     def eps1(self, n: int, p: int, a_sum: float, max_norm: float) -> float:
-        return math.sqrt(a_sum * n) * p * p * max_norm ** p * self.eps_x
+        """The norm-power factor enters only when some norm exceeds one."""
+        return math.sqrt(a_sum * n) * p * p * max(1.0, max_norm) ** p * self.eps_x
 
     def eps2(self, lam: float, r: float) -> float:
         return lam * self.eps_d / (2.0 * math.sqrt(r))
@@ -309,47 +311,6 @@ def apply_R_U(state: SimState, index_reg: str, coeff_reg: str, data_regs,
     return state
 
 
-def _r_u_matrix(n: int, m: int, p: int, cdim: int, u_block: np.ndarray) -> np.ndarray:
-    """Dense matrix of the ladder on idx (x) coeff (x) data^p."""
-    sub = n * m ** p
-    ops = []
-    for k in range(cdim):
-        op = np.eye(sub, dtype=complex)
-        for j in range(p - min(k, p), p):
-            op = _u_on_block(n, m, p, j, u_block) @ op
-        ops.append(op)
-    dims = (n, cdim, m ** p)
-    out = np.zeros((n * cdim * m ** p,) * 2, dtype=complex)
-    for k in range(cdim):
-        opk = ops[k].reshape(n, m ** p, n, m ** p)
-        for i1 in range(n):
-            for i0 in range(n):
-                r0 = (i1 * cdim + k) * m ** p
-                c0 = (i0 * cdim + k) * m ** p
-                out[r0:r0 + m ** p, c0:c0 + m ** p] = opk[i1, :, i0, :]
-    return out
-
-
-def _u_on_block(n: int, m: int, p: int, j: int, u_block: np.ndarray) -> np.ndarray:
-    """The QRAM query acting on (index, data block j) inside idx (x) data^p."""
-    dims = [n] + [m] * p
-    tot = n * m ** p
-    op = np.zeros((tot, tot), dtype=complex)
-    ub = u_block.reshape(n, m, n, m)
-    for idx_in in np.ndindex(*dims):
-        col = np.ravel_multi_index(idx_in, dims)
-        i_in, b_in = idx_in[0], idx_in[1 + j]
-        for i_out in range(n):
-            for b_out in range(m):
-                amp = ub[i_out, b_out, i_in, b_in]
-                if amp == 0:
-                    continue
-                idx_out = list(idx_in)
-                idx_out[0], idx_out[1 + j] = i_out, b_out
-                op[np.ravel_multi_index(tuple(idx_out), dims), col] += amp
-    return op
-
-
 # ---------------------------------------------------------------------------
 # amplitude amplification
 
@@ -407,8 +368,7 @@ def amplitude_amplification(state: SimState, good_predicate, known_amplitude: fl
 class PhiBuild:
     state: SimState
     rho0: DensityOperator
-    unitary: np.ndarray | None   # the full preparation G0 (small instances)
-    purification: np.ndarray
+    purification: np.ndarray     # G0|0>, over idx (x) coeff (x) data^p
     layout: RegisterLayout
     system_dim: int
     ancilla_dim: int
@@ -436,25 +396,14 @@ def build_phi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
     layout = RegisterLayout(regs)
     state = SimState(layout)
 
-    h_n = hadamard_all(log_n)
-    cu = coefficient_unitary(kp.coeffs_a_tilde, cdim, prep.coeff_eps,
-                             _stable_rng(prep.seed, 0xA))
-    state.apply_dense(h_n, ["idx"])
-    state.apply_dense(cu, ["coeff"])
+    state.apply_dense(hadamard_all(log_n), ["idx"])
+    state.apply_dense(coefficient_unitary(kp.coeffs_a_tilde, cdim, prep.coeff_eps,
+                                          _stable_rng(prep.seed, 0xA)), ["coeff"])
     apply_R_U(state, "idx", "coeff", data, oracle)
 
     rho0 = partial_trace(state, ["idx"]).validate()
-
-    mp = vs.m ** p
-    g0 = None
-    if vs.n * cdim * mp <= 2048:
-        g0 = np.kron(np.kron(h_n, np.eye(cdim)), np.eye(mp))
-        g0 = np.kron(np.kron(np.eye(vs.n), cu), np.eye(mp)) @ g0
-        g0 = _r_u_matrix(vs.n, vs.m, p, cdim, oracle.unitary_matrix()) @ g0
-    anc_dim = cdim * mp
-    pur = state.dense_vector()
-    return PhiBuild(state, rho0, g0, pur, layout, vs.n, anc_dim,
-                    cwidth + p * log_m + log_n)
+    return PhiBuild(state, rho0, state.dense_vector(), layout, vs.n,
+                    cdim * vs.m ** p, cwidth + p * log_m + log_n)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +553,15 @@ def build_psi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
     anc_qubits = cwidth + 1 + p * log_m + log_n
     return PsiBuild(state, rho1, stats, vec, n, anc_dim, anc_qubits,
                     fx_values, scale)
+
+
+def build_weight_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None,
+                       norm_case: str) -> PhiBuild | PsiBuild:
+    """The weight-carrying pipeline the norm case selects: |Phi> for unit
+    norms, |Psi> otherwise."""
+    if resolve_norm_case(vs, norm_case) == "unit":
+        return build_phi_state(vs, kp, prep)
+    return build_psi_state(vs, kp, prep)
 
 
 def _dense_over(state: SimState, regs) -> np.ndarray:

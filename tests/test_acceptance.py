@@ -24,7 +24,8 @@ from qlapeig.graph import (KernelParams, VertexSet, build_graph,
 from qlapeig.sim import operator_norm_distance
 from qlapeig.spectral import (PipelineConfig, SimulationConfig, full_pipeline,
                               simulate_hamiltonian)
-from qlapeig.stateprep import EstimatorConfig, build_degree_state, build_phi_state
+from qlapeig.stateprep import (EstimatorConfig, build_degree_state,
+                               build_phi_state, completion_unitary)
 
 
 def unit_vs(rng, n, m):
@@ -56,8 +57,8 @@ def test_criterion_1_block_encoding_identity():
         vs = unit_vs(rng, 4, 2)
         kp = KernelParams(0.5, p)
         phi = build_phi_state(vs, kp)
-        enc = purified_density_encoding(phi.unitary, phi.system_dim,
-                                        phi.ancilla_dim)
+        enc = purified_density_encoding(completion_unitary(phi.purification),
+                                        phi.system_dim, phi.ancilla_dim)
         rho0 = enc.block()
         a_t = kp.a_tilde_sum
         wp, _ = build_taylor_weight_matrix(vs, kp, absorbed=True)

@@ -18,7 +18,8 @@ from qlapeig.graph import (GraphError, KernelParams, VertexSet, build_graph,
                            build_taylor_weight_matrix)
 from qlapeig.sim import operator_norm_distance
 from qlapeig.stateprep import (AmplificationStats, build_degree_state,
-                               build_phi_state, hadamard_all)
+                               build_phi_state, completion_unitary,
+                               hadamard_all)
 
 
 def unit_vs(rng, n, m):
@@ -83,7 +84,8 @@ def test_purified_phi_encoding_exact():
     vs = unit_vs(rng, 4, 2)
     kp = KernelParams(0.5, 2)
     phi = build_phi_state(vs, kp)
-    enc = purified_density_encoding(phi.unitary, phi.system_dim, phi.ancilla_dim)
+    enc = purified_density_encoding(completion_unitary(phi.purification),
+                                    phi.system_dim, phi.ancilla_dim)
     measured, ok = verify_block_encoding(enc, phi.rho0.matrix)
     assert measured <= 1e-10 and ok
     a_t = kp.a_tilde_sum
@@ -97,7 +99,8 @@ def test_purified_vector_backend_matches_dense():
     vs = unit_vs(rng, 4, 2)
     kp = KernelParams(0.5, 2)
     phi = build_phi_state(vs, kp)
-    dense = purified_density_encoding(phi.unitary, phi.system_dim, phi.ancilla_dim)
+    dense = purified_density_encoding(completion_unitary(phi.purification),
+                                      phi.system_dim, phi.ancilla_dim)
     pure = purified_density_encoding(phi.purification, phi.system_dim,
                                      phi.ancilla_dim)
     assert np.max(np.abs(dense.block() - pure.block())) < 1e-12

@@ -89,6 +89,17 @@ def test_cli_missing_input_exits_2_no_partial_report(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--verify-only"]], ids=["run", "verify-only"])
+def test_cli_unknown_norm_case_exits_2_no_report(tmp_path, flags):
+    csv = toy_csv(tmp_path / "v.csv")
+    out = tmp_path / "report.json"
+    cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), output=str(out),
+                            norm_case="Unit")
+    code = main(["run", "--config", str(cfg_file)] + flags)
+    assert code == 2
+    assert not out.exists()
+
+
 def test_cli_two_vertex_run(tmp_path):
     csv = toy_csv(tmp_path / "v.csv")
     out = tmp_path / "report.json"

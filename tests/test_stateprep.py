@@ -374,11 +374,28 @@ def test_error_budget_suites():
     assert check_degree_budget(trials=10, seed=4)["violations"] == 0
 
 
-def test_phi_unitary_first_column_is_state():
+@pytest.mark.parametrize("eps_x", [0.0, 1e-3], ids=["clean", "perturbed"])
+def test_phi_purification_closed_form(eps_x):
+    """|Phi> = n^-1/2 sum_i |i> sum_k sqrt(a~_k / sum a~) |k> |0>^(p-k) |x^_i>^k
+    over idx, coeff, data0..data(p-1), with x^_i the vector the oracle loads."""
     rng = np.random.default_rng(20)
     vs = unit_vs(rng, 4, 2)
-    phi = build_phi_state(vs, KernelParams(0.5, 3))
-    assert np.max(np.abs(phi.unitary[:, 0] - phi.purification)) < 1e-12
+    kp = KernelParams(0.5, 3)
+    oracle = QramOracle(vs, eps_x=eps_x, seed=9)
+    phi = build_phi_state(vs, kp, oracle=oracle)
+    n, m, p = vs.n, vs.m, kp.p
+    cdim = 1 << phi.layout.by_name["coeff"].qubits
+    a_t = kp.coeffs_a_tilde
+    zero = np.eye(m)[0]
+    expected = np.zeros((n, cdim, m ** p))
+    for i in range(n):
+        for k in range(p + 1):
+            data = np.ones(1)
+            for block in [zero] * (p - k) + [oracle.encoded[i]] * k:
+                data = np.kron(data, block)
+            expected[i, k] = math.sqrt(a_t[k] / a_t.sum()) * data
+    expected = expected.reshape(-1) / math.sqrt(n)
+    assert np.max(np.abs(phi.purification - expected)) < 1e-12
 
 
 def test_inner_product_converges_with_estimator_precision():
@@ -403,6 +420,8 @@ def test_error_budget_formulas():
     assert eb.eps0(4, 3) == pytest.approx(math.sqrt(4) * 9 * 1e-4)
     assert eb.eps1(4, 2, 2.5, 1.2) == pytest.approx(
         math.sqrt(2.5 * 4) * 4 * 1.2 ** 2 * 1e-4)
+    # norms below one leave no norm-power factor
+    assert eb.eps1(4, 2, 2.5, 0.8) == pytest.approx(math.sqrt(2.5 * 4) * 4 * 1e-4)
     assert eb.eps2(0.5, 0.25) == pytest.approx(0.5 * 1e-3 / (2 * 0.5))
 
 
