@@ -4,7 +4,8 @@ qlapeig run --config <file> [--verify-only] [--target L|Ls|Lr|W] [--seed N]
             [--out <file>] [--dump-state <file>]
 qlapeig verify --sizes small|medium [--out <file>]
 
-Exit codes: 0 ok, 1 verification failure, 2 I/O or configuration error.
+Exit codes: 0 ok, 1 verification failure, 2 I/O or configuration error,
+3 internal error (``run`` only; the traceback goes to stderr, no report).
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import traceback
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -13,8 +14,9 @@ import numpy as np
 from .checks import run_checks
 from .graph import (GraphError, KernelParams, VertexSet, load_vertices_csv,
                     load_vertices_json, resolve_norm_case)
+from .sim import SimError
 from .spectral import PipelineConfig, full_pipeline
-from .stateprep import EstimatorConfig, PrepConfig, build_weight_state
+from .stateprep import EstimatorConfig, PrepConfig
 
 __all__ = ["RunConfig", "run", "verify_suite", "dump_json", "ConfigError"]
 
@@ -182,7 +184,10 @@ def load_vertices(path: str) -> VertexSet:
 def run(config: RunConfig, verify_only: bool = False,
         dump_state: str = "") -> int:
     """Execute the pipeline per config.  Returns the process exit code:
-    0 ok, 1 verification failure, 2 I/O or configuration error."""
+    0 ok, 1 verification failure (a failed check, or a ``SimError`` or
+    fixed-point ``OverflowError`` raised by a stage), 2 I/O or configuration
+    error, 3 internal error (any other exception: its traceback goes to
+    stderr and no report is written)."""
     try:
         if not config.input:
             raise ConfigError("config is missing the input path")
@@ -195,15 +200,16 @@ def run(config: RunConfig, verify_only: bool = False,
     try:
         pcfg = config.pipeline_config()
         if verify_only:
-            report = _verify_only_report(vs, kp, pcfg)
+            report, weight_build = _verify_only_report(vs, kp, pcfg)
             ok = (all(c["pass"] for c in report["checks"])
                   and all(r["pass"] for r in report["encoding_verifications"]))
         else:
             result, report = full_pipeline(vs, kp, pcfg)
+            weight_build = result.weight_build
             ok = all(r["pass"] for r in report["encoding_verifications"])
             report["verify_only"] = False
         if dump_state:
-            write_atomic(dump_state, dump_json(_state_dump(vs, kp, pcfg)))
+            write_atomic(dump_state, dump_json(_state_dump(weight_build.state)))
         write_atomic(config.output, dump_json(report))
     except OSError as exc:
         print(f"error: {exc}")
@@ -211,15 +217,19 @@ def run(config: RunConfig, verify_only: bool = False,
     except GraphError as exc:
         print(f"error: {exc}")
         return 2
-    except Exception as exc:  # stage failures carry their stage in the message
+    except (SimError, OverflowError) as exc:  # tagged with their stage
         print(f"verification failure: {type(exc).__name__}: {exc}")
         return 1
+    except Exception:
+        traceback.print_exc()
+        return 3
     return 0 if ok else 1
 
 
-def _verify_only_report(vs, kp, pcfg) -> dict:
+def _verify_only_report(vs, kp, pcfg):
     """Classical matrices and encoding verification for the configured
-    input, plus the generic invariant battery; phase estimation skipped."""
+    input, plus the generic invariant battery; phase estimation skipped.
+    Returns the report and the weight-state build the encodings used."""
     import numpy as np
 
     from .blockenc import encode_calL, encode_W_over_n, encoding_report
@@ -244,12 +254,11 @@ def _verify_only_report(vs, kp, pcfg) -> dict:
         "graph_matrices": graph_matrices_to_json(gm),
         "encoding_verifications": reports,
         "checks": run_checks("small"),
-    }
+    }, res.components["weight_build"]
 
 
-def _state_dump(vs, kp, pcfg) -> dict:
+def _state_dump(state) -> dict:
     """Debug dump of the weight-preparation state: labels plus amplitudes."""
-    state = build_weight_state(vs, kp, pcfg.prep, pcfg.norm_case).state
     branches = []
     for labels, vec in sorted(state.branches.items()):
         branches.append({

@@ -221,30 +221,28 @@ class SimState:
 
     def predicate_mask(self, predicate, labels) -> np.ndarray:
         """Boolean array of a dense-basis predicate, for reuse across
-        repeated diagonal applications."""
-        mask = np.zeros(self.layout.dense_dims, dtype=bool)
-        for idx in np.ndindex(*self.layout.dense_dims):
-            mask[idx] = bool(predicate(idx, labels))
-        return mask
+        repeated diagonal applications.  Predicates take the index grid:
+        ``predicate(np.indices(dense_dims, sparse=True), labels)`` is called
+        once and must act elementwise (``idx[axis] == v``, ``&``, not
+        ``and``); the result is broadcast, read-only, to ``dense_dims``."""
+        dims = self.layout.dense_dims
+        hit = predicate(np.indices(dims, sparse=True), labels)
+        return np.broadcast_to(np.asarray(hit, dtype=bool), dims)
 
     # -- label (arithmetic) operations ---------------------------------------
 
     def split_by(self, dense_regs):
         """Refine branches so every branch is a basis state on the listed
-        dense registers.  Returns the new branch map keyed by
-        (labels, dense values)."""
+        dense registers.  Returns ``{(labels, dense values): slab}`` over the
+        live cells, in branch then C order; a slab is a view of the branch
+        over the remaining dense registers."""
         axes = [self.layout.dense_axis[r] for r in dense_regs]
+        rest = tuple(range(len(axes), len(self.layout.dense_dims)))
         out = {}
         for labels, vec in self.branches.items():
             moved = np.moveaxis(vec, axes, range(len(axes)))
-            for idx in np.ndindex(*[moved.shape[i] for i in range(len(axes))]):
-                slab = moved[idx]
-                if np.max(np.abs(slab)) == 0:
-                    continue
-                full = np.zeros_like(moved)
-                full[idx] = slab
-                out.setdefault((labels, idx), np.zeros_like(vec))
-                out[(labels, idx)] += np.moveaxis(full, range(len(axes)), axes)
+            for idx in np.argwhere(np.abs(moved).max(axis=rest) != 0).tolist():
+                out[(labels, tuple(idx))] = moved[tuple(idx)]
         return out
 
     def apply_label_map(self, fn, dense_controls=()):
@@ -252,19 +250,20 @@ class SimState:
 
         ``fn(dense_values, labels) -> new_labels``.  When the map depends on
         dense register contents the state is refined so each branch carries a
-        definite value of those registers.  Branches reaching identical labels
+        definite value of those registers (``split_by``; each slab lands in
+        its cell of the new label's array).  Branches reaching identical labels
         are merged (amplitude addition), which is what makes uncomputation and
         subsequent interference exact.
         """
         new = {}
         if dense_controls:
-            refined = self.split_by(dense_controls)
-            for (labels, dvals), vec in refined.items():
+            axes = [self.layout.dense_axis[r] for r in dense_controls]
+            front = range(len(axes))
+            for (labels, dvals), slab in self.split_by(dense_controls).items():
                 nl = tuple(fn(dvals, labels))
-                if nl in new:
-                    new[nl] = new[nl] + vec
-                else:
-                    new[nl] = vec
+                if nl not in new:
+                    new[nl] = np.zeros(self.layout.dense_dims, dtype=complex)
+                np.moveaxis(new[nl], axes, front)[dvals] += slab
         else:
             for labels, vec in self.branches.items():
                 nl = tuple(fn((), labels))
@@ -282,14 +281,12 @@ class SimState:
     # -- projection / post-selection -----------------------------------------
 
     def project(self, predicate, renormalize=True):
-        """Keep amplitude where ``predicate(dense_index_tuple, labels)`` holds.
-        Returns the retained squared weight."""
+        """Keep amplitude where ``predicate(idx, labels)`` holds, with ``idx``
+        the index grid of ``predicate_mask``.  Returns the retained squared
+        weight."""
         weight = 0.0
         for labels, vec in self.branches.items():
-            keep = np.zeros(vec.shape, dtype=bool)
-            for idx in np.ndindex(vec.shape):
-                if vec[idx] != 0 and predicate(idx, labels):
-                    keep[idx] = True
+            keep = self.predicate_mask(predicate, labels) & (vec != 0)
             masked = np.where(keep, vec, 0.0)
             weight += float(np.vdot(masked, masked).real)
             self.branches[labels] = masked

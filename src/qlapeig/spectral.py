@@ -102,6 +102,7 @@ class SpectralResult:
     query_count: int | None = None
     fidelities: list = field(default_factory=list)
     reference_eigenvalues: list = field(default_factory=list)
+    weight_build: object = None  # the weight-state build the encodings used
 
     @property
     def eigenvalues(self):
@@ -532,6 +533,7 @@ def full_pipeline(vs: VertexSet, kp: KernelParams, cfg: PipelineConfig):
                                     drop_zero=(cfg.target != "W"),
                                     signed=(cfg.target == "W"))
     result.query_count = u_enc.meta.get("query_count")
+    result.weight_build = res.components["weight_build"]
 
     # classical reference for the same (truncated) matrix
     if cfg.target == "W":

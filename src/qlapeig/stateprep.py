@@ -320,6 +320,8 @@ def amplitude_amplification(state: SimState, good_predicate, known_amplitude: fl
     Runs floor(pi/(4 theta)) rotations, taking one more only when that
     improves the flagged weight, then post-selects the residual bad weight
     away and records it.  The amplitude is always known exactly in simulation.
+    ``good_predicate(idx, labels)`` takes the index grid of
+    ``SimState.predicate_mask`` and must act elementwise on it.
     """
     if known_amplitude <= 1e-15:
         raise SimError("cannot amplify a zero amplitude")

@@ -6,11 +6,17 @@ import os
 
 import pytest
 
+import qlapeig.blockenc as blockenc
+import qlapeig.harness as harness
+import qlapeig.spectral as spectral
 from qlapeig.checks import (check_phi_budget, check_psi_budget,
                             check_state_error_propagation,
                             check_tensor_power_propagation)
 from qlapeig.cli import main
-from qlapeig.harness import ConfigError, RunConfig, dump_json
+from qlapeig.graph import KernelParams
+from qlapeig.harness import (ConfigError, RunConfig, _state_dump, dump_json,
+                             load_vertices)
+from qlapeig.stateprep import build_weight_state
 
 
 def write_config(path, **overrides):
@@ -151,18 +157,81 @@ def test_cli_deterministic_replay(tmp_path):
     assert first == second
 
 
-def test_cli_dump_state(tmp_path):
+def count_weight_builds(monkeypatch):
+    calls = []
+    real = blockenc.build_weight_state
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(blockenc, "build_weight_state", counting)
+    return calls
+
+
+def test_cli_dump_state(tmp_path, monkeypatch):
+    calls = count_weight_builds(monkeypatch)
     csv = toy_csv(tmp_path / "v.csv")
     dump = tmp_path / "state.json"
     cfg_file = write_config(tmp_path / "run.cfg", input=str(csv),
                             output=str(tmp_path / "r.json"))
     assert main(["run", "--config", str(cfg_file), "--dump-state", str(dump)]) == 0
+    assert len(calls) == 1  # the dump reuses the run's weight-state build
     payload = json.loads(dump.read_text())
     assert payload["registers"][0][0] == "idx"
     assert len(payload["branches"]) >= 1
     total = sum(sum(r * r + i * i for r, i in zip(b["re"], b["im"]))
                 for b in payload["branches"])
     assert total == pytest.approx(1.0, abs=1e-9)
+    # same bytes as a dump of a separately built weight state
+    cfg = RunConfig.from_file(cfg_file)
+    fresh = build_weight_state(load_vertices(str(csv)), KernelParams(cfg.lambda_, cfg.p),
+                               cfg.pipeline_config().prep, cfg.norm_case)
+    assert dump.read_text() == dump_json(_state_dump(fresh.state))
+
+
+def test_cli_dump_state_verify_only(tmp_path, monkeypatch):
+    calls = count_weight_builds(monkeypatch)
+    monkeypatch.setattr(harness, "run_checks", lambda size: [])  # own builds
+    csv = toy_csv(tmp_path / "v.csv")
+    cfg_file = write_config(tmp_path / "run.cfg", input=str(csv),
+                            output=str(tmp_path / "r.json"))
+    dumps = [tmp_path / "run.json", tmp_path / "verify.json"]
+    assert main(["run", "--config", str(cfg_file), "--dump-state", str(dumps[0])]) == 0
+    assert main(["run", "--config", str(cfg_file), "--verify-only",
+                 "--dump-state", str(dumps[1])]) == 0
+    assert len(calls) == 2  # one build per run, the dump included
+    assert dumps[0].read_bytes() == dumps[1].read_bytes()
+
+
+def raise_in_qpe(monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(spectral, "run_qpe", broken)
+
+
+def test_cli_internal_error_exits_3_no_report(tmp_path, monkeypatch, capsys):
+    raise_in_qpe(monkeypatch, TypeError("unsupported operand"))
+    csv = toy_csv(tmp_path / "v.csv")
+    out = tmp_path / "report.json"
+    cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), output=str(out))
+    assert main(["run", "--config", str(cfg_file)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "TypeError" in err
+
+
+@pytest.mark.parametrize("exc", [spectral.SimulationError("eps out of range"),
+                                 OverflowError("value exceeds fixed-point range")],
+                         ids=["SimulationError", "OverflowError"])
+def test_cli_stage_failure_exits_1(tmp_path, monkeypatch, capsys, exc):
+    raise_in_qpe(monkeypatch, exc)
+    csv = toy_csv(tmp_path / "v.csv")
+    out = tmp_path / "report.json"
+    cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), output=str(out))
+    assert main(["run", "--config", str(cfg_file)]) == 1
+    assert not out.exists()
+    assert "verification failure" in capsys.readouterr().out
 
 
 def test_verify_subcommand_deterministic(tmp_path):

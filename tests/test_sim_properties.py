@@ -1,0 +1,278 @@
+"""Differential property tests: every fast ``SimState`` path against a slow
+reference.  ``apply_label_map``, ``predicate_mask`` and ``project`` are
+checked bit for bit against per-cell ``np.ndindex`` loops; ``apply_dense``,
+``reflect_about`` and ``partial_trace`` against the same operation on the
+flat statevector from ``dense_vector()``.
+
+Layouts are small: two or three dense registers of one or two qubits and one
+or two arithmetic registers of two or three bits, in random order, holding
+states of up to four branches with some cells and whole slabs set to zero.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qlapeig.sim import (FixedPointSpec, Register, RegisterLayout, SimError,
+                         SimState, partial_trace)
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@st.composite
+def layouts(draw):
+    regs = [Register(f"d{k}", draw(st.integers(1, 2)), "index")
+            for k in range(draw(st.integers(2, 3)))]
+    for k in range(draw(st.integers(1, 2))):
+        bits = draw(st.integers(2, 3))
+        regs.append(Register(f"a{k}", bits, "arithmetic", FixedPointSpec(bits, 1)))
+    return RegisterLayout(draw(st.permutations(regs)))
+
+
+def random_branch(layout, rng):
+    dims = layout.dense_dims
+    vec = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    vec[rng.random(dims) < 0.3] = 0.0
+    axis = int(rng.integers(len(dims)))
+    np.moveaxis(vec, axis, 0)[int(rng.integers(dims[axis]))] = 0.0  # dead slab
+    return vec
+
+
+@st.composite
+def states(draw, layout=None):
+    layout = layout or draw(layouts())
+    label_space = st.tuples(*[st.integers(0, r.fp.max_label) for r in layout.arith])
+    labels = draw(st.lists(label_space, min_size=1, max_size=4, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SimState(layout, {lab: random_branch(layout, rng) for lab in labels},
+                    normalized=False)
+
+
+def assert_same_bits(got: SimState, want: dict):
+    """Same labels in the same order, each array identical byte for byte."""
+    assert list(got.branches) == list(want)
+    for labels, vec in want.items():
+        mine = got.branches[labels]
+        assert mine.dtype == vec.dtype and mine.shape == vec.shape
+        assert mine.tobytes() == vec.tobytes()
+
+
+def pruned(layout, branches: dict) -> dict:
+    ref = SimState(layout, dict(branches), normalized=False)
+    ref.prune()
+    return ref.branches
+
+
+def reference_mask(predicate, dims, labels):
+    mask = np.zeros(dims, dtype=bool)
+    for idx in np.ndindex(*dims):
+        mask[idx] = bool(predicate(idx, labels))
+    return mask
+
+
+# ---------------------------------------------------------------------------
+# label maps
+
+def reference_label_map(state, fn, controls):
+    """Per-cell refinement: one zero-padded full array per live cell, then
+    merged per new label by whole-array addition."""
+    axes = [state.layout.dense_axis[r] for r in controls]
+    front = range(len(axes))
+    refined = {}
+    for labels, vec in state.branches.items():
+        moved = np.moveaxis(vec, axes, front)
+        for idx in np.ndindex(*moved.shape[:len(axes)]):
+            slab = moved[idx]
+            if np.max(np.abs(slab)) == 0:
+                continue
+            full = np.zeros_like(moved)
+            full[idx] = slab
+            refined[(labels, idx)] = np.zeros_like(vec) + np.moveaxis(full, front, axes)
+    new = {}
+    for (labels, dvals), vec in refined.items():
+        nl = tuple(fn(dvals, labels))
+        new[nl] = new[nl] + vec if nl in new else vec
+    return pruned(state.layout, new)
+
+
+@st.composite
+def label_maps(draw, layout):
+    """Affine maps of (control values, labels) onto each arithmetic slot.  A
+    zero label weight drops the old label, so cells of different branches
+    merge into one new label."""
+    dense = [r.name for r in layout.dense]
+    controls = draw(st.lists(st.sampled_from(dense), min_size=1,
+                             max_size=len(dense), unique=True))
+    coeffs = [(draw(st.lists(st.integers(0, 3), min_size=len(controls),
+                             max_size=len(controls))),
+               draw(st.integers(0, 1)), draw(st.integers(0, 3)))
+              for _ in layout.arith]
+    sizes = [r.fp.max_label + 1 for r in layout.arith]
+
+    def fn(dvals, labels):
+        return [(sum(c * v for c, v in zip(cw, dvals)) + lw * lab + off) % size
+                for (cw, lw, off), lab, size in zip(coeffs, labels, sizes)]
+
+    return fn, tuple(controls)
+
+
+@PROPERTY
+@given(st.data())
+def test_apply_label_map_matches_per_cell_reference(data):
+    state = data.draw(states())
+    fn, controls = data.draw(label_maps(state.layout))
+    want = reference_label_map(state, fn, controls)
+    state.apply_label_map(fn, dense_controls=controls)
+    assert_same_bits(state, want)
+
+
+def test_apply_label_map_merges_branches_bit_exactly():
+    layout = RegisterLayout([Register("i", 1, "index"), Register("j", 2, "index"),
+                             Register("a", 2, "arithmetic", FixedPointSpec(2, 1))])
+    rng = np.random.default_rng(5)
+    state = SimState(layout, {(lab,): random_branch(layout, rng) for lab in range(4)},
+                     normalized=False)
+    merge = lambda dvals, labels: [dvals[0]]  # noqa: E731 - all branches collide
+    want = reference_label_map(state, merge, ("i",))
+    state.apply_label_map(merge, dense_controls=("i",))
+    assert len(state.branches) == 2
+    assert_same_bits(state, want)
+
+
+# ---------------------------------------------------------------------------
+# predicates
+
+@st.composite
+def predicates(draw, layout):
+    """Array-safe predicates; each also works on a tuple of ints, which is
+    how the reference calls it."""
+    nd = len(layout.dense)
+    a, b = draw(st.integers(0, nd - 1)), draw(st.integers(0, nd - 1))
+    v = draw(st.integers(0, 3))
+    return draw(st.sampled_from([
+        lambda idx, lab: True,
+        lambda idx, lab: idx[a] == v,
+        lambda idx, lab: idx[a] != idx[b],
+        lambda idx, lab: idx[a] < v,
+        lambda idx, lab: (idx[a] + idx[b] + lab[0]) % 2 == 1,
+        lambda idx, lab: (idx[a] == v) | (idx[b] < lab[-1]),
+    ]))
+
+
+@PROPERTY
+@given(st.data())
+def test_predicate_mask_matches_ndindex(data):
+    state = data.draw(states())
+    predicate = data.draw(predicates(state.layout))
+    dims = state.layout.dense_dims
+    for labels in state.branches:
+        mask = state.predicate_mask(predicate, labels)
+        assert mask.dtype == bool and mask.shape == dims
+        assert np.array_equal(mask, reference_mask(predicate, dims, labels))
+
+
+@PROPERTY
+@given(st.data())
+def test_project_matches_ndindex(data):
+    state = data.draw(states())
+    predicate = data.draw(predicates(state.layout))
+    renormalize = data.draw(st.booleans())
+    want, weight = {}, 0.0
+    for labels, vec in state.branches.items():
+        keep = np.zeros(vec.shape, dtype=bool)
+        for idx in np.ndindex(vec.shape):
+            if vec[idx] != 0 and predicate(idx, labels):
+                keep[idx] = True
+        want[labels] = np.where(keep, vec, 0.0)
+        weight += float(np.vdot(want[labels], want[labels]).real)
+    if renormalize and weight <= 0:
+        with pytest.raises(SimError):
+            state.project(predicate, renormalize)
+        return
+    if renormalize:
+        want = {k: v / np.sqrt(weight) for k, v in want.items()}
+    assert state.project(predicate, renormalize) == weight
+    assert_same_bits(state, pruned(state.layout, want))
+
+
+def test_predicate_that_is_not_array_safe_raises():
+    state = SimState(RegisterLayout([Register("i", 2, "index"),
+                                     Register("j", 2, "index")]))
+    with pytest.raises(ValueError):
+        state.predicate_mask(lambda idx, lab: idx[0] == 1 and idx[1] == 0, (0,))
+
+
+# ---------------------------------------------------------------------------
+# against the flat statevector
+
+def full_tensor(state):
+    return state.dense_vector().reshape([1 << r.qubits for r in state.layout.registers])
+
+
+def position(layout, name):
+    return [r.name for r in layout.registers].index(name)
+
+
+@PROPERTY
+@given(st.data())
+def test_apply_dense_with_controls_matches_statevector(data):
+    state = data.draw(states())
+    lay = state.layout
+    names = [r.name for r in lay.dense]
+    targets = data.draw(st.lists(st.sampled_from(names), min_size=1,
+                                 max_size=2, unique=True))
+    free = [r for r in names if r not in targets]
+    ctrl_names = data.draw(st.lists(st.sampled_from(free), max_size=len(free),
+                                    unique=True)) if free else []
+    controls = {r: data.draw(st.integers(0, lay.dense_dims[lay.dense_axis[r]] - 1))
+                for r in ctrl_names}
+    dims = [lay.dense_dims[lay.dense_axis[t]] for t in targets]
+    dim = int(np.prod(dims))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))
+
+    psi = full_tensor(state)
+    t_pos = [position(lay, t) for t in targets]
+    moved = np.tensordot(u.reshape(dims + dims), psi,
+                         axes=(range(len(dims), 2 * len(dims)), t_pos))
+    applied = np.moveaxis(moved, range(len(dims)), t_pos)
+    grids = np.indices(psi.shape, sparse=True)
+    hit = np.ones(psi.shape, dtype=bool)
+    for r, v in controls.items():
+        hit = hit & (grids[position(lay, r)] == v)
+    want = np.where(hit, applied, psi).reshape(-1)
+
+    state.apply_dense(u, targets, controls=controls or None)
+    assert np.allclose(state.dense_vector(), want, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(st.data())
+def test_reflect_about_matches_statevector(data):
+    state = data.draw(states())
+    ref = data.draw(states(state.layout))
+    psi, r = state.dense_vector(), ref.dense_vector()
+    want = 2.0 * np.vdot(r, psi) * r - psi
+    state.reflect_about(ref)
+    assert np.allclose(state.dense_vector(), want, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(st.data())
+def test_partial_trace_matches_statevector(data):
+    state = data.draw(states())
+    lay = state.layout
+    keep = data.draw(st.lists(st.sampled_from([r.name for r in lay.registers]),
+                              min_size=1, unique=True))
+    rho = partial_trace(state, keep)
+    # basis order of the result: kept arithmetic registers, then kept dense
+    order = ([k for k in keep if lay.by_name[k].kind == "arithmetic"]
+             + [k for k in keep if lay.by_name[k].kind != "arithmetic"])
+    assert rho.subsystem == tuple(order)
+    psi = full_tensor(state)
+    pos = [position(lay, k) for k in order]
+    kept = int(np.prod([psi.shape[p] for p in pos]))
+    m = np.moveaxis(psi, pos, range(len(pos))).reshape(kept, -1)
+    assert np.allclose(rho.matrix, m @ m.conj().T, rtol=0, atol=1e-12)
