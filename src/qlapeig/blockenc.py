@@ -295,7 +295,9 @@ def make_signed_pair(y, beta: float | None = None, inject_eps_y: float = 0.0,
             aa = R * q1
             bb = q2 * q2 - q1 * q1 - R * R
             disc = bb * bb - 4.0 * aa * q1 * R
-            s_val = (-bb - math.sqrt(max(disc, 0.0))) / (2.0 * aa)
+            # the smaller root, as the reciprocal of the larger (the roots'
+            # product is q1 R / aa = 1), so no cancellation when q1 is small
+            s_val = 2.0 * q1 * R / (-bb + math.sqrt(max(disc, 0.0)))
             t_val = (R - q1 * s_val) / q2
             c[support] = np.sqrt(q[support])
             d[support] = np.sqrt(q[support])

@@ -4,8 +4,11 @@ qlapeig run --config <file> [--verify-only] [--target L|Ls|Lr|W] [--seed N]
             [--out <file>] [--dump-state <file>]
 qlapeig verify --sizes small|medium [--out <file>]
 
-Exit codes: 0 ok, 1 verification failure, 2 I/O or configuration error,
-3 internal error (``run`` only; the traceback goes to stderr, no report).
+Exit codes, for ``run`` and ``verify`` alike: 0 ok, 1 verification failure
+(a failed check, or a ``SimError`` or fixed-point ``OverflowError`` raised by a
+stage or check), 2 I/O or configuration error (``verify``: an unknown suite
+size), 3 internal error (any other exception; the traceback goes to stderr and
+no report is written).
 """
 
 from __future__ import annotations

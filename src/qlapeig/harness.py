@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .checks import run_checks
+from .checks import CHECKS, run_checks
 from .graph import (GraphError, KernelParams, VertexSet, load_vertices_csv,
                     load_vertices_json, resolve_norm_case)
 from .sim import SimError
@@ -274,12 +274,22 @@ def _state_dump(state) -> dict:
 
 
 def verify_suite(size: str = "small", out_path: str | None = None) -> int:
-    """Run the invariant battery; one JSON line per check."""
+    """Run the invariant battery; one JSON line per check.  Returns the
+    process exit code: 0 every check passes, 1 verification failure (a failed
+    check, or a ``SimError`` or fixed-point ``OverflowError`` raised by one),
+    2 unknown suite size or I/O error, 3 internal error (any other exception:
+    its traceback goes to stderr and nothing is written)."""
+    if size not in CHECKS:
+        print(f"error: unknown suite size {size!r}")
+        return 2
     try:
         results = run_checks(size)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
+    except (SimError, OverflowError) as exc:
+        print(f"verification failure: {type(exc).__name__}: {exc}")
+        return 1
+    except Exception:
+        traceback.print_exc()
+        return 3
     lines = "\n".join(dump_json(r) for r in results) + "\n"
     if out_path:
         try:

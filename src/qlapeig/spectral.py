@@ -7,6 +7,12 @@ taken as an oracle), while ``lcu_taylor`` builds the truncated-Taylor linear
 combination over controlled queries to the encoding unitary, segmented so one
 exact oblivious-amplification round per segment restores unit scale.  The
 second path is the one whose query counts are metered.
+
+A segment is the circuit S = -A R A^dag R A, R = 2 Pi - I.  It is simulated
+with one pass of A by two identities that hold because A is unitary:
+A R A^dag = 2 E E^dag - I with E = A Pi, and E^dag (R A psi) = 2 W^dag w - Pi psi
+with W = Pi A Pi and w = Pi A psi.  The meter counts the circuit, not the
+simulation: 3 * order queries per segment.
 """
 
 from __future__ import annotations
@@ -133,17 +139,26 @@ def simulate_hamiltonian(be: BlockEncoding, cfg: SimulationConfig) -> BlockEncod
     return _lcu_taylor(be, h, cfg)
 
 
+def _series_tail(x: float, k: int) -> float:
+    """Bound on the tail sum_{j > k} x^j / j! of the order-k Taylor series
+    (geometric majorant, valid for x < k + 2)."""
+    tail = x ** (k + 1) / math.factorial(k + 1)
+    return tail / max(1e-12, 1.0 - x / (k + 2))
+
+
 def _choose_order(segment_x: float, budget: float, max_order: int) -> int:
     for k in range(1, max_order + 1):
-        tail = segment_x ** (k + 1) / math.factorial(k + 1)
-        tail /= max(1e-12, 1.0 - segment_x / (k + 2))
-        if tail <= budget:
+        if _series_tail(segment_x, k) <= budget:
             return k
     raise SimulationError("series order bound unreachable; raise max_order")
 
 
 def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig) -> BlockEncoding:
-    """Segmented truncated-Taylor series over controlled encoding queries."""
+    """Segmented truncated-Taylor series over controlled encoding queries,
+    A = (P_L^dag (x) I) SELECT (P_R (x) I).  Each segment passes A once (the
+    identities are in the module docstring): phi = R A psi, then
+    psi <- phi - 2 E (2 W^dag w - Pi psi), a rank-s update from the compact
+    rows of E."""
     if be.backend != "dense":
         raise SimulationError("the metered path needs an explicit encoding unitary")
     s = be.subject_dim
@@ -153,13 +168,12 @@ def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig) -> Bloc
     r = max(1, int(math.ceil(x_total / math.log(2.0))))
     tau = cfg.t / r
     x = alpha * tau
+    budget = cfg.eps / (6.0 * r)
     order = cfg.truncation_order
     if order is None:
-        order = _choose_order(x, cfg.eps / (6.0 * r), cfg.max_order)
-    else:
-        tail = x ** (order + 1) / math.factorial(order + 1)
-        if tail / max(1e-12, 1.0 - x / (order + 2)) > cfg.eps / (2.0 * r):
-            raise SimulationError("requested series order violates the error budget")
+        order = _choose_order(x, budget, cfg.max_order)
+    elif _series_tail(x, order) > budget:
+        raise SimulationError("requested series order violates the error budget")
     cdim = 1 << max(1, (order + 1).bit_length())
     total_dim = cdim * a_dim ** order * 2 * s
     if total_dim > (1 << 21):
@@ -175,13 +189,12 @@ def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig) -> Bloc
     d_col[: order + 1] = np.sqrt(ys / 2.0) * (-1j) ** np.arange(order + 1)
     c_col[order + 1] = math.sqrt(max(pad, 0.0) / 2.0)
     d_col[order + 1] = math.sqrt(max(pad, 0.0) / 2.0)
-    p_l = completion_unitary(c_col)
+    p_l_dag = completion_unitary(c_col).conj().T
     p_r = completion_unitary(d_col)
 
     shape = (cdim,) + (a_dim,) * order + (2, s)
     u_mat = be.unitary
-    ud_mat = be.unitary.conj().T
-    queries = 0
+    queries = 3 * order * r  # A, A^dag, A per segment, one query per rung
 
     def apply_on(psi, mat, axes):
         moved = np.moveaxis(psi, axes, range(len(axes)))
@@ -190,54 +203,50 @@ def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig) -> Bloc
         flat = mat @ flat
         return np.moveaxis(flat.reshape(moved.shape), range(len(axes)), axes)
 
-    def select(psi, adjoint=False):
-        nonlocal queries
-        mat = ud_mat if adjoint else u_mat
-        js = range(order, 0, -1) if adjoint else range(1, order + 1)
-        for j in js:
-            queries += 1  # one multi-controlled encoding query per rung
+    def a_op(psi):
+        psi = apply_on(psi, p_r, [0])
+        for j in range(1, order + 1):  # rung j: U on ancilla j, rows k >= j
             for k in range(j, order + 1):
-                psi[k] = apply_on(psi[k], mat, [j - 1, len(shape) - 2])
+                psi[k] = apply_on(psi[k], u_mat, [j - 1, len(shape) - 2])
         # padding slot: X on the spare flag (block contribution zero)
         psi[order + 1] = np.flip(psi[order + 1], axis=-2)
-        return psi
+        return apply_on(psi, p_l_dag, [0])
 
-    def a_op(psi, adjoint=False):
-        if not adjoint:
-            psi = apply_on(psi, p_r, [0])
-            psi = select(psi, adjoint=False)
-            psi = apply_on(psi, p_l.conj().T, [0])
-        else:
-            psi = apply_on(psi, p_l, [0])
-            psi = select(psi, adjoint=True)
-            psi = apply_on(psi, p_r.conj().T, [0])
-        return psi
-
-    def reflect_zero(psi):
-        flat = psi.reshape(-1, s)
-        flat *= -1.0
-        flat[0] *= -1.0  # ancilla all-zero row keeps its sign
-        return flat.reshape(psi.shape)
+    # SELECT on |0..0>|c> leaves row k <= order as V_k |0^k>|c>, V_k =
+    # U_k ... U_1, on the cells where the later ancillas and the flag are
+    # zero: keep G_k = V_k (|0^k> (x) I_s), shape (a_dim^k s, s).  The padding
+    # row sets the flag instead, so its G is the identity.
+    g = [np.eye(s, dtype=complex)]
+    for _ in range(order):
+        g.append(np.einsum("xy,iyc->ixc", u_mat[:, :s],
+                           g[-1].reshape(-1, s, s)).reshape(-1, s))
+    cells = [(slice(None),) * (k + 1) + (0,) * (order - k + 1)
+             for k in range(order + 1)]
+    cells.append((slice(None),) + (0,) * order + (1,))
+    g.append(g[0])
+    w_dag = sum(p_l_dag[0, k] * d_col[k] * g[k][:s]
+                for k in range(order + 1)).conj().T
 
     def segment(psi):
-        psi = a_op(psi)
-        psi = reflect_zero(psi)
-        psi = a_op(psi, adjoint=True)
-        psi = reflect_zero(psi)
-        psi = a_op(psi)
-        return -psi
+        zero_in = psi.reshape(-1, s)[0].copy()
+        flat = a_op(psi).reshape(-1, s)
+        flat *= -1.0
+        flat[0] *= -1.0  # R: the ancilla all-zero row keeps its sign
+        coef = 2.0 * (2.0 * (w_dag @ flat[0]) - zero_in)  # 2 E^dag R A psi
+        psi = flat.reshape(shape)
+        for k, cell in enumerate(cells):  # psi -= E coef, one row at a time
+            view = psi[cell]
+            view -= np.multiply.outer(
+                p_l_dag[:, k], d_col[k] * (g[k] @ coef)).reshape(view.shape)
+        return psi
 
     block = np.zeros((s, s), dtype=complex)
     for col in range(s):
         psi = np.zeros(shape, dtype=complex)
-        idx = (0,) * (len(shape) - 1) + (col,)
-        psi[idx] = 1.0
+        psi[(0,) * (len(shape) - 1) + (col,)] = 1.0
         for _ in range(r):
             psi = segment(psi)
         block[:, col] = psi.reshape(-1, s)[0]
-    # the counter ran once per extraction column; the circuit itself costs
-    # one pass
-    queries //= s
 
     vals, vecs = np.linalg.eigh(h)
     exact = vecs @ np.diag(np.exp(-1j * vals * cfg.t)) @ vecs.conj().T

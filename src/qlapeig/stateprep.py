@@ -72,9 +72,10 @@ def completion_unitary(first_column: np.ndarray) -> np.ndarray:
     if abs(v[0]) > 1e-14:
         phase = v[0] / abs(v[0])
     vr = np.conj(phase) * v
-    e0 = np.zeros(dim, dtype=complex)
-    e0[0] = 1.0
-    w = vr - e0
+    w = vr.copy()
+    # w = vr - e0, with the leading entry vr[0] - 1 = -||vr[1:]||^2 / (1 + vr[0])
+    # written so it does not cancel when vr is close to e0
+    w[0] = -np.vdot(vr[1:], vr[1:]).real / (1.0 + vr[0].real)
     wn = np.linalg.norm(w)
     if wn < 1e-14:
         u = phase * np.eye(dim, dtype=complex)

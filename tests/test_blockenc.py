@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlapeig.blockenc import (BlockEncoding,
                               dilate, encode_barL_unit_norm, encode_calL,
@@ -126,6 +128,25 @@ def test_pair_signed_recovery_and_padding():
     # unitarity of the completions
     assert np.max(np.abs(pair.P_L.conj().T @ pair.P_L - np.eye(4))) < 1e-12
     assert np.max(np.abs(pair.P_R.conj().T @ pair.P_R - np.eye(4))) < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(y=st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=1, max_size=9)
+       .filter(lambda y: any(y)),
+       excess=st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+def test_pair_columns_realize_the_weights(y, excess):
+    """Any weights and any beta >= ||y||_1: unit columns, unitary completions
+    and beta conj(c_j) d_j = y_j."""
+    y = np.array(y)
+    beta = float(np.sum(np.abs(y))) * (1.0 + excess)
+    pair = make_signed_pair(y, beta=beta)
+    c, d = pair.columns()
+    assert abs(np.linalg.norm(c) - 1) < 1e-12 and abs(np.linalg.norm(d) - 1) < 1e-12
+    assert np.max(np.abs(beta * np.conj(c[: len(y)]) * d[: len(y)] - y)) < 1e-12
+    assert np.max(np.abs(beta * np.conj(c[len(y):]) * d[len(y):]), initial=0.0) < 1e-12
+    dim = 1 << pair.b
+    for p in (pair.P_L, pair.P_R):
+        assert np.max(np.abs(p.conj().T @ p - np.eye(dim))) < 1e-12
 
 
 def test_pair_beta_below_norm_rejected():

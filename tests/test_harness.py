@@ -7,6 +7,7 @@ import os
 import pytest
 
 import qlapeig.blockenc as blockenc
+import qlapeig.checks as checks
 import qlapeig.harness as harness
 import qlapeig.spectral as spectral
 from qlapeig.checks import (check_phi_budget, check_psi_budget,
@@ -245,6 +246,45 @@ def test_verify_subcommand_deterministic(tmp_path):
     assert "state_error_propagation" in names
     assert "tensor_power_propagation" in names
     assert all(json.loads(line)["pass"] for line in lines)
+
+
+def raise_in_check(monkeypatch, exc):
+    def broken():
+        raise exc
+    monkeypatch.setitem(checks.CHECKS, "small", [checks.check_truncation_monotone, broken])
+
+
+@pytest.mark.parametrize("exc", [TypeError("unsupported operand"),
+                                 ValueError("truth value of an array is ambiguous")],
+                         ids=["TypeError", "ValueError"])
+def test_verify_internal_error_exits_3_no_file(tmp_path, monkeypatch, capsys, exc):
+    """A bug inside a check is neither a configuration error (2) nor a failed
+    verification (1)."""
+    raise_in_check(monkeypatch, exc)
+    out = tmp_path / "checks.jsonl"
+    assert main(["verify", "--sizes", "small", "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" in err and type(exc).__name__ in err
+
+
+@pytest.mark.parametrize("exc", [spectral.SimulationError("budget violated"),
+                                 OverflowError("value exceeds fixed-point range")],
+                         ids=["SimulationError", "OverflowError"])
+def test_verify_check_failure_exits_1(tmp_path, monkeypatch, capsys, exc):
+    raise_in_check(monkeypatch, exc)
+    out = tmp_path / "checks.jsonl"
+    assert main(["verify", "--sizes", "small", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "verification failure" in capsys.readouterr().out
+
+
+def test_verify_unknown_size_exits_2_before_running(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "run_checks", lambda size: ran.append(size) or [])
+    out = tmp_path / "checks.jsonl"
+    assert harness.verify_suite("large", str(out)) == 2
+    assert ran == [] and not out.exists()
 
 
 def test_float_serialization_17_digits():

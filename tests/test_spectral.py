@@ -6,18 +6,25 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from qlapeig.blockenc import BlockEncoding, dilate
+from qlapeig.blockenc import BlockEncoding, dilate, lcu_combine, make_signed_pair
 from qlapeig.graph import KernelParams, VertexSet, build_graph, classical_eigensolve
 from qlapeig.spectral import (PipelineConfig, QpeConfig, ResolutionError,
                               SimulationConfig, SimulationError,
                               extract_d_smallest, full_pipeline,
                               recover_Lr_eigenvectors, run_qpe,
                               simulate_hamiltonian)
+from qlapeig.stateprep import completion_unitary
 
 
 def random_hermitian(rng, n, norm=0.8):
     h = rng.standard_normal((n, n))
     h = (h + h.T) / 2
+    return h * (norm / np.linalg.norm(h, 2))
+
+
+def random_complex_hermitian(rng, n, norm=0.8):
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (h + h.conj().T) / 2
     return h * (norm / np.linalg.norm(h, 2))
 
 
@@ -57,6 +64,104 @@ def test_lcu_taylor_error_contract(n, t, eps):
     exact = sla.expm(-1j * h * t)
     assert np.linalg.norm(out.block() - exact, 2) <= eps
     assert out.meta["query_count"] == out.meta["segments"] * 3 * out.meta["order"]
+
+
+def three_pass_taylor(be, t, order, r):
+    """Reference for the metered path: each of the r segments runs the circuit
+    -A R A^dag R A literally, three passes of the encoding circuit A per
+    segment and input column.  Returns the block and the circuit's query
+    count (rungs run, divided by the s columns)."""
+    s = be.subject_dim
+    a_dim = be.unitary.shape[0] // s
+    x = be.alpha * t / r
+    cdim = 1 << max(1, (order + 1).bit_length())
+    ys = np.array([x ** k / math.factorial(k) for k in range(order + 1)])
+    pad = 2.0 - ys.sum()
+    c_col = np.zeros(cdim, dtype=complex)
+    d_col = np.zeros(cdim, dtype=complex)
+    c_col[: order + 1] = np.sqrt(ys / 2.0)
+    d_col[: order + 1] = np.sqrt(ys / 2.0) * (-1j) ** np.arange(order + 1)
+    c_col[order + 1] = d_col[order + 1] = math.sqrt(max(pad, 0.0) / 2.0)
+    p_l, p_r = completion_unitary(c_col), completion_unitary(d_col)
+    shape = (cdim,) + (a_dim,) * order + (2, s)
+    u_mat, ud_mat = be.unitary, be.unitary.conj().T
+    queries = 0
+
+    def apply_on(psi, mat, axes):
+        moved = np.moveaxis(psi, axes, range(len(axes)))
+        flat = mat @ moved.reshape(mat.shape[0], -1)
+        return np.moveaxis(flat.reshape(moved.shape), range(len(axes)), axes)
+
+    def select(psi, adjoint):
+        nonlocal queries
+        mat = ud_mat if adjoint else u_mat
+        for j in (range(order, 0, -1) if adjoint else range(1, order + 1)):
+            queries += 1
+            for k in range(j, order + 1):
+                psi[k] = apply_on(psi[k], mat, [j - 1, len(shape) - 2])
+        psi[order + 1] = np.flip(psi[order + 1], axis=-2)
+        return psi
+
+    def a_op(psi, adjoint=False):
+        first, last = (p_l, p_r.conj().T) if adjoint else (p_r, p_l.conj().T)
+        return apply_on(select(apply_on(psi, first, [0]), adjoint), last, [0])
+
+    def reflect_zero(psi):
+        flat = psi.reshape(-1, s) * -1.0
+        flat[0] *= -1.0
+        return flat.reshape(shape)
+
+    block = np.zeros((s, s), dtype=complex)
+    for col in range(s):
+        psi = np.zeros(shape, dtype=complex)
+        psi[(0,) * (len(shape) - 1) + (col,)] = 1.0
+        for _ in range(r):
+            psi = -a_op(reflect_zero(a_op(reflect_zero(a_op(psi)), adjoint=True)))
+        block[:, col] = psi.reshape(-1, s)[0]
+    return block, queries // s
+
+
+def assert_matches_three_pass(enc, t, eps):
+    out = simulate_hamiltonian(enc, SimulationConfig(t=t, eps=eps, path="lcu_taylor"))
+    ref, queries = three_pass_taylor(enc, t, out.meta["order"], out.meta["segments"])
+    assert np.max(np.abs(out.block() - ref)) <= 1e-12
+    assert out.meta["query_count"] == queries
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("t", [1.0, 4.0])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4])
+def test_lcu_taylor_matches_three_pass_circuit(n, t, eps):
+    """The one-pass segment (A R A^dag as the reflection about A's
+    zero-ancilla image) realizes the literal three-pass circuit."""
+    rng = np.random.default_rng(n * 1000 + int(t) * 10 + int(-math.log10(eps)))
+    assert_matches_three_pass(dilate(random_complex_hermitian(rng, n), 1.0), t, eps)
+
+
+def test_lcu_taylor_matches_three_pass_circuit_wide_ancilla():
+    """A two-term combination has a 4-dimensional ancilla per query, so the
+    compact rows of E are strided by a_dim = 4."""
+    rng = np.random.default_rng(31)
+    encs = [dilate(random_complex_hermitian(rng, 2), 1.0) for _ in range(2)]
+    enc = lcu_combine(make_signed_pair([0.7, -0.3]), encs)
+    assert enc.backend == "dense" and enc.unitary.shape[0] == 4 * 2
+    assert_matches_three_pass(enc, 2.0, 1e-2)
+
+
+@pytest.mark.parametrize("t,eps", [(1.0, 1e-2), (4.0, 1e-4), (2.0, 1e-6)])
+def test_lcu_taylor_explicit_order_shares_the_auto_budget(t, eps):
+    """One tail budget for both paths: the auto-chosen order passes when
+    given explicitly, and one order less does not."""
+    enc = dilate(random_complex_hermitian(np.random.default_rng(5), 2), 1.0)
+    auto = simulate_hamiltonian(enc, SimulationConfig(t=t, eps=eps, path="lcu_taylor"))
+    order = auto.meta["order"]
+    assert order >= 2
+    same = simulate_hamiltonian(enc, SimulationConfig(
+        t=t, eps=eps, path="lcu_taylor", truncation_order=order))
+    assert np.array_equal(same.block(), auto.block())
+    with pytest.raises(SimulationError, match="error budget"):
+        simulate_hamiltonian(enc, SimulationConfig(
+            t=t, eps=eps, path="lcu_taylor", truncation_order=order - 1))
 
 
 def test_lcu_taylor_matches_oracle_path():

@@ -11,7 +11,8 @@ from qlapeig.sim import FixedPointSpec, Register, RegisterLayout, SimError, SimS
 from qlapeig.stateprep import (EstimatorConfig, PrepConfig, QramOracle,
                                amplitude_amplification, apply_R_U,
                                build_degree_state, build_phi_state,
-                               build_psi_state, distance_estimation,
+                               build_psi_state, completion_unitary,
+                               distance_estimation,
                                hadamard_all, inner_product_estimation,
                                prepare_coefficient_state)
 
@@ -31,6 +32,18 @@ def general_vs(rng, n, m, lo, hi):
 
 # ---------------------------------------------------------------------------
 # coefficient ladder
+
+@pytest.mark.parametrize("tail", [0.5, 1e-6, 1e-9, 1e-12],
+                         ids=["far", "near", "nearer", "nearest"])
+def test_completion_unitary_close_to_e0(tail):
+    """A column within a hair of |0> keeps its completion exact: the leading
+    Householder entry does not cancel."""
+    v = np.array([1.0, tail, -1j * tail, 0.0], dtype=complex) * np.exp(0.3j)
+    v /= np.linalg.norm(v)
+    u = completion_unitary(v)
+    assert np.max(np.abs(u[:, 0] - v)) < 1e-15
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-14
+
 
 def test_single_coefficient_gives_basis_state():
     st = prepare_coefficient_state([1.0])
