@@ -95,9 +95,6 @@ class BlockEncoding:
             return m @ m.conj().T
         return np.array(self._block)
 
-    def adjoint_block(self) -> np.ndarray:
-        return self.block().conj().T
-
 
 @dataclass
 class StatePreparationPair:
@@ -134,7 +131,6 @@ class CombinationSpec:
     d_coef: float = 0.0
     e_coef: float = 0.0
     l: int = 0
-    eps_l: float = 0.0
     in_unit_range: bool = field(init=False)
 
     def __post_init__(self):
@@ -401,7 +397,6 @@ class LaplacianEncodingResult:
     pair: StatePreparationPair
     components: dict
     trace_D: float | None
-    reports: list
     stats: AmplificationStats
 
 
@@ -449,8 +444,7 @@ def encode_calL(vs: VertexSet, kp: KernelParams, trace_D_estimate: float | None 
     enc = lcu_combine(pair, [weight_enc, rho2_enc, rho3_enc])
     comps = {"rho_weight": weight_enc, "rho2": rho2_enc, "rho3": rho3_enc,
              "weight_build": weight_build, "degree_build": degree}
-    return LaplacianEncodingResult(enc, combo, pair, comps, trace_d, [],
-                                   degree.stats)
+    return LaplacianEncodingResult(enc, combo, pair, comps, trace_d, degree.stats)
 
 
 def encode_barL_unit_norm(vs: VertexSet, kp: KernelParams,
@@ -479,8 +473,7 @@ def encode_barL_unit_norm(vs: VertexSet, kp: KernelParams,
     enc = lcu_combine(pair, [rho2_enc, rho0_enc, rho3_enc])
     comps = {"rho_weight": rho0_enc, "rho2": rho2_enc, "rho3": rho3_enc,
              "weight_build": phi, "degree_build": degree}
-    return LaplacianEncodingResult(enc, combo, pair, comps, trace_d, [],
-                                   degree.stats)
+    return LaplacianEncodingResult(enc, combo, pair, comps, trace_d, degree.stats)
 
 
 def encode_W_over_n(vs: VertexSet, kp: KernelParams, norm_case: str = "auto",
@@ -502,7 +495,7 @@ def encode_W_over_n(vs: VertexSet, kp: KernelParams, norm_case: str = "auto",
     enc = lcu_combine(pair, [weight_enc, rho3_enc])
     combo = CombinationSpec(c=0.5, l=max(weight_enc.ancillas, rho3_enc.ancillas))
     comps = {"rho_weight": weight_enc, "rho3": rho3_enc, "weight_build": build}
-    return LaplacianEncodingResult(enc, combo, pair, comps, None, [], stats)
+    return LaplacianEncodingResult(enc, combo, pair, comps, None, stats)
 
 
 def sandwich_negative_power(be_a: BlockEncoding, be_b: BlockEncoding,

@@ -28,7 +28,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute one pipeline run")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--verify-only", action="store_true",
-                       help="run classical + encoding verification, skip QPE")
+                       help="run the graph-model and block-encoding stages "
+                            "with their verification records, plus the small "
+                            "check battery; skip simulation and QPE")
     p_run.add_argument("--target", choices=["L", "Ls", "Lr", "W"])
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--out")

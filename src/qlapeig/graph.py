@@ -86,9 +86,6 @@ class VertexSet:
         mask[: self.n_active] = True
         return mask
 
-    def active_vertices(self) -> np.ndarray:
-        return self.vertices[: self.n_active]
-
     def validate(self, tol: float = 1e-12) -> None:
         ref = np.linalg.norm(self.vertices, axis=1)
         scale = np.maximum(ref, 1.0)
@@ -245,24 +242,18 @@ def build_graph(vs: VertexSet, kp: KernelParams, truncated: bool = False) -> Gra
     w = build_weight_matrix(vs, kp)
     wp, diag = build_taylor_weight_matrix(vs, kp)
     base = wp if truncated else w
-    if vs.padded:
-        act = vs.active
-        gm = build_laplacians(base[np.ix_(act, act)])
-        # re-embed into the padded index space for register-width consistency
-        def embed(small):
-            big = np.zeros((vs.n, vs.n))
-            big[np.ix_(act, act)] = small
-            return big
-        gm = GraphMatrices(
-            W=w, W_p=wp, taylor_diag=diag, D=embed(gm.D), L=embed(gm.L),
-            L_s=embed(gm.L_s), L_r=embed(gm.L_r), trace_D=gm.trace_D,
-        )
-        return gm
-    gm = build_laplacians(base)
-    gm.W = w
-    gm.W_p = wp
-    gm.taylor_diag = diag
-    return gm
+    act = vs.active
+    gm = build_laplacians(base[np.ix_(act, act)])
+
+    # re-embed into the padded index space for register-width consistency
+    def embed(small):
+        big = np.zeros((vs.n, vs.n))
+        big[np.ix_(act, act)] = small
+        return big
+    return GraphMatrices(
+        W=w, W_p=wp, taylor_diag=diag, D=embed(gm.D), L=embed(gm.L),
+        L_s=embed(gm.L_s), L_r=embed(gm.L_r), trace_D=gm.trace_D,
+    )
 
 
 def classical_eigensolve(mat: np.ndarray, d: int, zero_tol: float = 1e-9) -> SpectralReference:

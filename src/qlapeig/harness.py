@@ -12,10 +12,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .checks import CHECKS, run_checks
-from .graph import (GraphError, KernelParams, VertexSet, load_vertices_csv,
-                    load_vertices_json, resolve_norm_case)
+from .graph import (GraphError, KernelParams, VertexSet, graph_matrices_to_json,
+                    load_vertices_csv, load_vertices_json)
 from .sim import SimError
-from .spectral import PipelineConfig, full_pipeline
+from .spectral import PipelineConfig, encode_target, full_pipeline
 from .stateprep import EstimatorConfig, PrepConfig
 
 __all__ = ["RunConfig", "run", "verify_suite", "dump_json", "ConfigError"]
@@ -36,7 +36,7 @@ class RunConfig:
     d:                number of nonzero eigenpairs to extract
     norm_case:        auto | unit | general
     estimator_mode:   exact | noisy
-    eps_x, eps_d:     injected oracle / estimator precisions
+    eps_d:            distance-estimator precision (noisy mode)
     delta1, delta2:   estimator failure probabilities
     qpe_bits, qpe_shots, seed: phase-estimation settings
     fixed_point_bits, exp_gate_order: arithmetic widths
@@ -53,7 +53,6 @@ class RunConfig:
     d: int = 1
     norm_case: str = "auto"
     estimator_mode: str = "exact"
-    eps_x: float = 0.0
     eps_d: float = 1e-6
     delta1: float = 0.05
     delta2: float = 0.05
@@ -86,9 +85,7 @@ class RunConfig:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 current = getattr(cfg, key)
                 try:
-                    if isinstance(current, bool):
-                        parsed = val.lower() in ("1", "true", "yes")
-                    elif isinstance(current, int):
+                    if isinstance(current, int):
                         parsed = int(val)
                     elif isinstance(current, float):
                         parsed = float(val)
@@ -211,10 +208,7 @@ def run(config: RunConfig, verify_only: bool = False,
         if dump_state:
             write_atomic(dump_state, dump_json(_state_dump(weight_build.state)))
         write_atomic(config.output, dump_json(report))
-    except OSError as exc:
-        print(f"error: {exc}")
-        return 2
-    except GraphError as exc:
+    except (OSError, GraphError) as exc:
         print(f"error: {exc}")
         return 2
     except (SimError, OverflowError) as exc:  # tagged with their stage
@@ -227,34 +221,17 @@ def run(config: RunConfig, verify_only: bool = False,
 
 
 def _verify_only_report(vs, kp, pcfg):
-    """Classical matrices and encoding verification for the configured
-    input, plus the generic invariant battery; phase estimation skipped.
-    Returns the report and the weight-state build the encodings used."""
-    import numpy as np
-
-    from .blockenc import encode_calL, encode_W_over_n, encoding_report
-    from .graph import build_graph, graph_matrices_to_json
-
-    norm_case = resolve_norm_case(vs, pcfg.norm_case)
-    gm = build_graph(vs, kp, truncated=True)
-    reports = []
-    if pcfg.target == "W":
-        res = encode_W_over_n(vs, kp, norm_case, pcfg.prep, pcfg.estimator)
-        reports.append(encoding_report("target_W", res.encoding,
-                                       gm.W_p / vs.n, tol=1e-4))
-    else:
-        res = encode_calL(vs, kp, None, pcfg.prep, pcfg.estimator, norm_case)
-        reports.append(encoding_report("calL_vs_model", res.encoding,
-                                       gm.L / gm.trace_D, tol=1e-4))
-        reports.append(encoding_report(
-            "rho2", res.components["rho2"], np.diag(np.diag(gm.D)) / gm.trace_D,
-            tol=1e-4))
-    return {
-        "target": pcfg.target, "verify_only": True, "norm_case": norm_case,
-        "graph_matrices": graph_matrices_to_json(gm),
-        "encoding_verifications": reports,
-        "checks": run_checks("small"),
-    }, res.components["weight_build"]
+    """The run's graph model and block-encoding stages with their
+    verification records, plus the generic invariant battery; simulation and
+    phase estimation skipped.  Returns the report and the weight-state build
+    the encodings used."""
+    enc = encode_target(vs, kp, pcfg)
+    report = enc.header
+    report["verify_only"] = True
+    report["graph_matrices"] = graph_matrices_to_json(enc.gm)
+    report["encoding_verifications"] = enc.verifications
+    report["checks"] = run_checks("small")
+    return report, enc.combination.components["weight_build"]
 
 
 def _state_dump(state) -> dict:

@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 ATOL_UNITARY = 1e-10
-ATOL_NORM = 1e-10
 
 
 class SimError(RuntimeError):
@@ -136,28 +135,21 @@ class RegisterLayout:
 class SimState:
     """Hybrid state: map {arithmetic labels -> dense amplitude array}."""
 
-    def __init__(self, layout: RegisterLayout, branches=None, normalized: bool = True):
+    def __init__(self, layout: RegisterLayout, branches=None):
         self.layout = layout
         if branches is None:
             vec = np.zeros(layout.dense_dims, dtype=complex)
             vec[(0,) * len(layout.dense_dims)] = 1.0
             branches = {(0,) * len(layout.arith): vec}
         self.branches = branches
-        self.normalized = normalized
 
     # -- basics ------------------------------------------------------------
 
     def copy(self) -> "SimState":
-        st = SimState(self.layout, {k: v.copy() for k, v in self.branches.items()},
-                      self.normalized)
-        return st
+        return SimState(self.layout, {k: v.copy() for k, v in self.branches.items()})
 
     def norm(self) -> float:
         return math.sqrt(sum(float(np.vdot(v, v).real) for v in self.branches.values()))
-
-    def check_norm(self):
-        if self.normalized and abs(self.norm() - 1.0) > ATOL_NORM:
-            raise SimError(f"state norm drifted to {self.norm()}")
 
     def inner(self, other: "SimState") -> complex:
         tot = 0.0 + 0.0j
@@ -273,10 +265,6 @@ class SimState:
                     new[nl] = vec
         self.branches = new
         self.prune()
-
-    def label_value(self, reg: str, labels) -> float:
-        slot = self.layout.arith_slot[reg]
-        return self.layout.spec(reg).decode(labels[slot])
 
     # -- projection / post-selection -----------------------------------------
 

@@ -22,9 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockenc import BlockEncoding
-from .graph import (GraphError, KernelParams, VertexSet, build_graph,
-                    classical_eigensolve, resolve_norm_case)
+from .blockenc import (BlockEncoding, LaplacianEncodingResult, dilate,
+                       encode_calL, encode_W_over_n, encoding_report,
+                       sandwich_negative_power, taylor_consistent_reference,
+                       w_consistent_reference)
+from .graph import (GraphError, GraphMatrices, KernelParams, VertexSet,
+                    build_graph, classical_eigensolve, graph_matrices_to_json,
+                    resolve_norm_case)
 from .sim import SimError, operator_norm_distance
 from .stateprep import EstimatorConfig, PrepConfig, completion_unitary
 
@@ -37,10 +41,12 @@ __all__ = [
     "SpectralCluster",
     "SpectralResult",
     "PipelineConfig",
+    "EncodedTarget",
     "simulate_hamiltonian",
     "run_qpe",
     "extract_d_smallest",
     "recover_Lr_eigenvectors",
+    "encode_target",
     "full_pipeline",
 ]
 
@@ -455,15 +461,27 @@ class _Stage:
         return False
 
 
-def full_pipeline(vs: VertexSet, kp: KernelParams, cfg: PipelineConfig):
-    """graph model -> state preparation -> block-encoding -> simulation ->
-    QPE -> extraction, with a verification report at every stage.
+@dataclass
+class EncodedTarget:
+    """The graph model and the verified block-encoding of the configured
+    target: what ``full_pipeline`` simulates and ``run --verify-only``
+    reports."""
+
+    gm: GraphMatrices
+    combination: LaplacianEncodingResult  # encode_calL or encode_W_over_n
+    encoding: BlockEncoding               # the target's encoding
+    subject: np.ndarray                   # the matrix it encodes
+    header: dict                          # the report's leading fields
+    verifications: list                   # encoding_report records
+
+
+def encode_target(vs: VertexSet, kp: KernelParams,
+                  cfg: PipelineConfig) -> EncodedTarget:
+    """graph model -> state preparation -> block-encoding of ``cfg.target``,
+    each encoding verified against exact linear algebra.
 
     Stage failures propagate with a ``[stage:...]`` tag on the message.
     """
-    from .blockenc import (encode_W_over_n, encode_calL, encoding_report,
-                           sandwich_negative_power, taylor_consistent_reference)
-
     norm_case = resolve_norm_case(vs, cfg.norm_case)
     with _Stage("graph-model"):
         gm = build_graph(vs, kp, truncated=True)
@@ -476,7 +494,6 @@ def full_pipeline(vs: VertexSet, kp: KernelParams, cfg: PipelineConfig):
 
     with _Stage("block-encoding"):
         if cfg.target == "W":
-            from .blockenc import w_consistent_reference
             res = encode_W_over_n(vs, kp, norm_case, cfg.prep, cfg.estimator)
             subject = gm.W_p / vs.n
             target_enc = res.encoding
@@ -505,8 +522,20 @@ def full_pipeline(vs: VertexSet, kp: KernelParams, cfg: PipelineConfig):
                                             "zeta1": np_params.zeta1}
         reports.append(encoding_report(f"target_{cfg.target}", target_enc, subject,
                                        tol=max(1e-4, target_enc.epsilon)))
-    report["trace_D_estimate"] = getattr(res, "trace_D", None)
+    report["trace_D_estimate"] = res.trace_D
     report["trace_D_classical"] = float(np.trace(gm.D))
+    return EncodedTarget(gm, res, target_enc, subject, report, reports)
+
+
+def full_pipeline(vs: VertexSet, kp: KernelParams, cfg: PipelineConfig):
+    """graph model -> state preparation -> block-encoding -> simulation ->
+    QPE -> extraction, with a verification report at every stage.
+
+    Stage failures propagate with a ``[stage:...]`` tag on the message.
+    """
+    enc = encode_target(vs, kp, cfg)
+    gm, res, subject = enc.gm, enc.combination, enc.subject
+    report = enc.header
 
     # evolution time from quantum-side Gershgorin bounds
     deg = res.components["degree_build"].degree_estimates \
@@ -522,13 +551,11 @@ def full_pipeline(vs: VertexSet, kp: KernelParams, cfg: PipelineConfig):
         t = 0.9 * 2.0 * math.pi / bound
     with _Stage("simulation"):
         sim_cfg = SimulationConfig(t=t, eps=cfg.sim_eps, path=cfg.sim_path)
-        sim_enc = target_enc
+        sim_enc = enc.encoding
         if cfg.sim_path == "lcu_taylor":
             # the metered path needs an explicit unitary; rebuild the verified
             # block as a compact one-ancilla encoding at the same scale
-            from .blockenc import dilate
-            sim_enc = dilate(target_enc.alpha * target_enc.block(),
-                             target_enc.alpha)
+            sim_enc = dilate(sim_enc.alpha * sim_enc.block(), sim_enc.alpha)
         u_enc = simulate_hamiltonian(sim_enc, sim_cfg)
     report["simulation"] = {"path": sim_cfg.path, "eps": sim_cfg.eps,
                             "t": sim_cfg.t,
@@ -576,8 +603,7 @@ def full_pipeline(vs: VertexSet, kp: KernelParams, cfg: PipelineConfig):
     report["eigenvalues"] = [float(v) for v in result.eigenvalues]
     report["reference_eigenvalues"] = result.reference_eigenvalues
     report["fidelities"] = fidelities
-    report["encoding_verifications"] = reports
-    from .graph import graph_matrices_to_json
+    report["encoding_verifications"] = enc.verifications
     report["graph_matrices"] = graph_matrices_to_json(gm)
     report["qpe"] = {
         "bits": cfg.qpe_bits, "shots": cfg.qpe_shots,

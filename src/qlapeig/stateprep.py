@@ -180,14 +180,7 @@ class ErrorBudget:
     """Component precisions and the derived state-error budget values."""
 
     eps_x: float = 0.0
-    eps_a: float = 0.0
-    eps_a_tilde: float = 0.0
     eps_d: float = 0.0
-    delta1: float = 0.05
-    delta2: float = 0.05
-    eps_y: float = 0.0
-    eps_l: float = 0.0
-    eps: float = 0.0
 
     def eps0(self, n: int, p: int) -> float:
         return math.sqrt(n) * p * p * self.eps_x

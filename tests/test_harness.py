@@ -3,6 +3,7 @@ the error-propagation property suites the harness drives."""
 
 import json
 import os
+from dataclasses import fields, replace
 
 import pytest
 
@@ -37,6 +38,11 @@ def toy_csv(path):
     return path
 
 
+def toy4_csv(path):
+    path.write_text("0.5,0.1\n0.1,0.45\n-0.3,0.35\n0.2,-0.4\n")
+    return path
+
+
 # ---------------------------------------------------------------------------
 # error-propagation property suites (criterion-scale runs live in test_acceptance)
 
@@ -68,6 +74,38 @@ def test_config_unknown_key_rejected(tmp_path):
     path.write_text("lambda = 0.5\nmystery_knob = 3\n")
     with pytest.raises(ConfigError):
         RunConfig.from_file(path)
+
+
+# string fields need a valid non-default value; numbers are shifted
+NON_DEFAULT = {"target": "W", "norm_case": "unit", "estimator_mode": "noisy",
+               "sim_path": "lcu_taylor", "trace_mode": "classical"}
+
+
+def test_every_config_key_reaches_the_pipeline():
+    """A settable key the pipeline never reads would be accepted and then
+    silently ignored."""
+    default = RunConfig()
+    for f in fields(RunConfig):
+        if f.name in ("input", "output", "lambda_", "p"):  # read by run itself
+            continue
+        value = getattr(default, f.name)
+        if isinstance(value, str):
+            value = NON_DEFAULT[f.name]
+        else:
+            value = value + (1 if isinstance(value, int) else 0.01)
+        changed = replace(default, **{f.name: value})
+        assert changed.pipeline_config() != default.pipeline_config(), f.name
+
+
+def test_config_eps_x_is_unknown_exits_2(tmp_path):
+    csv = toy_csv(tmp_path / "v.csv")
+    out = tmp_path / "report.json"
+    cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), output=str(out),
+                            eps_x=0.01)
+    with pytest.raises(ConfigError, match="eps_x"):
+        RunConfig.from_file(cfg_file)
+    assert main(["run", "--config", str(cfg_file)]) == 2
+    assert not out.exists()
 
 
 def test_config_bad_value_rejected(tmp_path):
@@ -203,6 +241,31 @@ def test_cli_dump_state_verify_only(tmp_path, monkeypatch):
                  "--dump-state", str(dumps[1])]) == 0
     assert len(calls) == 2  # one build per run, the dump included
     assert dumps[0].read_bytes() == dumps[1].read_bytes()
+
+
+@pytest.mark.parametrize("target,trace_mode", [
+    ("L", "quantum"), ("Ls", "quantum"), ("Lr", "quantum"), ("W", "quantum"),
+    ("L", "classical")], ids=["L", "Ls", "Lr", "W", "L-classical"])
+def test_verify_only_checks_the_encoding_the_run_simulates(tmp_path, monkeypatch,
+                                                          target, trace_mode):
+    """--verify-only writes the run's graph-model and encoding records
+    byte for byte: the same encoding verifications, graph matrices and
+    report header."""
+    monkeypatch.setattr(harness, "run_checks", lambda size: [])
+    csv = toy4_csv(tmp_path / "v.csv")
+    cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), target=target,
+                            trace_mode=trace_mode)
+    outs = [tmp_path / "run.json", tmp_path / "verify.json"]
+    assert main(["run", "--config", str(cfg_file), "--out", str(outs[0])]) == 0
+    assert main(["run", "--config", str(cfg_file), "--verify-only",
+                 "--out", str(outs[1])]) == 0
+    ran, verified = (json.loads(p.read_text()) for p in outs)
+    assert dump_json(verified["encoding_verifications"]) == \
+        dump_json(ran["encoding_verifications"])
+    assert verified["verify_only"] is True and verified["checks"] == []
+    shared = [key for key in verified if key not in ("verify_only", "checks")]
+    assert dump_json({k: verified[k] for k in shared}) == \
+        dump_json({k: ran[k] for k in shared})
 
 
 def raise_in_qpe(monkeypatch, exc):

@@ -45,8 +45,7 @@ def states(draw, layout=None):
     label_space = st.tuples(*[st.integers(0, r.fp.max_label) for r in layout.arith])
     labels = draw(st.lists(label_space, min_size=1, max_size=4, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return SimState(layout, {lab: random_branch(layout, rng) for lab in labels},
-                    normalized=False)
+    return SimState(layout, {lab: random_branch(layout, rng) for lab in labels})
 
 
 def assert_same_bits(got: SimState, want: dict):
@@ -59,7 +58,7 @@ def assert_same_bits(got: SimState, want: dict):
 
 
 def pruned(layout, branches: dict) -> dict:
-    ref = SimState(layout, dict(branches), normalized=False)
+    ref = SimState(layout, dict(branches))
     ref.prune()
     return ref.branches
 
@@ -131,8 +130,7 @@ def test_apply_label_map_merges_branches_bit_exactly():
     layout = RegisterLayout([Register("i", 1, "index"), Register("j", 2, "index"),
                              Register("a", 2, "arithmetic", FixedPointSpec(2, 1))])
     rng = np.random.default_rng(5)
-    state = SimState(layout, {(lab,): random_branch(layout, rng) for lab in range(4)},
-                     normalized=False)
+    state = SimState(layout, {(lab,): random_branch(layout, rng) for lab in range(4)})
     merge = lambda dvals, labels: [dvals[0]]  # noqa: E731 - all branches collide
     want = reference_label_map(state, merge, ("i",))
     state.apply_label_map(merge, dense_controls=("i",))
