@@ -33,15 +33,16 @@ class RunConfig:
     target:           L | Ls | Lr | W
     lambda_:          Gaussian kernel width (key "lambda" in files)
     p:                Taylor truncation order
-    d:                number of nonzero eigenpairs to extract
+    d:                number of nonzero eigenpairs to extract (at least 1)
     norm_case:        auto | unit | general
     estimator_mode:   exact | noisy
     eps_d:            distance-estimator precision (noisy mode)
     delta1, delta2:   estimator failure probabilities
-    qpe_bits, qpe_shots, seed: phase-estimation settings
+    qpe_bits, qpe_shots, seed: phase-estimation settings (bits and shots at
+                      least 1)
     fixed_point_bits, exp_gate_order: arithmetic widths
     sim_path:         oracle_exponential | lcu_taylor
-    sim_eps:          simulation error budget
+    sim_eps:          simulation error budget, in (0, 1)
     trace_mode:       quantum | classical (source of Tr(D) for the weights)
     output:           report path
     """

@@ -13,6 +13,13 @@ with one pass of A by two identities that hold because A is unitary:
 A R A^dag = 2 E E^dag - I with E = A Pi, and E^dag (R A psi) = 2 W^dag w - Pi psi
 with W = Pi A Pi and w = Pi A psi.  The meter counts the circuit, not the
 simulation: 3 * order queries per segment.
+
+SELECT (``_taylor_select``) runs one row of the coefficient register at a
+time: a transpose brings (ancilla j, subject) to the front of a contiguous
+copy of the row and one GEMM applies U_j; the next rung's transpose rotates
+ancilla j behind the subject and brings ancilla j+1 forward, so a row is
+written back once, after its last rung.  Every temporary is one row slab,
+1/cdim of the state.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ from .graph import (GraphError, GraphMatrices, KernelParams, VertexSet,
                     build_graph, classical_eigensolve, graph_matrices_to_json,
                     resolve_norm_case)
 from .sim import SimError, operator_norm_distance
-from .stateprep import EstimatorConfig, PrepConfig, completion_unitary
+from .stateprep import (EstimatorConfig, PrepConfig, _desk_scale_guard,
+                        completion_unitary)
 
 __all__ = [
     "SimulationError",
@@ -59,21 +67,32 @@ class ResolutionError(SimError):
     """Requested more eigenpairs than the phase resolution can separate."""
 
 
+MAX_TAYLOR_ORDER = 12  # lcu path: the highest truncation order chosen from eps
+LCU_MAX_AMPLITUDES = 1 << 21  # lcu path: the largest state it simulates
+
+
+def _sim_setting_error(path: str, eps: float) -> str | None:
+    """Why a simulation path and error budget are out of range, or None."""
+    if path not in ("oracle_exponential", "lcu_taylor"):
+        return f"unknown simulation path {path!r}"
+    if not (0 < eps < 1):
+        return "target error must sit in (0, 1)"
+    return None
+
+
 @dataclass
 class SimulationConfig:
     t: float
     eps: float = 1e-6
     path: str = "oracle_exponential"
     truncation_order: int | None = None   # lcu path; chosen from eps when absent
-    max_order: int = 12
 
     def __post_init__(self):
         if self.t < 0:
             raise SimulationError("evolution time must be nonnegative")
-        if not (0 < self.eps < 1):
-            raise SimulationError("target error must sit in (0, 1)")
-        if self.path not in ("oracle_exponential", "lcu_taylor"):
-            raise SimulationError(f"unknown simulation path {self.path!r}")
+        problem = _sim_setting_error(self.path, self.eps)
+        if problem:
+            raise SimulationError(problem)
 
 
 @dataclass
@@ -152,11 +171,37 @@ def _series_tail(x: float, k: int) -> float:
     return tail / max(1e-12, 1.0 - x / (k + 2))
 
 
-def _choose_order(segment_x: float, budget: float, max_order: int) -> int:
-    for k in range(1, max_order + 1):
+def _choose_order(segment_x: float, budget: float) -> int:
+    for k in range(1, MAX_TAYLOR_ORDER + 1):
         if _series_tail(segment_x, k) <= budget:
             return k
-    raise SimulationError("series order bound unreachable; raise max_order")
+    raise SimulationError(
+        f"series order bound unreachable within order {MAX_TAYLOR_ORDER}")
+
+
+def _taylor_select(psi: np.ndarray, u_mat: np.ndarray, order: int) -> np.ndarray:
+    """SELECT of the truncated-Taylor LCU, in place on psi of shape
+    (cdim,) + (a_dim,) * order + (2, s): row k <= order takes U_1 ... U_k,
+    U_j = ``u_mat`` on (ancilla j, subject); the padding row sets the spare
+    flag.
+
+    A row's slab is rotated rather than moved back after each rung: at rung j
+    its axes run (ancilla j, subject, ancilla j-1 .. 1, ancilla j+1 .. order,
+    flag), so U_j is one GEMM on the leading axis pair, and the untouched
+    ancillas stay a contiguous tail through each rotation."""
+    lead = u_mat.shape[0]
+    sub = psi.ndim - 2  # a row's axes: order ancillas, flag, subject
+    for k in range(1, order + 1):
+        x = psi[k].transpose((0, sub) + tuple(range(1, sub)))
+        for j in range(1, k + 1):
+            if j > 1:
+                x = x.transpose((j, 1, 0) + tuple(range(2, j))
+                                + tuple(range(j + 1, sub + 1)))
+            x = (u_mat @ x.reshape(lead, -1)).reshape(x.shape)
+        axes = (k - 1, sub) + tuple(range(k - 2, -1, -1)) + tuple(range(k, sub))
+        psi[k] = x.transpose(np.argsort(axes))
+    psi[order + 1] = np.flip(psi[order + 1], axis=-2)
+    return psi
 
 
 def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig) -> BlockEncoding:
@@ -177,12 +222,12 @@ def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig) -> Bloc
     budget = cfg.eps / (6.0 * r)
     order = cfg.truncation_order
     if order is None:
-        order = _choose_order(x, budget, cfg.max_order)
+        order = _choose_order(x, budget)
     elif _series_tail(x, order) > budget:
         raise SimulationError("requested series order violates the error budget")
     cdim = 1 << max(1, (order + 1).bit_length())
     total_dim = cdim * a_dim ** order * 2 * s
-    if total_dim > (1 << 21):
+    if total_dim > LCU_MAX_AMPLITUDES:
         raise SimulationError("lcu_taylor instance too large to simulate")
 
     ys = np.array([x ** k / math.factorial(k) for k in range(order + 1)])
@@ -196,27 +241,16 @@ def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig) -> Bloc
     c_col[order + 1] = math.sqrt(max(pad, 0.0) / 2.0)
     d_col[order + 1] = math.sqrt(max(pad, 0.0) / 2.0)
     p_l_dag = completion_unitary(c_col).conj().T
+    neg_p_l_dag = -p_l_dag  # carries R's sign; IEEE negation is exact
     p_r = completion_unitary(d_col)
 
     shape = (cdim,) + (a_dim,) * order + (2, s)
     u_mat = be.unitary
     queries = 3 * order * r  # A, A^dag, A per segment, one query per rung
 
-    def apply_on(psi, mat, axes):
-        moved = np.moveaxis(psi, axes, range(len(axes)))
-        lead = int(np.prod([psi.shape[a] for a in axes]))
-        flat = moved.reshape(lead, -1)
-        flat = mat @ flat
-        return np.moveaxis(flat.reshape(moved.shape), range(len(axes)), axes)
-
-    def a_op(psi):
-        psi = apply_on(psi, p_r, [0])
-        for j in range(1, order + 1):  # rung j: U on ancilla j, rows k >= j
-            for k in range(j, order + 1):
-                psi[k] = apply_on(psi[k], u_mat, [j - 1, len(shape) - 2])
-        # padding slot: X on the spare flag (block contribution zero)
-        psi[order + 1] = np.flip(psi[order + 1], axis=-2)
-        return apply_on(psi, p_l_dag, [0])
+    def neg_a_op(psi):  # -A psi, as cdim rows of the flattened state
+        psi = (p_r @ psi.reshape(cdim, -1)).reshape(shape)
+        return neg_p_l_dag @ _taylor_select(psi, u_mat, order).reshape(cdim, -1)
 
     # SELECT on |0..0>|c> leaves row k <= order as V_k |0^k>|c>, V_k =
     # U_k ... U_1, on the cells where the later ancillas and the flag are
@@ -235,9 +269,8 @@ def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig) -> Bloc
 
     def segment(psi):
         zero_in = psi.reshape(-1, s)[0].copy()
-        flat = a_op(psi).reshape(-1, s)
-        flat *= -1.0
-        flat[0] *= -1.0  # R: the ancilla all-zero row keeps its sign
+        flat = neg_a_op(psi).reshape(-1, s)
+        flat[0] *= -1.0  # R A psi: the ancilla all-zero row keeps its sign
         coef = 2.0 * (2.0 * (w_dag @ flat[0]) - zero_in)  # 2 E^dag R A psi
         psi = flat.reshape(shape)
         for k, cell in enumerate(cells):  # psi -= E coef, one row at a time
@@ -283,6 +316,8 @@ def run_qpe(u_enc: BlockEncoding, qcfg: QpeConfig,
     u = u_enc.block().conj().T
     n = u.shape[0]
     pdim = 1 << qcfg.phase_bits
+    _desk_scale_guard(pdim * n * n, 1,
+                      f"{qcfg.phase_bits}-bit phase-estimation register")
     psi = np.zeros((pdim, n, n), dtype=complex)
     base = np.eye(n) / math.sqrt(n)       # (1/sqrt n) sum_j |j>|j>
     power = np.eye(n, dtype=complex)
@@ -435,15 +470,18 @@ class PipelineConfig:
     qpe_shots: int = 4096
     seed: int | None = 7
     trace_mode: str = "quantum"  # quantum | classical
-    zero_threshold: float | None = None
-    kappa: float | None = None
-    varsigma1: float = 1e-3
 
     def __post_init__(self):
         if self.target not in ("L", "Ls", "Lr", "W"):
             raise GraphError(f"unknown target {self.target!r}")
         if self.trace_mode not in ("quantum", "classical"):
             raise GraphError(f"unknown trace mode {self.trace_mode!r}")
+        problem = _sim_setting_error(self.sim_path, self.sim_eps)
+        if problem:
+            raise GraphError(problem)
+        for name in ("d", "qpe_bits", "qpe_shots"):
+            if getattr(self, name) < 1:
+                raise GraphError(f"{name} must be at least 1")
 
 
 class _Stage:
@@ -516,7 +554,7 @@ def encode_target(vs: VertexSet, kp: KernelParams,
             if cfg.target in ("Ls", "Lr"):
                 rho2_enc = res.components["rho2"]
                 target_enc, np_params = sandwich_negative_power(
-                    rho2_enc, res.encoding, 0.5, cfg.kappa, cfg.varsigma1)
+                    rho2_enc, res.encoding, 0.5)
                 subject = gm.L_s
                 report["negative_power"] = {"kappa": np_params.kappa,
                                             "zeta1": np_params.zeta1}
@@ -565,8 +603,7 @@ def full_pipeline(vs: VertexSet, kp: KernelParams, cfg: PipelineConfig):
         qcfg = QpeConfig(cfg.qpe_bits, cfg.qpe_shots, cfg.seed, sim_cfg.t)
         samples = run_qpe(u_enc, qcfg, lambda_max_bound=bound)
     with _Stage("extraction"):
-        result = extract_d_smallest(samples, cfg.d, cfg.zero_threshold,
-                                    drop_zero=(cfg.target != "W"),
+        result = extract_d_smallest(samples, cfg.d, drop_zero=(cfg.target != "W"),
                                     signed=(cfg.target == "W"))
     result.query_count = u_enc.meta.get("query_count")
     result.weight_build = res.components["weight_build"]

@@ -145,6 +145,35 @@ def test_cli_unknown_norm_case_exits_2_no_report(tmp_path, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("sim_path", "qsp"), ("sim_eps", 0), ("sim_eps", 2), ("d", 0), ("d", -1),
+    ("qpe_bits", 0), ("qpe_shots", 0)])
+def test_cli_out_of_range_key_exits_2_before_any_stage(tmp_path, monkeypatch,
+                                                       key, value):
+    """An out-of-range run key is a configuration error, refused before the
+    graph-model stage starts."""
+    def no_stage(*args, **kwargs):
+        raise AssertionError("the graph-model stage ran")
+    monkeypatch.setattr(spectral, "build_graph", no_stage)
+    csv = toy_csv(tmp_path / "v.csv")
+    out = tmp_path / "report.json"
+    cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), output=str(out),
+                            **{key: value})
+    assert main(["run", "--config", str(cfg_file)]) == 2
+    assert not out.exists()
+
+
+def test_cli_oversized_qpe_register_exits_2_no_report(tmp_path, capsys):
+    """2^40 phase bins of n^2 amplitudes are refused before allocation."""
+    csv = toy4_csv(tmp_path / "v.csv")
+    out = tmp_path / "report.json"
+    cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), output=str(out),
+                            qpe_bits=40)
+    assert main(["run", "--config", str(cfg_file)]) == 2
+    assert not out.exists()
+    assert "desk-scale" in capsys.readouterr().out
+
+
 def test_cli_two_vertex_run(tmp_path):
     csv = toy_csv(tmp_path / "v.csv")
     out = tmp_path / "report.json"

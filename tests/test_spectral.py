@@ -8,8 +8,8 @@ import scipy.linalg as sla
 
 from qlapeig.blockenc import BlockEncoding, dilate, lcu_combine, make_signed_pair
 from qlapeig.graph import KernelParams, VertexSet, build_graph, classical_eigensolve
-from qlapeig.spectral import (PipelineConfig, QpeConfig, ResolutionError,
-                              SimulationConfig, SimulationError,
+from qlapeig.spectral import (LCU_MAX_AMPLITUDES, PipelineConfig, QpeConfig,
+                              ResolutionError, SimulationConfig, SimulationError,
                               extract_d_smallest, full_pipeline,
                               recover_Lr_eigenvectors, run_qpe,
                               simulate_hamiltonian)
@@ -126,6 +126,7 @@ def assert_matches_three_pass(enc, t, eps):
     ref, queries = three_pass_taylor(enc, t, out.meta["order"], out.meta["segments"])
     assert np.max(np.abs(out.block() - ref)) <= 1e-12
     assert out.meta["query_count"] == queries
+    return out
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -146,6 +147,25 @@ def test_lcu_taylor_matches_three_pass_circuit_wide_ancilla():
     enc = lcu_combine(make_signed_pair([0.7, -0.3]), encs)
     assert enc.backend == "dense" and enc.unitary.shape[0] == 4 * 2
     assert_matches_three_pass(enc, 2.0, 1e-2)
+
+
+@pytest.mark.parametrize("n,t,order", [(4, 1.0, 10), (2, 2.0, 11)])
+def test_lcu_taylor_matches_three_pass_circuit_at_high_order(n, t, order):
+    """The metered workload runs at order 9-10: the one-pass segment still
+    realizes the three-pass circuit there."""
+    rng = np.random.default_rng(n * 1000 + int(t) * 10 + 9)
+    enc = dilate(random_complex_hermitian(rng, n), 1.0)
+    assert assert_matches_three_pass(enc, t, 1e-9).meta["order"] == order
+
+
+def test_lcu_taylor_matches_three_pass_circuit_wide_ancilla_at_the_guard():
+    """a_dim = 4 at the largest order the size guard admits."""
+    rng = np.random.default_rng(31)
+    encs = [dilate(random_complex_hermitian(rng, 2), 1.0) for _ in range(2)]
+    enc = lcu_combine(make_signed_pair([0.7, -0.3]), encs)
+    order = assert_matches_three_pass(enc, 2.0, 1e-4).meta["order"]
+    # cdim = 16 coefficient slots, a_dim = 4 per rung, the flag, s = 2
+    assert 16 * 4 ** order * 2 * 2 <= LCU_MAX_AMPLITUDES < 16 * 4 ** (order + 1) * 2 * 2
 
 
 @pytest.mark.parametrize("t,eps", [(1.0, 1e-2), (4.0, 1e-4), (2.0, 1e-6)])
