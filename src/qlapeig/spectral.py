@@ -316,8 +316,8 @@ def run_qpe(u_enc: BlockEncoding, qcfg: QpeConfig,
     u = u_enc.block().conj().T
     n = u.shape[0]
     pdim = 1 << qcfg.phase_bits
-    _desk_scale_guard(pdim * n * n, 1,
-                      f"{qcfg.phase_bits}-bit phase-estimation register")
+    _desk_scale_guard(pdim * n * n, f"{qcfg.phase_bits}-bit phase-estimation register",
+                      "use fewer qpe_bits")
     psi = np.zeros((pdim, n, n), dtype=complex)
     base = np.eye(n) / math.sqrt(n)       # (1/sqrt n) sum_j |j>|j>
     power = np.eye(n, dtype=complex)

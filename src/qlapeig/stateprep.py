@@ -273,13 +273,16 @@ def _coeff_width(p: int) -> int:
     return max(1, (p).bit_length()) if p > 0 else 1
 
 
-def _desk_scale_guard(cells: int, branches: int, what: str):
-    # keep worst-case working memory for the branch set under ~0.5 GB
-    if cells * branches > (1 << 25):
+DESK_SCALE_AMPLITUDES = 1 << 25  # ~0.5 GB of complex amplitudes
+
+
+def _desk_scale_guard(amplitudes: int, what: str, remedy: str):
+    """Refuse an instance whose state would hold more than
+    ``DESK_SCALE_AMPLITUDES`` amplitudes, naming the knob that shrinks it."""
+    if amplitudes > DESK_SCALE_AMPLITUDES:
         raise GraphError(
-            f"{what}: instance needs {cells} dense amplitudes across up to "
-            f"{branches} branches, beyond the desk-scale budget; lower the "
-            "truncation order or the vertex count")
+            f"{what}: instance needs {amplitudes} dense amplitudes, beyond the "
+            f"desk-scale budget of {DESK_SCALE_AMPLITUDES}; {remedy}")
 
 
 # ---------------------------------------------------------------------------
@@ -330,29 +333,29 @@ def amplitude_amplification(state: SimState, good_predicate, known_amplitude: fl
     start = state.copy()
     masks = {}
 
-    def mask_for(labels):
-        if labels not in masks:
-            masks[labels] = state.predicate_mask(good_predicate, labels)
-        return masks[labels]
+    def mask_for(key):
+        if key not in masks:
+            masks[key] = state.predicate_mask(good_predicate, key)
+        return masks[key]
 
     for _ in range(iters):
-        for labels in list(state.branches):
-            m = mask_for(labels)
-            state.branches[labels] = np.where(m, -state.branches[labels],
-                                              state.branches[labels])
+        for key in list(state.branches):
+            m = mask_for(key)
+            state.branches[key] = np.where(m, -state.branches[key],
+                                           state.branches[key])
         state.reflect_about(start)
-    good_weight = 0.0
-    for labels, vec in state.branches.items():
-        masked = np.where(mask_for(labels), vec, 0.0)
-        good_weight += float(np.vdot(masked, masked).real)
+    terms = []
+    for key, vec in state.branches.items():
+        masked = np.where(mask_for(key), vec, 0.0)
+        terms.append((key, float(np.vdot(masked, masked).real)))
+    good_weight = state.sum_by_labels(terms)
     stats.iterations = iters
     stats.residual = max(0.0, 1.0 - good_weight)
     root = math.sqrt(good_weight)
     if good_weight <= 0:
         raise SimError("amplification annihilated the flagged subspace")
-    for labels in list(state.branches):
-        state.branches[labels] = np.where(mask_for(labels),
-                                          state.branches[labels] / root, 0.0)
+    for key in list(state.branches):
+        state.branches[key] = np.where(mask_for(key), state.branches[key] / root, 0.0)
     state.prune()
     return state, stats
 
@@ -385,7 +388,8 @@ def build_phi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
     log_m = vs.m.bit_length() - 1
     cwidth = _coeff_width(p)
     cdim = 1 << cwidth
-    _desk_scale_guard(vs.n * cdim * vs.m ** p, 1, "weight-state ladder")
+    _desk_scale_guard(vs.n * cdim * vs.m ** p, "weight-state ladder",
+                      "lower the truncation order, the vertex dimension or the vertex count")
     regs = [Register("idx", log_n, "index"), Register("coeff", cwidth, "coefficient")]
     data = [f"data{j}" for j in range(p)]
     regs += [Register(nm, log_m, "index") for nm in data]
@@ -437,8 +441,10 @@ def build_psi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
     log_m = m.bit_length() - 1
     cwidth = _coeff_width(p)
     cdim = 1 << cwidth
-    _desk_scale_guard(n * cdim * 2 * m ** p, n * (p + 1),
-                      "general-norm weight pipeline")
+    # the label maps split idx and coeff, so the n (p + 1) branches hold
+    # 2 m^p amplitudes each until the labels clear and the state joins back
+    _desk_scale_guard(n * cdim * 2 * m ** p, "general-norm weight pipeline",
+                      "lower the truncation order, the vertex dimension or the vertex count")
     max_norm = float(np.max(vs.norms))
     # registers hold ||x||^k, ||x||^2 and exp(..)*||x||^k; size the integer part
     need = max(max_norm ** max(p, 1), max_norm ** 2, 1.0)
@@ -561,8 +567,10 @@ def build_weight_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None,
 
 
 def _dense_over(state: SimState, regs) -> np.ndarray:
-    """Flatten the label-free state over the listed dense registers, checking
-    that every remaining register sits in |0...0>."""
+    """Join the state, then flatten it over the listed dense registers,
+    checking that it is label-free and every remaining register sits in
+    |0...0>."""
+    state.join()
     if len(state.branches) != 1:
         raise SimError("state still carries nonzero arithmetic labels")
     labels, vec = next(iter(state.branches.items()))
@@ -657,7 +665,9 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
     int_bits = max(1, int(math.floor(math.log2(max(dist_need, 1.0)))) + 2)
     spec_d = FixedPointSpec(prep.bits, int_bits)
     spec_u = FixedPointSpec(prep.bits, 1)
-    _desk_scale_guard(4 * n ** 3, n * n, "degree pipeline")
+    # the label maps split i and j, so the n^2 branches hold 4n amplitudes
+    # each until the labels clear and the state joins back
+    _desk_scale_guard(4 * n ** 3, "degree pipeline", "lower the vertex count")
     regs = [
         Register("flag", 1, "flag"),
         Register("i", log_n, "index"),
@@ -760,12 +770,11 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
     state, stats9 = amplitude_amplification(
         state, lambda idx, lab: idx[copy_ax] < half, p0)
 
-    # (10) copy the index into the freed register
-    cnot = np.zeros((n * n, n * n))
+    # (10) copy the index into the freed register: |i>|c> -> |i>|c xor i>,
+    # one n x n permutation of copy per value of i
+    eye = np.eye(n, dtype=complex)
     for i in range(n):
-        for c in range(n):
-            cnot[i * n + (c ^ i), i * n + c] = 1.0
-    state.apply_dense(cnot.astype(complex), ["i", "copy"])
+        state.apply_dense(eye[[c ^ i for c in range(n)]], ["copy"], controls={"i": i})
 
     # (11) reduced state over the index register
     rho2 = partial_trace(state, ["i"]).validate()
@@ -799,6 +808,7 @@ def _disentangle(state: SimState, control_reg: str, target_regs, clear_arith=())
                 out[s] = 0
             return out
         state.apply_label_map(clear, dense_controls=(control_reg,))
+    state.join()
     if len(state.branches) != 1:
         raise SimError("disentangle expects cleared labels")
     labels, vec = next(iter(state.branches.items()))

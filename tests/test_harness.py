@@ -174,6 +174,18 @@ def test_cli_oversized_qpe_register_exits_2_no_report(tmp_path, capsys):
     assert "desk-scale" in capsys.readouterr().out
 
 
+def test_cli_oversized_qpe_register_names_qpe_bits(tmp_path, capsys):
+    """The phase-estimation register's refusal names its own knob."""
+    csv = toy4_csv(tmp_path / "v.csv")
+    cfg_file = write_config(tmp_path / "run.cfg", input=str(csv),
+                            output=str(tmp_path / "report.json"), qpe_bits=40)
+    assert main(["run", "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().out == (
+        "error: [stage:phase-estimation] 40-bit phase-estimation register: "
+        "instance needs 17592186044416 dense amplitudes, beyond the desk-scale "
+        "budget of 33554432; use fewer qpe_bits\n")
+
+
 def test_cli_two_vertex_run(tmp_path):
     csv = toy_csv(tmp_path / "v.csv")
     out = tmp_path / "report.json"

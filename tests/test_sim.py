@@ -90,7 +90,9 @@ def test_partial_trace_branches_vs_dense_oracle():
         return [i % 3 + 1]
 
     st.apply_label_map(fn, dense_controls=("idx",))
-    assert len(st.branches) == 3
+    joined = st.copy()
+    joined.join()
+    assert len(joined.branches) == 3
     rho = partial_trace(st, ["idx"])
     dense = st.dense_vector()
     full = np.outer(dense, dense.conj())

@@ -2,7 +2,10 @@
 reference.  ``apply_label_map``, ``predicate_mask`` and ``project`` are
 checked bit for bit against per-cell ``np.ndindex`` loops; ``apply_dense``,
 ``reflect_about`` and ``partial_trace`` against the same operation on the
-flat statevector from ``dense_vector()``.
+flat statevector from ``dense_vector()``.  States split on random dense
+registers are checked against the same operations on the joined state: bit
+for bit where the arithmetic is the same, within 1e-12 where a matrix
+product or a sum runs over differently shaped arrays.
 
 Layouts are small: two or three dense registers of one or two qubits and one
 or two arithmetic registers of two or three bits, in random order, holding
@@ -123,6 +126,7 @@ def test_apply_label_map_matches_per_cell_reference(data):
     fn, controls = data.draw(label_maps(state.layout))
     want = reference_label_map(state, fn, controls)
     state.apply_label_map(fn, dense_controls=controls)
+    state.join()
     assert_same_bits(state, want)
 
 
@@ -134,6 +138,7 @@ def test_apply_label_map_merges_branches_bit_exactly():
     merge = lambda dvals, labels: [dvals[0]]  # noqa: E731 - all branches collide
     want = reference_label_map(state, merge, ("i",))
     state.apply_label_map(merge, dense_controls=("i",))
+    state.join()
     assert len(state.branches) == 2
     assert_same_bits(state, want)
 
@@ -274,3 +279,230 @@ def test_partial_trace_matches_statevector(data):
     kept = int(np.prod([psi.shape[p] for p in pos]))
     m = np.moveaxis(psi, pos, range(len(pos))).reshape(kept, -1)
     assert np.allclose(rho.matrix, m @ m.conj().T, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# split states against the same operations on the joined state
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def joined(state: SimState) -> SimState:
+    """The joined view of a state, leaving the state itself split."""
+    view = SimState(state.layout, state.branches, state.split)
+    view.join()
+    return view
+
+
+def same_bits_any_order(got: SimState, want: SimState):
+    got, want = joined(got), joined(want)
+    assert set(got.branches) == set(want.branches)
+    for key, vec in want.branches.items():
+        assert got.branches[key].tobytes() == vec.tobytes()
+
+
+def close(got: SimState, want: SimState):
+    assert np.allclose(got.dense_vector(), want.dense_vector(), rtol=0, atol=1e-12)
+
+
+@st.composite
+def split_pairs(draw, layout=None):
+    """(split, plain): one state twice, the first split on a random nonempty
+    set of dense registers."""
+    plain = draw(states(layout))
+    names = [r.name for r in plain.layout.dense]
+    regs = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    split = plain.copy()
+    split.split_by(regs)
+    assert split.split == tuple(plain.layout.dense_axis[r] for r in regs)
+    return split, plain
+
+
+@PROPERTY
+@given(st.data())
+def test_split_then_join_is_the_identity(data):
+    split, plain = data.draw(split_pairs())
+    for vec in split.branches.values():
+        assert vec.shape == split.branch_shape()
+        assert np.max(np.abs(vec)) > 0
+    back = joined(split)
+    assert back.split == ()
+    want = plain.dense_vector().tobytes()
+    assert split.dense_vector().tobytes() == want
+    assert back.dense_vector().tobytes() == want
+
+
+@PROPERTY
+@given(st.data())
+def test_label_map_on_split_state_matches_per_cell_reference(data):
+    split, plain = data.draw(split_pairs())
+    fn, controls = data.draw(label_maps(plain.layout))
+    want = SimState(plain.layout, reference_label_map(plain, fn, controls))
+    split.apply_label_map(fn, dense_controls=controls)
+    same_bits_any_order(split, want)
+
+
+def random_unitary(seed, dim):
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))
+    return u
+
+
+@PROPERTY
+@given(st.data())
+def test_apply_dense_with_split_target_matches_joined(data):
+    split, plain = data.draw(split_pairs())
+    lay = plain.layout
+    names = [lay.dense[a].name for a in split.split]
+    target = data.draw(st.sampled_from(names))
+    others = [r.name for r in lay.dense if r.name != target]
+    targets = [target] + data.draw(st.lists(st.sampled_from(others), max_size=1))
+    dim = int(np.prod([lay.dense_dims[lay.dense_axis[t]] for t in targets]))
+    u = random_unitary(data.draw(SEEDS), dim)
+    split.apply_dense(u, targets)
+    plain.apply_dense(u, targets)
+    assert all(lay.dense_axis[t] not in split.split for t in targets)
+    close(split, plain)
+
+
+@PROPERTY
+@given(st.data())
+def test_apply_dense_with_split_control_matches_joined(data):
+    split, plain = data.draw(split_pairs())
+    lay = plain.layout
+    ctrl = data.draw(st.sampled_from([lay.dense[a].name for a in split.split]))
+    val = data.draw(st.integers(0, lay.dense_dims[lay.dense_axis[ctrl]] - 1))
+    target = data.draw(st.sampled_from([r.name for r in lay.dense if r.name != ctrl]))
+    u = random_unitary(data.draw(SEEDS), lay.dense_dims[lay.dense_axis[target]])
+    split.apply_dense(u, [target], controls={ctrl: val})
+    plain.apply_dense(u, [target], controls={ctrl: val})
+    assert lay.dense_axis[ctrl] in split.split
+    close(split, plain)
+
+
+@PROPERTY
+@given(st.data())
+def test_predicate_mask_on_split_state_matches_joined(data):
+    split, plain = data.draw(split_pairs())
+    predicate = data.draw(predicates(plain.layout))
+    lay = plain.layout
+    nl = len(lay.arith)
+    for key in split.branches:
+        mask = split.predicate_mask(predicate, key)
+        assert mask.dtype == bool and mask.shape == split.branch_shape()
+        full = reference_mask(predicate, lay.dense_dims, key[:nl])
+        cell = [slice(None)] * len(lay.dense_dims)
+        for i, a in enumerate(split.split):
+            cell[a] = slice(key[nl + i], key[nl + i] + 1)
+        assert np.array_equal(mask, full[tuple(cell)])
+
+
+@PROPERTY
+@given(st.data())
+def test_project_on_split_state_matches_joined(data):
+    split, plain = data.draw(split_pairs())
+    predicate = data.draw(predicates(plain.layout))
+    renormalize = data.draw(st.booleans())
+    try:
+        want = plain.project(predicate, renormalize)
+    except SimError:
+        with pytest.raises(SimError):
+            split.project(predicate, renormalize)
+        return
+    got = split.project(predicate, renormalize)
+    assert abs(got - want) <= 1e-12
+    if renormalize:
+        close(split, plain)
+    else:  # elementwise masking: the same bits
+        assert np.array_equal(split.dense_vector(), plain.dense_vector())
+
+
+@PROPERTY
+@given(st.data())
+def test_reflect_about_a_copy_of_a_split_state_matches_joined(data):
+    """As amplitude amplification does: copy, act on the state, reflect."""
+    split, plain = data.draw(split_pairs())
+    ref_split, ref_plain = split.copy(), plain.copy()
+    target = data.draw(st.sampled_from([r.name for r in plain.layout.dense]))
+    u = random_unitary(data.draw(SEEDS),
+                       plain.layout.dense_dims[plain.layout.dense_axis[target]])
+    split.apply_dense(u, [target])
+    plain.apply_dense(u, [target])
+    split.reflect_about(ref_split)
+    plain.reflect_about(ref_plain)
+    close(split, plain)
+
+
+@PROPERTY
+@given(st.data())
+def test_reflect_about_a_state_split_on_other_registers_matches_joined(data):
+    split, plain = data.draw(split_pairs())
+    ref_split, ref_plain = data.draw(split_pairs(plain.layout))
+    ref_before = ref_split.dense_vector()
+    split.reflect_about(ref_split)
+    plain.reflect_about(ref_plain)
+    close(split, plain)
+    assert np.array_equal(ref_split.dense_vector(), ref_before)  # ref untouched
+
+
+@PROPERTY
+@given(st.data())
+def test_readouts_of_split_state_match_joined(data):
+    split, plain = data.draw(split_pairs())
+    lay = plain.layout
+    assert np.array_equal(split.dense_vector(), plain.dense_vector())
+    assert abs(split.norm() - plain.norm()) <= 1e-12
+    for r in lay.registers:
+        assert np.allclose(split.marginal(r.name), plain.marginal(r.name),
+                           rtol=0, atol=1e-12)
+    split_names = [lay.dense[a].name for a in split.split]
+    kept_split = data.draw(st.sampled_from(split_names))
+    others = [r.name for r in lay.registers if r.name != kept_split]
+    for keep in ([kept_split] + data.draw(st.lists(st.sampled_from(others),
+                                                   max_size=1, unique=True)),
+                 data.draw(st.lists(st.sampled_from(others), min_size=1,
+                                    max_size=2, unique=True))):
+        before = split.split
+        got, want = partial_trace(split, keep), partial_trace(plain, keep)
+        assert got.subsystem == want.subsystem
+        assert np.allclose(got.matrix, want.matrix, rtol=0, atol=1e-12)
+        assert split.split == before
+
+
+@st.composite
+def operations(draw, layout):
+    """One step of a random circuit, as (name, apply(state))."""
+    kind = draw(st.sampled_from(["label_map", "dense", "controlled", "project",
+                                 "reflect"]))
+    names = [r.name for r in layout.dense]
+    if kind == "label_map":
+        fn, controls = draw(label_maps(layout))
+        return kind, lambda s: s.apply_label_map(fn, dense_controls=controls)
+    if kind in ("dense", "controlled"):
+        target = draw(st.sampled_from(names))
+        u = random_unitary(draw(SEEDS), layout.dense_dims[layout.dense_axis[target]])
+        controls = None
+        if kind == "controlled":
+            ctrl = draw(st.sampled_from([r for r in names if r != target]))
+            controls = {ctrl: draw(st.integers(0, layout.dense_dims[layout.dense_axis[ctrl]] - 1))}
+        return kind, lambda s: s.apply_dense(u, [target], controls=controls)
+    if kind == "project":
+        predicate = draw(predicates(layout))
+        return kind, lambda s: s.project(predicate, renormalize=False)
+    ref = draw(states(layout))
+    return kind, lambda s: s.reflect_about(ref)
+
+
+@PROPERTY
+@given(st.data())
+def test_circuits_on_split_states_match_joined(data):
+    """Random sequences of label maps, (controlled) dense gates, projections
+    and reflections keep the split and the joined state equal."""
+    split, plain = data.draw(split_pairs())
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind, op = data.draw(operations(plain.layout))
+        op(split)
+        op(plain)
+        plain.join()
+        close(split, plain)

@@ -387,6 +387,20 @@ def test_recover_Lr_singular_rho2_rejected():
 # ---------------------------------------------------------------------------
 # full pipeline
 
+@pytest.mark.parametrize("target", ["L", "Ls", "Lr"])
+def test_laplacian_targets_at_n32(target):
+    """n = 32 general-norm vertices, the benchmark's settings: the degree
+    pipeline's 4 n^3 split branches fit the desk-scale budget, and the
+    extracted eigenvalue is within one phase bin with fidelity >= 0.99."""
+    vs = general_vs(np.random.default_rng([301, 0]), 32, 2, 0.35, 0.55)
+    cfg = PipelineConfig(target=target, d=1, qpe_bits=10, qpe_shots=8192, seed=7)
+    result, report = full_pipeline(vs, KernelParams(0.5, 6), cfg)
+    bin_width = 2.0 * math.pi * 2.0 ** -10 / report["simulation"]["t"]
+    assert all(v["pass"] for v in report["encoding_verifications"])
+    assert abs(result.eigenvalues[0] - result.reference_eigenvalues[0]) <= bin_width
+    assert result.fidelities[0] >= 0.99
+
+
 def test_full_pipeline_two_vertex_smoke():
     vs = VertexSet.from_vectors([[0.5, 0.1], [0.1, 0.45]])
     kp = KernelParams(0.5, 6)

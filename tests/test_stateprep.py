@@ -229,6 +229,7 @@ def test_distance_estimation_exact_values():
     st = make_pair_state(2)
     est = EstimatorConfig(mode="exact")
     distance_estimation(st, "i", "j", "out", QramOracle(vs), QramOracle(vs), est)
+    st.join()
     spec = st.layout.spec("out")
     vals = {}
     for labels, vec in st.branches.items():
@@ -445,6 +446,19 @@ def test_desk_scale_guard():
         build_phi_state(vs, KernelParams(0.5, 24))
     with pytest.raises(GraphError, match="desk-scale"):
         build_psi_state(vs, KernelParams(0.5, 24))
+
+
+def test_degree_pipeline_guard_names_the_vertex_count():
+    """The degree state holds 4 n^3 amplitudes: n = 256 needs 2^26, past the
+    desk-scale budget, and is refused before anything is allocated, naming
+    the vertex count, the pipeline's only size knob."""
+    rng = np.random.default_rng(32)
+    vs = unit_vs(rng, 256, 2)
+    with pytest.raises(GraphError) as info:
+        build_degree_state(vs, KernelParams(0.5, 2))
+    assert str(info.value) == (
+        "degree pipeline: instance needs 67108864 dense amplitudes, beyond the "
+        "desk-scale budget of 33554432; lower the vertex count")
 
 
 def test_disentangle_rejects_true_entanglement():
