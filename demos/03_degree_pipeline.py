@@ -11,8 +11,8 @@ Run:  python3 demos/03_degree_pipeline.py
 import numpy as np
 
 from qlapeig import (EstimatorConfig, KernelParams, VertexSet,
-                     build_degree_state, build_graph, estimate_trace_D,
-                     purified_density_encoding, verify_block_encoding)
+                     build_degree_state, build_graph, purified_density_encoding,
+                     verify_block_encoding)
 
 rng = np.random.default_rng(23)
 x = rng.standard_normal((4, 2))
@@ -34,7 +34,7 @@ print(f"\namplification: initial amplitude p0 = {deg.stats.p0:.6f}, "
       f"{deg.stats.iterations} rotation(s), residual {deg.stats.residual:.3e}")
 print(f"minimum weight r = {deg.stats.r:.6f} controls the amplification cost")
 
-trace_est = estimate_trace_D(deg.stats, vs.n)
+trace_est = deg.trace_estimate
 print(f"\nTr(D) from n(n-1) p0: {trace_est:.10f}")
 print(f"classical Tr(D)     : {gm.trace_D:.10f}")
 print(f"relative error      : {abs(trace_est - gm.trace_D) / gm.trace_D:.2e}")

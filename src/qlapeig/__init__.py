@@ -8,22 +8,20 @@ estimation on the maximally mixed input, and checks every construction
 against exact classical linear algebra.
 """
 
-from .arith import (controlled_rotation, exp_neg_lambda_bound,
-                    exp_neg_lambda_gate, qma_add, qma_multiply)
+from .arith import exp_neg_lambda_bound
 from .blockenc import (BlockEncoding, StatePreparationPair, dilate,
                        encode_barL_unit_norm, encode_calL, encode_W_over_n,
-                       estimate_trace_D, identity_mixture_encoding,
-                       lcu_combine, make_signed_pair,
-                       purified_density_encoding, sandwich_negative_power,
-                       verify_block_encoding)
+                       identity_mixture_encoding, lcu_combine,
+                       make_signed_pair, purified_density_encoding,
+                       sandwich_negative_power, verify_block_encoding)
 from .graph import (GraphMatrices, KernelParams, SpectralReference, VertexSet,
                     build_graph, build_laplacians, build_taylor_weight_matrix,
                     build_weight_matrix, classical_eigensolve,
                     truncation_error_report)
 from .harness import RunConfig, run, verify_suite
 from .sim import (DensityOperator, FixedPointSpec, Register, RegisterLayout,
-                  SimState, apply_unitary, operator_norm_distance,
-                  partial_trace, sample_measurement)
+                  SimState, operator_norm_distance, partial_trace,
+                  sample_measurement)
 from .spectral import (PipelineConfig, QpeConfig, SimulationConfig,
                        SpectralResult, extract_d_smallest, full_pipeline,
                        recover_Lr_eigenvectors, run_qpe, simulate_hamiltonian)
@@ -31,6 +29,6 @@ from .stateprep import (AmplificationStats, EstimatorConfig, ErrorBudget,
                         PrepConfig, QramOracle, amplitude_amplification,
                         apply_R_U, build_degree_state, build_phi_state,
                         build_psi_state, distance_estimation,
-                        inner_product_estimation, prepare_coefficient_state)
+                        inner_product_estimation)
 
 __version__ = "0.1.0"

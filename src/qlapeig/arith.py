@@ -1,9 +1,9 @@
-"""Basis-state arithmetic gates.
+"""Fixed-point label functions for the reversible arithmetic gates.
 
-Gates act directly on fixed-point labels (the reversible multiply-adder
-contract is the label map itself); internals of QFT adders are not gate
-decomposed.  Every gate is a bijection on the touched labels, so amplitudes
-are never mixed.
+The pipelines apply each gate as an ``apply_label_map`` closure over these
+functions (QFT-adder internals are not gate decomposed), and each rotation per
+branch through ``apply_branch_dense``.  Every label map is a bijection on the
+touched labels, so amplitudes are never mixed.
 """
 
 from __future__ import annotations
@@ -12,17 +12,14 @@ import math
 
 import numpy as np
 
-from .sim import FixedPointSpec, SimError, SimState, round_int_div
+from .sim import FixedPointSpec, SimError, round_int_div
 
 __all__ = [
     "ArithmeticError_",
-    "qma_multiply",
-    "qma_add",
-    "exp_neg_lambda_gate",
     "exp_neg_lambda_label",
     "exp_neg_lambda_bound",
     "multiply_labels",
-    "controlled_rotation",
+    "rotation_matrix",
 ]
 
 
@@ -43,43 +40,6 @@ def multiply_labels(a: int, b: int, spec_a: FixedPointSpec, spec_b: FixedPointSp
     if out > spec_out.max_label:
         raise ArithmeticError_("product overflows the output register")
     return out
-
-
-def qma_multiply(state: SimState, reg_a: str, reg_b: str, reg_out: str) -> SimState:
-    """|a>|b>|0> -> |a>|b>|round(a*b)> on every branch."""
-    lay = state.layout
-    sa, sb, so = lay.spec(reg_a), lay.spec(reg_b), lay.spec(reg_out)
-    ia, ib, io = lay.arith_slot[reg_a], lay.arith_slot[reg_b], lay.arith_slot[reg_out]
-
-    def fn(_dense, labels):
-        if labels[io] != 0:
-            raise ArithmeticError_("output register must be zeroed")
-        out = list(labels)
-        out[io] = multiply_labels(labels[ia], labels[ib], sa, sb, so)
-        return out
-
-    state.apply_label_map(fn)
-    return state
-
-
-def qma_add(state: SimState, reg_a: str, reg_b: str) -> SimState:
-    """|a>|b> -> |a>|a+b>; wraparound is forbidden."""
-    lay = state.layout
-    sa, sb = lay.spec(reg_a), lay.spec(reg_b)
-    if sa.frac_bits != sb.frac_bits:
-        raise ArithmeticError_("adder operands must share a grid")
-    ia, ib = lay.arith_slot[reg_a], lay.arith_slot[reg_b]
-
-    def fn(_dense, labels):
-        out = list(labels)
-        s = labels[ia] + labels[ib]
-        if s > sb.max_label:
-            raise ArithmeticError_("sum overflows the target register")
-        out[ib] = s
-        return out
-
-    state.apply_label_map(fn)
-    return state
 
 
 def exp_neg_lambda_label(x_label: int, spec_in: FixedPointSpec,
@@ -123,24 +83,6 @@ def exp_neg_lambda_bound(x: float, lam: float, order: int, bits: int) -> float:
     return trunc + order * 2.0 ** (-(bits - 1))
 
 
-def exp_neg_lambda_gate(state: SimState, reg_x: str, reg_out: str,
-                        lam: float, taylor_order: int) -> SimState:
-    """|x>|0> -> |x>|exp(-lam*x) (order-k series, fixed point)>."""
-    lay = state.layout
-    sx, so = lay.spec(reg_x), lay.spec(reg_out)
-    ix, io = lay.arith_slot[reg_x], lay.arith_slot[reg_out]
-
-    def fn(_dense, labels):
-        if labels[io] != 0:
-            raise ArithmeticError_("output register must be zeroed")
-        out = list(labels)
-        out[io] = exp_neg_lambda_label(labels[ix], sx, so, lam, taylor_order)
-        return out
-
-    state.apply_label_map(fn)
-    return state
-
-
 def rotation_matrix(p0_amp: float) -> np.ndarray:
     """Real rotation sending |0> to p0_amp |0> + sqrt(1 - p0_amp^2) |1>."""
     if p0_amp < -1e-12 or p0_amp > 1 + 1e-12:
@@ -148,37 +90,3 @@ def rotation_matrix(p0_amp: float) -> np.ndarray:
     c = min(max(p0_amp, 0.0), 1.0)
     s = math.sqrt(max(0.0, 1.0 - c * c))
     return np.array([[c, -s], [s, c]])
-
-
-def controlled_rotation(state: SimState, control_reg: str, ancilla: str,
-                        scale: float, mode: str = "amplitude") -> SimState:
-    """Rotate ``ancilla`` from |0> by an angle read off an arithmetic label.
-
-    amplitude mode:      |0> -> (v/C)|0> + sqrt(1-(v/C)^2)|1>
-    sqrt_amplitude mode: |0> -> sqrt(v)|0> + sqrt(1-v)|1>       (v in [0,1])
-    """
-    if mode not in ("amplitude", "sqrt_amplitude"):
-        raise ArithmeticError_(f"unknown rotation mode {mode!r}")
-    lay = state.layout
-    slot = lay.arith_slot[control_reg]
-    spec = lay.spec(control_reg)
-    axis = lay.dense_axis[ancilla]
-    # precondition: the ancilla must be |0> everywhere
-    for vec in state.branches.values():
-        moved = np.moveaxis(vec, axis, 0)
-        if np.max(np.abs(moved[1:])) > 1e-12:
-            raise ArithmeticError_("rotation ancilla is not |0>")
-
-    def fn(labels):
-        v = spec.decode(labels[slot])
-        if mode == "amplitude":
-            ratio = v / scale
-            if ratio > 1 + 1e-12:
-                raise ArithmeticError_(f"label value {v} exceeds rotation scale {scale}")
-            return rotation_matrix(ratio)
-        if v > 1 + 1e-12:
-            raise ArithmeticError_(f"label value {v} not a probability")
-        return rotation_matrix(math.sqrt(min(v, 1.0)))
-
-    state.apply_branch_dense(fn, [ancilla])
-    return state

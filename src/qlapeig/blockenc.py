@@ -44,7 +44,6 @@ __all__ = [
     "encode_calL",
     "encode_barL_unit_norm",
     "encode_W_over_n",
-    "estimate_trace_D",
     "sandwich_negative_power",
     "LaplacianEncodingResult",
     "taylor_consistent_reference",
@@ -417,13 +416,6 @@ def _component_encodings(vs: VertexSet, kp: KernelParams, prep, est,
     return degree, rho2_enc, rho3_enc, _purified(weight_build), weight_build
 
 
-def estimate_trace_D(stats: AmplificationStats, n: int) -> float:
-    """Tr(D) from the pre-amplification success amplitude p0."""
-    if stats.p0 is None:
-        raise GraphError("amplification stats carry no p0 measurement")
-    return float(n * (n - 1) * stats.p0)
-
-
 def encode_calL(vs: VertexSet, kp: KernelParams, trace_D_estimate: float | None = None,
                 prep: PrepConfig | None = None, est: EstimatorConfig | None = None,
                 norm_case: str = "general") -> LaplacianEncodingResult:
@@ -432,9 +424,7 @@ def encode_calL(vs: VertexSet, kp: KernelParams, trace_D_estimate: float | None 
     est = est or EstimatorConfig()
     degree, rho2_enc, rho3_enc, weight_enc, weight_build = _component_encodings(
         vs, kp, prep, est, norm_case)
-    trace_d = trace_D_estimate
-    if trace_d is None:
-        trace_d = estimate_trace_D(degree.stats, vs.n)
+    trace_d = degree.trace_estimate if trace_D_estimate is None else trace_D_estimate
     c = vs.n / trace_d
     combo = CombinationSpec(c=c, l=max(weight_enc.ancillas, rho2_enc.ancillas,
                                        rho3_enc.ancillas))
@@ -459,9 +449,7 @@ def encode_barL_unit_norm(vs: VertexSet, kp: KernelParams,
         raise GraphError("the unit-norm combination needs unit-norm vertices")
     degree, rho2_enc, rho3_enc, rho0_enc, phi = _component_encodings(
         vs, kp, prep, est, "unit")
-    trace_d = trace_D_estimate
-    if trace_d is None:
-        trace_d = estimate_trace_D(degree.stats, vs.n)
+    trace_d = degree.trace_estimate if trace_D_estimate is None else trace_D_estimate
     a_t = kp.a_tilde_sum
     d_coef = vs.n * a_t / trace_d
     e_coef = a_t * vs.n / trace_d

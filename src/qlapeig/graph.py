@@ -64,7 +64,10 @@ class VertexSet:
 
     @classmethod
     def from_vectors(cls, vectors) -> "VertexSet":
-        arr = np.atleast_2d(np.asarray(vectors, dtype=float))
+        try:
+            arr = np.atleast_2d(np.asarray(vectors, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"vertices must be rows of numbers: {exc}") from exc
         if arr.ndim != 2:
             raise GraphError("vertices must form a 2-d array")
         if not np.all(np.isfinite(arr)):
@@ -326,8 +329,8 @@ def load_vertices_csv(path) -> VertexSet:
 def load_vertices_json(path) -> VertexSet:
     with open(path) as fh:
         data = json.load(fh)
-    if "vertices" not in data:
-        raise GraphError("JSON input must contain a 'vertices' key")
+    if not isinstance(data, dict) or "vertices" not in data:
+        raise GraphError("JSON input must be an object with a 'vertices' key")
     return VertexSet.from_vectors(data["vertices"])
 
 

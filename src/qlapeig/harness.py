@@ -97,15 +97,6 @@ class RunConfig:
                 setattr(cfg, key, parsed)
         return cfg
 
-    def to_file(self, path: str):
-        """Write the configuration back out as key=value lines; a file
-        written here parses to an identical config."""
-        lines = []
-        for f in fields(self):
-            key = "lambda" if f.name == "lambda_" else f.name
-            lines.append(f"{key} = {getattr(self, f.name)}")
-        write_atomic(path, "\n".join(lines) + "\n")
-
     def pipeline_config(self) -> PipelineConfig:
         est = EstimatorConfig(mode=self.estimator_mode, eps_d=self.eps_d,
                               delta1=self.delta1, delta2=self.delta2,

@@ -30,13 +30,10 @@ __all__ = [
     "RegisterLayout",
     "SimState",
     "DensityOperator",
-    "apply_unitary",
     "partial_trace",
     "operator_norm_distance",
     "sample_measurement",
 ]
-
-ATOL_UNITARY = 1e-10
 
 
 class SimError(RuntimeError):
@@ -472,15 +469,6 @@ class DensityOperator:
 
 # ---------------------------------------------------------------------------
 # module-level operations (spec surface)
-
-def apply_unitary(state: SimState, u: np.ndarray, targets) -> SimState:
-    """Apply ``u`` to the listed dense registers, checking unitarity."""
-    u = np.asarray(u, dtype=complex)
-    if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > ATOL_UNITARY:
-        raise SimError("operator is not unitary within 1e-10")
-    state.apply_dense(u, list(targets))
-    return state
-
 
 def partial_trace(state: SimState, keep) -> DensityOperator:
     """Reduced density operator over the kept registers (any kinds).

@@ -354,8 +354,7 @@ def _aligned_average(entries):
     return avg / np.linalg.norm(avg)
 
 
-def extract_d_smallest(samples: QpeSamples, d: int, zero_threshold: float | None = None,
-                       drop_zero: bool = True, min_count: int | None = None,
+def extract_d_smallest(samples: QpeSamples, d: int, drop_zero: bool = True,
                        signed: bool = False) -> SpectralResult:
     """Cluster measured phases, drop the zero mode, return the d smallest.
 
@@ -367,11 +366,9 @@ def extract_d_smallest(samples: QpeSamples, d: int, zero_threshold: float | None
     """
     pdim = 1 << samples.phase_bits
     t = samples.time_scale
-    if zero_threshold is None:
-        zero_threshold = 1.5 / pdim
-    if min_count is None:
-        n = next(iter(samples.post_states.values())).shape[0] if samples.post_states else 2
-        min_count = max(3, int(0.05 * samples.shots / n))
+    n = next(iter(samples.post_states.values())).shape[0]
+    zero_threshold = 1.5 / pdim
+    min_count = max(3, int(0.05 * samples.shots / n))
     wrap = 0.5 if signed else 1.0 - max(3.0 / pdim, 2.0 * zero_threshold)
     surviving = [(z, c) for z, c in samples.counts.items() if c >= min_count]
     if not surviving:
@@ -389,7 +386,6 @@ def extract_d_smallest(samples: QpeSamples, d: int, zero_threshold: float | None
             current = [entry]
     clusters.append(current)
 
-    n = next(iter(samples.post_states.values())).shape[0]
     out = []
     for group in clusters:
         weight = sum(c for _, _, c in group)
@@ -482,6 +478,8 @@ class PipelineConfig:
         for name in ("d", "qpe_bits", "qpe_shots"):
             if getattr(self, name) < 1:
                 raise GraphError(f"{name} must be at least 1")
+        if self.seed is not None and self.seed < 0:
+            raise GraphError("seed must be nonnegative")
 
 
 class _Stage:

@@ -39,7 +39,6 @@ __all__ = [
     "PhiBuild",
     "PsiBuild",
     "DegreeBuild",
-    "prepare_coefficient_state",
     "coefficient_unitary",
     "completion_unitary",
     "hadamard_all",
@@ -170,7 +169,6 @@ class AmplificationStats:
     iterations: int = 0
     residual: float = 0.0
     Upsilon: float | None = None
-    tau: float | None = None
     p0: float | None = None
     r: float | None = None
 
@@ -256,17 +254,6 @@ def coefficient_unitary(coeffs, dim: int, eps: float = 0.0,
     if eps > 0:
         amps = sphere_perturb(amps, eps, rng or np.random.default_rng())
     return completion_unitary(amps.astype(complex))
-
-
-def prepare_coefficient_state(coeffs, precision: float = 0.0, seed=None) -> SimState:
-    """Standalone state sum_k sqrt(c_k)|k> over one register."""
-    c = np.asarray(coeffs, dtype=float)
-    width = max(1, (len(c) - 1).bit_length())
-    layout = RegisterLayout([Register("coeff", width, "coefficient")])
-    state = SimState(layout)
-    u = coefficient_unitary(c, 1 << width, precision, _stable_rng(seed, 0xC))
-    state.apply_dense(u, ["coeff"])
-    return state
 
 
 def _coeff_width(p: int) -> int:
@@ -525,13 +512,7 @@ def build_psi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
         return rotation_matrix(min(ratio, 1.0))
 
     state.apply_branch_dense(rot, ["rot"])
-
-    def clear_ex(dense, labels):
-        out = list(labels)
-        out[ex_slot] = 0
-        return out
-
-    state.apply_label_map(clear_ex, dense_controls=("idx", "coeff"))
+    _clear_labels(state, ["ex"], ("idx", "coeff"))
 
     # (7) amplify the rot=|0> branch; amplitude known from the state
     rot_axis = layout.dense_axis["rot"]
@@ -729,13 +710,7 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
         return u
 
     state.apply_branch_dense(rw, ["flag", "rot"])
-
-    def clear_w(dense, labels):
-        out = list(labels)
-        out[w_slot] = 0
-        return out
-
-    state.apply_label_map(clear_w, dense_controls=("i", "j"))
+    _clear_labels(state, ["wv"], ("i", "j"))
 
     # (7) inner products <phi_i|psi_i> = d_ii/(n-1).  The value measured here
     # is the inner product of the actually-prepared (noise-carrying) states;
@@ -760,7 +735,8 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
         return u
 
     state.apply_branch_dense(rp, ["copy"])
-    _disentangle(state, "i", ["flag", "j", "rot"], clear_arith=["ip"])
+    _clear_labels(state, ["ip"], ("i",))
+    _disentangle(state, "i", ["flag", "j", "rot"])
 
     # (9) amplify the top-qubit-0 branch; p0 = Tr(D)/(n(n-1))
     p0 = 0.0
@@ -787,27 +763,33 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
     r_min = float(min(w for (i, j), w in w_fx.items() if i != j))
     stats = AmplificationStats(
         initial_amplitude=p0, iterations=stats9.iterations,
-        residual=stats9.residual, tau=float(degrees.sum()), p0=p0, r=r_min)
+        residual=stats9.residual, p0=p0, r=r_min)
 
     vec = _dense_over(state, ["i", "copy"])
     return DegreeBuild(state, rho2, stats, vec, n, vec.size // n, 2 * log_n,
                        degrees, float(n * (n - 1) * p0))
 
 
-def _disentangle(state: SimState, control_reg: str, target_regs, clear_arith=()):
+def _clear_labels(state: SimState, regs, controls):
+    """Uncompute the listed arithmetic registers to label 0, as a label map
+    conditioned on the ``controls`` dense registers."""
+    slots = [state.layout.arith_slot[r] for r in regs]
+
+    def clear(dense, labels):
+        out = list(labels)
+        for s in slots:
+            out[s] = 0
+        return out
+
+    state.apply_label_map(clear, dense_controls=controls)
+
+
+def _disentangle(state: SimState, control_reg: str, target_regs):
     """Return the target registers to |0...0> per value of the control
     register.  Requires the per-value target state to be pure, so a unitary
     uncompute exists; the freed factor keeps its physical (nonnegative)
     amplitude convention."""
     lay = state.layout
-    slots = [lay.arith_slot[r] for r in clear_arith]
-    if slots:
-        def clear(dense, labels):
-            out = list(labels)
-            for s in slots:
-                out[s] = 0
-            return out
-        state.apply_label_map(clear, dense_controls=(control_reg,))
     state.join()
     if len(state.branches) != 1:
         raise SimError("disentangle expects cleared labels")

@@ -1,19 +1,18 @@
 """Fixed-point gate tests: exhaustive enumeration against integer oracles,
-reversibility, and the kernel-gate error bound."""
+reversibility, and the kernel-gate error bound.  The gates are exercised as
+the pipelines apply them: label functions inside ``apply_label_map``
+closures, and ``rotation_matrix`` through ``apply_branch_dense``."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qlapeig.arith import (ArithmeticError_, controlled_rotation,
-                           exp_neg_lambda_bound, exp_neg_lambda_gate,
-                           exp_neg_lambda_label, multiply_labels, qma_add,
-                           qma_multiply)
+from qlapeig.arith import (ArithmeticError_, exp_neg_lambda_bound,
+                           exp_neg_lambda_label, multiply_labels,
+                           rotation_matrix)
 from qlapeig.sim import (FixedPointSpec, Register, RegisterLayout, SimState,
-                         apply_unitary, round_int_div)
-
-H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+                         round_int_div)
 
 
 def arith_layout(bits, names=("a", "b", "out")):
@@ -36,67 +35,31 @@ def test_round_int_div_half_even():
 
 
 def test_multiply_zero_and_identity():
-    layout = arith_layout(6)
-    st = seed_labels(layout, [0, 13, 0])
-    qma_multiply(st, "a", "b", "out")
-    assert next(iter(st.branches)) == (0, 13, 0)
-    one = layout.spec("a").encode(1.0)
-    st = seed_labels(layout, [one, 13, 0])
-    qma_multiply(st, "a", "b", "out")
-    assert next(iter(st.branches)) == (one, 13, 13)
+    spec = FixedPointSpec(6, 1)
+    assert multiply_labels(0, 13, spec, spec, spec) == 0
+    one = spec.encode(1.0)
+    assert multiply_labels(one, 13, spec, spec, spec) == 13
 
 
 def test_multiply_exhaustive_oracle():
     bits = 6
     spec = FixedPointSpec(bits, 1)
-    layout = arith_layout(bits)
     frac = spec.frac_bits
     for a in range(64):
         for b in range(64):
-            st = seed_labels(layout, [a, b, 0])
             expect = round_int_div(a * b, 1 << frac)  # round(a*b*2^f)/2^f
             if expect > spec.max_label:
                 with pytest.raises(ArithmeticError_):
-                    qma_multiply(st, "a", "b", "out")
+                    multiply_labels(a, b, spec, spec, spec)
                 continue
-            qma_multiply(st, "a", "b", "out")
-            (_, _, out), = st.branches
-            assert out == expect, (a, b)
-
-
-def test_add_exhaustive_and_overflow():
-    bits = 6
-    layout = arith_layout(bits, names=("a", "b"))
-    for a in range(64):
-        for b in range(64):
-            st = seed_labels(layout, [a, b])
-            if a + b > 63:
-                with pytest.raises(ArithmeticError_):
-                    qma_add(st, "a", "b")
-            else:
-                qma_add(st, "a", "b")
-                assert next(iter(st.branches)) == (a, a + b)
-
-
-def test_add_trivial_cases():
-    layout = arith_layout(6, names=("a", "b"))
-    st = seed_labels(layout, [0, 17])
-    qma_add(st, "a", "b")
-    assert next(iter(st.branches)) == (0, 17)
-    spec = layout.spec("a")
-    half = spec.encode(0.5)
-    st = seed_labels(layout, [half, half])
-    qma_add(st, "a", "b")
-    assert st.layout.spec("b").decode(next(iter(st.branches))[1]) == 1.0
+            assert multiply_labels(a, b, spec, spec, spec) == expect, (a, b)
 
 
 def test_multiply_overflow():
-    layout = arith_layout(4)
-    spec = layout.spec("a")
+    spec = FixedPointSpec(4, 1)
     big = spec.max_label
-    st = seed_labels(layout, [big, big, 0])
     with pytest.raises(ArithmeticError_):
-        qma_multiply(st, "a", "b", "out")
+        multiply_labels(big, big, spec, spec, spec)
 
 
 def test_gate_reversibility_exhaustive():
@@ -104,38 +67,27 @@ def test_gate_reversibility_exhaustive():
     bits = 6
     spec = FixedPointSpec(bits, 1)
     layout = arith_layout(bits)
+
+    def mul(dense, labels):  # |a>|b>|0> -> |a>|b>|round(a*b)>
+        a, b, _ = labels
+        return [a, b, multiply_labels(a, b, spec, spec, spec)]
+
+    def unmul(dense, labels):
+        out = list(labels)
+        assert out[2] == multiply_labels(out[0], out[1], spec, spec, spec)
+        out[2] = 0
+        return out
+
     for a in range(0, 64, 3):
         for b in range(0, 64, 5):
             if round_int_div(a * b, 1 << spec.frac_bits) > spec.max_label:
                 continue
             st = seed_labels(layout, [a, b, 0])
-            qma_multiply(st, "a", "b", "out")
+            st.apply_label_map(mul)
             (_, _, prod), = st.branches
-
-            def unmul(dense, labels):
-                out = list(labels)
-                assert out[2] == multiply_labels(out[0], out[1], spec, spec, spec)
-                out[2] = 0
-                return out
-
+            assert prod == multiply_labels(a, b, spec, spec, spec)
             st.apply_label_map(unmul)
             assert next(iter(st.branches)) == (a, b, 0)
-
-
-def test_adder_reversibility_exhaustive():
-    layout = arith_layout(6, names=("a", "b"))
-    for a in range(0, 64, 3):
-        for b in range(0, 64 - a, 5):
-            st = seed_labels(layout, [a, b])
-            qma_add(st, "a", "b")
-
-            def unadd(dense, labels):
-                out = list(labels)
-                out[1] -= out[0]
-                return out
-
-            st.apply_label_map(unadd)
-            assert next(iter(st.branches)) == (a, b)
 
 
 def test_exp_gate_trivial_values():
@@ -188,35 +140,54 @@ def test_exp_gate_on_state():
     ])
     st = SimState(layout)
     st.apply_label_map(lambda d, lab: [spec.encode(1.0), 0])
-    exp_neg_lambda_gate(st, "x", "out", 0.5, 10)
+
+    def kernel(dense, labels):
+        x, _ = labels
+        return [x, exp_neg_lambda_label(x, spec, spec, 0.5, 10)]
+
+    st.apply_label_map(kernel)
     (x, out), = st.branches
+    assert x == spec.encode(1.0)
     assert abs(spec.decode(out) - math.exp(-0.5)) <= exp_neg_lambda_bound(
         1.0, 0.5, 10, bits)
 
 
-def test_controlled_rotation_modes():
-    bits = 20
+def rotate_by_label(st, spec, scale, mode="amplitude"):
+    """Rotate the ancilla from |0> by an angle read off the label v, as the
+    pipelines do: amplitude v/scale, or sqrt(v) in sqrt mode."""
+    def fn(labels):
+        v = spec.decode(labels[0])
+        return rotation_matrix(math.sqrt(v) if mode == "sqrt" else v / scale)
+
+    st.apply_branch_dense(fn, ["anc"])
+
+
+def rotation_layout(bits):
     spec = FixedPointSpec(bits, 1)
-    layout = RegisterLayout([
+    return spec, RegisterLayout([
         Register("v", bits, "arithmetic", spec),
         Register("anc", 1, "flag"),
     ])
+
+
+def test_controlled_rotation_modes():
+    spec, layout = rotation_layout(20)
     # v = C (on the grid) -> ancilla stays |0>
     c_grid = spec.decode(spec.encode(0.8))
     st = SimState(layout)
     st.apply_label_map(lambda d, lab: [spec.encode(0.8), 0])
-    controlled_rotation(st, "v", "anc", scale=c_grid, mode="amplitude")
+    rotate_by_label(st, spec, scale=c_grid)
     vec = next(iter(st.branches.values()))
     assert abs(vec[0]) == pytest.approx(1.0, abs=1e-12)
     # v = 0 -> ancilla flips to |1>
     st = SimState(layout)
-    controlled_rotation(st, "v", "anc", scale=0.5, mode="amplitude")
+    rotate_by_label(st, spec, scale=0.5)
     vec = next(iter(st.branches.values()))
     assert abs(vec[1]) == pytest.approx(1.0, abs=1e-12)
     # Pythagorean pair (0.6 is within one grid step on 20 bits)
     st = SimState(layout)
     st.apply_label_map(lambda d, lab: [spec.encode(0.6), 0])
-    controlled_rotation(st, "v", "anc", scale=1.0, mode="amplitude")
+    rotate_by_label(st, spec, scale=1.0)
     vec = next(iter(st.branches.values()))
     assert vec[0].real == pytest.approx(0.6, abs=1e-5)
     assert vec[1].real == pytest.approx(0.8, abs=1e-5)
@@ -224,32 +195,14 @@ def test_controlled_rotation_modes():
     # sqrt mode: 0.25 is exactly representable
     st = SimState(layout)
     st.apply_label_map(lambda d, lab: [spec.encode(0.25), 0])
-    controlled_rotation(st, "v", "anc", scale=1.0, mode="sqrt_amplitude")
+    rotate_by_label(st, spec, scale=1.0, mode="sqrt")
     vec = next(iter(st.branches.values()))
     assert vec[0].real == pytest.approx(0.5, abs=1e-12)
 
 
 def test_controlled_rotation_range_error():
-    bits = 12
-    spec = FixedPointSpec(bits, 1)
-    layout = RegisterLayout([
-        Register("v", bits, "arithmetic", spec),
-        Register("anc", 1, "flag"),
-    ])
+    spec, layout = rotation_layout(12)
     st = SimState(layout)
     st.apply_label_map(lambda d, lab: [spec.encode(1.5), 0])
     with pytest.raises(ArithmeticError_):
-        controlled_rotation(st, "v", "anc", scale=1.0, mode="amplitude")
-
-
-def test_controlled_rotation_requires_zero_ancilla():
-    bits = 12
-    spec = FixedPointSpec(bits, 1)
-    layout = RegisterLayout([
-        Register("v", bits, "arithmetic", spec),
-        Register("anc", 1, "flag"),
-    ])
-    st = SimState(layout)
-    apply_unitary(st, H, ["anc"])
-    with pytest.raises(ArithmeticError_):
-        controlled_rotation(st, "v", "anc", scale=1.0)
+        rotate_by_label(st, spec, scale=1.0)

@@ -12,16 +12,14 @@ from hypothesis import strategies as st
 
 from qlapeig.blockenc import (BlockEncoding,
                               dilate, encode_barL_unit_norm, encode_calL,
-                              encode_W_over_n, estimate_trace_D,
-                              identity_mixture_encoding, lcu_combine,
+                              encode_W_over_n, identity_mixture_encoding, lcu_combine,
                               make_signed_pair, purified_density_encoding,
                               sandwich_negative_power, verify_block_encoding)
 from qlapeig.graph import (GraphError, KernelParams, VertexSet, build_graph,
                            build_taylor_weight_matrix)
 from qlapeig.sim import operator_norm_distance
-from qlapeig.stateprep import (AmplificationStats, build_degree_state,
-                               build_phi_state, completion_unitary,
-                               hadamard_all)
+from qlapeig.stateprep import (build_degree_state, build_phi_state,
+                               completion_unitary, hadamard_all)
 
 
 def unit_vs(rng, n, m):
@@ -332,8 +330,7 @@ def test_trace_estimate_two_vertices():
     kp = KernelParams(0.5, 4)
     deg = build_degree_state(vs, kp)
     w12 = math.exp(-0.5 * (0.36 + 0.64))
-    est = estimate_trace_D(deg.stats, 2)
-    assert est == pytest.approx(2 * w12, abs=1e-8)
+    assert deg.trace_estimate == pytest.approx(2 * w12, abs=1e-8)
 
 
 def test_trace_estimate_regular_and_random():
@@ -348,13 +345,19 @@ def test_trace_estimate_regular_and_random():
     vs = general_vs(rng, 4, 2, 0.5, 1.0)
     deg = build_degree_state(vs, kp)
     gm = build_graph(vs, kp)
-    rel = abs(estimate_trace_D(deg.stats, 4) - gm.trace_D) / gm.trace_D
+    rel = abs(deg.trace_estimate - gm.trace_D) / gm.trace_D
     assert rel <= 1e-6
 
 
 def test_trace_estimate_requires_p0():
-    with pytest.raises(GraphError):
-        estimate_trace_D(AmplificationStats(), 4)
+    """Tr(D) is n(n-1) p0 from the degree build's measured p0, and the
+    combinations read that one value when no estimate is passed in."""
+    vs = VertexSet.from_vectors([[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]])
+    res = encode_calL(vs, KernelParams(0.5, 4))
+    deg = res.components["degree_build"]
+    assert deg.stats.p0 is not None
+    assert deg.trace_estimate == float(4 * 3 * deg.stats.p0)
+    assert res.trace_D == deg.trace_estimate
 
 
 # ---------------------------------------------------------------------------

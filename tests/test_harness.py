@@ -163,6 +163,42 @@ def test_cli_out_of_range_key_exits_2_before_any_stage(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--verify-only"]], ids=["run", "verify-only"])
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_cli_negative_seed_exits_2_before_any_stage(tmp_path, monkeypatch, capsys,
+                                                    flags, source):
+    """A negative seed is refused with the other out-of-range keys, in both
+    modes, before the graph-model stage starts."""
+    def no_stage(*args, **kwargs):
+        raise AssertionError("the graph-model stage ran")
+    monkeypatch.setattr(spectral, "build_graph", no_stage)
+    csv = toy_csv(tmp_path / "v.csv")
+    out = tmp_path / "report.json"
+    cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), output=str(out),
+                            seed=-1 if source == "config" else 7)
+    argv = ["run", "--config", str(cfg_file)] + flags
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out.startswith("error: seed must be nonnegative")
+
+
+@pytest.mark.parametrize("text", ["5", '{"vertices": {"a": 1}}', "[[0.5, 0.1]]",
+                                  '{"vertices": [[0.5, 0.1], [0.1]]}'],
+                         ids=["number", "object-rows", "list", "ragged-rows"])
+def test_cli_malformed_json_vertices_exits_2_no_report(tmp_path, capsys, text):
+    """A JSON vertex file that is not an object holding numeric rows is an
+    input error, not a traceback."""
+    path = tmp_path / "v.json"
+    path.write_text(text)
+    out = tmp_path / "report.json"
+    cfg_file = write_config(tmp_path / "run.cfg", input=str(path), output=str(out))
+    assert main(["run", "--config", str(cfg_file)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out.startswith("error: ")
+
+
 def test_cli_oversized_qpe_register_exits_2_no_report(tmp_path, capsys):
     """2^40 phase bins of n^2 amplitudes are refused before allocation."""
     csv = toy4_csv(tmp_path / "v.csv")
@@ -404,12 +440,3 @@ def test_report_written_atomically(tmp_path):
     main(["run", "--config", str(cfg_file)])
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".report-")]
     assert leftovers == []
-
-
-def test_config_round_trip(tmp_path):
-    cfg_file = write_config(tmp_path / "run.cfg", input="/tmp/x.csv", p=3)
-    cfg = RunConfig.from_file(cfg_file)
-    out = tmp_path / "echo.cfg"
-    cfg.to_file(str(out))
-    again = RunConfig.from_file(out)
-    assert again == cfg

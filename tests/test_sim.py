@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from qlapeig.sim import (FixedPointSpec, Register, RegisterLayout, SimError,
-                         SimState, apply_unitary, operator_norm_distance,
-                         partial_trace, sample_measurement)
+from qlapeig.sim import (FixedPointSpec, Register, RegisterLayout, SimState,
+                         operator_norm_distance, partial_trace,
+                         sample_measurement)
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -19,16 +19,16 @@ def two_qubit_layout():
 
 def test_hadamard_on_zero():
     st = SimState(RegisterLayout([Register("q", 1, "flag")]))
-    apply_unitary(st, H, ["q"])
+    st.apply_dense(H, ["q"])
     vec = st.dense_vector()
     assert np.allclose(vec, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
 def test_identity_leaves_state():
     st = SimState(two_qubit_layout())
-    apply_unitary(st, H, ["a"])
+    st.apply_dense(H, ["a"])
     before = st.dense_vector()
-    apply_unitary(st, np.eye(4, dtype=complex), ["a", "b"])
+    st.apply_dense(np.eye(4, dtype=complex), ["a", "b"])
     assert np.allclose(st.dense_vector(), before)
 
 
@@ -37,15 +37,9 @@ def test_random_unitary_preserves_norm():
     q, _ = np.linalg.qr(rng.standard_normal((4, 4))
                         + 1j * rng.standard_normal((4, 4)))
     st = SimState(two_qubit_layout())
-    apply_unitary(st, H, ["a"])
-    apply_unitary(st, q, ["a", "b"])
+    st.apply_dense(H, ["a"])
+    st.apply_dense(q, ["a", "b"])
     assert abs(st.norm() - 1.0) < 1e-12
-
-
-def test_nonunitary_rejected():
-    st = SimState(two_qubit_layout())
-    with pytest.raises(SimError):
-        apply_unitary(st, np.array([[1, 0], [0, 2]], dtype=complex), ["a"])
 
 
 def test_compose_order():
@@ -53,12 +47,12 @@ def test_compose_order():
     u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     v, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     s1 = SimState(RegisterLayout([Register("q", 1, "flag")]))
-    apply_unitary(s1, H, ["q"])
-    apply_unitary(s1, u, ["q"])
-    apply_unitary(s1, v, ["q"])
+    s1.apply_dense(H, ["q"])
+    s1.apply_dense(u, ["q"])
+    s1.apply_dense(v, ["q"])
     s2 = SimState(RegisterLayout([Register("q", 1, "flag")]))
-    apply_unitary(s2, H, ["q"])
-    apply_unitary(s2, v @ u, ["q"])
+    s2.apply_dense(H, ["q"])
+    s2.apply_dense(v @ u, ["q"])
     assert np.allclose(s1.dense_vector(), s2.dense_vector(), atol=1e-10)
 
 
@@ -67,9 +61,9 @@ def test_partial_trace_product_and_bell():
     rho = partial_trace(st, ["a"])
     assert np.allclose(rho.matrix, [[1, 0], [0, 0]])
     # Bell state -> maximally mixed
-    apply_unitary(st, H, ["a"])
+    st.apply_dense(H, ["a"])
     cnot = np.eye(4)[[0, 1, 3, 2]]
-    apply_unitary(st, cnot.astype(complex), ["a", "b"])
+    st.apply_dense(cnot.astype(complex), ["a", "b"])
     rho = partial_trace(st, ["a"])
     assert np.allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
 
@@ -83,7 +77,7 @@ def test_partial_trace_branches_vs_dense_oracle():
         Register("lab", 4, "arithmetic", spec),
     ])
     st = SimState(layout)
-    apply_unitary(st, np.kron(H, H), ["idx"])
+    st.apply_dense(np.kron(H, H), ["idx"])
 
     def fn(dense, labels):
         (i,) = dense
@@ -116,7 +110,7 @@ def test_branch_dense_equivalence_under_circuit():
         Register("lab", 3, "arithmetic", spec),
     ])
     st = SimState(layout)
-    apply_unitary(st, np.kron(H, H), ["idx"])
+    st.apply_dense(np.kron(H, H), ["idx"])
 
     def write(dense, labels):
         (i,) = dense
@@ -124,7 +118,7 @@ def test_branch_dense_equivalence_under_circuit():
 
     st.apply_label_map(write, dense_controls=("idx",))
     rot = np.array([[0.6, -0.8], [0.8, 0.6]], dtype=complex)
-    apply_unitary(st, rot, ["flag"])
+    st.apply_dense(rot, ["flag"])
     vec = st.dense_vector()  # ordering idx, flag, lab
 
     # dense oracle
@@ -164,7 +158,7 @@ def test_sampling_deterministic_and_binomial():
     st = SimState(RegisterLayout([Register("q", 1, "flag")]))
     hist = sample_measurement(st, "q", 100, seed=1)
     assert hist == {0: 100}
-    apply_unitary(st, H, ["q"])
+    st.apply_dense(H, ["q"])
     shots = 10_000
     h1 = sample_measurement(st, "q", shots, seed=42)
     h2 = sample_measurement(st, "q", shots, seed=42)
@@ -176,7 +170,7 @@ def test_sampling_deterministic_and_binomial():
 def test_reflection_and_projection():
     layout = RegisterLayout([Register("q", 2, "index")])
     st = SimState(layout)
-    apply_unitary(st, np.kron(H, H), ["q"])
+    st.apply_dense(np.kron(H, H), ["q"])
     ref = st.copy()
     st.reflect_about(ref)
     assert np.allclose(st.dense_vector(), ref.dense_vector(), atol=1e-12)

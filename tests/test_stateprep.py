@@ -11,10 +11,9 @@ from qlapeig.sim import FixedPointSpec, Register, RegisterLayout, SimError, SimS
 from qlapeig.stateprep import (EstimatorConfig, PrepConfig, QramOracle,
                                amplitude_amplification, apply_R_U,
                                build_degree_state, build_phi_state,
-                               build_psi_state, completion_unitary,
-                               distance_estimation,
-                               hadamard_all, inner_product_estimation,
-                               prepare_coefficient_state)
+                               build_psi_state, coefficient_unitary,
+                               completion_unitary, distance_estimation,
+                               hadamard_all, inner_product_estimation)
 
 
 def unit_vs(rng, n, m):
@@ -46,26 +45,23 @@ def test_completion_unitary_close_to_e0(tail):
 
 
 def test_single_coefficient_gives_basis_state():
-    st = prepare_coefficient_state([1.0])
-    assert np.allclose(st.dense_vector(), [1.0, 0.0])
+    assert np.allclose(coefficient_unitary([1.0], 2)[:, 0], [1.0, 0.0])
 
 
 def test_uniform_coefficients():
-    st = prepare_coefficient_state([1.0, 1.0, 1.0, 1.0])
-    assert np.allclose(st.dense_vector(), [0.5] * 4)
+    assert np.allclose(coefficient_unitary([1.0, 1.0, 1.0, 1.0], 4)[:, 0], [0.5] * 4)
 
 
 def test_kernel_coefficient_amplitudes():
     kp = KernelParams(0.5, 3)
-    st = prepare_coefficient_state(kp.coeffs_a_tilde)
-    vec = st.dense_vector()
+    vec = coefficient_unitary(kp.coeffs_a_tilde, 4)[:, 0]
     expect = np.sqrt(kp.coeffs_a_tilde / kp.a_tilde_sum)
     assert np.max(np.abs(vec - expect)) < 1e-12
 
 
 def test_all_zero_coefficients_rejected():
     with pytest.raises(GraphError):
-        prepare_coefficient_state([0.0, 0.0])
+        coefficient_unitary([0.0, 0.0], 2)
 
 
 # ---------------------------------------------------------------------------
