@@ -86,8 +86,8 @@ def check_tensor_power_propagation(trials=1000, seed=1, max_power=5):
         p = int(rng.integers(2, max_power + 1))
         tx, ty = x.copy(), y.copy()
         for _ in range(p - 1):
-            tx = np.kron(tx, x)
-            ty = np.kron(ty, y)
+            tx = np.multiply.outer(tx, x).ravel()
+            ty = np.multiply.outer(ty, y).ravel()
         measured = np.linalg.norm(tx - ty)
         bound = p * eps
         worst = max(worst, measured / bound)

@@ -191,9 +191,12 @@ class SimState:
             (key, np.vdot(self.branches[key], vec))
             for key, vec in other.branches.items() if key in self.branches)
 
-    def prune(self, tol: float = 1e-14):
+    def prune(self, keys=None, tol: float = 1e-14):
+        """Drop the branches whose amplitudes all lie within ``tol``, but
+        never the last one.  With ``keys``, only those branches are
+        examined."""
         dead = [k for k, v in self.branches.items()
-                if np.max(np.abs(v)) <= tol]
+                if (keys is None or k in keys) and np.max(np.abs(v)) <= tol]
         for k in dead:
             if len(self.branches) > 1:
                 del self.branches[k]
@@ -358,16 +361,25 @@ class SimState:
         uncomputation and subsequent interference exact.  When every branch
         ends on the same labels the split registers are joined back, since
         splitting saves memory only while the labels differ.
+
+        The prune examines only the merged branches and, when this call split
+        a register, the fresh slabs: a branch that passes through otherwise is
+        the array it came in as.
         """
         nl = len(self.layout.arith)
+        split = self.split
         self.split_by(dense_controls)
         pos = [self._key_pos(self.layout.dense_axis[r]) for r in dense_controls]
-        new = {}
+        new, merged = {}, set()
         for key, vec in self.branches.items():
             nk = tuple(fn(tuple(key[p] for p in pos), key[:nl])) + key[nl:]
-            new[nk] = new[nk] + vec if nk in new else vec
+            if nk in new:
+                new[nk] = new[nk] + vec
+                merged.add(nk)
+            else:
+                new[nk] = vec
         self.branches = new
-        self.prune()
+        self.prune(None if self.split != split else merged)
         if self.split and len({k[:nl] for k in self.branches}) == 1:
             self.join()
 

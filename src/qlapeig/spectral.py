@@ -14,12 +14,16 @@ A R A^dag = 2 E E^dag - I with E = A Pi, and E^dag (R A psi) = 2 W^dag w - Pi ps
 with W = Pi A Pi and w = Pi A psi.  The meter counts the circuit, not the
 simulation: 3 * order queries per segment.
 
-SELECT (``_taylor_select``) runs one row of the coefficient register at a
-time: a transpose brings (ancilla j, subject) to the front of a contiguous
-copy of the row and one GEMM applies U_j; the next rung's transpose rotates
-ancilla j behind the subject and brings ancilla j+1 forward, so a row is
-written back once, after its last rung.  Every temporary is one row slab,
-1/cdim of the state.
+The state holds only the live rows 0 .. order + 1 of the coefficient
+register; the others stay exactly zero.  A row is laid out as flag, ancilla
+order .. 1, subject, so the cell where ancillas k+1 .. order and the flag are
+zero is the row's first a_dim^k s amplitudes, and the rank-s update of a
+segment writes contiguous row prefixes.  SELECT (``_taylor_select``) runs one
+row at a time: a transpose brings (ancilla j, subject) to the front of a
+contiguous copy of the row and one GEMM applies U_j; the next rung's transpose
+rotates ancilla j behind the subject and brings ancilla j+1 forward, so a row
+is written back once, after its last rung.  Every temporary is one row slab,
+1/(order + 2) of the state.
 """
 
 from __future__ import annotations
@@ -181,26 +185,26 @@ def _choose_order(segment_x: float, budget: float) -> int:
 
 def _taylor_select(psi: np.ndarray, u_mat: np.ndarray, order: int) -> np.ndarray:
     """SELECT of the truncated-Taylor LCU, in place on psi of shape
-    (cdim,) + (a_dim,) * order + (2, s): row k <= order takes U_1 ... U_k,
-    U_j = ``u_mat`` on (ancilla j, subject); the padding row sets the spare
-    flag.
+    (live, 2) + (a_dim,) * order + (s,), a row's axes running flag, ancilla
+    order .. 1, subject: row k <= order takes U_1 ... U_k, U_j = ``u_mat`` on
+    (ancilla j, subject); the padding row sets the spare flag.
 
     A row's slab is rotated rather than moved back after each rung: at rung j
-    its axes run (ancilla j, subject, ancilla j-1 .. 1, ancilla j+1 .. order,
-    flag), so U_j is one GEMM on the leading axis pair, and the untouched
-    ancillas stay a contiguous tail through each rotation."""
+    its axes run (ancilla j, subject, ancilla j-1 .. 1, flag, ancilla order ..
+    j+1), so U_j is one GEMM on the leading axis pair, and the next rung's
+    ancilla is always the last axis."""
     lead = u_mat.shape[0]
-    sub = psi.ndim - 2  # a row's axes: order ancillas, flag, subject
+    sub = order + 1  # a row's axes: flag, order ancillas, subject
     for k in range(1, order + 1):
-        x = psi[k].transpose((0, sub) + tuple(range(1, sub)))
+        x = psi[k].transpose((order, sub) + tuple(range(order)))
         for j in range(1, k + 1):
             if j > 1:
-                x = x.transpose((j, 1, 0) + tuple(range(2, j))
-                                + tuple(range(j + 1, sub + 1)))
+                x = x.transpose((sub, 1, 0) + tuple(range(2, sub)))
             x = (u_mat @ x.reshape(lead, -1)).reshape(x.shape)
-        axes = (k - 1, sub) + tuple(range(k - 2, -1, -1)) + tuple(range(k, sub))
+        axes = ((sub - k, sub) + tuple(range(sub - k + 1, sub))
+                + tuple(range(sub - k)))
         psi[k] = x.transpose(np.argsort(axes))
-    psi[order + 1] = np.flip(psi[order + 1], axis=-2)
+    psi[order + 1] = np.flip(psi[order + 1], axis=0)
     return psi
 
 
@@ -240,52 +244,59 @@ def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig) -> Bloc
     d_col[: order + 1] = np.sqrt(ys / 2.0) * (-1j) ** np.arange(order + 1)
     c_col[order + 1] = math.sqrt(max(pad, 0.0) / 2.0)
     d_col[order + 1] = math.sqrt(max(pad, 0.0) / 2.0)
-    p_l_dag = completion_unitary(c_col).conj().T
+    # rows past order + 1 stay zero: the Householder vectors of P_R and P_L
+    # vanish there (their phase is 1, the leading entries being positive),
+    # SELECT leaves them alone and the update subtracts p_l_dag[i, k] = 0
+    live = order + 2
+    p_l_dag = completion_unitary(c_col).conj().T[:live, :live]
     neg_p_l_dag = -p_l_dag  # carries R's sign; IEEE negation is exact
-    p_r = completion_unitary(d_col)
+    p_r = completion_unitary(d_col)[:live, :live]
 
-    shape = (cdim,) + (a_dim,) * order + (2, s)
+    shape = (live, 2) + (a_dim,) * order + (s,)
     u_mat = be.unitary
     queries = 3 * order * r  # A, A^dag, A per segment, one query per rung
 
-    def neg_a_op(psi):  # -A psi, as cdim rows of the flattened state
-        psi = (p_r @ psi.reshape(cdim, -1)).reshape(shape)
-        return neg_p_l_dag @ _taylor_select(psi, u_mat, order).reshape(cdim, -1)
+    def neg_a_op(psi):  # -A psi, as live rows
+        psi = (p_r @ psi.reshape(live, -1)).reshape(shape)
+        return neg_p_l_dag @ _taylor_select(psi, u_mat, order).reshape(live, -1)
 
     # SELECT on |0..0>|c> leaves row k <= order as V_k |0^k>|c>, V_k =
     # U_k ... U_1, on the cells where the later ancillas and the flag are
-    # zero: keep G_k = V_k (|0^k> (x) I_s), shape (a_dim^k s, s).  The padding
-    # row sets the flag instead, so its G is the identity.
+    # zero: keep G_k = V_k (|0^k> (x) I_s), shape (a_dim^k s, s), its rows
+    # ordered (ancilla k .. 1, subject) as in the state.  That cell is the
+    # row's prefix of a_dim^k s amplitudes.  The padding row sets the flag
+    # instead, so its G is the identity, on the s amplitudes past the flag.
     g = [np.eye(s, dtype=complex)]
     for _ in range(order):
         g.append(np.einsum("xy,iyc->ixc", u_mat[:, :s],
                            g[-1].reshape(-1, s, s)).reshape(-1, s))
-    cells = [(slice(None),) * (k + 1) + (0,) * (order - k + 1)
-             for k in range(order + 1)]
-    cells.append((slice(None),) + (0,) * order + (1,))
+    g = [gk.reshape((a_dim,) * k + (s, s))
+         .transpose(tuple(range(k - 1, -1, -1)) + (k, k + 1)).reshape(-1, s)
+         for k, gk in enumerate(g)]
+    flagged = a_dim ** order * s  # where a row's flag-set half starts
+    cells = [slice(0, a_dim ** k * s) for k in range(order + 1)]
+    cells.append(slice(flagged, flagged + s))
     g.append(g[0])
     w_dag = sum(p_l_dag[0, k] * d_col[k] * g[k][:s]
                 for k in range(order + 1)).conj().T
 
     def segment(psi):
-        zero_in = psi.reshape(-1, s)[0].copy()
-        flat = neg_a_op(psi).reshape(-1, s)
-        flat[0] *= -1.0  # R A psi: the ancilla all-zero row keeps its sign
-        coef = 2.0 * (2.0 * (w_dag @ flat[0]) - zero_in)  # 2 E^dag R A psi
-        psi = flat.reshape(shape)
-        for k, cell in enumerate(cells):  # psi -= E coef, one row at a time
-            view = psi[cell]
-            view -= np.multiply.outer(
-                p_l_dag[:, k], d_col[k] * (g[k] @ coef)).reshape(view.shape)
-        return psi
+        zero_in = psi[0, :s].copy()
+        rows = neg_a_op(psi)
+        rows[0, :s] *= -1.0  # R A psi: the ancilla all-zero row keeps its sign
+        coef = 2.0 * (2.0 * (w_dag @ rows[0, :s]) - zero_in)  # 2 E^dag R A psi
+        for k, cell in enumerate(cells):  # psi -= E coef, one cell at a time
+            rows[:, cell] -= np.multiply.outer(p_l_dag[:, k],
+                                               d_col[k] * (g[k] @ coef))
+        return rows
 
     block = np.zeros((s, s), dtype=complex)
     for col in range(s):
-        psi = np.zeros(shape, dtype=complex)
-        psi[(0,) * (len(shape) - 1) + (col,)] = 1.0
+        psi = np.zeros((live, 2 * flagged), dtype=complex)
+        psi[0, col] = 1.0
         for _ in range(r):
             psi = segment(psi)
-        block[:, col] = psi.reshape(-1, s)[0]
+        block[:, col] = psi[0, :s]
 
     vals, vecs = np.linalg.eigh(h)
     exact = vecs @ np.diag(np.exp(-1j * vals * cfg.t)) @ vecs.conj().T
@@ -324,7 +335,8 @@ def run_qpe(u_enc: BlockEncoding, qcfg: QpeConfig,
     for y in range(pdim):
         psi[y] = power @ base / math.sqrt(pdim)
         power = u @ power
-    psi = np.fft.fft(psi, axis=0) / math.sqrt(pdim)
+    psi = np.fft.fft(psi, axis=0)
+    psi /= math.sqrt(pdim)
     probs = np.einsum("zij,zij->z", psi, psi.conj()).real
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()

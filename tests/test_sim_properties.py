@@ -143,6 +143,31 @@ def test_apply_label_map_merges_branches_bit_exactly():
     assert_same_bits(state, want)
 
 
+def test_apply_label_map_drops_a_branch_merged_to_cancellation():
+    layout = RegisterLayout([Register("i", 1, "index"),
+                             Register("a", 2, "arithmetic", FixedPointSpec(2, 1))])
+    rng = np.random.default_rng(7)
+    vec, other = random_branch(layout, rng), random_branch(layout, rng)
+    state = SimState(layout, {(0,): vec, (1,): -vec, (2,): other})
+    state.apply_label_map(lambda dvals, labels: [labels[0] & 2])
+    assert list(state.branches) == [(2,)]
+    assert state.branches[(2,)] is other
+
+
+def test_apply_label_map_drops_a_faint_split_slab():
+    """A slab of a split control that is nonzero everywhere but within the
+    prune tolerance is dropped by the label map that split it off."""
+    layout = RegisterLayout([Register("i", 1, "index"), Register("j", 1, "index"),
+                             Register("a", 2, "arithmetic", FixedPointSpec(2, 1))])
+    vec = np.full((2, 2), 0.5 + 0.5j)
+    vec[1] = [1e-14, -1e-15j]
+    state = SimState(layout, {(0,): vec.copy()})
+    state.apply_label_map(lambda dvals, labels: [dvals[0]], dense_controls=("i",))
+    assert list(state.branches) == [(0,)] and state.split == ()
+    assert np.array_equal(state.branches[(0,)][0], vec[0])
+    assert not state.branches[(0,)][1].any()
+
+
 # ---------------------------------------------------------------------------
 # predicates
 

@@ -121,8 +121,9 @@ def three_pass_taylor(be, t, order, r):
     return block, queries // s
 
 
-def assert_matches_three_pass(enc, t, eps):
-    out = simulate_hamiltonian(enc, SimulationConfig(t=t, eps=eps, path="lcu_taylor"))
+def assert_matches_three_pass(enc, t, eps, order=None):
+    out = simulate_hamiltonian(enc, SimulationConfig(
+        t=t, eps=eps, path="lcu_taylor", truncation_order=order))
     ref, queries = three_pass_taylor(enc, t, out.meta["order"], out.meta["segments"])
     assert np.max(np.abs(out.block() - ref)) <= 1e-12
     assert out.meta["query_count"] == queries
@@ -156,6 +157,23 @@ def test_lcu_taylor_matches_three_pass_circuit_at_high_order(n, t, order):
     rng = np.random.default_rng(n * 1000 + int(t) * 10 + 9)
     enc = dilate(random_complex_hermitian(rng, n), 1.0)
     assert assert_matches_three_pass(enc, t, 1e-9).meta["order"] == order
+
+
+@pytest.mark.parametrize("wide,t,eps,order", [(False, 0.1, 1e-2, 2),
+                                              (False, 1.0, 1e-4, 6),
+                                              (True, 1.0, 1e-4, 6)])
+def test_lcu_taylor_matches_three_pass_circuit_with_no_idle_slot(wide, t, eps,
+                                                                 order):
+    """At orders 2 and 6 the live rows 0 .. order + 1 fill the coefficient
+    register (cdim = 4 and 8), so no slot is left idle."""
+    rng = np.random.default_rng(order * 10 + wide)
+    if wide:
+        encs = [dilate(random_complex_hermitian(rng, 2), 1.0) for _ in range(2)]
+        enc = lcu_combine(make_signed_pair([0.7, -0.3]), encs)
+    else:
+        enc = dilate(random_complex_hermitian(rng, 4), 1.0)
+    assert 1 << max(1, (order + 1).bit_length()) == order + 2
+    assert assert_matches_three_pass(enc, t, eps, order).meta["order"] == order
 
 
 def test_lcu_taylor_matches_three_pass_circuit_wide_ancilla_at_the_guard():

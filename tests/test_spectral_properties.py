@@ -1,6 +1,8 @@
 """Differential property test for the SELECT kernel of the metered
 ``lcu_taylor`` path: ``_taylor_select`` (one GEMM per rung on a rotating row
-slab) against the per-(row, rung) ``moveaxis`` round trip, bit for bit."""
+slab, over the live rows with the ancillas reversed) against the per-(row,
+rung) ``moveaxis`` round trip on the full register in circuit order, bit for
+bit."""
 
 import numpy as np
 from hypothesis import Phase, given, settings
@@ -15,8 +17,17 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=40,
 
 
 def state_shape(a_dim, s, order):
+    """The full register in circuit order: coefficient row, ancilla 1 ..
+    order, flag, subject."""
     cdim = 1 << max(1, (order + 1).bit_length())
     return (cdim,) + (a_dim,) * order + (2, s)
+
+
+def live_layout(psi, order):
+    """``_taylor_select``'s layout of a circuit-order state: rows 0 .. order
+    + 1, each with axes flag, ancilla order .. 1, subject."""
+    return psi[: order + 2].transpose(
+        (0, order + 1) + tuple(range(order, 0, -1)) + (order + 2,))
 
 
 def select_reference(psi, u_mat, order):
@@ -54,7 +65,8 @@ def test_taylor_select_matches_per_row_moveaxis(instance):
                             + 1j * rng.standard_normal((dim, dim)))
     shape = state_shape(a_dim, s, order)
     psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    want = select_reference(psi.copy(), u_mat, order)
-    got = _taylor_select(psi, u_mat, order)
+    want = live_layout(select_reference(psi.copy(), u_mat, order), order)
+    got = _taylor_select(np.ascontiguousarray(live_layout(psi, order)),
+                         u_mat, order)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
