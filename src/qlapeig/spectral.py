@@ -24,6 +24,16 @@ contiguous copy of the row and one GEMM applies U_j; the next rung's transpose
 rotates ancilla j behind the subject and brings ancilla j+1 forward, so a row
 is written back once, after its last rung.  Every temporary is one row slab,
 1/(order + 2) of the state.
+
+Phase estimation (``run_qpe``) holds one register of 2^bits slots, each an
+n x n matrix: slot y is U^y |Phi>, |Phi> the purified maximally-mixed input.
+The controlled powers are filled by doubling: slot 0 holds |Phi>, and for
+f = 1, 2, 4, .. one batched GEMM writes slots f .. 2f - 1 as U^f times slots
+0 .. f - 1, after which U^f is squared, so bits GEMMs build the register.  The
+Fourier transform runs in place on it, and the Born probabilities are a
+conjugating ``vecdot`` over its rows, so no second register is made.  The
+sampled post-measurement states are views of their slots, unnormalized;
+extraction normalizes only the bins it keeps.
 """
 
 from __future__ import annotations
@@ -114,7 +124,8 @@ class QpeConfig:
 @dataclass
 class QpeSamples:
     counts: dict                 # outcome -> shots
-    post_states: dict            # outcome -> (n_sys, n_purifier) matrix
+    post_states: dict            # outcome -> (n_sys, n_purifier) unnormalized
+                                 # slice of the QPE register, a view
     probs: np.ndarray
     phase_bits: int
     time_scale: float
@@ -329,25 +340,24 @@ def run_qpe(u_enc: BlockEncoding, qcfg: QpeConfig,
     pdim = 1 << qcfg.phase_bits
     _desk_scale_guard(pdim * n * n, f"{qcfg.phase_bits}-bit phase-estimation register",
                       "use fewer qpe_bits")
-    psi = np.zeros((pdim, n, n), dtype=complex)
-    base = np.eye(n) / math.sqrt(n)       # (1/sqrt n) sum_j |j>|j>
-    power = np.eye(n, dtype=complex)
-    for y in range(pdim):
-        psi[y] = power @ base / math.sqrt(pdim)
-        power = u @ power
-    psi = np.fft.fft(psi, axis=0)
+    psi = np.empty((pdim, n, n), dtype=complex)
+    psi[0] = np.eye(n) / math.sqrt(n) / math.sqrt(pdim)  # sum_j |j>|j> / sqrt(n pdim)
+    step = u  # U^f, f = 2^k: fills slots f .. 2f - 1 from slots 0 .. f - 1
+    for k in range(qcfg.phase_bits):
+        f = 1 << k
+        np.matmul(step, psi[:f], out=psi[f:2 * f])
+        step = step @ step
+    np.fft.fft(psi, axis=0, out=psi)
     psi /= math.sqrt(pdim)
-    probs = np.einsum("zij,zij->z", psi, psi.conj()).real
+    flat = psi.reshape(pdim, -1)
+    probs = np.vecdot(flat, flat).real
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
     rng = np.random.default_rng(qcfg.seed)
     draws = rng.choice(pdim, size=qcfg.shots, p=probs)
     vals, counts = np.unique(draws, return_counts=True)
     counts = {int(z): int(c) for z, c in zip(vals, counts)}
-    post = {}
-    for z in counts:
-        m = psi[z]
-        post[z] = m / np.linalg.norm(m)
+    post = {z: psi[z] for z in counts}
     return QpeSamples(counts, post, probs, qcfg.phase_bits, t, qcfg.shots)
 
 
@@ -408,6 +418,7 @@ def extract_d_smallest(samples: QpeSamples, d: int, drop_zero: bool = True,
         rhos = []
         for th, z, c in group:
             m = samples.post_states[z]
+            m = m / np.linalg.norm(m)
             rhos.append((c / weight, m @ m.conj().T))
         if mult == 1:
             vecs = _aligned_average(rhos).reshape(n, 1)

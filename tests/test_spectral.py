@@ -1,6 +1,7 @@
 """Hamiltonian simulation, QPE, extraction, and the end-to-end pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import scipy.linalg as sla
 from qlapeig.blockenc import BlockEncoding, dilate, lcu_combine, make_signed_pair
 from qlapeig.graph import KernelParams, VertexSet, build_graph, classical_eigensolve
 from qlapeig.spectral import (LCU_MAX_AMPLITUDES, PipelineConfig, QpeConfig,
-                              ResolutionError, SimulationConfig, SimulationError,
-                              extract_d_smallest, full_pipeline,
+                              QpeSamples, ResolutionError, SimulationConfig,
+                              SimulationError, extract_d_smallest, full_pipeline,
                               recover_Lr_eigenvectors, run_qpe,
                               simulate_hamiltonian)
 from qlapeig.stateprep import completion_unitary
@@ -351,6 +352,50 @@ def test_extraction_degenerate_pair_resolution_error():
     res = extract_d_smallest(s, 2)
     merged = [c for c in res.clusters if c.vectors.shape[1] > 1]
     assert merged and merged[0].vectors.shape == (4, 2)
+
+
+def test_run_qpe_holds_one_register():
+    """The powers, the transform, the Born probabilities and the sampled
+    post-states all live in the one 2^bits n^2 register."""
+    n, bits = 32, 10
+    rng = np.random.default_rng(12)
+    enc = BlockEncoding(1.0, 0, 0.0, n, backend="composite",
+                        _block=sla.expm(-1j * random_complex_hermitian(rng, n)))
+    register_bytes = (1 << bits) * n * n * 16
+    tracemalloc.start()
+    try:
+        s = run_qpe(enc, QpeConfig(phase_bits=bits, shots=8192, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(s.counts) > 100
+    assert peak <= 1.25 * register_bytes
+
+
+def test_extraction_ignores_post_state_scale():
+    """Post-states are unnormalized slices of the register: scaling each by
+    its own positive factor changes no eigenvalue or vector, in a single and
+    in a merged (two-vector) cluster."""
+    t = 2.0
+    gammas = np.array([0.0, 0.4, 0.4002, 1.1]) * 2 * math.pi / t / 4.0
+    basis, _ = np.linalg.qr(np.random.default_rng(13).standard_normal((4, 4)))
+    block = basis @ np.diag(np.exp(-1j * gammas * t)) @ basis.T
+    enc = BlockEncoding(1.0, 0, 0.0, 4, backend="composite", _block=block)
+    s = run_qpe(enc, QpeConfig(phase_bits=6, shots=8192, seed=5, time_scale=t))
+    factors = np.random.default_rng(14).uniform(1e-3, 1e3, len(s.counts))
+
+    def with_posts(scale):
+        post = {z: scale(k) * m / np.linalg.norm(m)
+                for k, (z, m) in enumerate(s.post_states.items())}
+        return QpeSamples(s.counts, post, s.probs, s.phase_bits, s.time_scale,
+                          s.shots)
+
+    want = extract_d_smallest(with_posts(lambda k: 1.0), 2)
+    got = extract_d_smallest(with_posts(lambda k: factors[k]), 2)
+    assert [c.vectors.shape[1] for c in want.clusters] == [2, 1]
+    assert got.eigenvalues == want.eigenvalues
+    for g, w in zip(got.clusters, want.clusters):
+        assert np.allclose(g.vectors, w.vectors, rtol=0.0, atol=1e-12)
 
 
 def test_extraction_insufficient_counts():

@@ -1,14 +1,24 @@
-"""Differential property test for the SELECT kernel of the metered
-``lcu_taylor`` path: ``_taylor_select`` (one GEMM per rung on a rotating row
-slab, over the live rows with the ancillas reversed) against the per-(row,
-rung) ``moveaxis`` round trip on the full register in circuit order, bit for
-bit."""
+"""Differential property tests of the spectral stage against slow
+references.
+
+- SELECT of the metered ``lcu_taylor`` path: ``_taylor_select`` (one GEMM per
+  rung on a rotating row slab, over the live rows with the ancillas reversed)
+  against the per-(row, rung) ``moveaxis`` round trip on the full register in
+  circuit order, bit for bit.
+- Phase estimation: ``run_qpe`` (controlled powers by doubling, one register
+  transformed in place) against ``sequential_qpe``, the circuit that builds
+  U^y one power at a time, within round-off.
+"""
+
+import math
 
 import numpy as np
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from qlapeig.spectral import LCU_MAX_AMPLITUDES, MAX_TAYLOR_ORDER, _taylor_select
+from qlapeig.blockenc import BlockEncoding
+from qlapeig.spectral import (LCU_MAX_AMPLITUDES, MAX_TAYLOR_ORDER, QpeConfig,
+                              QpeSamples, _taylor_select, run_qpe)
 
 # no shrink phase: a failing draw is four small integers that already name a
 # reproducible instance, and shrinking would rerun order-12 states for minutes
@@ -70,3 +80,65 @@ def test_taylor_select_matches_per_row_moveaxis(instance):
                          u_mat, order)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+def sequential_qpe(u_enc, qcfg):
+    """Phase estimation on the purified maximally-mixed input, with the
+    controlled powers U^y built one at a time, the transform out of place and
+    every sampled post-measurement state normalized."""
+    u = u_enc.block().conj().T
+    n = u.shape[0]
+    pdim = 1 << qcfg.phase_bits
+    psi = np.zeros((pdim, n, n), dtype=complex)
+    base = np.eye(n) / math.sqrt(n)
+    power = np.eye(n, dtype=complex)
+    for y in range(pdim):
+        psi[y] = power @ base / math.sqrt(pdim)
+        power = u @ power
+    psi = np.fft.fft(psi, axis=0)
+    psi /= math.sqrt(pdim)
+    probs = np.einsum("zij,zij->z", psi, psi.conj()).real
+    probs = np.clip(probs, 0.0, None)
+    probs = probs / probs.sum()
+    rng = np.random.default_rng(qcfg.seed)
+    draws = rng.choice(pdim, size=qcfg.shots, p=probs)
+    vals, counts = np.unique(draws, return_counts=True)
+    counts = {int(z): int(c) for z, c in zip(vals, counts)}
+    post = {z: psi[z] / np.linalg.norm(psi[z]) for z in counts}
+    return QpeSamples(counts, post, probs, qcfg.phase_bits, qcfg.time_scale,
+                      qcfg.shots)
+
+
+@st.composite
+def qpe_instances(draw):
+    """(n, phase_bits, unitary, seed): phase_bits = 1 is the register of two
+    slots, where the doubling runs once."""
+    return (draw(st.sampled_from([1, 2, 3, 4, 8])), draw(st.integers(1, 10)),
+            draw(st.booleans()), draw(st.integers(0, 2**32 - 1)))
+
+
+@PROPERTY
+@given(qpe_instances())
+def test_run_qpe_matches_sequential_powers(instance):
+    """A unitary block, or a contraction W diag(sigma) V^dag with sigma in
+    [1/2, 1] like the truncated-Taylor block that is only near unitary."""
+    n, bits, unitary, seed = instance
+    rng = np.random.default_rng(seed)
+
+    def haar():
+        q, r = np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    block = haar()
+    if not unitary:
+        block = block @ np.diag(rng.uniform(0.5, 1.0, n)) @ haar()
+    enc = BlockEncoding(1.0, 0, 0.0, n, backend="composite", _block=block)
+    qcfg = QpeConfig(phase_bits=bits, shots=512, seed=seed, time_scale=1.0)
+    got = run_qpe(enc, qcfg)
+    want = sequential_qpe(enc, qcfg)
+    assert np.max(np.abs(got.probs - want.probs)) <= 1e-12
+    assert got.counts == want.counts
+    assert got.post_states.keys() == want.post_states.keys()
+    for z, m in got.post_states.items():
+        assert np.max(np.abs(m / np.linalg.norm(m) - want.post_states[z])) <= 1e-12
