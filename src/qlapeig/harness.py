@@ -124,6 +124,15 @@ def _format(value, out):
             _format(value[key], out)
         out.append("}")
     elif isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        if kinds == {float}:
+            text = ",".join(map("%.17g".__mod__, value))
+            if "n" not in text:  # no nan or inf, which print quoted
+                out.append(f"[{text}]")
+                return
+        elif kinds == {int}:
+            out.append(f"[{','.join(map(str, value))}]")
+            return
         out.append("[")
         for i, item in enumerate(value):
             if i:

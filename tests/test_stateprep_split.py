@@ -5,6 +5,7 @@ array: the reference path.  Both forms must give the same purifications,
 reduced states and amplification statistics."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,3 +102,32 @@ def test_degree_pipeline_matches_the_full_array_path(n, norm_case, mode, build):
     assert_builds_agree(got, want, "rho2")
     assert np.allclose(got.degree_estimates, want.degree_estimates, rtol=0, atol=TOL)
     assert got.trace_estimate == pytest.approx(want.trace_estimate, abs=TOL)
+
+
+def test_amplification_allocates_less_than_a_quarter_state(monkeypatch):
+    """The n=32 degree pipeline hands amplitude amplification its split
+    state of n^2 rows (step 4) and its joined state (step 9).  Each call may
+    allocate at most a quarter of the state's bytes on top of the state, so
+    a copy of the start state does not fit."""
+    import qlapeig.stateprep as stateprep
+
+    amplify = stateprep.amplitude_amplification
+    seen = []
+
+    def measured(state, predicate, amplitude):
+        rows = len(state.branches)
+        size = sum(v.nbytes for v in state.branches.values())
+        tracemalloc.start()
+        try:
+            out = amplify(state, predicate, amplitude)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        seen.append((rows, size, peak))
+        return out
+
+    monkeypatch.setattr(stateprep, "amplitude_amplification", measured)
+    build_degree_state(vertices(32, "general", seed=33), KernelParams(0.5, 2))
+    assert [rows for rows, _, _ in seen] == [32 * 32, 1]
+    for _, size, peak in seen:
+        assert size + peak <= 1.25 * size
