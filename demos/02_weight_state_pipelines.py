@@ -26,7 +26,7 @@ vs = VertexSet.from_vectors(x)
 kp = KernelParams(0.5, 3)
 
 phi = build_phi_state(vs, kp)
-print("registers:", [(r.name, r.qubits, r.kind) for r in phi.layout.registers])
+print("registers:", [(r.name, r.qubits, r.kind) for r in phi.state.layout.registers])
 print("reduced-state diagonal (all 1/n):", np.round(np.diag(phi.rho0.matrix).real, 6))
 
 a_t = kp.a_tilde_sum
@@ -36,9 +36,9 @@ print(f"identity  n a~ rho0 = a~ I + W_p  holds to {identity_err:.2e}")
 
 # the pipelines encode rho0 straight from the purification |Phi>; any G with
 # G|0> = |Phi> gives the same block once the SWAP sandwich is materialized
-enc = purified_density_encoding(phi.purification, phi.system_dim, phi.ancilla_dim)
+enc = purified_density_encoding(phi.purification, phi.system_dim)
 sandwich = purified_density_encoding(completion_unitary(phi.purification),
-                                     phi.system_dim, phi.ancilla_dim)
+                                     phi.system_dim)
 measured, ok = verify_block_encoding(enc, phi.rho0.matrix)
 gap = np.max(np.abs(sandwich.block() - enc.block()))
 print(f"purified-density encoding of rho0: measured error {measured:.2e} "

@@ -39,7 +39,7 @@ print(f"\nTr(D) from n(n-1) p0: {trace_est:.10f}")
 print(f"classical Tr(D)     : {gm.trace_D:.10f}")
 print(f"relative error      : {abs(trace_est - gm.trace_D) / gm.trace_D:.2e}")
 
-enc = purified_density_encoding(deg.purification, deg.system_dim, deg.ancilla_dim)
+enc = purified_density_encoding(deg.purification, deg.system_dim)
 measured, ok = verify_block_encoding(enc, deg.rho2.matrix)
 print(f"\npurified-density encoding of rho2: error {measured:.2e}, pass={ok}")
 

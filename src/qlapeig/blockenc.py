@@ -11,7 +11,8 @@ Encodings carry one of three backends:
 * ``purified``  -- defined by a purification vector; the encoded block is the
   reduced density operator.  The sandwich unitary exists by construction and
   is never materialized.  Every density encoding the pipelines build (rho0 or
-  rho1, rho2, and I/n) takes this form.
+  rho1, rho2, and I/n) takes this form.  Its ancilla register is the whole
+  purification register (Gilyen, Su, Low and Wiebe, arXiv:1806.01838).
 * ``composite`` -- produced by combination rules whose encoded block follows
   exactly from the component blocks; the equivalence of this shortcut with
   the materialized circuit is itself unit-tested on dense instances.
@@ -188,46 +189,41 @@ def encoding_report(name: str, be: BlockEncoding, subject: np.ndarray,
 # ---------------------------------------------------------------------------
 # Purified density encodings
 
-def purified_density_encoding(G, sys_dim: int, anc_dim: int,
-                              ancilla_qubits: int | None = None,
-                              claimed_epsilon: float = 0.0) -> BlockEncoding:
-    """Block-encoding of the reduced state of a purification.
+def purified_density_encoding(G, sys_dim: int) -> BlockEncoding:
+    """Exact block-encoding of the reduced state of a purification, over its
+    leading ``sys_dim`` factor.
 
     ``G`` is normally the purification vector G|0>, and the encoding stays in
     purified form.  Given instead a dense preparation unitary on the
     (sys x anc) purification space (system axis first), the sandwich
     (G^dag (x) I)(SWAP (x) I-ish)(G (x) I) is materialized; that reference
-    path depends only on G's first column.
+    path depends only on G's first column.  Either way the ancilla count is
+    the purification's qubit count.
     """
     G = np.asarray(G)
+    pur = G.shape[0]
+    anc_q = int(round(math.log2(pur)))
     if G.ndim == 1:
-        vec = G / np.linalg.norm(G)
-        anc_q = ancilla_qubits
-        if anc_q is None:
-            anc_q = int(round(math.log2(sys_dim * anc_dim)))
-        return BlockEncoding(1.0, anc_q, claimed_epsilon, sys_dim,
-                             backend="purified", purification=vec)
-    pur = sys_dim * anc_dim
-    if G.shape != (pur, pur):
+        return BlockEncoding(1.0, anc_q, 0.0, sys_dim, backend="purified",
+                             purification=G / np.linalg.norm(G))
+    if G.shape != (pur, pur) or pur % sys_dim:
         raise SimError("preparation unitary does not match the declared split")
     dev = np.max(np.abs(G.conj().T @ G - np.eye(pur)))
     if dev > 1e-10:
         raise SimError("preparation operator is not unitary")
     big = np.kron(G, np.eye(sys_dim, dtype=complex))
-    swapped = _swap_sys_extra(big, sys_dim, anc_dim)
+    swapped = _swap_sys_extra(big, sys_dim)
     v = np.kron(G.conj().T, np.eye(sys_dim, dtype=complex)) @ swapped
-    anc_q = ancilla_qubits if ancilla_qubits is not None else int(round(math.log2(pur)))
     # rows are ordered (sys, anc, extra); the purification axes come first, so
     # the zero-ancilla sector is already the top-left corner.
-    return BlockEncoding(1.0, anc_q, claimed_epsilon, sys_dim,
-                         backend="dense", unitary=v)
+    return BlockEncoding(1.0, anc_q, 0.0, sys_dim, backend="dense", unitary=v)
 
 
-def _swap_sys_extra(mat: np.ndarray, sys_dim: int, anc_dim: int) -> np.ndarray:
+def _swap_sys_extra(mat: np.ndarray, sys_dim: int) -> np.ndarray:
     """Left-multiply by the permutation exchanging the purification's system
     axis with the extra subject axis, on (sys, anc, extra) row ordering."""
     rows = mat.shape[0]
-    t = mat.reshape(sys_dim, anc_dim, sys_dim, rows)
+    t = mat.reshape(sys_dim, -1, sys_dim, rows)
     t = np.transpose(t, (2, 1, 0, 3))
     return t.reshape(rows, rows)
 
@@ -238,7 +234,7 @@ def identity_mixture_encoding(n: int) -> BlockEncoding:
     if (1 << log_n) != n:
         raise GraphError("system size must be a power of two")
     vec = np.eye(n, dtype=complex).reshape(-1) / math.sqrt(n)
-    return purified_density_encoding(vec, n, n, ancilla_qubits=2 * log_n)
+    return purified_density_encoding(vec, n)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +397,7 @@ class LaplacianEncodingResult:
 
 def _purified(build) -> BlockEncoding:
     """Purified encoding of a pipeline build's reduced state."""
-    return purified_density_encoding(build.purification, build.system_dim,
-                                     build.ancilla_dim,
-                                     ancilla_qubits=build.ancilla_qubits)
+    return purified_density_encoding(build.purification, build.system_dim)
 
 
 def _component_encodings(vs: VertexSet, kp: KernelParams, prep, est,

@@ -148,7 +148,7 @@ def check_psi_budget(trials=60, seed=3, n=4, m=2, regime="above"):
         s2 = int(rng.integers(2 ** 31))
         pert = build_psi_state(
             vs, kp, PrepConfig(coeff_eps=eps_x, seed=s1),
-            oracle_U=QramOracle(vs, eps_x=eps_x, seed=s2))
+            oracle=QramOracle(vs, eps_x=eps_x, seed=s2))
         measured = np.linalg.norm(pert.purification - exact.purification)
         headline = ErrorBudget(eps_x=eps_x).eps1(n, p, kp.a_sum,
                                                  float(np.max(vs.norms)))
@@ -168,7 +168,7 @@ def check_degree_budget(trials=60, seed=4, n=4, m=2):
         kp = KernelParams(float(rng.uniform(0.3, 0.8)), 2)
         vs = _general_vertices(rng, n, m, 0.5, 1.2)
         eps_d = 10.0 ** rng.uniform(-4, -2)
-        est = EstimatorConfig(mode="noisy", eps_d=eps_d, delta1=0.0, delta2=0.0,
+        est = EstimatorConfig(mode="noisy", eps_d=eps_d, delta1=0.0,
                               seed=int(rng.integers(2 ** 31)))
         exact = build_degree_state(vs, kp, EstimatorConfig(mode="exact"))
         noisy = build_degree_state(vs, kp, est)
@@ -240,7 +240,7 @@ def check_purified_encoding_exactness(seed=8, n=4, m=2, p=2, lam=0.5):
     kp = KernelParams(lam, p)
     phi = build_phi_state(vs, kp)
     enc = purified_density_encoding(completion_unitary(phi.purification),
-                                    phi.system_dim, phi.ancilla_dim)
+                                    phi.system_dim)
     measured, _ = verify_block_encoding(enc, phi.rho0.matrix)
     return _summary("purified_encoding_exactness", 1,
                     int(measured > 1e-10), measured / 1e-10)

@@ -37,7 +37,7 @@ class RunConfig:
     norm_case:        auto | unit | general
     estimator_mode:   exact | noisy
     eps_d:            distance-estimator precision (noisy mode)
-    delta1, delta2:   estimator failure probabilities
+    delta1:           distance-estimator failure probability (noisy mode)
     qpe_bits, qpe_shots, seed: phase-estimation settings (bits and shots at
                       least 1)
     fixed_point_bits, exp_gate_order: arithmetic widths
@@ -56,7 +56,6 @@ class RunConfig:
     estimator_mode: str = "exact"
     eps_d: float = 1e-6
     delta1: float = 0.05
-    delta2: float = 0.05
     qpe_bits: int = 8
     qpe_shots: int = 4096
     seed: int = 7
@@ -99,8 +98,7 @@ class RunConfig:
 
     def pipeline_config(self) -> PipelineConfig:
         est = EstimatorConfig(mode=self.estimator_mode, eps_d=self.eps_d,
-                              delta1=self.delta1, delta2=self.delta2,
-                              seed=self.seed)
+                              delta1=self.delta1, seed=self.seed)
         prep = PrepConfig(bits=self.fixed_point_bits,
                           exp_order=self.exp_gate_order, seed=self.seed)
         return PipelineConfig(

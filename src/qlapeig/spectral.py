@@ -376,15 +376,16 @@ def _aligned_average(entries):
     return avg / np.linalg.norm(avg)
 
 
-def extract_d_smallest(samples: QpeSamples, d: int, drop_zero: bool = True,
+def extract_d_smallest(samples: QpeSamples, d: int,
                        signed: bool = False) -> SpectralResult:
-    """Cluster measured phases, drop the zero mode, return the d smallest.
+    """Cluster measured phases and return the d smallest.
 
     With ``signed`` (targets whose spectrum straddles zero, run with
-    |lambda| t < pi) phases above one half decode as negative eigenvalues;
-    otherwise the full circle is positive except a thin wrap margin next to 1
-    that absorbs the numerically-negative tail of the zero mode.  A cluster
-    whose Born weight spans several eigenvectors is reported as a subspace.
+    |lambda| t < pi) phases above one half decode as negative eigenvalues and
+    every cluster counts.  Otherwise the zero mode is dropped, and the full
+    circle is positive except a thin wrap margin next to 1 that absorbs the
+    numerically-negative tail of the zero mode.  A cluster whose Born weight
+    spans several eigenvectors is reported as a subspace.
     """
     pdim = 1 << samples.phase_bits
     t = samples.time_scale
@@ -428,7 +429,7 @@ def extract_d_smallest(samples: QpeSamples, d: int, drop_zero: bool = True,
             vecs = evecs[:, -mult:]
         out.append(SpectralCluster(gamma, phase, frac, vecs,
                                    [z for _, z, _ in group]))
-    if drop_zero:
+    if not signed:
         out = [c for c in out if abs(c.phase) > zero_threshold]
     out.sort(key=lambda c: c.eigenvalue)
     if len(out) < d:
@@ -624,8 +625,7 @@ def full_pipeline(vs: VertexSet, kp: KernelParams, cfg: PipelineConfig):
         qcfg = QpeConfig(cfg.qpe_bits, cfg.qpe_shots, cfg.seed, sim_cfg.t)
         samples = run_qpe(u_enc, qcfg, lambda_max_bound=bound)
     with _Stage("extraction"):
-        result = extract_d_smallest(samples, cfg.d, drop_zero=(cfg.target != "W"),
-                                    signed=(cfg.target == "W"))
+        result = extract_d_smallest(samples, cfg.d, signed=(cfg.target == "W"))
     result.query_count = u_enc.meta.get("query_count")
     result.weight_build = res.components["weight_build"]
 

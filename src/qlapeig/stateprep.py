@@ -193,17 +193,16 @@ class ErrorBudget:
 
 @dataclass
 class EstimatorConfig:
-    """Distance / inner-product estimator behaviour.
+    """Distance estimator behaviour.
 
     exact mode writes the true value (up to the fixed-point grid); noisy mode
-    adds seeded uniform noise of width eps, and with probability 2*delta the
-    estimate fails (error lands in (eps, 3eps]).
+    adds seeded uniform noise of width eps_d, and with probability 2*delta1
+    the estimate fails (error lands in (eps_d, 3eps_d]).
     """
 
     mode: str = "exact"
     eps_d: float = 1e-6
     delta1: float = 0.05
-    delta2: float = 0.05
     seed: int | None = None
 
     def __post_init__(self):
@@ -340,10 +339,7 @@ class PhiBuild:
     state: SimState
     rho0: DensityOperator
     purification: np.ndarray     # G0|0>, over idx (x) coeff (x) data^p
-    layout: RegisterLayout
     system_dim: int
-    ancilla_dim: int
-    ancilla_qubits: int
 
 
 def build_phi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = None,
@@ -365,8 +361,7 @@ def build_phi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
     regs = [Register("idx", log_n, "index"), Register("coeff", cwidth, "coefficient")]
     data = [f"data{j}" for j in range(p)]
     regs += [Register(nm, log_m, "index") for nm in data]
-    layout = RegisterLayout(regs)
-    state = SimState(layout)
+    state = SimState(RegisterLayout(regs))
 
     state.apply_dense(hadamard_all(log_n), ["idx"])
     state.apply_dense(coefficient_unitary(kp.coeffs_a_tilde, cdim, prep.coeff_eps,
@@ -374,8 +369,7 @@ def build_phi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
     apply_R_U(state, "idx", "coeff", data, oracle)
 
     rho0 = partial_trace(state, ["idx"]).validate()
-    return PhiBuild(state, rho0, state.dense_vector(), layout, vs.n,
-                    cdim * vs.m ** p, cwidth + p * log_m + log_n)
+    return PhiBuild(state, rho0, _dense_over(state, ["idx", "coeff"] + data), vs.n)
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +382,12 @@ class PsiBuild:
     stats: AmplificationStats
     purification: np.ndarray     # vector over system (x) ancilla
     system_dim: int
-    ancilla_dim: int
-    ancilla_qubits: int
     fx_values: np.ndarray        # fixed-point v_ik actually rotated in
     rotation_scale: float
 
 
 def build_psi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = None,
-                    oracle_U: QramOracle | None = None,
-                    oracle_O: QramOracle | None = None) -> PsiBuild:
+                    oracle: QramOracle | None = None) -> PsiBuild:
     """General-norm pipeline; reduced state carries (W_p + I_eff)/Upsilon."""
     prep = prep or PrepConfig()
     if vs.padded:
@@ -405,8 +396,7 @@ def build_psi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
         raise GraphError("need at least two vertices")
     if np.any(vs.norms <= 0):
         raise GraphError("vertex norms must be positive")
-    oracle_U = oracle_U or QramOracle(vs)
-    oracle_O = oracle_O or QramOracle(vs)
+    oracle = oracle or QramOracle(vs)
     p = kp.p
     n, m = vs.n, vs.m
     log_n = n.bit_length() - 1
@@ -438,7 +428,7 @@ def build_psi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
     state.apply_dense(coefficient_unitary(kp.coeffs_a, cdim, prep.coeff_eps,
                                           _stable_rng(prep.seed, 0xB)), ["coeff"])
 
-    norm_label = {i: oracle_O.norm_label(i, spec) for i in range(n)}
+    norm_label = {i: oracle.norm_label(i, spec) for i in range(n)}
     pw_slot, sq_slot, ex_slot = (layout.arith_slot[r] for r in ("pw", "sq", "ex"))
     one = spec.encode(1.0)
 
@@ -509,7 +499,7 @@ def build_psi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
         state, lambda idx, lab: idx[rot_axis] == 0, amp)
 
     # (8) amplitude-encoding ladder into the data blocks
-    apply_R_U(state, "idx", "coeff", data, oracle_U)
+    apply_R_U(state, "idx", "coeff", data, oracle)
 
     rho1 = partial_trace(state, ["idx"]).validate()
 
@@ -517,10 +507,7 @@ def build_psi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
     stats.Upsilon = n * kp.a_sum * scale * scale * amp
 
     vec = _dense_over(state, ["idx", "coeff", "rot"] + data)
-    anc_dim = vec.size // n
-    anc_qubits = cwidth + 1 + p * log_m + log_n
-    return PsiBuild(state, rho1, stats, vec, n, anc_dim, anc_qubits,
-                    fx_values, scale)
+    return PsiBuild(state, rho1, stats, vec, n, fx_values, scale)
 
 
 def build_weight_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None,
@@ -555,13 +542,12 @@ def _dense_over(state: SimState, regs) -> np.ndarray:
 # distance / inner-product estimators
 
 def distance_estimation(state: SimState, i_reg: str, j_reg: str, out_reg: str,
-                        oracle_U: QramOracle, oracle_O: QramOracle,
-                        est: EstimatorConfig) -> SimState:
+                        oracle: QramOracle, est: EstimatorConfig) -> SimState:
     """|i>|j>|0> -> |i>|j>| ||x_i-x_j||^2 > on the fixed-point grid."""
     lay = state.layout
     spec = lay.spec(out_reg)
     slot = lay.arith_slot[out_reg]
-    x = oracle_U.data.vertices
+    x = oracle.data.vertices
 
     def fn(dense, labels):
         i, j = dense
@@ -577,10 +563,9 @@ def distance_estimation(state: SimState, i_reg: str, j_reg: str, out_reg: str,
 
 
 def inner_product_estimation(state: SimState, i_reg: str, out_reg: str,
-                             values: dict, est: EstimatorConfig,
-                             eps: float) -> SimState:
+                             values: dict) -> SimState:
     """Write the per-index inner product <phi_i|psi_i> into the output
-    register with estimator noise of width ``eps``."""
+    register."""
     lay = state.layout
     spec = lay.spec(out_reg)
     slot = lay.arith_slot[out_reg]
@@ -590,8 +575,7 @@ def inner_product_estimation(state: SimState, i_reg: str, out_reg: str,
         out = list(labels)
         if out[slot]:
             raise ArithmeticError_("inner-product register must be zeroed")
-        val = est.perturb(values[i], eps, est.delta2, (2, i))
-        out[slot] = spec.encode(min(val, 1.0))
+        out[slot] = spec.encode(min(values[i], 1.0))
         return out
 
     state.apply_label_map(fn, dense_controls=(i_reg,))
@@ -608,8 +592,6 @@ class DegreeBuild:
     stats: AmplificationStats
     purification: np.ndarray
     system_dim: int
-    ancilla_dim: int
-    ancilla_qubits: int
     degree_estimates: np.ndarray
     trace_estimate: float
 
@@ -650,7 +632,7 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
     ]
     layout = RegisterLayout(regs)
     state = SimState(layout)
-    oracle_U, oracle_O = QramOracle(vs), QramOracle(vs)
+    oracle = QramOracle(vs)
 
     # (1) uniform superposition over ordered pairs
     h = hadamard_all(log_n)
@@ -658,7 +640,7 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
     state.apply_dense(h, ["j"])
 
     # (2) squared distances
-    distance_estimation(state, "i", "j", "dist", oracle_U, oracle_O, est)
+    distance_estimation(state, "i", "j", "dist", oracle, est)
 
     # (3) kernel gate into wv; the distance register is uncomputed
     d_slot = layout.arith_slot["dist"]
@@ -707,8 +689,7 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
     # the lam*eps_d budget accounts for, so no second noise source is added.
     ip_true = {i: sum(w_fx.get((i, j), 0.0) for j in range(n) if j != i) / (n - 1)
                for i in range(n)}
-    inner_product_estimation(state, "i", "ip", ip_true,
-                             EstimatorConfig(mode="exact", eps_d=est.eps_d), 0.0)
+    inner_product_estimation(state, "i", "ip", ip_true)
 
     # (8) sqrt rotation into the copy register's top qubit, then disentangle
     copy_ax = layout.dense_axis["copy"]
@@ -754,8 +735,7 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
         initial_amplitude=p0, iterations=stats9.iterations,
         residual=stats9.residual, p0=p0, r=r_min)
 
-    vec = _dense_over(state, ["i", "copy"])
-    return DegreeBuild(state, rho2, stats, vec, n, vec.size // n, 2 * log_n,
+    return DegreeBuild(state, rho2, stats, _dense_over(state, ["i", "copy"]), n,
                        degrees, float(n * (n - 1) * p0))
 
 

@@ -58,7 +58,7 @@ def test_criterion_1_block_encoding_identity():
         kp = KernelParams(0.5, p)
         phi = build_phi_state(vs, kp)
         enc = purified_density_encoding(completion_unitary(phi.purification),
-                                        phi.system_dim, phi.ancilla_dim)
+                                        phi.system_dim)
         rho0 = enc.block()
         a_t = kp.a_tilde_sum
         wp, _ = build_taylor_weight_matrix(vs, kp, absorbed=True)

@@ -68,13 +68,13 @@ def test_rho3_encoding_parameters():
 
 def test_purified_pure_state_and_bell():
     g = np.eye(4, dtype=complex)  # prepares |00>
-    enc = purified_density_encoding(g, 2, 2)
+    enc = purified_density_encoding(g, 2)
     measured, ok = verify_block_encoding(enc, np.outer([1, 0], [1, 0]))
     assert measured < 1e-12 and ok
     h = hadamard_all(1)
     cnot = np.eye(4)[[0, 1, 3, 2]].astype(complex)
     bell = cnot @ np.kron(h, np.eye(2))
-    enc = purified_density_encoding(bell, 2, 2)
+    enc = purified_density_encoding(bell, 2)
     measured, ok = verify_block_encoding(enc, np.eye(2) / 2)
     assert measured < 1e-12 and ok
 
@@ -85,7 +85,7 @@ def test_purified_phi_encoding_exact():
     kp = KernelParams(0.5, 2)
     phi = build_phi_state(vs, kp)
     enc = purified_density_encoding(completion_unitary(phi.purification),
-                                    phi.system_dim, phi.ancilla_dim)
+                                    phi.system_dim)
     measured, ok = verify_block_encoding(enc, phi.rho0.matrix)
     assert measured <= 1e-10 and ok
     a_t = kp.a_tilde_sum
@@ -100,10 +100,20 @@ def test_purified_vector_backend_matches_dense():
     kp = KernelParams(0.5, 2)
     phi = build_phi_state(vs, kp)
     dense = purified_density_encoding(completion_unitary(phi.purification),
-                                      phi.system_dim, phi.ancilla_dim)
-    pure = purified_density_encoding(phi.purification, phi.system_dim,
-                                     phi.ancilla_dim)
+                                      phi.system_dim)
+    pure = purified_density_encoding(phi.purification, phi.system_dim)
     assert np.max(np.abs(dense.block() - pure.block())) < 1e-12
+
+
+def test_purified_encoding_of_a_desk_scale_phi_state():
+    """At n = 64, m = 4, p = 6 the unit-norm purification holds 2^21
+    amplitudes, within the desk-scale guard; its reduced state is rho0, and
+    the encoding's ancilla register is all 21 of its qubits."""
+    vs = unit_vs(np.random.default_rng(64), 64, 4)
+    phi = build_phi_state(vs, KernelParams(0.5, 6))
+    enc = purified_density_encoding(phi.purification, phi.system_dim)
+    assert phi.purification.size == 1 << 21 and enc.ancillas == 21
+    assert np.max(np.abs(enc.block() - phi.rho0.matrix)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import os
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 import qlapeig.blockenc as blockenc
@@ -76,33 +77,45 @@ def test_config_unknown_key_rejected(tmp_path):
         RunConfig.from_file(path)
 
 
-# string fields need a valid non-default value; numbers are shifted
-NON_DEFAULT = {"target": "W", "norm_case": "unit", "estimator_mode": "noisy",
-               "sim_path": "lcu_taylor", "trace_mode": "classical"}
+# per key, a value that changes what the noisy-mode run below writes
+MATTERS = {"target": "W", "lambda_": 0.6, "p": 5, "d": 2, "norm_case": "general",
+           "estimator_mode": "exact", "eps_d": 1e-3, "delta1": 0.9,
+           "qpe_bits": 7, "qpe_shots": 512, "seed": 8, "fixed_point_bits": 40,
+           "exp_gate_order": 4, "sim_path": "lcu_taylor", "sim_eps": 1e-3,
+           "trace_mode": "classical"}
 
 
-def test_every_config_key_reaches_the_pipeline():
-    """A settable key the pipeline never reads would be accepted and then
-    silently ignored."""
-    default = RunConfig()
+def test_every_config_key_reaches_the_pipeline(tmp_path):
+    """A settable key no run reads would be accepted and then silently
+    ignored.  Set to a value that matters, each key must change the exit code
+    or the report bytes of a small noisy-mode run."""
+    csv = tmp_path / "v.csv"
+    csv.write_text("1,0\n0.6,0.8\n0,1\n-0.8,0.6\n")  # unit norms
+    out = tmp_path / "report.json"
+    base = replace(RunConfig(), input=str(csv), output=str(out), p=6,
+                   estimator_mode="noisy", qpe_bits=8, qpe_shots=1024)
+
+    def outcome(cfg):
+        out.unlink(missing_ok=True)
+        code = harness.run(cfg)
+        return code, out.read_bytes() if out.exists() else b""
+
+    want = outcome(base)
+    assert want[0] == 0
     for f in fields(RunConfig):
-        if f.name in ("input", "output", "lambda_", "p"):  # read by run itself
-            continue
-        value = getattr(default, f.name)
-        if isinstance(value, str):
-            value = NON_DEFAULT[f.name]
-        else:
-            value = value + (1 if isinstance(value, int) else 0.01)
-        changed = replace(default, **{f.name: value})
-        assert changed.pipeline_config() != default.pipeline_config(), f.name
+        if f.name not in ("input", "output"):
+            assert outcome(replace(base, **{f.name: MATTERS[f.name]})) != want, f.name
 
 
-def test_config_eps_x_is_unknown_exits_2(tmp_path):
+@pytest.mark.parametrize("key", ["eps_x", "delta2"])
+def test_config_removed_key_exits_2(tmp_path, key):
+    """Keys no run read (the oracle perturbation, the inner-product failure
+    probability) are not keys."""
     csv = toy_csv(tmp_path / "v.csv")
     out = tmp_path / "report.json"
     cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), output=str(out),
-                            eps_x=0.01)
-    with pytest.raises(ConfigError, match="eps_x"):
+                            **{key: 0.01})
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         RunConfig.from_file(cfg_file)
     assert main(["run", "--config", str(cfg_file)]) == 2
     assert not out.exists()
@@ -220,6 +233,21 @@ def test_cli_oversized_qpe_register_names_qpe_bits(tmp_path, capsys):
         "error: [stage:phase-estimation] 40-bit phase-estimation register: "
         "instance needs 17592186044416 dense amplitudes, beyond the desk-scale "
         "budget of 33554432; use fewer qpe_bits\n")
+
+
+def test_cli_verify_only_desk_scale_unit_norm_weight_target(tmp_path):
+    """A unit-norm W run at n = 64, m = 4, p = 6 prepares 2^21 amplitudes,
+    within the desk-scale guard, and its encodings verify (exit 0)."""
+    rng = np.random.default_rng([301, 0])
+    x = rng.standard_normal((64, 4))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    csv = tmp_path / "v.csv"
+    csv.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in x))
+    out = tmp_path / "report.json"
+    cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), output=str(out),
+                            target="W")
+    assert main(["run", "--config", str(cfg_file), "--verify-only"]) == 0
+    assert json.loads(out.read_text())["norm_case"] == "unit"
 
 
 def test_cli_two_vertex_run(tmp_path):

@@ -224,7 +224,7 @@ def test_distance_estimation_exact_values():
     vs = VertexSet.from_vectors([[1.0, 0.0], [0.0, 1.0]])
     st = make_pair_state(2)
     est = EstimatorConfig(mode="exact")
-    distance_estimation(st, "i", "j", "out", QramOracle(vs), QramOracle(vs), est)
+    distance_estimation(st, "i", "j", "out", QramOracle(vs), est)
     st.join()
     spec = st.layout.spec("out")
     vals = {}
@@ -259,14 +259,8 @@ def test_inner_product_estimation_trivial_and_degrees():
     ])
     st = SimState(layout)
     st.apply_dense(hadamard_all(2), ["i"])
-    est = EstimatorConfig(mode="exact")
-    inner_product_estimation(st, "i", "out", {0: 1.0, 1: 0.0, 2: 0.5, 3: 0.25},
-                             est, 0.0)
+    inner_product_estimation(st, "i", "out", {0: 1.0, 1: 0.0, 2: 0.5, 3: 0.25})
     spec = st.layout.spec("out")
-    seen = {}
-    for labels, vec in st.branches.items():
-        for (i,) in np.argwhere(np.abs(vec.sum(axis=tuple())) > 1e-12)[:, :1]:
-            pass
     # identical states -> 1, orthogonal -> 0 (read back off the labels)
     got = sorted(spec.decode(lab[0]) for lab in st.branches)
     assert got == [0.0, 0.25, 0.5, 1.0]
@@ -394,7 +388,7 @@ def test_phi_purification_closed_form(eps_x):
     oracle = QramOracle(vs, eps_x=eps_x, seed=9)
     phi = build_phi_state(vs, kp, oracle=oracle)
     n, m, p = vs.n, vs.m, kp.p
-    cdim = 1 << phi.layout.by_name["coeff"].qubits
+    cdim = 1 << phi.state.layout.by_name["coeff"].qubits
     a_t = kp.coeffs_a_tilde
     zero = np.eye(m)[0]
     expected = np.zeros((n, cdim, m ** p))
