@@ -19,11 +19,20 @@ register; the others stay exactly zero.  A row is laid out as flag, ancilla
 order .. 1, subject, so the cell where ancillas k+1 .. order and the flag are
 zero is the row's first a_dim^k s amplitudes, and the rank-s update of a
 segment writes contiguous row prefixes.  SELECT (``_taylor_select``) runs one
-row at a time: a transpose brings (ancilla j, subject) to the front of a
-contiguous copy of the row and one GEMM applies U_j; the next rung's transpose
-rotates ancilla j behind the subject and brings ancilla j+1 forward, so a row
-is written back once, after its last rung.  Every temporary is one row slab,
-1/(order + 2) of the state.
+row at a time.  Every rung queries the same U, so two rungs fuse into one
+matrix F = U_{j+1} U_j on (ancilla j+1, ancilla j, subject), built once per
+call: row k runs floor(k/2) GEMMs with F, then U_k alone when k is odd.  A
+transpose brings a step's ancillas and the subject to the front of a
+contiguous copy of the row; the next step's transpose rotates them behind
+the subject and brings the next ancillas forward, so a row is written back
+once, after its last step.  Every temporary is one row slab, 1/(order + 2)
+of the state.  The arithmetic is real where the circuit is: U, F and P_L^dag
+are split into real and imaginary parts once per call, and each is applied
+as real GEMMs on the float64 view of the complex slab, whose columns are
+interleaved real and imaginary parts; the imaginary GEMM runs only when that
+part is nonzero.  The pipeline meters dilations of real symmetric blocks,
+whose U is exactly real, so only P_R (the phases (-i)^k) stays a complex
+GEMM.  The meter counts the circuit's rungs, not these GEMMs.
 
 Phase estimation (``run_qpe``) holds one register of 2^bits slots, each an
 n x n matrix: slot y is U^y |Phi>, |Phi> the purified maximally-mixed input.
@@ -38,6 +47,7 @@ extraction normalizes only the bins it keeps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -194,27 +204,86 @@ def _choose_order(segment_x: float, budget: float) -> int:
         f"series order bound unreachable within order {MAX_TAYLOR_ORDER}")
 
 
-def _taylor_select(psi: np.ndarray, u_mat: np.ndarray, order: int) -> np.ndarray:
+def _real_split(mat: np.ndarray) -> tuple:
+    """A matrix as (real part, imaginary part), the second None when it is
+    exactly zero, for ``_real_gemm``."""
+    im = mat.imag
+    return (np.ascontiguousarray(mat.real),
+            np.ascontiguousarray(im) if im.any() else None)
+
+
+def _real_gemm(factor: tuple, x: np.ndarray) -> np.ndarray:
+    """factor @ x for a C-contiguous complex x of shape (lead, cols) and a
+    ``_real_split`` factor: real GEMMs on x's float64 view, whose columns are
+    x's interleaved real and imaginary parts.  The imaginary part's GEMM runs
+    only when it is nonzero."""
+    re, im = factor
+    xf = x.view(np.float64)
+    out = (re @ xf).view(complex)
+    if im is not None:  # out += 1j (im @ x), without a 1j-scaled temporary
+        i_part = (im @ xf).view(complex)
+        out.real -= i_part.imag
+        out.imag += i_part.real
+    return out
+
+
+def _select_factors(u_mat: np.ndarray, s: int) -> tuple:
+    """SELECT's two factors, split by ``_real_split``: the rung U on
+    (ancilla, subject), and the fused pair F = U_{j+1} U_j on (ancilla j+1,
+    ancilla j, subject), the same matrix for every j."""
+    a_dim = u_mat.shape[0] // s
+    low = np.kron(np.eye(a_dim), u_mat)  # U_j, ancilla j+1 idle
+    high = (low.reshape((a_dim, a_dim, s) * 2).transpose(1, 0, 2, 4, 3, 5)
+            .reshape(low.shape))  # U_{j+1}, ancilla j idle
+    return _real_split(u_mat), _real_split(high @ low)
+
+
+@functools.lru_cache(maxsize=None)
+def _select_plan(order: int) -> tuple:
+    """``_taylor_select``'s axis permutations: for each row k = 1 .. order,
+    its steps as (transpose, rungs in the step), then the transpose that
+    restores the row's layout."""
+    sub = order + 1  # a row's axes: flag, order ancillas, subject
+    rows = []
+    for k in range(1, order + 1):
+        axes, steps, done = list(range(sub + 1)), [], 0
+        while done < k:
+            step = min(2, k - done)
+            group = list(range(order - done - step + 1, order - done + 1))
+            group.append(sub)
+            rest = [a for a in axes if a not in group]
+            steps.append((tuple(axes.index(a) for a in group + rest), step))
+            axes = group + rest
+            done += step
+        rows.append((tuple(steps), tuple(np.argsort(axes).tolist())))
+    return tuple(rows)
+
+
+def _taylor_select(psi: np.ndarray, factors: tuple, order: int) -> np.ndarray:
     """SELECT of the truncated-Taylor LCU, in place on psi of shape
     (live, 2) + (a_dim,) * order + (s,), a row's axes running flag, ancilla
-    order .. 1, subject: row k <= order takes U_1 ... U_k, U_j = ``u_mat`` on
-    (ancilla j, subject); the padding row sets the spare flag.
+    order .. 1, subject: row k <= order takes U_1 ... U_k, U_j = U on
+    (ancilla j, subject); the padding row sets the spare flag.  ``factors``
+    is ``_select_factors(U, s)``.
 
-    A row's slab is rotated rather than moved back after each rung: at rung j
-    its axes run (ancilla j, subject, ancilla j-1 .. 1, flag, ancilla order ..
-    j+1), so U_j is one GEMM on the leading axis pair, and the next rung's
-    ancilla is always the last axis."""
-    lead = u_mat.shape[0]
-    sub = order + 1  # a row's axes: flag, order ancillas, subject
-    for k in range(1, order + 1):
-        x = psi[k].transpose((order, sub) + tuple(range(order)))
-        for j in range(1, k + 1):
-            if j > 1:
-                x = x.transpose((sub, 1, 0) + tuple(range(2, sub)))
-            x = (u_mat @ x.reshape(lead, -1)).reshape(x.shape)
-        axes = ((sub - k, sub) + tuple(range(sub - k + 1, sub))
-                + tuple(range(sub - k)))
-        psi[k] = x.transpose(np.argsort(axes))
+    Row k runs floor(k/2) GEMMs with the fused pair F = U_{j+1} U_j, then U_k
+    alone when k is odd, each a real GEMM on the float64 view of the row slab
+    (``_real_gemm``).  A row's slab is rotated rather than moved back after
+    each step: the step's (ancilla .., subject) axes come to the front and
+    the others keep their order behind them, so the ancillas done move
+    behind the subject and the next ones are always the last axes.  The row
+    is written back once, after its last step.  The meter counts the
+    circuit's k rungs, not these GEMMs."""
+    one, pair = factors
+    for k, (steps, back) in enumerate(_select_plan(order), start=1):
+        x = psi[k]
+        for perm, step in steps:
+            x = np.ascontiguousarray(x.transpose(perm))
+            shape = x.shape
+            x = _real_gemm(pair if step == 2 else one,
+                           x.reshape(math.prod(shape[:step + 1]), -1)
+                           ).reshape(shape)
+        psi[k] = x.transpose(back)
     psi[order + 1] = np.flip(psi[order + 1], axis=0)
     return psi
 
@@ -260,16 +329,20 @@ def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig) -> Bloc
     # SELECT leaves them alone and the update subtracts p_l_dag[i, k] = 0
     live = order + 2
     p_l_dag = completion_unitary(c_col).conj().T[:live, :live]
-    neg_p_l_dag = -p_l_dag  # carries R's sign; IEEE negation is exact
+    # -P_L^dag carries R's sign (IEEE negation is exact); it is real, c_col
+    # being real with a positive leading entry
+    neg_p_l_dag = _real_split(-p_l_dag)
     p_r = completion_unitary(d_col)[:live, :live]
 
     shape = (live, 2) + (a_dim,) * order + (s,)
     u_mat = be.unitary
+    factors = _select_factors(u_mat, s)
     queries = 3 * order * r  # A, A^dag, A per segment, one query per rung
 
     def neg_a_op(psi):  # -A psi, as live rows
         psi = (p_r @ psi.reshape(live, -1)).reshape(shape)
-        return neg_p_l_dag @ _taylor_select(psi, u_mat, order).reshape(live, -1)
+        return _real_gemm(neg_p_l_dag,
+                          _taylor_select(psi, factors, order).reshape(live, -1))
 
     # SELECT on |0..0>|c> leaves row k <= order as V_k |0^k>|c>, V_k =
     # U_k ... U_1, on the cells where the later ancillas and the flag are

@@ -211,15 +211,17 @@ class EstimatorConfig:
         if self.eps_d <= 0:
             raise GraphError("estimator precision must be positive")
 
-    def perturb(self, true_value: float, eps: float, delta: float, key) -> float:
-        """Noisy estimate.  The success probability is 1 - delta, strictly
-        better than the 1 - 2*delta the estimation primitive guarantees (as a
-        median-amplified estimator would be), so the advertised success
-        fraction holds with margin under finite sampling."""
+    def perturb(self, true_value: float, key) -> float:
+        """Noisy estimate of width eps_d.  The success probability is
+        1 - delta1, strictly better than the 1 - 2*delta1 the estimation
+        primitive guarantees (as a median-amplified estimator would be), so
+        the advertised success fraction holds with margin under finite
+        sampling."""
         if self.mode == "exact":
             return true_value
+        eps = self.eps_d
         rng = _stable_rng(self.seed, *key)
-        if rng.random() < delta:
+        if rng.random() < self.delta1:
             err = rng.uniform(eps, 3.0 * eps) * (1.0 if rng.random() < 0.5 else -1.0)
         else:
             err = rng.uniform(-eps, eps)
@@ -555,7 +557,7 @@ def distance_estimation(state: SimState, i_reg: str, j_reg: str, out_reg: str,
         if out[slot]:
             raise ArithmeticError_("distance register must be zeroed")
         true = float(np.sum((x[i] - x[j]) ** 2))
-        out[slot] = spec.encode(est.perturb(true, est.eps_d, est.delta1, (1, i, j)))
+        out[slot] = spec.encode(est.perturb(true, (1, i, j)))
         return out
 
     state.apply_label_map(fn, dense_controls=(i_reg, j_reg))

@@ -429,3 +429,18 @@ def test_dilate_roundtrip():
     assert enc.ancillas == 1
     measured, ok = verify_block_encoding(enc, a)
     assert measured < 1e-10 and ok
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_dilate_of_a_real_symmetric_block_is_real(n):
+    """The metered lcu_taylor path skips its imaginary GEMMs when the
+    encoding unitary's imaginary part is exactly zero.  Every pipeline
+    target is real symmetric, so its dilation must stay exactly real, or
+    that path silently falls back to the complex arithmetic."""
+    rng = np.random.default_rng(400 + n)
+    h = rng.standard_normal((n, n))
+    h = (h + h.T) / 2
+    enc = dilate(h, 1.2 * np.linalg.norm(h, 2))
+    assert not enc.unitary.imag.any()
+    measured, ok = verify_block_encoding(enc, h)
+    assert measured < 1e-10 and ok

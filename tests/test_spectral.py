@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from qlapeig import spectral
 from qlapeig.blockenc import BlockEncoding, dilate, lcu_combine, make_signed_pair
 from qlapeig.graph import KernelParams, VertexSet, build_graph, classical_eigensolve
 from qlapeig.spectral import (LCU_MAX_AMPLITUDES, PipelineConfig, QpeConfig,
@@ -141,6 +142,19 @@ def test_lcu_taylor_matches_three_pass_circuit(n, t, eps):
     assert_matches_three_pass(dilate(random_complex_hermitian(rng, n), 1.0), t, eps)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("t,eps,order", [(1.0, 1e-2, 4), (2.0, 1e-2, 5),
+                                         (4.0, 1e-4, 7), (1.0, 1e-4, 9)])
+def test_lcu_taylor_matches_three_pass_circuit_real_block(n, t, eps, order):
+    """A real symmetric block, as every pipeline target is, dilates to a real
+    U: SELECT then runs no imaginary GEMM.  Odd orders end their odd rows
+    with a single rung after the fused pairs."""
+    rng = np.random.default_rng(n * 1000 + order * 10 + int(t))
+    enc = dilate(random_hermitian(rng, n), 1.0)
+    assert not enc.unitary.imag.any()
+    assert assert_matches_three_pass(enc, t, eps, order).meta["order"] == order
+
+
 def test_lcu_taylor_matches_three_pass_circuit_wide_ancilla():
     """A two-term combination has a 4-dimensional ancilla per query, so the
     compact rows of E are strided by a_dim = 4."""
@@ -185,6 +199,38 @@ def test_lcu_taylor_matches_three_pass_circuit_wide_ancilla_at_the_guard():
     order = assert_matches_three_pass(enc, 2.0, 1e-4).meta["order"]
     # cdim = 16 coefficient slots, a_dim = 4 per rung, the flag, s = 2
     assert 16 * 4 ** order * 2 * 2 <= LCU_MAX_AMPLITUDES < 16 * 4 ** (order + 1) * 2 * 2
+
+
+def test_lcu_taylor_peak_memory_on_the_benchmark_instance(monkeypatch):
+    """SELECT works on one row slab at a time and adds no state-sized buffer:
+    on the metered-taylor benchmark's n=4 L job (seed 301; order 10, s = 4)
+    the traced peak of the simulation stays under 3.5 live-row states."""
+    rng = np.random.default_rng([301, 0])
+    x = rng.standard_normal((4, 2))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x *= rng.uniform(0.35, 0.55, size=(4, 1))
+    runs = []
+    inner = spectral._lcu_taylor
+
+    def traced(be, h, cfg):
+        tracemalloc.start()
+        try:
+            out = inner(be, h, cfg)
+            runs.append((out, be, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(spectral, "_lcu_taylor", traced)
+    full_pipeline(VertexSet.from_vectors(x), KernelParams(0.5, 6),
+                  PipelineConfig(target="L", norm_case="general",
+                                 sim_path="lcu_taylor", sim_eps=1e-6))
+    (out, be, peak), = runs
+    order, s = out.meta["order"], be.subject_dim
+    a_dim = be.unitary.shape[0] // s
+    assert (order, s, a_dim) == (10, 4, 2)
+    state_bytes = (order + 2) * 2 * a_dim ** order * s * 16
+    assert peak <= 3.5 * state_bytes
 
 
 @pytest.mark.parametrize("t,eps", [(1.0, 1e-2), (4.0, 1e-4), (2.0, 1e-6)])

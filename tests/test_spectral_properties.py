@@ -1,10 +1,11 @@
 """Differential property tests of the spectral stage against slow
 references.
 
-- SELECT of the metered ``lcu_taylor`` path: ``_taylor_select`` (one GEMM per
-  rung on a rotating row slab, over the live rows with the ancillas reversed)
-  against the per-(row, rung) ``moveaxis`` round trip on the full register in
-  circuit order, bit for bit.
+- SELECT of the metered ``lcu_taylor`` path: ``_taylor_select`` (real GEMMs
+  with fused rung pairs on a rotating row slab, over the live rows with the
+  ancillas reversed) against the per-(row, rung) complex ``moveaxis`` round
+  trip on the full register in circuit order, within round-off, for real and
+  complex U.
 - Phase estimation: ``run_qpe`` (controlled powers by doubling, one register
   transformed in place) against ``sequential_qpe``, the circuit that builds
   U^y one power at a time, within round-off.
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 
 from qlapeig.blockenc import BlockEncoding
 from qlapeig.spectral import (LCU_MAX_AMPLITUDES, MAX_TAYLOR_ORDER, QpeConfig,
-                              QpeSamples, _taylor_select, run_qpe)
+                              QpeSamples, _select_factors, _taylor_select,
+                              run_qpe)
 
 # no shrink phase: a failing draw is four small integers that already name a
 # reproducible instance, and shrinking would rerun order-12 states for minutes
@@ -57,29 +59,37 @@ def select_reference(psi, u_mat, order):
 
 @st.composite
 def instances(draw):
-    """(a_dim, s, order, seed), with order up to the lcu size guard."""
+    """(a_dim, s, order, real U?, seed), with order up to the lcu size
+    guard."""
     a_dim = draw(st.sampled_from([2, 4]))
     s = draw(st.sampled_from([1, 2, 4]))
     top = max(o for o in range(1, MAX_TAYLOR_ORDER + 1)
               if np.prod(state_shape(a_dim, s, o)) <= LCU_MAX_AMPLITUDES)
-    return a_dim, s, draw(st.integers(1, top)), draw(st.integers(0, 2**32 - 1))
+    return (a_dim, s, draw(st.integers(1, top)), draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
 
 
 @PROPERTY
 @given(instances())
 def test_taylor_select_matches_per_row_moveaxis(instance):
-    a_dim, s, order, seed = instance
+    a_dim, s, order, real, seed = instance
     rng = np.random.default_rng(seed)
     dim = a_dim * s
-    u_mat, _ = np.linalg.qr(rng.standard_normal((dim, dim))
-                            + 1j * rng.standard_normal((dim, dim)))
+    m = rng.standard_normal((dim, dim))
+    if not real:
+        m = m + 1j * rng.standard_normal((dim, dim))
+    u_mat = np.linalg.qr(m)[0].astype(complex)
+    factors = _select_factors(u_mat, s)
+    assert (factors[0][1] is None) == real and (factors[1][1] is None) == real
     shape = state_shape(a_dim, s, order)
     psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     want = live_layout(select_reference(psi.copy(), u_mat, order), order)
     got = _taylor_select(np.ascontiguousarray(live_layout(psi, order)),
-                         u_mat, order)
+                         factors, order)
     assert got.shape == want.shape
-    assert np.array_equal(got, want)
+    # the fused pairs and real GEMMs round differently from one complex
+    # GEMM per rung
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def sequential_qpe(u_enc, qcfg):

@@ -247,7 +247,7 @@ def test_distance_estimation_noisy_fraction():
     runs = 200
     for trial in range(runs):
         est = EstimatorConfig(mode="noisy", eps_d=eps_d, delta1=delta1, seed=trial)
-        val = est.perturb(true, eps_d, delta1, (1, 0, 1))
+        val = est.perturb(true, (1, 0, 1))
         hits += abs(val - true) <= eps_d
     assert hits / runs >= 1.0 - 2 * delta1
 
