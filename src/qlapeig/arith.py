@@ -1,9 +1,13 @@
 """Fixed-point label functions for the reversible arithmetic gates.
 
-The pipelines apply each gate as an ``apply_label_map`` closure over these
-functions (QFT-adder internals are not gate decomposed), and each rotation per
-branch through ``apply_branch_dense``.  Every label map is a bijection on the
-touched labels, so amplitudes are never mixed.
+The pipelines apply each gate as one ``apply_label_map`` call whose function
+maps whole key columns, calling ``multiply_labels`` and
+``exp_neg_lambda_label`` once per distinct input, and each label-controlled
+rotation as one ``apply_branch_dense`` call, whose function hands the
+distinct labels' amplitudes to ``rotation_matrix`` as one array (QFT-adder
+internals are not gate decomposed).  Every label map is a bijection on the
+touched labels, so amplitudes are never mixed.  Labels are Python ints, so
+they stay exact at any register width.
 """
 
 from __future__ import annotations
@@ -83,10 +87,14 @@ def exp_neg_lambda_bound(x: float, lam: float, order: int, bits: int) -> float:
     return trunc + order * 2.0 ** (-(bits - 1))
 
 
-def rotation_matrix(p0_amp: float) -> np.ndarray:
-    """Real rotation sending |0> to p0_amp |0> + sqrt(1 - p0_amp^2) |1>."""
-    if p0_amp < -1e-12 or p0_amp > 1 + 1e-12:
+def rotation_matrix(p0_amp) -> np.ndarray:
+    """Real rotations sending |0> to p0 |0> + sqrt(1 - p0^2) |1>, one per
+    entry p0 of ``p0_amp``: shape ``np.shape(p0_amp) + (2, 2)``."""
+    p0 = np.asarray(p0_amp, dtype=float)
+    if np.any(p0 < -1e-12) or np.any(p0 > 1 + 1e-12):
         raise ArithmeticError_("rotation amplitude out of [0, 1]")
-    c = min(max(p0_amp, 0.0), 1.0)
-    s = math.sqrt(max(0.0, 1.0 - c * c))
-    return np.array([[c, -s], [s, c]])
+    c = np.minimum(np.maximum(p0, 0.0), 1.0)
+    s = np.sqrt(np.maximum(0.0, 1.0 - c * c))
+    out = np.empty(p0.shape + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = c, -s, s, c
+    return out

@@ -20,6 +20,7 @@ Encodings carry one of three backends:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -530,16 +531,16 @@ def weight_state_reference(vs: VertexSet, kp: KernelParams, weight_build) -> np.
 
 def fixed_point_gram(vs: VertexSet, kp: KernelParams, fx: np.ndarray) -> np.ndarray:
     """Upsilon rho1 written classically: sum_k a_k v_ik v_jk <x^_i|x^_j>^k
-    with the fixed-point values v_ik the general-norm pipeline rotated in."""
-    n = vs.n
-    gram = np.zeros((n, n))
-    enc = np.array([vs.vertices[i] / vs.norms[i] for i in range(n)])
-    ip = enc @ enc.T
-    for i in range(n):
-        for j in range(n):
-            gram[i, j] = sum(kp.coeffs_a[k] * fx[i, k] * fx[j, k] * ip[i, j] ** k
-                             for k in range(kp.p + 1))
-    return gram
+    with the fixed-point values v_ik the general-norm pipeline rotated in.
+    The terms add up in order of k; each power is the C library's ``pow``
+    of the inner product, as a scalar ``float ** int`` computes it."""
+    enc = vs.vertices / vs.norms[:, None]
+    ip = (enc @ enc.T).ravel().tolist()
+    gram = np.zeros(len(ip))
+    for k in range(kp.p + 1):
+        power = np.fromiter(map(math.pow, ip, itertools.repeat(k)), float, len(ip))
+        gram += np.outer(kp.coeffs_a[k] * fx[:, k], fx[:, k]).ravel() * power
+    return gram.reshape(vs.n, vs.n)
 
 
 def taylor_consistent_reference(vs: VertexSet, kp: KernelParams,

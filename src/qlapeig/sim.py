@@ -23,6 +23,12 @@ it touches, taken in slabs of ``CHUNK_CELLS`` amplitudes so its temporaries
 stay small; a predicate is evaluated once, on an index grid whose split
 entries and labels are key columns.  ``SimState.branches`` reads the table
 as a mapping from keys to read-only row views.
+
+Classical control runs once per gate, too.  A label map's function gets the
+key columns as plain lists (Python ints, so labels stay exact at any width)
+and returns the new label columns; a label-controlled gate's function gets
+the distinct label tuples as columns and returns one stacked unitary per
+tuple.
 """
 
 from __future__ import annotations
@@ -399,9 +405,12 @@ class SimState:
         shape = list(self.branch_shape())
         for a in axes:
             shape[a] = lay.dense_dims[a]
+        if kept:
+            rest = [key[:nl] + tuple(key[p] for p in kept) for key in self.keys]
+        else:
+            rest = [key[:nl] for key in self.keys]
         groups = {}
-        gid = [groups.setdefault(key[:nl] + tuple(key[p] for p in kept), len(groups))
-               for key in self.keys]
+        gid = [groups.setdefault(key, len(groups)) for key in rest]
         out = np.zeros((len(groups),) + tuple(shape), dtype=complex)
         perm = self._perm(axes)
         cell = (np.array(gid, dtype=int),) + tuple(self._column(p) for p in pos)
@@ -466,29 +475,23 @@ class SimState:
         self._for_rows(rows, gate)
 
     def apply_branch_dense(self, fn, targets):
-        """Like apply_dense but the unitary may depend on the branch labels:
-        ``fn(labels) -> matrix`` (or None to skip the branch), called once per
-        distinct labels in key order."""
+        """Like apply_dense but the unitary may depend on the branch labels.
+        ``fn(label_cols)`` is called once, with one list per arithmetic
+        register over the distinct label tuples in order of first
+        appearance, and returns their unitaries as one ``(distinct, dim,
+        dim)`` stack; each row gets the unitary of its labels.  An empty
+        table is left as it is."""
         axes = self._target_axes(targets)
         dim = math.prod(self.layout.dense_dims[a] for a in axes)
         self.join(targets)
-        nl = len(self.layout.arith)
-        mats, slot = [], {}
-        which = np.empty(len(self.keys), dtype=int)
-        for r, key in enumerate(self.keys):
-            labels = key[:nl]
-            if labels not in slot:
-                u = fn(labels)
-                if u is not None and u.shape != (dim, dim):
-                    raise SimError("unitary shape does not match target registers")
-                slot[labels] = -1 if u is None else len(mats)
-                if u is not None:
-                    mats.append(u)
-            which[r] = slot[labels]
-        if not mats:
+        if not self.keys:
             return
-        stack = np.array(mats)
-        rows = np.flatnonzero(which >= 0)
+        nl = len(self.layout.arith)
+        slot = {}
+        which = np.array([slot.setdefault(key[:nl], len(slot)) for key in self.keys])
+        stack = np.asarray(fn([list(col) for col in zip(*slot)]))
+        if stack.shape != (len(slot), dim, dim):
+            raise SimError("unitary shape does not match target registers")
         perm = self._perm(axes)
 
         def gate(block, sel):
@@ -496,7 +499,7 @@ class SimState:
             flat = work.reshape(len(work), dim, -1)
             work[...] = np.matmul(stack[which[sel]], flat).reshape(work.shape)
 
-        self._for_rows(None if len(rows) == len(self.keys) else rows, gate)
+        self._for_rows(None, gate)
 
     def predicate_mask(self, predicate) -> np.ndarray:
         """Boolean array of a dense-basis predicate, read-only and broadcast
@@ -521,41 +524,54 @@ class SimState:
     def apply_label_map(self, fn, dense_controls=()):
         """Apply a basis-permutation on the arithmetic labels.
 
-        ``fn(dense_values, labels) -> new_labels``, called once per key.  When
-        the map depends on dense register contents those registers are split
-        (``split_by``), so each branch carries a definite value of them.  Rows
-        reaching identical keys are merged (amplitude addition, in key order),
-        which is what makes uncomputation and subsequent interference exact;
-        other rows keep their amplitudes where they are.  When every branch
-        ends on the same labels the split registers are joined back, since
-        splitting saves memory only while the labels differ.
+        ``fn(dense_cols, label_cols) -> new_label_cols`` is called once per
+        gate, on key columns: ``dense_cols`` holds one list per control
+        register and ``label_cols`` one per arithmetic register, entry r of
+        each belonging to key r; it returns one list of new labels per
+        arithmetic register, in the same order.  When the map depends on
+        dense register contents those registers are split (``split_by``), so
+        each branch carries a definite value of them.  Rows reaching
+        identical keys are merged (amplitude addition, in key order), which
+        is what makes uncomputation and subsequent interference exact; other
+        rows keep their amplitudes where they are.  When every branch ends on
+        the same labels the split registers are joined back, since splitting
+        saves memory only while the labels differ.
 
         The prune examines only the merged rows and, when this call split a
-        register, the fresh slabs.
+        register, the fresh slabs.  An empty table is only split.
         """
         nl = len(self.layout.arith)
         split = self.split
         self.split_by(dense_controls)
+        keys = self.keys
+        if not keys:
+            return
+        cols = list(zip(*keys))
         pos = [self._key_pos(self.layout.dense_axis[r]) for r in dense_controls]
-        first, merges = {}, []
-        for r, key in enumerate(self.keys):
-            nk = tuple(fn(tuple(key[p] for p in pos), key[:nl])) + key[nl:]
-            if nk in first:
-                merges.append((first[nk], r))
-            else:
-                first[nk] = r
-        keys, kept = list(first), list(first.values())
-        if merges:
+        new = fn([list(cols[p]) for p in pos], [list(cols[s]) for s in range(nl)])
+        if len(new) != nl or any(len(col) != len(keys) for col in new):
+            raise SimError("label map must return one label per key and register")
+        moved = list(zip(*new)) if nl else [()] * len(keys)
+        if self.split:
+            moved = [labels + key[nl:] for labels, key in zip(moved, keys)]
+        merges = []
+        if len(set(moved)) == len(moved):
+            self._set_table(moved, self.amps)
+        else:
+            first = {}
+            for r, nk in enumerate(moved):
+                into = first.setdefault(nk, r)
+                if into != r:
+                    merges.append((into, r))
+            kept = list(first.values())
             for into, r in merges:
                 self.amps[into] += self.amps[r]
-            self._keep_rows(kept, keys)
-        else:
-            self._set_table(keys, self.amps)
+            self._keep_rows(kept, list(first))
         if self.split != split:
             self.prune()
         elif merges:
-            at = {old: new for new, old in enumerate(kept)}
-            self.prune(np.unique([at[into] for into, _ in merges]))
+            at = {old: row for row, old in enumerate(kept)}
+            self.prune(np.array(sorted({at[into] for into, _ in merges})))
         if self.split and len({k[:nl] for k in self.keys}) == 1:
             self.join()
 

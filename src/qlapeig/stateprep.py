@@ -117,6 +117,13 @@ def _stable_rng(seed, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(ints))
 
 
+def _once_per_value(fn, column: list) -> list:
+    """``fn`` of every entry of a key column, called once per distinct
+    entry."""
+    values = {v: fn(v) for v in dict.fromkeys(column)}
+    return [values[v] for v in column]
+
+
 # ---------------------------------------------------------------------------
 # data carriers
 
@@ -430,21 +437,29 @@ def build_psi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
     state.apply_dense(coefficient_unitary(kp.coeffs_a, cdim, prep.coeff_eps,
                                           _stable_rng(prep.seed, 0xB)), ["coeff"])
 
-    norm_label = {i: oracle.norm_label(i, spec) for i in range(n)}
+    norm_label = [oracle.norm_label(i, spec) for i in range(n)]
     pw_slot, sq_slot, ex_slot = (layout.arith_slot[r] for r in ("pw", "sq", "ex"))
     one = spec.encode(1.0)
 
-    # (2)-(3) norm queries, then ||x||^k by sequential rounded products
+    def times(a, b):
+        return multiply_labels(a, b, spec, spec, spec)
+
+    # (2)-(3) norm queries, then ||x||^k by sequential rounded products: one
+    # ladder 1, ||x||, ||x||^2, ... per vertex
     def powers(dense, labels):
-        i, k = dense
-        out = list(labels)
-        if out[pw_slot] or out[sq_slot]:
+        ii, kk = dense
+        if any(labels[pw_slot]) or any(labels[sq_slot]):
             raise ArithmeticError_("arithmetic registers not zeroed")
-        lab = one
-        for _ in range(min(k, p)):
-            lab = multiply_labels(lab, norm_label[i], spec, spec, spec)
-        out[pw_slot] = lab
-        out[sq_slot] = multiply_labels(norm_label[i], norm_label[i], spec, spec, spec)
+        top = min(max(kk), p)
+        ladder, square = {}, {}
+        for i in dict.fromkeys(ii):
+            ladder[i] = [one]
+            for _ in range(top):
+                ladder[i].append(times(ladder[i][-1], norm_label[i]))
+            square[i] = times(norm_label[i], norm_label[i])
+        out = list(labels)
+        out[pw_slot] = [ladder[i][min(k, p)] for i, k in zip(ii, kk)]
+        out[sq_slot] = [square[i] for i in ii]
         return out
 
     state.apply_label_map(powers, dense_controls=("idx", "coeff"))
@@ -452,9 +467,10 @@ def build_psi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
     # (4) kernel gate on the squared norm; input uncomputed via the oracle
     def kernel(dense, labels):
         out = list(labels)
-        out[ex_slot] = exp_neg_lambda_label(out[sq_slot], spec, spec,
-                                            kp.lam, prep.exp_order)
-        out[sq_slot] = 0
+        out[ex_slot] = _once_per_value(
+            lambda x: exp_neg_lambda_label(x, spec, spec, kp.lam, prep.exp_order),
+            labels[sq_slot])
+        out[sq_slot] = [0] * len(labels[sq_slot])
         return out
 
     state.apply_label_map(kernel, dense_controls=("idx",))
@@ -463,13 +479,13 @@ def build_psi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
     fx_values = np.zeros((n, p + 1))
 
     def combine(dense, labels):
-        i, k = dense
         out = list(labels)
-        v = multiply_labels(out[ex_slot], out[pw_slot], spec, spec, spec)
-        if k <= p:
-            fx_values[i, k] = spec.decode(v)
-        out[ex_slot] = v
-        out[pw_slot] = 0
+        out[ex_slot] = _once_per_value(lambda pair: times(*pair),
+                                       list(zip(labels[ex_slot], labels[pw_slot])))
+        for i, k, v in zip(*dense, out[ex_slot]):
+            if k <= p:
+                fx_values[i, k] = spec.decode(v)
+        out[pw_slot] = [0] * len(labels[pw_slot])
         return out
 
     state.apply_label_map(combine, dense_controls=("idx", "coeff"))
@@ -483,10 +499,10 @@ def build_psi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
     slack = (p + 4) * (1 << spec.int_bits) * spec.resolution / scale
 
     def rot(labels):
-        ratio = spec.decode(labels[ex_slot]) / scale
-        if ratio > 1.0 + slack:
+        ratio = np.array([spec.decode(lab) for lab in labels[ex_slot]]) / scale
+        if np.any(ratio > 1.0 + slack):
             raise ArithmeticError_("rotation scale C was miscomputed")
-        return rotation_matrix(min(ratio, 1.0))
+        return rotation_matrix(np.minimum(ratio, 1.0))
 
     state.apply_branch_dense(rot, ["rot"])
     _clear_labels(state, ["ex"], ("idx", "coeff"))
@@ -550,14 +566,15 @@ def distance_estimation(state: SimState, i_reg: str, j_reg: str, out_reg: str,
     spec = lay.spec(out_reg)
     slot = lay.arith_slot[out_reg]
     x = oracle.data.vertices
+    diffs = x[:, None, :] - x[None, :, :]
+    true = np.sum(diffs ** 2, axis=2).tolist()
 
     def fn(dense, labels):
-        i, j = dense
-        out = list(labels)
-        if out[slot]:
+        if any(labels[slot]):
             raise ArithmeticError_("distance register must be zeroed")
-        true = float(np.sum((x[i] - x[j]) ** 2))
-        out[slot] = spec.encode(est.perturb(true, (1, i, j)))
+        out = list(labels)
+        out[slot] = _once_per_value(spec.encode, [est.perturb(true[i][j], (1, i, j))
+                                                  for i, j in zip(*dense)])
         return out
 
     state.apply_label_map(fn, dense_controls=(i_reg, j_reg))
@@ -565,19 +582,19 @@ def distance_estimation(state: SimState, i_reg: str, j_reg: str, out_reg: str,
 
 
 def inner_product_estimation(state: SimState, i_reg: str, out_reg: str,
-                             values: dict) -> SimState:
-    """Write the per-index inner product <phi_i|psi_i> into the output
-    register."""
+                             values) -> SimState:
+    """Write the per-index inner product <phi_i|psi_i>, ``values[i]``, into
+    the output register."""
     lay = state.layout
     spec = lay.spec(out_reg)
     slot = lay.arith_slot[out_reg]
 
     def fn(dense, labels):
-        (i,) = dense
-        out = list(labels)
-        if out[slot]:
+        if any(labels[slot]):
             raise ArithmeticError_("inner-product register must be zeroed")
-        out[slot] = spec.encode(min(values[i], 1.0))
+        out = list(labels)
+        out[slot] = _once_per_value(lambda i: spec.encode(min(values[i], 1.0)),
+                                    dense[0])
         return out
 
     state.apply_label_map(fn, dense_controls=(i_reg,))
@@ -648,21 +665,22 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
     d_slot = layout.arith_slot["dist"]
     w_slot = layout.arith_slot["wv"]
     ip_slot = layout.arith_slot["ip"]
-    w_fx = {}
+    w_fx = np.zeros((n, n))
+    off = ~np.eye(n, dtype=bool)
 
     def kernel(dense, labels):
-        i, j = dense
-        out = list(labels)
-        if out[w_slot]:
+        if any(labels[w_slot]):
             raise ArithmeticError_("kernel register must be zeroed")
-        lab = exp_neg_lambda_label(out[d_slot], spec_d, spec_u, kp.lam, prep.exp_order)
-        w_fx[(i, j)] = spec_u.decode(lab)
-        out[w_slot] = lab
-        out[d_slot] = 0
+        out = list(labels)
+        out[w_slot] = _once_per_value(
+            lambda d: exp_neg_lambda_label(d, spec_d, spec_u, kp.lam, prep.exp_order),
+            labels[d_slot])
+        w_fx[tuple(dense)] = _once_per_value(spec_u.decode, out[w_slot])
+        out[d_slot] = [0] * len(labels[d_slot])
         return out
 
     state.apply_label_map(kernel, dense_controls=("i", "j"))
-    if min(w for (i, j), w in w_fx.items() if i != j) <= 0.0:
+    if w_fx[off].min() <= 0.0:
         raise DegenerateGraphError(
             "a pairwise weight underflowed to zero; the disconnected limit "
             "breaks the amplification cost bound")
@@ -677,9 +695,10 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
 
     # (6) rotate by w_ij on the flag=0 half, then uncompute the kernel value
     def rw(labels):
-        r = rotation_matrix(min(spec_u.decode(labels[w_slot]), 1.0))
-        u = np.eye(4, dtype=complex)
-        u[:2, :2] = r  # basis (flag, rot); acts on the flag=0 sector
+        w = np.array([spec_u.decode(lab) for lab in labels[w_slot]])
+        u = _eye_stack(len(w), 4)
+        # basis (flag, rot); acts on the flag=0 sector
+        u[:, :2, :2] = rotation_matrix(np.minimum(w, 1.0))
         return u
 
     state.apply_branch_dense(rw, ["flag", "rot"])
@@ -689,21 +708,20 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
     # is the inner product of the actually-prepared (noise-carrying) states;
     # its deviation from the clean degree is the distance-induced error that
     # the lam*eps_d budget accounts for, so no second noise source is added.
-    ip_true = {i: sum(w_fx.get((i, j), 0.0) for j in range(n) if j != i) / (n - 1)
-               for i in range(n)}
+    ip_true = [sum(row[:i] + row[i + 1:]) / (n - 1)
+               for i, row in enumerate(w_fx.tolist())]
     inner_product_estimation(state, "i", "ip", ip_true)
 
     # (8) sqrt rotation into the copy register's top qubit, then disentangle
     copy_ax = layout.dense_axis["copy"]
     half = n >> 1
-    ip_fx = {}
 
     def rp(labels):
-        v = min(spec_u.decode(labels[ip_slot]), 1.0)
-        r = rotation_matrix(math.sqrt(v))
-        u = np.eye(n, dtype=complex)
-        u[0, 0], u[0, half], u[half, 0], u[half, half] = (
-            r[0, 0], r[0, 1], r[1, 0], r[1, 1])
+        v = np.array([spec_u.decode(lab) for lab in labels[ip_slot]])
+        r = rotation_matrix(np.sqrt(np.minimum(v, 1.0)))
+        u = _eye_stack(len(v), n)
+        u[:, 0, 0], u[:, 0, half], u[:, half, 0], u[:, half, half] = (
+            r[:, 0, 0], r[:, 0, 1], r[:, 1, 0], r[:, 1, 1])
         return u
 
     state.apply_branch_dense(rp, ["copy"])
@@ -727,18 +745,19 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
     # (11) reduced state over the index register
     rho2 = partial_trace(state, ["i"]).validate()
 
-    w_mat = np.zeros((n, n))
-    for (i, j), w in w_fx.items():
-        if i != j:
-            w_mat[i, j] = w
-    degrees = w_mat.sum(axis=1)
-    r_min = float(min(w for (i, j), w in w_fx.items() if i != j))
+    degrees = np.where(off, w_fx, 0.0).sum(axis=1)
+    r_min = float(w_fx[off].min())
     stats = AmplificationStats(
         initial_amplitude=p0, iterations=stats9.iterations,
         residual=stats9.residual, p0=p0, r=r_min)
 
     return DegreeBuild(state, rho2, stats, _dense_over(state, ["i", "copy"]), n,
                        degrees, float(n * (n - 1) * p0))
+
+
+def _eye_stack(count: int, dim: int) -> np.ndarray:
+    """``count`` complex identities of size ``dim``, one array to fill in."""
+    return np.broadcast_to(np.eye(dim, dtype=complex), (count, dim, dim)).copy()
 
 
 def _clear_labels(state: SimState, regs, controls):
@@ -749,7 +768,7 @@ def _clear_labels(state: SimState, regs, controls):
     def clear(dense, labels):
         out = list(labels)
         for s in slots:
-            out[s] = 0
+            out[s] = [0] * len(labels[s])
         return out
 
     state.apply_label_map(clear, dense_controls=controls)

@@ -1,12 +1,14 @@
 """Fixed-point gate tests: exhaustive enumeration against integer oracles,
 reversibility, and the kernel-gate error bound.  The gates are exercised as
-the pipelines apply them: label functions inside ``apply_label_map``
-closures, and ``rotation_matrix`` through ``apply_branch_dense``."""
+the pipelines apply them: label functions inside the functions
+``apply_label_map`` calls, and ``rotation_matrix`` through
+``apply_branch_dense``, each written per key through ``label_columns``."""
 
 import math
 
 import numpy as np
 import pytest
+from label_columns import per_key, per_labels
 
 from qlapeig.arith import (ArithmeticError_, exp_neg_lambda_bound,
                            exp_neg_lambda_label, multiply_labels,
@@ -22,7 +24,7 @@ def arith_layout(bits, names=("a", "b", "out")):
 
 def seed_labels(layout, labels):
     st = SimState(layout)
-    st.apply_label_map(lambda d, lab: labels)
+    st.apply_label_map(per_key(lambda d, lab: labels))
     return st
 
 
@@ -83,10 +85,10 @@ def test_gate_reversibility_exhaustive():
             if round_int_div(a * b, 1 << spec.frac_bits) > spec.max_label:
                 continue
             st = seed_labels(layout, [a, b, 0])
-            st.apply_label_map(mul)
+            st.apply_label_map(per_key(mul))
             (_, _, prod), = st.branches
             assert prod == multiply_labels(a, b, spec, spec, spec)
-            st.apply_label_map(unmul)
+            st.apply_label_map(per_key(unmul))
             assert next(iter(st.branches)) == (a, b, 0)
 
 
@@ -139,13 +141,13 @@ def test_exp_gate_on_state():
         Register("out", bits, "arithmetic", spec),
     ])
     st = SimState(layout)
-    st.apply_label_map(lambda d, lab: [spec.encode(1.0), 0])
+    st.apply_label_map(per_key(lambda d, lab: [spec.encode(1.0), 0]))
 
     def kernel(dense, labels):
         x, _ = labels
         return [x, exp_neg_lambda_label(x, spec, spec, 0.5, 10)]
 
-    st.apply_label_map(kernel)
+    st.apply_label_map(per_key(kernel))
     (x, out), = st.branches
     assert x == spec.encode(1.0)
     assert abs(spec.decode(out) - math.exp(-0.5)) <= exp_neg_lambda_bound(
@@ -159,7 +161,7 @@ def rotate_by_label(st, spec, scale, mode="amplitude"):
         v = spec.decode(labels[0])
         return rotation_matrix(math.sqrt(v) if mode == "sqrt" else v / scale)
 
-    st.apply_branch_dense(fn, ["anc"])
+    st.apply_branch_dense(per_labels(fn), ["anc"])
 
 
 def rotation_layout(bits):
@@ -175,7 +177,7 @@ def test_controlled_rotation_modes():
     # v = C (on the grid) -> ancilla stays |0>
     c_grid = spec.decode(spec.encode(0.8))
     st = SimState(layout)
-    st.apply_label_map(lambda d, lab: [spec.encode(0.8), 0])
+    st.apply_label_map(per_key(lambda d, lab: [spec.encode(0.8)]))
     rotate_by_label(st, spec, scale=c_grid)
     vec = next(iter(st.branches.values()))
     assert abs(vec[0]) == pytest.approx(1.0, abs=1e-12)
@@ -186,7 +188,7 @@ def test_controlled_rotation_modes():
     assert abs(vec[1]) == pytest.approx(1.0, abs=1e-12)
     # Pythagorean pair (0.6 is within one grid step on 20 bits)
     st = SimState(layout)
-    st.apply_label_map(lambda d, lab: [spec.encode(0.6), 0])
+    st.apply_label_map(per_key(lambda d, lab: [spec.encode(0.6)]))
     rotate_by_label(st, spec, scale=1.0)
     vec = next(iter(st.branches.values()))
     assert vec[0].real == pytest.approx(0.6, abs=1e-5)
@@ -194,15 +196,32 @@ def test_controlled_rotation_modes():
     assert abs(st.norm() - 1.0) < 1e-12
     # sqrt mode: 0.25 is exactly representable
     st = SimState(layout)
-    st.apply_label_map(lambda d, lab: [spec.encode(0.25), 0])
+    st.apply_label_map(per_key(lambda d, lab: [spec.encode(0.25)]))
     rotate_by_label(st, spec, scale=1.0, mode="sqrt")
     vec = next(iter(st.branches.values()))
     assert vec[0].real == pytest.approx(0.5, abs=1e-12)
 
 
+def test_rotation_matrix_stacks_the_scalar_rotations():
+    """An array of amplitudes gives one rotation per entry, each equal, bit
+    for bit, to the rotation of that amplitude alone."""
+    amps = np.array([[0.0, 0.25, 1e-13 + 1.0], [-1e-13, 0.6, 1.0]])
+    stack = rotation_matrix(amps)
+    assert stack.shape == (2, 3, 2, 2)
+    for idx in np.ndindex(amps.shape):
+        one = rotation_matrix(float(amps[idx]))
+        assert one.shape == (2, 2)
+        assert stack[idx].tobytes() == one.tobytes()
+    c = math.sqrt(0.5)
+    assert rotation_matrix(c).tobytes() == np.array(
+        [[c, -math.sqrt(1 - c * c)], [math.sqrt(1 - c * c), c]]).tobytes()
+    with pytest.raises(ArithmeticError_):
+        rotation_matrix([0.5, 1.1])
+
+
 def test_controlled_rotation_range_error():
     spec, layout = rotation_layout(12)
     st = SimState(layout)
-    st.apply_label_map(lambda d, lab: [spec.encode(1.5), 0])
+    st.apply_label_map(per_key(lambda d, lab: [spec.encode(1.5)]))
     with pytest.raises(ArithmeticError_):
         rotate_by_label(st, spec, scale=1.0)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from label_columns import per_key, per_labels
 
 from qlapeig.sim import (FixedPointSpec, Register, RegisterLayout, SimState,
                          operator_norm_distance, partial_trace,
@@ -83,7 +84,7 @@ def test_partial_trace_branches_vs_dense_oracle():
         (i,) = dense
         return [i % 3 + 1]
 
-    st.apply_label_map(fn, dense_controls=("idx",))
+    st.apply_label_map(per_key(fn), dense_controls=("idx",))
     joined = st.copy()
     joined.join()
     assert len(joined.branches) == 3
@@ -116,7 +117,7 @@ def test_branch_dense_equivalence_under_circuit():
         (i,) = dense
         return [(3 * i) % 8]
 
-    st.apply_label_map(write, dense_controls=("idx",))
+    st.apply_label_map(per_key(write), dense_controls=("idx",))
     rot = np.array([[0.6, -0.8], [0.8, 0.6]], dtype=complex)
     st.apply_dense(rot, ["flag"])
     vec = st.dense_vector()  # ordering idx, flag, lab
@@ -132,6 +133,42 @@ def test_branch_dense_equivalence_under_circuit():
         shifted[i, :, (3 * i) % 8] = dense[i, :, 0]
     dense = np.einsum("gf,ifl->igl", rot, shifted)
     assert np.max(np.abs(vec - dense.reshape(-1))) < 1e-10
+
+
+def test_each_gate_calls_its_function_once_on_key_columns():
+    """A label map gets the control values and labels of every key as one
+    list per register, in key order; a label-controlled gate gets the
+    distinct labels in order of first appearance.  Each calls its function
+    once, and the result matches the per-key form."""
+    spec = FixedPointSpec(3, 1)
+    layout = RegisterLayout([Register("idx", 2, "index"), Register("anc", 1, "flag"),
+                             Register("lab", 3, "arithmetic", spec)])
+    states = [SimState(layout), SimState(layout)]
+    calls = []
+
+    def write(dense, labels):
+        calls.append((dense, labels))
+        return [[(3 * i) % 4 for i in dense[0]]]
+
+    def rotation(labels):
+        calls.append(labels)
+        return np.array([[[math.cos(v), -math.sin(v)], [math.sin(v), math.cos(v)]]
+                         for v in labels[0]])
+
+    states[0].apply_dense(np.kron(H, H), ["idx"])
+    states[1].apply_dense(np.kron(H, H), ["idx"])
+    states[0].apply_label_map(write, dense_controls=("idx",))
+    assert calls == [([[0, 1, 2, 3]], [[0, 0, 0, 0]])]
+    states[0].apply_label_map(lambda dense, labels: [[lab % 2 for lab in labels[0]]])
+    assert states[0].keys == [(0, 0), (1, 1), (0, 2), (1, 3)]
+    calls.clear()
+    states[0].apply_branch_dense(rotation, ["anc"])
+    assert calls == [[[0, 1]]]
+    states[1].apply_label_map(per_key(lambda d, lab: [(3 * d[0]) % 4 % 2]),
+                              dense_controls=("idx",))
+    states[1].apply_branch_dense(per_labels(lambda lab: rotation([[lab[0]]])[0]),
+                                 ["anc"])
+    assert states[0].dense_vector().tobytes() == states[1].dense_vector().tobytes()
 
 
 def test_operator_norm_distance():

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from label_columns import per_key, per_labels
 
 from qlapeig.sim import (FixedPointSpec, Register, RegisterLayout, SimError,
                          SimState, partial_trace)
@@ -128,7 +129,7 @@ def test_apply_label_map_matches_per_cell_reference(data):
     state = data.draw(states())
     fn, controls = data.draw(label_maps(state.layout))
     want = reference_label_map(state, fn, controls)
-    state.apply_label_map(fn, dense_controls=controls)
+    state.apply_label_map(per_key(fn), dense_controls=controls)
     state.join()
     assert_same_bits(state, want)
 
@@ -140,7 +141,7 @@ def test_apply_label_map_merges_branches_bit_exactly():
     state = SimState(layout, {(lab,): random_branch(layout, rng) for lab in range(4)})
     merge = lambda dvals, labels: [dvals[0]]  # noqa: E731 - all branches collide
     want = reference_label_map(state, merge, ("i",))
-    state.apply_label_map(merge, dense_controls=("i",))
+    state.apply_label_map(per_key(merge), dense_controls=("i",))
     state.join()
     assert len(state.branches) == 2
     assert_same_bits(state, want)
@@ -155,7 +156,7 @@ def test_apply_label_map_drops_a_branch_merged_to_cancellation():
     # unmerged rows would drop it
     faint = 1e-15 * np.exp(2j * np.pi * rng.random(vec.shape))
     state = SimState(layout, {(0,): vec, (1,): -vec, (2,): faint, (3,): other})
-    state.apply_label_map(lambda dvals, labels: [labels[0] & 2 and labels[0]])
+    state.apply_label_map(per_key(lambda dvals, labels: [labels[0] & 2 and labels[0]]))
     assert list(state.branches) == [(2,), (3,)]
     assert state.branches[(2,)].tobytes() == faint.tobytes()
     assert state.branches[(3,)].tobytes() == other.tobytes()
@@ -169,7 +170,8 @@ def test_apply_label_map_drops_a_faint_split_slab():
     vec = np.full((2, 2), 0.5 + 0.5j)
     vec[1] = [1e-14, -1e-15j]
     state = SimState(layout, {(0,): vec.copy()})
-    state.apply_label_map(lambda dvals, labels: [dvals[0]], dense_controls=("i",))
+    state.apply_label_map(per_key(lambda dvals, labels: [dvals[0]]),
+                          dense_controls=("i",))
     assert list(state.branches) == [(0,)] and state.split == ()
     assert np.array_equal(state.branches[(0,)][0], vec[0])
     assert not state.branches[(0,)][1].any()
@@ -370,7 +372,7 @@ def test_label_map_on_split_state_matches_per_cell_reference(data):
     split, plain = data.draw(split_pairs())
     fn, controls = data.draw(label_maps(plain.layout))
     want = SimState(plain.layout, reference_label_map(plain, fn, controls))
-    split.apply_label_map(fn, dense_controls=controls)
+    split.apply_label_map(per_key(fn), dense_controls=controls)
     same_bits_any_order(split, want)
 
 
@@ -511,7 +513,7 @@ def operations(draw, layout):
     names = [r.name for r in layout.dense]
     if kind == "label_map":
         fn, controls = draw(label_maps(layout))
-        return kind, lambda s: s.apply_label_map(fn, dense_controls=controls)
+        return kind, lambda s: s.apply_label_map(per_key(fn), dense_controls=controls)
     if kind in ("dense", "controlled"):
         target = draw(st.sampled_from(names))
         u = random_unitary(draw(SEEDS), layout.dense_dims[layout.dense_axis[target]])
@@ -580,9 +582,7 @@ def statevector_branch_gate(psi, layout, fn, targets):
     axes = [layout.dense_axis[t] for t in targets]
     dims = [layout.dense_dims[a] for a in axes]
     for labels in np.ndindex(*moved.shape[:na]):
-        u = fn(labels)
-        if u is not None:
-            moved[labels] = statevector_gate(moved[labels], u, axes, dims)
+        moved[labels] = statevector_gate(moved[labels], fn(labels), axes, dims)
     return np.moveaxis(moved, range(na), arith)
 
 
@@ -642,7 +642,7 @@ def table_steps(draw, layout):
                 on_vector)
     if kind == "label_map":
         fn, controls = draw(st.one_of(xor_maps(layout), label_maps(layout)))
-        return (lambda s: s.apply_label_map(fn, dense_controls=controls),
+        return (lambda s: s.apply_label_map(per_key(fn), dense_controls=controls),
                 lambda psi: statevector_label_map(psi, layout, fn, controls))
     if kind == "branch_dense":
         targets = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2,
@@ -652,10 +652,10 @@ def table_steps(draw, layout):
 
         def fn(labels):
             if sum(labels) % 3 == 0:
-                return None
+                return np.eye(dim)
             return random_unitary(seed + 97 * sum(labels) + labels[0], dim)
 
-        return (lambda s: s.apply_branch_dense(fn, targets),
+        return (lambda s: s.apply_branch_dense(per_labels(fn), targets),
                 lambda psi: statevector_branch_gate(psi, layout, fn, targets))
     if kind in ("split", "join"):
         regs = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
