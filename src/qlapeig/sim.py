@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,21 +69,17 @@ class FixedPointSpec:
     bits: int
     int_bits: int = 1
 
+    frac_bits: int = field(init=False, repr=False, compare=False)
+    resolution: float = field(init=False, repr=False, compare=False)
+    max_label: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if self.bits < 2 or not (1 <= self.int_bits < self.bits):
             raise SimError("invalid fixed-point spec")
-
-    @property
-    def frac_bits(self) -> int:
-        return self.bits - self.int_bits
-
-    @property
-    def resolution(self) -> float:
-        return 2.0 ** (-self.frac_bits)
-
-    @property
-    def max_label(self) -> int:
-        return (1 << self.bits) - 1
+        # derived once: the arithmetic gates read them per label
+        object.__setattr__(self, "frac_bits", self.bits - self.int_bits)
+        object.__setattr__(self, "resolution", 2.0 ** (-self.frac_bits))
+        object.__setattr__(self, "max_label", (1 << self.bits) - 1)
 
     def encode(self, value: float) -> int:
         """Round-to-nearest-even onto the grid; raises on overflow."""

@@ -35,14 +35,22 @@ whose U is exactly real, so only P_R (the phases (-i)^k) stays a complex
 GEMM.  The meter counts the circuit's rungs, not these GEMMs.
 
 Phase estimation (``run_qpe``) holds one register of 2^bits slots, each an
-n x n matrix: slot y is U^y |Phi>, |Phi> the purified maximally-mixed input.
-The controlled powers are filled by doubling: slot 0 holds |Phi>, and for
-f = 1, 2, 4, .. one batched GEMM writes slots f .. 2f - 1 as U^f times slots
-0 .. f - 1, after which U^f is squared, so bits GEMMs build the register.  The
-Fourier transform runs in place on it, and the Born probabilities are a
+n x n matrix: slot y is U^y |Phi>, |Phi> the purified maximally-mixed input,
+whose matrix is the identity over sqrt(n 2^bits), so slot y is that multiple
+of U^y.  The controlled powers are filled by doubling: slot 0 holds |Phi>,
+and for f = 1, 2, 4, .. slots f .. 2f - 1 are slots 0 .. f - 1
+right-multiplied by U^f (powers of one matrix commute), after which U^f is
+squared.  The slots are stacked row-wise, so a run of them times U^f is one
+2-D GEMM; a run holds as many slots as keep the GEMM within
+``QPE_GEMM_MACS`` multiply-adds, which at 10 bits is one GEMM per bit up to
+n = 4, 21 GEMMs at n = 8 and 130 at n = 16, not one per slot.  The Fourier
+transform runs in place on the register, and the Born probabilities are a
 conjugating ``vecdot`` over its rows, so no second register is made.  The
-sampled post-measurement states are views of their slots, unnormalized;
-extraction normalizes only the bins it keeps.
+shots are the draws ``Generator.choice`` makes, the same uniforms compared
+with the same CDF, but counted per bin from the sorted uniforms
+(``_shot_counts``) rather than located one by one.  The sampled
+post-measurement states are views of their slots, unnormalized; extraction
+normalizes only the bins of the clusters it reports.
 """
 
 from __future__ import annotations
@@ -93,6 +101,12 @@ class ResolutionError(SimError):
 
 MAX_TAYLOR_ORDER = 12  # lcu path: the highest truncation order chosen from eps
 LCU_MAX_AMPLITUDES = 1 << 21  # lcu path: the largest state it simulates
+# QPE: the most complex multiply-adds in one doubling GEMM.  OpenBLAS 0.3.31
+# splits a call of 2^16 or more across its threads; the helper thread then
+# packs its share of the register into a buffer of its own, so one GEMM per
+# bit raised the n = 16 peak RSS by 2.7 MB (6%), and on a contended machine
+# such calls stall for milliseconds while the threads wait on each other
+QPE_GEMM_MACS = 1 << 15
 
 
 def _sim_setting_error(path: str, eps: float) -> str | None:
@@ -403,7 +417,12 @@ def run_qpe(u_enc: BlockEncoding, qcfg: QpeConfig,
     """Textbook QPE with the purified maximally-mixed input.
 
     Controlled powers use the adjoint of the encoded evolution so that
-    eigenphases come out as +gamma t / 2 pi.
+    eigenphases come out as +gamma t / 2 pi.  Slot y of the register is the
+    n x n matrix U^y / sqrt(n pdim); powers of one matrix commute, so slots
+    f .. 2f - 1 are slots 0 .. f - 1 right-multiplied by U^f, as 2-D GEMMs
+    over runs of slots stacked row-wise, each of at most ``QPE_GEMM_MACS``
+    multiply-adds.  The shots are the draws of ``Generator.choice``
+    (``_shot_counts``).
     """
     t = qcfg.time_scale
     if lambda_max_bound is not None and t * lambda_max_bound >= 2.0 * math.pi:
@@ -415,38 +434,64 @@ def run_qpe(u_enc: BlockEncoding, qcfg: QpeConfig,
                       "use fewer qpe_bits")
     psi = np.empty((pdim, n, n), dtype=complex)
     psi[0] = np.eye(n) / math.sqrt(n) / math.sqrt(pdim)  # sum_j |j>|j> / sqrt(n pdim)
+    run = max(1, QPE_GEMM_MACS // n ** 3)  # slots per GEMM
     step = u  # U^f, f = 2^k: fills slots f .. 2f - 1 from slots 0 .. f - 1
     for k in range(qcfg.phase_bits):
         f = 1 << k
-        np.matmul(step, psi[:f], out=psi[f:2 * f])
-        step = step @ step
+        for y in range(0, f, run):
+            z = min(f, y + run)
+            np.matmul(psi[y:z].reshape(-1, n), step, out=psi[f + y:f + z].reshape(-1, n))
+        if 2 * f < pdim:
+            step = step @ step
     np.fft.fft(psi, axis=0, out=psi)
     psi /= math.sqrt(pdim)
     flat = psi.reshape(pdim, -1)
     probs = np.vecdot(flat, flat).real
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
-    rng = np.random.default_rng(qcfg.seed)
-    draws = rng.choice(pdim, size=qcfg.shots, p=probs)
-    vals, counts = np.unique(draws, return_counts=True)
-    counts = {int(z): int(c) for z, c in zip(vals, counts)}
+    counts = _shot_counts(probs, qcfg.shots, np.random.default_rng(qcfg.seed))
     post = {z: psi[z] for z in counts}
     return QpeSamples(counts, post, probs, qcfg.phase_bits, t, qcfg.shots)
 
 
-def _aligned_average(entries):
-    """Weighted principal-vector average with largest-component phase fixing."""
-    vecs = []
-    weights = []
-    for w, rho in entries:
-        evals, evecs = np.linalg.eigh(rho)
-        v = evecs[:, -1]
+def _shot_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> dict:
+    """Outcome -> shots, ordered by outcome, zero counts left out: the
+    counts of ``rng.choice(len(probs), size=shots, p=probs)``.
+
+    ``choice`` draws ``rng.random(shots)`` and maps a uniform u to the first
+    z with u < cdf[z], the CDF divided by its last entry.  The same uniforms,
+    sorted once, give bin z as #(u < cdf[z]) - #(u < cdf[z - 1]), one
+    ``searchsorted`` of the CDF into them."""
+    cdf = probs.cumsum()
+    if not math.isfinite(cdf[-1]):
+        raise ValueError("probabilities contain NaN")
+    cdf /= cdf[-1]
+    uniforms = np.sort(rng.random(shots))
+    hits = np.diff(np.searchsorted(uniforms, cdf, side="left"), prepend=0)
+    outcomes = np.flatnonzero(hits)
+    return dict(zip(outcomes.tolist(), hits[outcomes].tolist()))
+
+
+def _cluster_vectors(samples: QpeSamples, bins: list, mult: int) -> np.ndarray:
+    """A cluster's eigenvectors, from the normalized post-states m of its
+    bins and one eigendecomposition call: the top ``mult`` eigenvectors of
+    the count-weighted mixture of the m m^dag when the cluster spans a
+    subspace, else the count-weighted average of their principal vectors,
+    each phase-fixed on its largest component (the m m^dag stacked and
+    decomposed together)."""
+    counts = [samples.counts[z] for z in bins]
+    weight = sum(counts)
+    ms = np.stack([samples.post_states[z] / np.linalg.norm(samples.post_states[z])
+                   for z in bins])
+    rhos = ms @ ms.conj().transpose(0, 2, 1)
+    if mult > 1:
+        rho = sum(c / weight * r for c, r in zip(counts, rhos))
+        return np.linalg.eigh(rho)[1][:, -mult:]
+    avg = 0
+    for c, v in zip(counts, np.linalg.eigh(rhos)[1][:, :, -1]):
         k = int(np.argmax(np.abs(v)))
-        v = v * np.conj(v[k] / abs(v[k]))
-        vecs.append(v)
-        weights.append(w)
-    avg = sum(w * v for w, v in zip(weights, vecs))
-    return avg / np.linalg.norm(avg)
+        avg = avg + c / weight * (v * np.conj(v[k] / abs(v[k])))
+    return (avg / np.linalg.norm(avg)).reshape(-1, 1)
 
 
 def extract_d_smallest(samples: QpeSamples, d: int,
@@ -458,7 +503,8 @@ def extract_d_smallest(samples: QpeSamples, d: int,
     every cluster counts.  Otherwise the zero mode is dropped, and the full
     circle is positive except a thin wrap margin next to 1 that absorbs the
     numerically-negative tail of the zero mode.  A cluster whose Born weight
-    spans several eigenvectors is reported as a subspace.
+    spans several eigenvectors is reported as a subspace.  Eigenvectors are
+    computed for the d reported clusters only (``_cluster_vectors``).
     """
     pdim = 1 << samples.phase_bits
     t = samples.time_scale
@@ -482,33 +528,22 @@ def extract_d_smallest(samples: QpeSamples, d: int,
             current = [entry]
     clusters.append(current)
 
-    out = []
+    found = []  # (eigenvalue, phase, weight fraction, bins) per cluster
     for group in clusters:
         weight = sum(c for _, _, c in group)
         phase = sum(th * c for th, _, c in group) / weight
-        gamma = 2.0 * math.pi * phase / t
-        frac = weight / samples.shots
-        mult = max(1, int(round(frac * n)))
-        rhos = []
-        for th, z, c in group:
-            m = samples.post_states[z]
-            m = m / np.linalg.norm(m)
-            rhos.append((c / weight, m @ m.conj().T))
-        if mult == 1:
-            vecs = _aligned_average(rhos).reshape(n, 1)
-        else:
-            rho = sum(w * r for w, r in rhos)
-            evals, evecs = np.linalg.eigh(rho)
-            vecs = evecs[:, -mult:]
-        out.append(SpectralCluster(gamma, phase, frac, vecs,
-                                   [z for _, z, _ in group]))
+        found.append((2.0 * math.pi * phase / t, phase, weight / samples.shots,
+                      [z for _, z, _ in group]))
     if not signed:
-        out = [c for c in out if abs(c.phase) > zero_threshold]
-    out.sort(key=lambda c: c.eigenvalue)
-    if len(out) < d:
+        found = [f for f in found if abs(f[1]) > zero_threshold]
+    found.sort(key=lambda f: f[0])
+    if len(found) < d:
         raise ResolutionError(
-            f"only {len(out)} nonzero clusters resolvable, {d} requested")
-    return SpectralResult(out[:d], d)
+            f"only {len(found)} nonzero clusters resolvable, {d} requested")
+    out = [SpectralCluster(gamma, phase, frac, _cluster_vectors(
+               samples, bins, max(1, int(round(frac * n)))), bins)
+           for gamma, phase, frac, bins in found[:d]]
+    return SpectralResult(out, d)
 
 
 def recover_Lr_eigenvectors(result: SpectralResult, rho2_block: np.ndarray,

@@ -18,6 +18,7 @@ optional injected per-vector perturbation for the error-budget suites.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -65,33 +66,49 @@ def completion_unitary(first_column: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(first_column, dtype=complex)
     dim = len(v)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if abs(_norm(v) - 1.0) > 1e-10:
         raise SimError("state-preparation column must be unit norm")
     phase = 1.0 + 0.0j
     if abs(v[0]) > 1e-14:
         phase = v[0] / abs(v[0])
-    vr = np.conj(phase) * v
-    w = vr.copy()
-    # w = vr - e0, with the leading entry vr[0] - 1 = -||vr[1:]||^2 / (1 + vr[0])
-    # written so it does not cancel when vr is close to e0
-    w[0] = -np.vdot(vr[1:], vr[1:]).real / (1.0 + vr[0].real)
-    wn = np.linalg.norm(w)
+    # w = vr - e0 for vr = conj(phase) v, with the leading entry vr[0] - 1 =
+    # -||vr[1:]||^2 / (1 + vr[0]) written so it does not cancel when vr is
+    # close to e0
+    w = np.conj(phase) * v
+    tail = w[1:]
+    w[0] = -np.vdot(tail, tail).real / (1.0 + w[0].real)
+    wn = _norm(w)
     if wn < 1e-14:
         u = phase * np.eye(dim, dtype=complex)
     else:
-        w = w / wn
-        u = phase * (np.eye(dim, dtype=complex) - 2.0 * np.outer(w, w.conj()))
-    if np.max(np.abs(u[:, 0] - v)) > 1e-10:
+        w /= wn
+        # phase (I - 2 w w^dag), in place: 0 - 2 w w^dag, then 1 on the diagonal
+        u = np.multiply.outer(w, w.conj())
+        u *= 2.0
+        np.subtract(0.0, u, out=u)
+        u.reshape(-1)[::dim + 1] += 1.0
+        np.multiply(phase, u, out=u)  # phase on the left: u *= phase rounds otherwise
+    if abs(u[:, 0] - v).max() > 1e-10:
         raise SimError("state-preparation completion failed")
     return u
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a vector, summed as ``np.linalg.norm`` sums it."""
+    if np.iscomplexobj(v):
+        return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    return math.sqrt(v.dot(v))
+
+
+@functools.cache
 def hadamard_all(qubits: int) -> np.ndarray:
-    """H tensor power; maps |0...0> to the uniform superposition."""
+    """H tensor power; maps |0...0> to the uniform superposition.  Built once
+    per width and returned read-only, the same array on every call."""
     h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
     out = np.array([[1.0]], dtype=complex)
     for _ in range(qubits):
         out = np.kron(out, h)
+    out.flags.writeable = False
     return out
 
 
@@ -100,13 +117,13 @@ def sphere_perturb(vec: np.ndarray, eps: float, rng: np.random.Generator) -> np.
     if eps <= 0:
         return np.array(vec, dtype=float)
     v = np.asarray(vec, dtype=float)
-    v = v / np.linalg.norm(v)
+    v = v / _norm(v)
     g = rng.standard_normal(len(v))
     g = g - np.dot(g, v) * v
-    gn = np.linalg.norm(g)
+    gn = _norm(g)
     if gn < 1e-14:
         g = np.roll(v, 1) - np.dot(np.roll(v, 1), v) * v
-        gn = np.linalg.norm(g)
+        gn = _norm(g)
     u = g / gn
     angle = 2.0 * math.asin(min(1.0, eps / 2.0))
     return math.cos(angle) * v + math.sin(angle) * u
@@ -143,7 +160,7 @@ class QramOracle:
     encoded: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        rng = _stable_rng(self.seed, 0xE)
+        rng = _stable_rng(self.seed, 0xE) if self.eps_x > 0 else None
         vecs = []
         for i in range(self.data.n):
             x = self.data.vertices[i]
@@ -264,6 +281,11 @@ def coefficient_unitary(coeffs, dim: int, eps: float = 0.0,
     return completion_unitary(amps.astype(complex))
 
 
+def _coeff_rng(prep: PrepConfig, key: int) -> np.random.Generator | None:
+    """The coefficient ladder's noise generator, made only when it draws."""
+    return _stable_rng(prep.seed, key) if prep.coeff_eps > 0 else None
+
+
 def _coeff_width(p: int) -> int:
     return max(1, (p).bit_length()) if p > 0 else 1
 
@@ -289,13 +311,12 @@ def apply_R_U(state: SimState, index_reg: str, coeff_reg: str, data_regs,
     vector into the last k data blocks; the first p-k blocks stay |0>."""
     data_regs = list(data_regs)
     p = len(data_regs)
-    lay = state.layout
+    amps = state.amps
     for reg in data_regs:
-        axis = lay.dense_axis[reg]
-        for vec in state.branches.values():
-            moved = np.moveaxis(vec, axis, 0)
-            if np.max(np.abs(moved[1:])) > 1e-12:
-                raise SimError("data register not zeroed before the ladder")
+        nonzero = [slice(None)] * amps.ndim  # the register's |1> .. cells
+        nonzero[1 + state.layout.dense_axis[reg]] = slice(1, None)
+        if np.any(np.abs(amps[tuple(nonzero)]) > 1e-12):
+            raise SimError("data register not zeroed before the ladder")
     u = oracle_U.unitary_matrix()
     for k in range(1, p + 1):
         for reg in data_regs[p - k:]:
@@ -374,7 +395,7 @@ def build_phi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
 
     state.apply_dense(hadamard_all(log_n), ["idx"])
     state.apply_dense(coefficient_unitary(kp.coeffs_a_tilde, cdim, prep.coeff_eps,
-                                          _stable_rng(prep.seed, 0xA)), ["coeff"])
+                                          _coeff_rng(prep, 0xA)), ["coeff"])
     apply_R_U(state, "idx", "coeff", data, oracle)
 
     rho0 = partial_trace(state, ["idx"]).validate()
@@ -435,7 +456,7 @@ def build_psi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
     # (1) uniform index, coefficient ladder
     state.apply_dense(hadamard_all(log_n), ["idx"])
     state.apply_dense(coefficient_unitary(kp.coeffs_a, cdim, prep.coeff_eps,
-                                          _stable_rng(prep.seed, 0xB)), ["coeff"])
+                                          _coeff_rng(prep, 0xB)), ["coeff"])
 
     norm_label = [oracle.norm_label(i, spec) for i in range(n)]
     pw_slot, sq_slot, ex_slot = (layout.arith_slot[r] for r in ("pw", "sq", "ex"))

@@ -3,7 +3,10 @@ the error-propagation property suites the harness drives."""
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from qlapeig.graph import KernelParams
 from qlapeig.harness import (ConfigError, RunConfig, _state_dump, dump_json,
                              load_vertices)
 from qlapeig.stateprep import build_weight_state
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(path, **overrides):
@@ -468,3 +473,27 @@ def test_report_written_atomically(tmp_path):
     main(["run", "--config", str(cfg_file)])
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".report-")]
     assert leftovers == []
+
+
+def test_cold_run_leaves_scipy_unimported(tmp_path):
+    """``qlapeig`` runs on NumPy alone: an n = 4 run in a fresh interpreter
+    never imports ``scipy``, which only the tests and a demo need."""
+    rng = np.random.default_rng([301, 4])
+    x = rng.standard_normal((4, 2))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x *= rng.uniform(0.35, 0.55, size=(4, 1))
+    vertices = tmp_path / "vertices.csv"
+    vertices.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in x))
+    config = write_config(tmp_path / "run.cfg", input=vertices, norm_case="general",
+                          qpe_bits=10, qpe_shots=8192,
+                          output=tmp_path / "report.json")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    script = ("import sys\nfrom qlapeig.cli import main\n"
+              f"code = main(['run', '--config', {str(config)!r}])\n"
+              "print(code, 'scipy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]

@@ -418,6 +418,80 @@ def test_run_qpe_holds_one_register():
     assert peak <= 1.25 * register_bytes
 
 
+@pytest.mark.parametrize("n, calls", [(4, 10), (8, 21), (16, 130)])
+def test_run_qpe_doubling_gemms_stay_within_the_cap(monkeypatch, n, calls):
+    """The doubling writes every slot past 0 once, in 2-D GEMMs over runs of
+    slots of at most ``QPE_GEMM_MACS`` multiply-adds each (OpenBLAS runs a
+    larger one on two threads, whose packing buffers raise the peak RSS and
+    which stall under contention), and not one GEMM per slot."""
+    seen = []
+    matmul = np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        seen.append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
+
+    enc = BlockEncoding(1.0, 0, 0.0, n, backend="composite", _block=sla.expm(
+        -1j * random_complex_hermitian(np.random.default_rng(n), n)))
+    monkeypatch.setattr(np, "matmul", recording)
+    run_qpe(enc, QpeConfig(phase_bits=10, shots=64, seed=0))
+    monkeypatch.undo()
+    assert len(seen) == calls
+    assert all(b == (n, n) and a[1] == n and a[0] * n * n <= spectral.QPE_GEMM_MACS
+               for a, b in seen)
+    assert sum(a[0] for a, _ in seen) == ((1 << 10) - 1) * n
+
+
+def choice_counts(probs, shots, rng):
+    """The shot counts of ``Generator.choice``, ordered by outcome."""
+    vals, counts = np.unique(rng.choice(len(probs), size=shots, p=probs),
+                             return_counts=True)
+    return {int(z): int(c) for z, c in zip(vals, counts)}
+
+
+class FixedUniforms(np.random.Generator):
+    """A generator whose ``random`` returns the given uniforms, so
+    ``choice`` and the counting step can be fed the same crafted draws."""
+
+    def __init__(self, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self.uniforms = np.array(uniforms, dtype=float)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        assert size in (len(self.uniforms), (len(self.uniforms),))
+        return self.uniforms.copy()
+
+
+@pytest.mark.parametrize("shots", [1, 2, 97, 8192])
+@pytest.mark.parametrize("weights", [
+    [0, 0, 3, 1, 0, 2, 0, 0],        # zero bins at the start, inside, the end
+    [0, 0, 0, 5, 0, 0, 0, 0],        # all mass in one inner bin
+    [7, 0, 0, 0],                    # all mass in the first bin
+    [0, 0, 0, 1],                    # all mass in the last bin
+    [1] * 16,
+    [1e-300, 1, 1e-17, 0, 2, 1e-300],  # bins below the CDF's resolution
+], ids=["zeros-around", "one-inner", "one-first", "one-last", "uniform", "tiny"])
+def test_shot_counts_equal_generator_choice(weights, shots):
+    probs = np.array(weights, dtype=float)
+    probs /= probs.sum()
+    for seed in range(5):
+        got = spectral._shot_counts(probs, shots, np.random.default_rng(seed))
+        want = choice_counts(probs, shots, np.random.default_rng(seed))
+        assert list(got.items()) == list(want.items())
+        assert all(type(z) is int and type(c) is int for z, c in got.items())
+
+
+def test_shot_counts_equal_generator_choice_on_ties():
+    """A uniform exactly equal to a CDF entry falls in the next bin, as
+    ``choice`` puts it, including 0.0 against a run of empty leading bins."""
+    probs = np.array([0.0, 0.25, 0.25, 0.0, 0.5])  # CDF 0, .25, .5, .5, 1
+    uniforms = [0.0, 0.25, 0.5, 0.5, 0.0, 0.75, 0.2, 0.999, 0.25, 0.5 - 2**-53]
+    got = spectral._shot_counts(probs, len(uniforms), FixedUniforms(uniforms))
+    want = choice_counts(probs, len(uniforms), FixedUniforms(uniforms))
+    assert list(got.items()) == list(want.items())
+    assert got == {1: 3, 2: 3, 4: 4}
+
+
 def test_extraction_ignores_post_state_scale():
     """Post-states are unnormalized slices of the register: scaling each by
     its own positive factor changes no eigenvalue or vector, in a single and

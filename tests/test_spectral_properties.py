@@ -9,18 +9,23 @@ references.
 - Phase estimation: ``run_qpe`` (controlled powers by doubling, one register
   transformed in place) against ``sequential_qpe``, the circuit that builds
   U^y one power at a time, within round-off.
+- Extraction: ``extract_d_smallest`` (eigenvectors of the reported clusters
+  only, one eigendecomposition call per cluster) against
+  ``extract_reference``, which decomposes every kept bin of every cluster on
+  its own, bit for bit.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qlapeig.blockenc import BlockEncoding
 from qlapeig.spectral import (LCU_MAX_AMPLITUDES, MAX_TAYLOR_ORDER, QpeConfig,
-                              QpeSamples, _select_factors, _taylor_select,
-                              run_qpe)
+                              QpeSamples, ResolutionError, _select_factors,
+                              _taylor_select, extract_d_smallest, run_qpe)
 
 # no shrink phase: a failing draw is four small integers that already name a
 # reproducible instance, and shrinking would rerun order-12 states for minutes
@@ -152,3 +157,87 @@ def test_run_qpe_matches_sequential_powers(instance):
     assert got.post_states.keys() == want.post_states.keys()
     for z, m in got.post_states.items():
         assert np.max(np.abs(m / np.linalg.norm(m) - want.post_states[z])) <= 1e-12
+
+
+def extract_reference(samples, d, signed):
+    """Every cluster's phase and vectors, each kept bin's m m^dag formed and
+    decomposed on its own; then the d smallest, as (eigenvalue, phase,
+    weight, vectors, bins)."""
+    pdim = 1 << samples.phase_bits
+    n = next(iter(samples.post_states.values())).shape[0]
+    zero_threshold = 1.5 / pdim
+    min_count = max(3, int(0.05 * samples.shots / n))
+    wrap = 0.5 if signed else 1.0 - max(3.0 / pdim, 2.0 * zero_threshold)
+    items = sorted(((z / pdim if z / pdim <= wrap else z / pdim - 1.0), z, c)
+                   for z, c in samples.counts.items() if c >= min_count)
+    groups = [[items[0]]]
+    for entry in items[1:]:
+        if entry[0] - groups[-1][-1][0] <= 1.8 / pdim:
+            groups[-1].append(entry)
+        else:
+            groups.append([entry])
+    out = []
+    for group in groups:
+        weight = sum(c for _, _, c in group)
+        phase = sum(th * c for th, _, c in group) / weight
+        frac = weight / samples.shots
+        mult = max(1, int(round(frac * n)))
+        rhos = []
+        for _, z, c in group:
+            m = samples.post_states[z] / np.linalg.norm(samples.post_states[z])
+            rhos.append((c / weight, m @ m.conj().T))
+        if mult == 1:
+            vecs = []
+            for _, rho in rhos:
+                v = np.linalg.eigh(rho)[1][:, -1]
+                k = int(np.argmax(np.abs(v)))
+                vecs.append(v * np.conj(v[k] / abs(v[k])))
+            avg = sum(w * v for (w, _), v in zip(rhos, vecs))
+            vectors = (avg / np.linalg.norm(avg)).reshape(n, 1)
+        else:
+            vectors = np.linalg.eigh(sum(w * r for w, r in rhos))[1][:, -mult:]
+        out.append((2.0 * math.pi * phase / samples.time_scale, phase, frac, vectors,
+                    [z for _, z, _ in group]))
+    if not signed:
+        out = [c for c in out if abs(c[1]) > zero_threshold]
+    out.sort(key=lambda c: c[0])
+    return out[:d] if len(out) >= d else None
+
+
+@st.composite
+def extraction_instances(draw):
+    """(n, phase_bits, eigenvalue pattern, d, signed, seed): the patterns put
+    two eigenvalues in one bin (a subspace cluster) or a bin apart (a
+    cluster of several bins with one vector)."""
+    return (draw(st.sampled_from([2, 4, 8])), draw(st.integers(5, 9)),
+            draw(st.sampled_from(["spread", "degenerate", "adjacent"])),
+            draw(st.integers(1, 3)), draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@PROPERTY
+@given(extraction_instances())
+def test_extraction_matches_per_bin_reference(instance):
+    n, bits, pattern, d, signed, seed = instance
+    rng = np.random.default_rng(seed)
+    t = 2.0
+    gammas = np.sort(rng.uniform(-0.4 if signed else 0.0, 1.0, n)) * math.pi / t
+    if pattern == "degenerate" and n > 2:
+        gammas[2] = gammas[1]
+    if pattern == "adjacent" and n > 2:
+        gammas[2] = gammas[1] + 1.3 * 2 * math.pi / t / (1 << bits)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    block = q @ np.diag(np.exp(-1j * gammas * t)) @ q.conj().T
+    enc = BlockEncoding(1.0, 0, 0.0, n, backend="composite", _block=block)
+    samples = run_qpe(enc, QpeConfig(phase_bits=bits, shots=4096, seed=seed,
+                                     time_scale=t))
+    want = extract_reference(samples, d, signed)
+    if want is None:
+        with pytest.raises(ResolutionError):
+            extract_d_smallest(samples, d, signed)
+        return
+    got = extract_d_smallest(samples, d, signed)
+    assert len(got.clusters) == len(want)
+    for c, (gamma, phase, frac, vectors, bins) in zip(got.clusters, want):
+        assert (c.eigenvalue, c.phase, c.weight, c.bins) == (gamma, phase, frac, bins)
+        assert c.vectors.tobytes() == vectors.tobytes()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import qlapeig.stateprep as stateprep
 from qlapeig.graph import GraphError, KernelParams, VertexSet, \
     build_taylor_weight_matrix, build_weight_matrix
 from qlapeig.sim import FixedPointSpec, Register, RegisterLayout, SimError, SimState
@@ -62,6 +63,49 @@ def test_kernel_coefficient_amplitudes():
 def test_all_zero_coefficients_rejected():
     with pytest.raises(GraphError):
         coefficient_unitary([0.0, 0.0], 2)
+
+
+def test_hadamard_all_is_built_once_and_read_only():
+    """Every call with one width returns the same array, equal to the kron
+    chain; writing into it raises, so no caller can change a shared gate."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+    for q in range(5):
+        want = np.array([[1.0]], dtype=complex)
+        for _ in range(q):
+            want = np.kron(want, h)
+        got = hadamard_all(q)
+        assert hadamard_all(q) is got
+        assert got.dtype == complex and np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            got *= 2.0
+
+
+class DrewRandomNumbers(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_exact_builds_draw_no_random_numbers(monkeypatch, n):
+    """Exact state preparation makes no random generator; injected oracle
+    or coefficient noise still reaches one."""
+    def refuse(*args):
+        raise DrewRandomNumbers(args)
+
+    monkeypatch.setattr(stateprep, "_stable_rng", refuse)
+    rng = np.random.default_rng(n)
+    kp = KernelParams(0.5, 3)
+    unit, general = unit_vs(rng, n, 2), general_vs(rng, n, 2, 0.35, 0.55)
+    build_phi_state(unit, kp)
+    build_psi_state(general, kp)
+    build_degree_state(general, kp)
+    with pytest.raises(DrewRandomNumbers):
+        QramOracle(unit, eps_x=1e-3)
+    with pytest.raises(DrewRandomNumbers):
+        build_phi_state(unit, kp, PrepConfig(coeff_eps=1e-3))
+    with pytest.raises(DrewRandomNumbers):
+        build_psi_state(general, kp, PrepConfig(coeff_eps=1e-3))
 
 
 # ---------------------------------------------------------------------------
