@@ -12,11 +12,12 @@ from qlapeig import (KernelParams, VertexSet, build_graph,
 
 rng = np.random.default_rng(7)
 
-# Six points in the plane; the vertex set pads to the next power of two so
-# index registers have integral width, and records which rows are real.
-points = rng.standard_normal((6, 2)) * 0.6
+# Eight points in the plane.  The circuits read a vertex index into log2 n
+# qubits, so a vertex set holds a power-of-two number of vertices; a
+# dimension that is not a power of two is padded with zero columns.
+points = rng.standard_normal((8, 2)) * 0.6
 vs = VertexSet.from_vectors(points)
-print(f"n = {vs.n} (active {vs.n_active}), m = {vs.m}, padded = {vs.padded}")
+print(f"n = {vs.n}, m = {vs.m}")
 
 kp = KernelParams(lam=0.5, p=4)
 print(f"kernel width lambda = {kp.lam}, truncation order p = {kp.p}")

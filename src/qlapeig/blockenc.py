@@ -140,11 +140,13 @@ class CombinationSpec:
         self.in_unit_range = self.c < 1.0
 
 
+NEG_POWER = 0.5  # the exponent c of A^-c: D^-1/2 for the symmetric Laplacian
+
+
 @dataclass
 class NegativePowerParams:
     kappa: float
     varsigma1: float
-    c_exp: float = 0.5
     zeta1: float = field(init=False)
 
     def __post_init__(self):
@@ -152,7 +154,7 @@ class NegativePowerParams:
             raise GraphError("condition bound must be at least 2")
         if not (0 < self.varsigma1 <= 0.5):
             raise GraphError("varsigma1 must lie in (0, 1/2]")
-        k, c, s = self.kappa, self.c_exp, self.varsigma1
+        k, c, s = self.kappa, NEG_POWER, self.varsigma1
         # big-O constant set to 1
         self.zeta1 = s / (k ** (1 + c) * max(1.0, c)
                           * math.log2(k ** c / s + 2.0)
@@ -432,19 +434,16 @@ def encode_calL(vs: VertexSet, kp: KernelParams, trace_D_estimate: float | None 
     return LaplacianEncodingResult(enc, combo, pair, comps, trace_d, degree.stats)
 
 
-def encode_barL_unit_norm(vs: VertexSet, kp: KernelParams,
-                          trace_D_estimate: float | None = None,
-                          prep: PrepConfig | None = None,
-                          est: EstimatorConfig | None = None) -> LaplacianEncodingResult:
+def encode_barL_unit_norm(vs: VertexSet, kp: KernelParams) -> LaplacianEncodingResult:
     """Unit-norm combination rho2 - d rho0 + e rho3 with d = n a~/Tr(D),
-    e = a~ n/Tr(D); encodes L_p/Tr(D) exactly in the truncated model."""
-    prep = prep or PrepConfig()
-    est = est or EstimatorConfig()
+    e = a~ n/Tr(D); encodes L_p/Tr(D) exactly in the truncated model.  The
+    states are built with the default ``PrepConfig`` and ``EstimatorConfig``,
+    and Tr(D) is the degree pipeline's estimate."""
     if not vs.unit_norms():
         raise GraphError("the unit-norm combination needs unit-norm vertices")
     degree, rho2_enc, rho3_enc, rho0_enc, phi = _component_encodings(
-        vs, kp, prep, est, "unit")
-    trace_d = degree.trace_estimate if trace_D_estimate is None else trace_D_estimate
+        vs, kp, PrepConfig(), EstimatorConfig(), "unit")
+    trace_d = degree.trace_estimate
     a_t = kp.a_tilde_sum
     d_coef = vs.n * a_t / trace_d
     e_coef = a_t * vs.n / trace_d
@@ -482,9 +481,10 @@ def encode_W_over_n(vs: VertexSet, kp: KernelParams, norm_case: str = "auto",
 
 
 def sandwich_negative_power(be_a: BlockEncoding, be_b: BlockEncoding,
-                            c_exp: float = 0.5, kappa: float | None = None,
+                            kappa: float | None = None,
                             varsigma1: float = 1e-3) -> tuple[BlockEncoding, NegativePowerParams]:
-    """Encoding of A^-c B A^-c through an idealized negative-power oracle.
+    """Encoding of A^-c B A^-c, c = ``NEG_POWER``, through an idealized
+    negative-power oracle.
 
     A is taken from ``be_a``'s block (spectral window I/kappa <= A <= I is
     verified classically); the A^-c factors come from its eigendecomposition,
@@ -501,15 +501,15 @@ def sandwich_negative_power(be_a: BlockEncoding, be_b: BlockEncoding,
         kappa = max(2.0, float(np.ceil(1.0 / np.min(vals))))
     if np.min(vals) < 1.0 / kappa - 1e-9 or np.max(vals) > 1.0 + 1e-9:
         raise GraphError("spectral window I/kappa <= A <= I violated")
-    params = NegativePowerParams(kappa=kappa, varsigma1=varsigma1, c_exp=c_exp)
+    params = NegativePowerParams(kappa=kappa, varsigma1=varsigma1)
     if be_a.epsilon > params.zeta1 + 1e-15:
         raise GraphError("base encoding error exceeds the negative-power budget")
-    neg = vecs @ np.diag(vals ** (-c_exp)) @ vecs.conj().T
-    scale_m = 2.0 * kappa ** c_exp
+    neg = vecs @ np.diag(vals ** (-NEG_POWER)) @ vecs.conj().T
+    scale_m = 2.0 * kappa ** NEG_POWER
     m_block = neg / scale_m
-    alpha_f = 4.0 * kappa ** (2.0 * c_exp) * be_b.alpha
-    claimed = (4.0 * kappa ** c_exp * be_b.alpha * varsigma1
-               + 4.0 * kappa ** (2.0 * c_exp) * be_b.epsilon)
+    alpha_f = 4.0 * kappa ** (2.0 * NEG_POWER) * be_b.alpha
+    claimed = (4.0 * kappa ** NEG_POWER * be_b.alpha * varsigma1
+               + 4.0 * kappa ** (2.0 * NEG_POWER) * be_b.epsilon)
     blk = m_block @ be_b.block() @ m_block
     enc = BlockEncoding(alpha_f, be_b.ancillas + 2, claimed, be_b.subject_dim,
                         backend="composite", _block=blk,

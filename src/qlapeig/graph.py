@@ -1,6 +1,10 @@
 """Classical graph model: Gaussian weight matrices, Taylor-truncated variants,
 degree/Laplacian matrices, and the reference dense eigensolver.
 
+A ``VertexSet`` is the input contract of every pipeline: a power-of-two
+number of vertices, at least 2, whose dimension is widened with zero columns
+to a power of two, at least 2.
+
 Everything here is exact 64-bit linear algebra.  All quantum constructions in
 the other modules are checked against the matrices produced here.
 """
@@ -47,20 +51,24 @@ def _next_pow2(k: int) -> int:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """The n input vectors in R^m, zero-padded so n and m are powers of two.
+    """The n input vectors in R^m: what every pipeline accepts.
 
-    ``active`` marks the original (non-padding) vertices.  Padding vertices are
-    zero vectors; they carry zero weight to every other vertex and are excluded
-    from all graph matrices.
+    The circuits read vertex i into log2 n index qubits and its entries into
+    log2 m data qubits, so n and m are powers of two, at least 2.  The vertex
+    count is taken as given; ``from_vectors`` widens any other dimension with
+    zero columns, which changes no norm, distance or inner product.
     """
 
     vertices: np.ndarray          # (n, m) float64
     norms: np.ndarray             # (n,)
     n: int
     m: int
-    n_active: int
-    m_active: int
-    padded: bool
+
+    def __post_init__(self):
+        for what, k in (("vertex count", self.n), ("dimension", self.m)):
+            if k < 2 or k & (k - 1):
+                raise GraphError(f"the {what} must be a power of two, at least 2; "
+                                 f"got {k}")
 
     @classmethod
     def from_vectors(cls, vectors) -> "VertexSet":
@@ -72,31 +80,23 @@ class VertexSet:
             raise GraphError("vertices must form a 2-d array")
         if not np.all(np.isfinite(arr)):
             raise GraphError("non-finite vertex entry")
-        n_act, m_act = arr.shape
-        if n_act < 2 or m_act < 1:
-            raise GraphError("need n >= 2 vertices of dimension m >= 1")
-        # registers need log2 m >= 1, so dimension pads to at least 2
-        n, m = _next_pow2(n_act), max(2, _next_pow2(m_act))
-        padded = (n != n_act) or (m != m_act)
+        n, m_in = arr.shape
+        if m_in < 1:
+            raise GraphError("vertices need dimension m >= 1")
+        m = max(2, _next_pow2(m_in))
         full = np.zeros((n, m))
-        full[:n_act, :m_act] = arr
+        full[:, :m_in] = arr
         norms = np.linalg.norm(full, axis=1)
-        return cls(full, norms, n, m, n_act, m_act, padded)
+        return cls(full, norms, n, m)
 
-    @property
-    def active(self) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        mask[: self.n_active] = True
-        return mask
-
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         ref = np.linalg.norm(self.vertices, axis=1)
         scale = np.maximum(ref, 1.0)
-        if np.any(np.abs(self.norms - ref) > tol * scale):
+        if np.any(np.abs(self.norms - ref) > 1e-12 * scale):
             raise GraphError("stored norms disagree with vertex data")
 
     def unit_norms(self, tol: float = 1e-8) -> bool:
-        return bool(np.all(np.abs(self.norms[: self.n_active] - 1.0) <= tol))
+        return bool(np.all(np.abs(self.norms - 1.0) <= tol))
 
 
 def resolve_norm_case(vs: VertexSet, norm_case: str) -> str:
@@ -124,8 +124,8 @@ class KernelParams:
     a_tilde_sum: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.lam > 0):
-            raise GraphError("kernel width must be positive")
+        if not (0 < self.lam < math.inf):
+            raise GraphError("kernel width must be positive and finite")
         if self.p < 0 or self.p != int(self.p):
             raise GraphError("truncation order must be a nonnegative integer")
         ks = np.arange(self.p + 1)
@@ -158,10 +158,7 @@ class SpectralReference:
 
 
 def build_weight_matrix(vs: VertexSet, kp: KernelParams) -> np.ndarray:
-    """Exact Gaussian weights w_ij = exp(-lam * ||x_i - x_j||^2), zero diagonal.
-
-    Padding vertices get zero weight to everything.
-    """
+    """Exact Gaussian weights w_ij = exp(-lam * ||x_i - x_j||^2), zero diagonal."""
     vs.validate()
     x = vs.vertices
     sq = np.sum(x * x, axis=1)
@@ -169,9 +166,6 @@ def build_weight_matrix(vs: VertexSet, kp: KernelParams) -> np.ndarray:
     np.maximum(d2, 0.0, out=d2)
     w = np.exp(-kp.lam * d2)
     np.fill_diagonal(w, 0.0)
-    mask = vs.active
-    w[~mask, :] = 0.0
-    w[:, ~mask] = 0.0
     return w
 
 
@@ -203,9 +197,6 @@ def build_taylor_weight_matrix(
     wp = pref * series
     diag = np.diag(wp).copy()
     np.fill_diagonal(wp, 0.0)
-    mask = vs.active
-    wp[~mask, :] = 0.0
-    wp[:, ~mask] = 0.0
     return wp, diag
 
 
@@ -244,23 +235,14 @@ def build_graph(vs: VertexSet, kp: KernelParams, truncated: bool = False) -> Gra
     """
     w = build_weight_matrix(vs, kp)
     wp, diag = build_taylor_weight_matrix(vs, kp)
-    base = wp if truncated else w
-    act = vs.active
-    gm = build_laplacians(base[np.ix_(act, act)])
-
-    # re-embed into the padded index space for register-width consistency
-    def embed(small):
-        big = np.zeros((vs.n, vs.n))
-        big[np.ix_(act, act)] = small
-        return big
-    return GraphMatrices(
-        W=w, W_p=wp, taylor_diag=diag, D=embed(gm.D), L=embed(gm.L),
-        L_s=embed(gm.L_s), L_r=embed(gm.L_r), trace_D=gm.trace_D,
-    )
+    gm = build_laplacians(wp if truncated else w)
+    gm.W, gm.W_p, gm.taylor_diag = w, wp, diag
+    return gm
 
 
-def classical_eigensolve(mat: np.ndarray, d: int, zero_tol: float = 1e-9) -> SpectralReference:
+def classical_eigensolve(mat: np.ndarray, d: int) -> SpectralReference:
     """The d smallest nonzero eigenpairs of a symmetric matrix, ascending.
+    An eigenvalue counts as zero within 1e-9 of the largest magnitude (or 1).
 
     Eigenvectors are unit-norm with the first component of magnitude above
     1e-8 made positive, so that comparisons are reproducible.
@@ -270,7 +252,7 @@ def classical_eigensolve(mat: np.ndarray, d: int, zero_tol: float = 1e-9) -> Spe
         raise GraphError("matrix must be symmetric")
     vals, vecs = np.linalg.eigh(mat)
     scale = max(1.0, float(np.max(np.abs(vals))))
-    keep = np.abs(vals) > zero_tol * scale
+    keep = np.abs(vals) > 1e-9 * scale
     vals, vecs = vals[keep], vecs[:, keep]
     if d > len(vals):
         raise GraphError(f"requested {d} nonzero eigenpairs, only {len(vals)} exist")
@@ -286,26 +268,24 @@ def classical_eigensolve(mat: np.ndarray, d: int, zero_tol: float = 1e-9) -> Spe
 
 def truncation_error_report(vs: VertexSet, kp: KernelParams) -> dict:
     """Entrywise Lagrange-remainder bound for |W - W_p| together with the
-    measured error, on active vertex pairs."""
+    measured error, over the off-diagonal vertex pairs."""
     w = build_weight_matrix(vs, kp)
     wp, _ = build_taylor_weight_matrix(vs, kp)
-    act = vs.active
     x = vs.vertices
     gram = np.abs(x @ x.T)
     np.fill_diagonal(gram, 0.0)
-    gmax = float(gram[np.ix_(act, act)].max()) if act.sum() > 1 else 0.0
-    u = 2.0 * kp.lam * gmax
+    u = 2.0 * kp.lam * float(gram.max())
     remainder = u ** (kp.p + 1) / math.factorial(kp.p + 1) * math.exp(u)
     sq = np.sum(x * x, axis=1)
     pref = np.exp(-kp.lam * (sq[:, None] + sq[None, :]))
     bound = remainder * pref
     measured = np.abs(w - wp)
     np.fill_diagonal(bound, np.inf)
-    ok = bool(np.all(measured[np.ix_(act, act)] <= bound[np.ix_(act, act)] + 1e-15))
+    ok = bool(np.all(measured <= bound + 1e-15))
     return {
         "bound": bound,
         "measured": measured,
-        "max_measured": float(measured[np.ix_(act, act)].max()),
+        "max_measured": float(measured.max()),
         "max_bound": float(remainder),
         "within_bound": ok,
     }

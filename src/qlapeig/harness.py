@@ -29,15 +29,19 @@ class ConfigError(GraphError):
 class RunConfig:
     """Every field has a default; unknown keys in a config file are errors.
 
-    input:            vertex CSV or JSON path ("" means not set)
+    input:            vertex CSV or JSON path ("" means not set); the number of
+                      vertices is a power of two, at least 2, and zero
+                      columns widen the dimension to one
     target:           L | Ls | Lr | W
     lambda_:          Gaussian kernel width (key "lambda" in files)
     p:                Taylor truncation order
     d:                number of nonzero eigenpairs to extract (at least 1)
     norm_case:        auto | unit | general
     estimator_mode:   exact | noisy
-    eps_d:            distance-estimator precision (noisy mode)
-    delta1:           distance-estimator failure probability (noisy mode)
+    eps_d:            distance-estimator precision (noisy mode), positive and
+                      finite
+    delta1:           distance-estimator failure probability (noisy mode), in
+                      [0, 1/2]
     qpe_bits, qpe_shots, seed: phase-estimation settings (bits and shots at
                       least 1)
     fixed_point_bits, exp_gate_order: arithmetic widths

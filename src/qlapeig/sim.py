@@ -151,6 +151,7 @@ class RegisterLayout:
 
 
 CHUNK_CELLS = 1 << 18  # amplitudes per slab of a batched gate's temporaries
+PRUNE_TOL = 1e-14      # a row whose amplitudes all lie within this is dropped
 
 
 class BranchMap(Mapping):
@@ -321,21 +322,22 @@ class SimState:
         return self.sum_by_labels(zip((other.keys[r] for r in theirs),
                                       terms.tolist()))
 
-    def prune(self, rows=None, weights=None, tol: float = 1e-14):
-        """Drop the rows whose amplitudes all lie within ``tol``, but never
-        the last one.  Only the listed ``rows`` are examined, or by default
-        the rows whose squared norm (``weights`` when given) is at most twice
-        size * tol^2: no other row can lie within ``tol``."""
+    def prune(self, rows=None, weights=None):
+        """Drop the rows whose amplitudes all lie within ``PRUNE_TOL``, but
+        never the last one.  Only the listed ``rows`` are examined, or by
+        default the rows whose squared norm (``weights`` when given) is at
+        most twice size * PRUNE_TOL^2: no other row can lie within it."""
         if not self.keys:
             return
         flat = self.amps.reshape(len(self.keys), -1)
         if rows is None:
             if weights is None:
                 weights = self._row_weights()
-            rows = np.flatnonzero(weights <= 2.0 * flat.shape[1] * tol * tol)
+            rows = np.flatnonzero(
+                weights <= 2.0 * flat.shape[1] * PRUNE_TOL * PRUNE_TOL)
         if not len(rows):
             return
-        dead = rows[np.abs(flat[rows]).max(axis=1) <= tol]
+        dead = rows[np.abs(flat[rows]).max(axis=1) <= PRUNE_TOL]
         if len(dead) == len(self.keys):
             dead = dead[:-1]
         if len(dead):

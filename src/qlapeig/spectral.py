@@ -548,11 +548,10 @@ def extract_d_smallest(samples: QpeSamples, d: int,
 
 def recover_Lr_eigenvectors(result: SpectralResult, rho2_block: np.ndarray,
                             lr_matrix: np.ndarray | None = None,
-                            calL_block: np.ndarray | None = None,
-                            residual_tol: float = 1e-6):
+                            calL_block: np.ndarray | None = None):
     """Map eigenvectors of the symmetric normalization to the random-walk one
-    through the inverse square root of the degree state, verifying the
-    eigenvector residual."""
+    through the inverse square root of the degree state, verifying that each
+    eigenvector residual is at most 1e-6."""
     rho2 = (rho2_block + rho2_block.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(rho2)
     if np.min(vals) <= 1e-14:
@@ -574,7 +573,7 @@ def recover_Lr_eigenvectors(result: SpectralResult, rho2_block: np.ndarray,
             mu = complex(np.vdot(w, lr_matrix @ w)).real
             res = float(np.linalg.norm(lr_matrix @ w - mu * w))
             residuals.append(res)
-            if res > residual_tol:
+            if res > 1e-6:
                 raise SimulationError(
                     f"recovered vector fails the eigen-residual: {res:.3e}")
             cols.append(w)
@@ -684,7 +683,7 @@ def encode_target(vs: VertexSet, kp: KernelParams,
             if cfg.target in ("Ls", "Lr"):
                 rho2_enc = res.components["rho2"]
                 target_enc, np_params = sandwich_negative_power(
-                    rho2_enc, res.encoding, 0.5)
+                    rho2_enc, res.encoding)
                 subject = gm.L_s
                 report["negative_power"] = {"kappa": np_params.kappa,
                                             "zeta1": np_params.zeta1}

@@ -167,7 +167,7 @@ class QramOracle:
             nrm = self.data.norms[i]
             if nrm <= 0:
                 amp = np.zeros(self.data.m)
-                amp[0] = 1.0  # padding vertices encode |0>
+                amp[0] = 1.0  # a zero vector encodes |0>
             else:
                 amp = x / nrm
             if self.eps_x > 0:
@@ -232,8 +232,10 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "noisy"):
             raise GraphError(f"unknown estimator mode {self.mode!r}")
-        if self.eps_d <= 0:
-            raise GraphError("estimator precision must be positive")
+        if not (0 < self.eps_d < math.inf):
+            raise GraphError("estimator precision eps_d must be positive and finite")
+        if not (0 <= self.delta1 <= 0.5):
+            raise GraphError("estimator failure probability delta1 must lie in [0, 1/2]")
 
     def perturb(self, true_value: float, key) -> float:
         """Noisy estimate of width eps_d.  The success probability is
@@ -260,6 +262,12 @@ class PrepConfig:
     exp_order: int = 24
     coeff_eps: float = 0.0   # injected coefficient-state error
     seed: int | None = None
+
+    def __post_init__(self):
+        if self.bits < 2:
+            raise GraphError("fixed-point width must be at least 2 bits")
+        if self.exp_order < 0:
+            raise GraphError("exp gate order must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +384,6 @@ def build_phi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
                     oracle: QramOracle | None = None) -> PhiBuild:
     """Unit-norm pipeline giving |Phi> with rho0 = (W_p + a~ I)/(n a~)."""
     prep = prep or PrepConfig()
-    if vs.padded:
-        raise GraphError("pipelines require power-of-two inputs without padding")
     if not vs.unit_norms(1e-10) and (oracle is None or oracle.eps_x == 0):
         raise GraphError("vertices must have unit norm; use build_psi_state instead")
     oracle = oracle or QramOracle(vs)
@@ -420,10 +426,6 @@ def build_psi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
                     oracle: QramOracle | None = None) -> PsiBuild:
     """General-norm pipeline; reduced state carries (W_p + I_eff)/Upsilon."""
     prep = prep or PrepConfig()
-    if vs.padded:
-        raise GraphError("pipelines require power-of-two inputs without padding")
-    if vs.n < 2:
-        raise GraphError("need at least two vertices")
     if np.any(vs.norms <= 0):
         raise GraphError("vertex norms must be positive")
     oracle = oracle or QramOracle(vs)
@@ -642,10 +644,6 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
     """Eleven-step degree pipeline ending in rho2 = D / Tr(D)."""
     est = est or EstimatorConfig()
     prep = prep or PrepConfig()
-    if vs.padded:
-        raise GraphError("pipelines require power-of-two inputs without padding")
-    if vs.n < 2:
-        raise GraphError("need at least two vertices")
     n = vs.n
     log_n = n.bit_length() - 1
     diffs = vs.vertices[:, None, :] - vs.vertices[None, :, :]

@@ -204,11 +204,11 @@ def test_kernel_params_tables():
 
 
 def test_vertexset_padding_and_validation():
-    vs = VertexSet.from_vectors([[1.0], [2.0], [3.0]])
-    assert vs.n == 4 and vs.m == 2 and vs.padded  # dimension pads to >= 2
-    assert vs.n_active == 3 and vs.m_active == 1
-    w = build_weight_matrix(vs, KernelParams(0.5, 2))
-    assert np.all(w[3, :] == 0) and np.all(w[:, 3] == 0)
+    vs = VertexSet.from_vectors([[1.0], [2.0], [3.0], [4.0]])
+    assert vs.n == 4 and vs.m == 2  # dimension pads to >= 2
+    assert np.array_equal(vs.vertices[:, 1], np.zeros(4))
+    with pytest.raises(GraphError, match="vertex count .* got 3"):
+        VertexSet.from_vectors([[1.0], [2.0], [3.0]])
     with pytest.raises(GraphError):
         VertexSet.from_vectors([[np.inf, 0.0], [0.0, 1.0]])
     with pytest.raises(GraphError):
@@ -232,14 +232,10 @@ def test_io_roundtrip(tmp_path):
     assert blob["W"][0][1] == pytest.approx(gm.W[0, 1])
 
 
-def test_build_graph_with_padding():
-    vs = VertexSet.from_vectors([[0.5, 0.1], [0.1, 0.4], [-0.3, 0.2]])
-    assert vs.padded and vs.n == 4
-    gm = build_graph(vs, KernelParams(0.5, 4))
-    # padding vertex carries no weight and no degree
-    assert np.all(gm.W[3, :] == 0) and np.all(gm.W[:, 3] == 0)
-    assert gm.D[3, 3] == 0 and np.all(gm.L[3, :] == 0)
-    # active block behaves like the unpadded graph
-    sub = build_laplacians(gm.W[:3, :3])
-    assert np.allclose(gm.L[:3, :3], sub.L)
-    assert gm.trace_D == pytest.approx(sub.trace_D)
+@pytest.mark.parametrize("n,m", [(3, 2), (1, 2), (4, 3), (4, 1)])
+def test_vertexset_direct_construction_checks_the_contract(n, m):
+    """Direct construction is held to the contract ``from_vectors`` meets:
+    a vertex count and dimension that are powers of two, at least 2."""
+    x = np.ones((n, m))
+    with pytest.raises(GraphError, match="power of two"):
+        VertexSet(x, np.linalg.norm(x, axis=1), n, m)

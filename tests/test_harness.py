@@ -165,7 +165,9 @@ def test_cli_unknown_norm_case_exits_2_no_report(tmp_path, flags):
 
 @pytest.mark.parametrize("key,value", [
     ("sim_path", "qsp"), ("sim_eps", 0), ("sim_eps", 2), ("d", 0), ("d", -1),
-    ("qpe_bits", 0), ("qpe_shots", 0)])
+    ("qpe_bits", 0), ("qpe_shots", 0), ("eps_d", "nan"), ("eps_d", "inf"),
+    ("delta1", 2), ("delta1", -1), ("delta1", "nan"), ("fixed_point_bits", 1),
+    ("exp_gate_order", -1), ("lambda", "inf")])
 def test_cli_out_of_range_key_exits_2_before_any_stage(tmp_path, monkeypatch,
                                                        key, value):
     """An out-of-range run key is a configuration error, refused before the
@@ -200,6 +202,45 @@ def test_cli_negative_seed_exits_2_before_any_stage(tmp_path, monkeypatch, capsy
     assert main(argv) == 2
     assert not out.exists()
     assert capsys.readouterr().out.startswith("error: seed must be nonnegative")
+
+
+@pytest.mark.parametrize("flags", [[], ["--verify-only"]], ids=["run", "verify-only"])
+@pytest.mark.parametrize("n", [3, 6])
+def test_cli_vertex_count_not_a_power_of_two_exits_2_at_load(tmp_path, monkeypatch,
+                                                             capsys, flags, n):
+    """The circuits index vertices with log2 n qubits: any other count is
+    refused when the vertices load, naming the count, before any stage."""
+    def no_stage(*args, **kwargs):
+        raise AssertionError("the graph-model stage ran")
+    monkeypatch.setattr(spectral, "build_graph", no_stage)
+    rng = np.random.default_rng(n)
+    csv = tmp_path / "v.csv"
+    csv.write_text("".join(f"{a:.17g},{b:.17g}\n"
+                           for a, b in 0.4 * rng.standard_normal((n, 2))))
+    out = tmp_path / "report.json"
+    cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), output=str(out))
+    assert main(["run", "--config", str(cfg_file)] + flags) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == (
+        f"error: the vertex count must be a power of two, at least 2; got {n}\n")
+
+
+def test_cli_dimension_is_zero_padded(tmp_path):
+    """An m = 3 input runs, and its report is byte for byte the report of
+    the same vertices with an explicit zero column (m = 4)."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((4, 3))
+    x *= rng.uniform(0.35, 0.55, size=(4, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+    reports = []
+    for cols in (x, np.hstack([x, np.zeros((4, 1))])):
+        csv = tmp_path / f"v{cols.shape[1]}.csv"
+        csv.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                               for row in cols))
+        out = tmp_path / f"report{cols.shape[1]}.json"
+        cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), output=str(out))
+        assert main(["run", "--config", str(cfg_file)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("text", ["5", '{"vertices": {"a": 1}}', "[[0.5, 0.1]]",
