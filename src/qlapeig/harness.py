@@ -40,8 +40,9 @@ class RunConfig:
     estimator_mode:   exact | noisy
     eps_d:            distance-estimator precision (noisy mode), positive and
                       finite
-    delta1:           distance-estimator failure probability (noisy mode), in
-                      [0, 1/2]
+    delta1:           probability that one noisy distance estimate fails,
+                      its error then landing in (eps_d, 3 eps_d] (noisy
+                      mode), in [0, 1/2]
     qpe_bits, qpe_shots, seed: phase-estimation settings (bits and shots at
                       least 1)
     fixed_point_bits, exp_gate_order: arithmetic widths

@@ -34,23 +34,28 @@ part is nonzero.  The pipeline meters dilations of real symmetric blocks,
 whose U is exactly real, so only P_R (the phases (-i)^k) stays a complex
 GEMM.  The meter counts the circuit's rungs, not these GEMMs.
 
-Phase estimation (``run_qpe``) holds one register of 2^bits slots, each an
-n x n matrix: slot y is U^y |Phi>, |Phi> the purified maximally-mixed input,
-whose matrix is the identity over sqrt(n 2^bits), so slot y is that multiple
-of U^y.  The controlled powers are filled by doubling: slot 0 holds |Phi>,
-and for f = 1, 2, 4, .. slots f .. 2f - 1 are slots 0 .. f - 1
-right-multiplied by U^f (powers of one matrix commute), after which U^f is
-squared.  The slots are stacked row-wise, so a run of them times U^f is one
-2-D GEMM; a run holds as many slots as keep the GEMM within
-``QPE_GEMM_MACS`` multiply-adds, which at 10 bits is one GEMM per bit up to
-n = 4, 21 GEMMs at n = 8 and 130 at n = 16, not one per slot.  The Fourier
-transform runs in place on the register, and the Born probabilities are a
-conjugating ``vecdot`` over its rows, so no second register is made.  The
+Phase estimation (``run_qpe``) never holds the whole register of 2^bits
+slots, each an n x n matrix: slot y is U^y |Phi>, |Phi> the purified
+maximally-mixed input, whose matrix is the identity over sqrt(n 2^bits), so
+slot y is that multiple of U^y.  Right-multiplication acts on each system row
+alone, so the register is run one block of b system rows at a time, b the
+largest with 2^bits b n <= ``QPE_BLOCK_AMPLITUDES`` (1 <= b <= n), in one
+reused buffer.  The powers U^(2^k) are squared once.  A block's slots are
+filled by doubling: slot 0 holds its rows of |Phi>, and for f = 1, 2, 4, ..
+slots f .. 2f - 1 are slots 0 .. f - 1 right-multiplied by U^f (powers of
+one matrix commute).  The slots are stacked row-wise, so a run of them times
+U^f is one 2-D GEMM of at most max(``QPE_GEMM_MACS``, n^3) multiply-adds.
+The Fourier transform runs in place on the block, and its Born weights, a
+conjugating ``vecdot`` over its rows, are added into the probabilities.  The
 shots are the draws ``Generator.choice`` makes, the same uniforms compared
 with the same CDF, but counted per bin from the sorted uniforms
-(``_shot_counts``) rather than located one by one.  The sampled
-post-measurement states are views of their slots, unnormalized; extraction
-normalizes only the bins of the clusters it reports.
+(``_shot_counts``) rather than located one by one.  The phase register is
+read out in the Fourier basis, a product state, so the transformed slot z is
+sum_y (w^z U)^y = prod_k (I + (w^z U)^(2^k)) times the slot scale, w =
+e^(-2 pi i / 2^bits) (Cleve, Ekert, Macchiavello and Mosca 1998):
+``QpeSamples.post_state`` builds a bin's unnormalized post-measurement state
+from the powers on first read, one n x n GEMM per phase bit, and extraction
+reads it only for the bins of the clusters it reports.
 """
 
 from __future__ import annotations
@@ -101,12 +106,16 @@ class ResolutionError(SimError):
 
 MAX_TAYLOR_ORDER = 12  # lcu path: the highest truncation order chosen from eps
 LCU_MAX_AMPLITUDES = 1 << 21  # lcu path: the largest state it simulates
-# QPE: the most complex multiply-adds in one doubling GEMM.  OpenBLAS 0.3.31
-# splits a call of 2^16 or more across its threads; the helper thread then
-# packs its share of the register into a buffer of its own, so one GEMM per
-# bit raised the n = 16 peak RSS by 2.7 MB (6%), and on a contended machine
-# such calls stall for milliseconds while the threads wait on each other
+# QPE: the most complex multiply-adds in one doubling GEMM, unless one n x n
+# product (n^3, n > 32) is more.  OpenBLAS 0.3.31 splits a call of 2^16 or
+# more across its threads; the helper thread then packs its share of the
+# register into a buffer of its own, so one GEMM per bit raised the n = 16
+# peak RSS by 2.7 MB (6%), and on a contended machine such calls stall for
+# milliseconds while the threads wait on each other
 QPE_GEMM_MACS = 1 << 15
+# QPE: the most amplitudes a block of the phase register holds, unless one
+# system row alone (2^bits n amplitudes) is more
+QPE_BLOCK_AMPLITUDES = 1 << 15
 
 
 def _sim_setting_error(path: str, eps: float) -> str | None:
@@ -148,12 +157,30 @@ class QpeConfig:
 @dataclass
 class QpeSamples:
     counts: dict                 # outcome -> shots
-    post_states: dict            # outcome -> (n_sys, n_purifier) unnormalized
-                                 # slice of the QPE register, a view
-    probs: np.ndarray
+    probs: np.ndarray            # outcome -> Born probability
     phase_bits: int
     time_scale: float
     shots: int
+    n: int                       # system dimension
+    powers: list                 # U^(2^k), k = 0 .. phase_bits - 1, each n x n
+    _posts: dict = field(default_factory=dict, init=False, repr=False)
+
+    def post_state(self, z: int) -> np.ndarray:
+        """Outcome z's unnormalized post-measurement state, the (n_sys,
+        n_purifier) matrix sum_y w^(yz) U^y / (2^bits sqrt n), w =
+        e^(-2 pi i / 2^bits): the register's slot z after the Fourier
+        transform.  Built on first read, and kept, as the product
+        prod_k (I + w^(z 2^k) U^(2^k)) over the powers."""
+        post = self._posts.get(z)
+        if post is None:
+            pdim = 1 << self.phase_bits
+            post = np.eye(self.n, dtype=complex)
+            for k, power in enumerate(self.powers):
+                phase = np.exp(-2j * math.pi * ((z << k) % pdim) / pdim)
+                post = post + phase * (post @ power)
+            post /= pdim * math.sqrt(self.n)
+            self._posts[z] = post
+        return post
 
 
 @dataclass
@@ -302,12 +329,15 @@ def _taylor_select(psi: np.ndarray, factors: tuple, order: int) -> np.ndarray:
     return psi
 
 
-def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig) -> BlockEncoding:
+def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig,
+                on_segment=None) -> BlockEncoding:
     """Segmented truncated-Taylor series over controlled encoding queries,
     A = (P_L^dag (x) I) SELECT (P_R (x) I).  Each segment passes A once (the
     identities are in the module docstring): phi = R A psi, then
     psi <- phi - 2 E (2 W^dag w - Pi psi), a rank-s update from the compact
-    rows of E."""
+    rows of E.  ``on_segment(col, psi)``, when given, reads input column
+    col's state after each segment, as live rows of shape (order + 2,
+    2 a_dim^order s); it must not write to psi."""
     if be.backend != "dense":
         raise SimulationError("the metered path needs an explicit encoding unitary")
     s = be.subject_dim
@@ -394,6 +424,8 @@ def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig) -> Bloc
         psi[0, col] = 1.0
         for _ in range(r):
             psi = segment(psi)
+            if on_segment is not None:
+                on_segment(col, psi)
         block[:, col] = psi[0, :s]
 
     vals, vecs = np.linalg.eigh(h)
@@ -418,11 +450,11 @@ def run_qpe(u_enc: BlockEncoding, qcfg: QpeConfig,
 
     Controlled powers use the adjoint of the encoded evolution so that
     eigenphases come out as +gamma t / 2 pi.  Slot y of the register is the
-    n x n matrix U^y / sqrt(n pdim); powers of one matrix commute, so slots
-    f .. 2f - 1 are slots 0 .. f - 1 right-multiplied by U^f, as 2-D GEMMs
-    over runs of slots stacked row-wise, each of at most ``QPE_GEMM_MACS``
-    multiply-adds.  The shots are the draws of ``Generator.choice``
-    (``_shot_counts``).
+    n x n matrix U^y / sqrt(n pdim), run one block of system rows at a time
+    (module docstring): slots f .. 2f - 1 of a block are slots 0 .. f - 1
+    right-multiplied by U^f, as 2-D GEMMs over runs of slots stacked
+    row-wise.  Each block's Born weights are added into the probabilities;
+    the shots are the draws of ``Generator.choice`` (``_shot_counts``).
     """
     t = qcfg.time_scale
     if lambda_max_bound is not None and t * lambda_max_bound >= 2.0 * math.pi:
@@ -430,28 +462,35 @@ def run_qpe(u_enc: BlockEncoding, qcfg: QpeConfig,
     u = u_enc.block().conj().T
     n = u.shape[0]
     pdim = 1 << qcfg.phase_bits
-    _desk_scale_guard(pdim * n * n, f"{qcfg.phase_bits}-bit phase-estimation register",
+    rows = max(1, min(n, QPE_BLOCK_AMPLITUDES // (pdim * n)))  # system rows a block
+    _desk_scale_guard(pdim * rows * n,
+                      f"{qcfg.phase_bits}-bit phase-estimation register block",
                       "use fewer qpe_bits")
-    psi = np.empty((pdim, n, n), dtype=complex)
-    psi[0] = np.eye(n) / math.sqrt(n) / math.sqrt(pdim)  # sum_j |j>|j> / sqrt(n pdim)
-    run = max(1, QPE_GEMM_MACS // n ** 3)  # slots per GEMM
-    step = u  # U^f, f = 2^k: fills slots f .. 2f - 1 from slots 0 .. f - 1
-    for k in range(qcfg.phase_bits):
-        f = 1 << k
-        for y in range(0, f, run):
-            z = min(f, y + run)
-            np.matmul(psi[y:z].reshape(-1, n), step, out=psi[f + y:f + z].reshape(-1, n))
-        if 2 * f < pdim:
-            step = step @ step
-    np.fft.fft(psi, axis=0, out=psi)
-    psi /= math.sqrt(pdim)
-    flat = psi.reshape(pdim, -1)
-    probs = np.vecdot(flat, flat).real
+    powers = [u]  # U^f, f = 2^k: fills slots f .. 2f - 1 from slots 0 .. f - 1
+    for _ in range(qcfg.phase_bits - 1):
+        powers.append(powers[-1] @ powers[-1])
+    run = max(QPE_GEMM_MACS, n ** 3) // (rows * n * n)  # slots per GEMM, >= 1
+    start = np.eye(n) / math.sqrt(n) / math.sqrt(pdim)  # sum_j |j>|j> / sqrt(n pdim)
+    buf = np.empty(pdim * rows * n, dtype=complex)
+    probs = np.zeros(pdim)
+    for top in range(0, n, rows):
+        b = min(rows, n - top)
+        psi = buf[:pdim * b * n].reshape(pdim, b, n)
+        psi[0] = start[top:top + b]
+        for k, step in enumerate(powers):
+            f = 1 << k
+            for y in range(0, f, run):
+                z = min(f, y + run)
+                np.matmul(psi[y:z].reshape(-1, n), step,
+                          out=psi[f + y:f + z].reshape(-1, n))
+        np.fft.fft(psi, axis=0, out=psi)
+        psi /= math.sqrt(pdim)
+        flat = psi.reshape(pdim, -1)
+        probs += np.vecdot(flat, flat).real
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
     counts = _shot_counts(probs, qcfg.shots, np.random.default_rng(qcfg.seed))
-    post = {z: psi[z] for z in counts}
-    return QpeSamples(counts, post, probs, qcfg.phase_bits, t, qcfg.shots)
+    return QpeSamples(counts, probs, qcfg.phase_bits, t, qcfg.shots, n, powers)
 
 
 def _shot_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> dict:
@@ -481,8 +520,7 @@ def _cluster_vectors(samples: QpeSamples, bins: list, mult: int) -> np.ndarray:
     decomposed together)."""
     counts = [samples.counts[z] for z in bins]
     weight = sum(counts)
-    ms = np.stack([samples.post_states[z] / np.linalg.norm(samples.post_states[z])
-                   for z in bins])
+    ms = np.stack([m / np.linalg.norm(m) for m in map(samples.post_state, bins)])
     rhos = ms @ ms.conj().transpose(0, 2, 1)
     if mult > 1:
         rho = sum(c / weight * r for c, r in zip(counts, rhos))
@@ -508,7 +546,7 @@ def extract_d_smallest(samples: QpeSamples, d: int,
     """
     pdim = 1 << samples.phase_bits
     t = samples.time_scale
-    n = next(iter(samples.post_states.values())).shape[0]
+    n = samples.n
     zero_threshold = 1.5 / pdim
     min_count = max(3, int(0.05 * samples.shots / n))
     wrap = 0.5 if signed else 1.0 - max(3.0 / pdim, 2.0 * zero_threshold)

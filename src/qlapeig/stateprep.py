@@ -220,8 +220,8 @@ class EstimatorConfig:
     """Distance estimator behaviour.
 
     exact mode writes the true value (up to the fixed-point grid); noisy mode
-    adds seeded uniform noise of width eps_d, and with probability 2*delta1
-    the estimate fails (error lands in (eps_d, 3eps_d]).
+    adds seeded uniform noise of width eps_d.  delta1 is the probability that
+    one noisy estimate fails: its error then lands in (eps_d, 3 eps_d].
     """
 
     mode: str = "exact"
@@ -238,11 +238,11 @@ class EstimatorConfig:
             raise GraphError("estimator failure probability delta1 must lie in [0, 1/2]")
 
     def perturb(self, true_value: float, key) -> float:
-        """Noisy estimate of width eps_d.  The success probability is
-        1 - delta1, strictly better than the 1 - 2*delta1 the estimation
-        primitive guarantees (as a median-amplified estimator would be), so
-        the advertised success fraction holds with margin under finite
-        sampling."""
+        """Noisy estimate of width eps_d that fails with probability delta1
+        (class docstring).  That is strictly better than the 1 - 2*delta1
+        success the estimation primitive guarantees (as a median-amplified
+        estimator would be), so the advertised success fraction holds with
+        margin under finite sampling."""
         if self.mode == "exact":
             return true_value
         eps = self.eps_d

@@ -71,8 +71,10 @@ def test_lcu_taylor_error_contract(n, t, eps):
 def three_pass_taylor(be, t, order, r):
     """Reference for the metered path: each of the r segments runs the circuit
     -A R A^dag R A literally, three passes of the encoding circuit A per
-    segment and input column.  Returns the block and the circuit's query
-    count (rungs run, divided by the s columns)."""
+    segment and input column.  Returns the block, the circuit's query count
+    (rungs run, divided by the s columns) and every column's full state after
+    each segment, in circuit order: coefficient row, ancilla 1 .. order,
+    flag, subject."""
     s = be.subject_dim
     a_dim = be.unitary.shape[0] // s
     x = be.alpha * t / r
@@ -114,21 +116,38 @@ def three_pass_taylor(be, t, order, r):
         return flat.reshape(shape)
 
     block = np.zeros((s, s), dtype=complex)
+    states = []
     for col in range(s):
         psi = np.zeros(shape, dtype=complex)
         psi[(0,) * (len(shape) - 1) + (col,)] = 1.0
         for _ in range(r):
             psi = -a_op(reflect_zero(a_op(reflect_zero(a_op(psi)), adjoint=True)))
+            states.append(psi)
         block[:, col] = psi.reshape(-1, s)[0]
-    return block, queries // s
+    return block, queries // s, states
 
 
 def assert_matches_three_pass(enc, t, eps, order=None):
-    out = simulate_hamiltonian(enc, SimulationConfig(
-        t=t, eps=eps, path="lcu_taylor", truncation_order=order))
-    ref, queries = three_pass_taylor(enc, t, out.meta["order"], out.meta["segments"])
+    """The metered path against ``three_pass_taylor``: the block, the query
+    count, and each column's full state after every segment.  The metered
+    path holds the live coefficient rows 0 .. order + 1, each laid out as
+    flag, ancilla order .. 1, subject; the reference's other rows are zero."""
+    cfg = SimulationConfig(t=t, eps=eps, path="lcu_taylor", truncation_order=order)
+    h = enc.alpha * enc.block()
+    states = []
+    out = spectral._lcu_taylor(enc, (h + h.conj().T) / 2.0, cfg,
+                               on_segment=lambda col, psi: states.append(psi.copy()))
+    order = out.meta["order"]
+    ref, queries, ref_states = three_pass_taylor(enc, t, order, out.meta["segments"])
     assert np.max(np.abs(out.block() - ref)) <= 1e-12
     assert out.meta["query_count"] == queries
+    assert len(states) == len(ref_states) == enc.subject_dim * out.meta["segments"]
+    live = order + 2
+    rows = (0, order + 1) + tuple(range(order, 0, -1)) + (order + 2,)
+    for got, want in zip(states, ref_states):
+        assert not want[live:].any()
+        want = want[:live].transpose(rows).reshape(got.shape)
+        assert np.max(np.abs(got - want)) <= 1e-12
     return out
 
 
@@ -188,6 +207,32 @@ def test_lcu_taylor_matches_three_pass_circuit_with_no_idle_slot(wide, t, eps,
     else:
         enc = dilate(random_complex_hermitian(rng, 4), 1.0)
     assert 1 << max(1, (order + 1).bit_length()) == order + 2
+    assert assert_matches_three_pass(enc, t, eps, order).meta["order"] == order
+
+
+def rotated_dilation(rng, n):
+    """A one-ancilla encoding [[H, S V], [W S, -W H V]] of a random complex
+    Hermitian H, S = sqrt(I - H^2), V and W random unitaries.  ``dilate``'s
+    blocks are all functions of H, so its rungs U_j and U_{j+1} commute and
+    the order inside a fused pair cannot show; here the blocks do not
+    commute, so it does."""
+    h = random_complex_hermitian(rng, n)
+    vals, vecs = np.linalg.eigh(h)
+    root = vecs @ np.diag(np.sqrt(1.0 - vals ** 2)) @ vecs.conj().T
+    v, w = (np.linalg.qr(rng.standard_normal((n, n))
+                         + 1j * rng.standard_normal((n, n)))[0] for _ in range(2))
+    u = np.block([[h, root @ v], [w @ root, -w @ h @ v]])
+    return BlockEncoding(1.0, 1, 0.0, n, backend="dense", unitary=u)
+
+
+@pytest.mark.parametrize("n,t,eps,order", [(2, 1.0, 1e-2, 4), (4, 1.0, 1e-9, 10),
+                                           (2, 2.0, 1e-9, 11)])
+def test_lcu_taylor_matches_three_pass_circuit_with_noncommuting_blocks(n, t, eps,
+                                                                        order):
+    """Rungs that do not commute: the fused pair must be U_{j+1} U_j.  At
+    orders 10 and 11 the zero-ancilla block alone barely moves when it is
+    not; the full states do."""
+    enc = rotated_dilation(np.random.default_rng(n * 100 + order), n)
     assert assert_matches_three_pass(enc, t, eps, order).meta["order"] == order
 
 
@@ -400,14 +445,18 @@ def test_extraction_degenerate_pair_resolution_error():
     assert merged and merged[0].vectors.shape == (4, 2)
 
 
-def test_run_qpe_holds_one_register():
-    """The powers, the transform, the Born probabilities and the sampled
-    post-states all live in the one 2^bits n^2 register."""
+def test_run_qpe_holds_one_register_block():
+    """The powers, the transform and the Born probabilities of one block of
+    system rows are all the register that is held: at n = 32 and 10 bits a
+    block is one row, 2^bits n amplitudes, and the peak stays far below the
+    whole 2^bits n^2 register."""
     n, bits = 32, 10
     rng = np.random.default_rng(12)
     enc = BlockEncoding(1.0, 0, 0.0, n, backend="composite",
                         _block=sla.expm(-1j * random_complex_hermitian(rng, n)))
     register_bytes = (1 << bits) * n * n * 16
+    block_bytes = (1 << bits) * n * 16
+    assert spectral.QPE_BLOCK_AMPLITUDES // ((1 << bits) * n) == 1
     tracemalloc.start()
     try:
         s = run_qpe(enc, QpeConfig(phase_bits=bits, shots=8192, seed=0))
@@ -415,31 +464,47 @@ def test_run_qpe_holds_one_register():
     finally:
         tracemalloc.stop()
     assert len(s.counts) > 100
-    assert peak <= 1.25 * register_bytes
+    powers_bytes = bits * n * n * 16
+    assert peak <= 2 * block_bytes + powers_bytes
+    assert peak <= register_bytes / 16
 
 
-@pytest.mark.parametrize("n, calls", [(4, 10), (8, 21), (16, 130)])
+@pytest.mark.parametrize("n, calls", [(4, 10), (8, 28), (16, 168)])
 def test_run_qpe_doubling_gemms_stay_within_the_cap(monkeypatch, n, calls):
-    """The doubling writes every slot past 0 once, in 2-D GEMMs over runs of
-    slots of at most ``QPE_GEMM_MACS`` multiply-adds each (OpenBLAS runs a
-    larger one on two threads, whose packing buffers raise the peak RSS and
-    which stall under contention), and not one GEMM per slot."""
+    """Each block of system rows writes every slot past 0 once, in 2-D GEMMs
+    over runs of slots of at most max(``QPE_GEMM_MACS``, n^3) multiply-adds
+    each (OpenBLAS runs a larger one on two threads, whose packing buffers
+    raise the peak RSS and which stall under contention), and not one GEMM
+    per slot.  The blocks reuse one buffer, so the slot rows a block writes
+    are the same memory ranges for every block."""
     seen = []
     matmul = np.matmul
 
-    def recording(a, b, *args, **kwargs):
-        seen.append((a.shape, b.shape))
-        return matmul(a, b, *args, **kwargs)
+    def recording(a, b, *args, out=None, **kwargs):
+        seen.append((a.shape, b.shape, out.ctypes.data, out.nbytes))
+        return matmul(a, b, *args, out=out, **kwargs)
 
+    bits = 10
     enc = BlockEncoding(1.0, 0, 0.0, n, backend="composite", _block=sla.expm(
         -1j * random_complex_hermitian(np.random.default_rng(n), n)))
     monkeypatch.setattr(np, "matmul", recording)
-    run_qpe(enc, QpeConfig(phase_bits=10, shots=64, seed=0))
+    run_qpe(enc, QpeConfig(phase_bits=bits, shots=64, seed=0))
     monkeypatch.undo()
-    assert len(seen) == calls
-    assert all(b == (n, n) and a[1] == n and a[0] * n * n <= spectral.QPE_GEMM_MACS
-               for a, b in seen)
-    assert sum(a[0] for a, _ in seen) == ((1 << 10) - 1) * n
+    rows = min(n, spectral.QPE_BLOCK_AMPLITUDES // ((1 << bits) * n))
+    blocks = n // rows
+    assert len(seen) == calls and calls % blocks == 0
+    cap = max(spectral.QPE_GEMM_MACS, n ** 3)
+    assert all(b == (n, n) and a[1] == n and a[0] % rows == 0
+               and a[0] * n * n <= cap for a, b, _, _ in seen)
+    # every block writes the same slot rows, each once: the written ranges
+    # are disjoint and cover slots 1 .. 2^bits - 1 of one block
+    per_block = calls // blocks
+    ranges = [(ptr, size) for _, _, ptr, size in seen[:per_block]]
+    assert all([(ptr, size) for _, _, ptr, size in seen[k:k + per_block]] == ranges
+               for k in range(0, calls, per_block))
+    ranges.sort()
+    assert all(p + size == q for (p, size), (q, _) in zip(ranges, ranges[1:]))
+    assert sum(size for _, size in ranges) == ((1 << bits) - 1) * rows * n * 16
 
 
 def choice_counts(probs, shots, rng):
@@ -493,25 +558,29 @@ def test_shot_counts_equal_generator_choice_on_ties():
 
 
 def test_extraction_ignores_post_state_scale():
-    """Post-states are unnormalized slices of the register: scaling each by
-    its own positive factor changes no eigenvalue or vector, in a single and
-    in a merged (two-vector) cluster."""
+    """Post-states are unnormalized: scaling each by its own positive factor
+    changes no eigenvalue or vector, in a single and in a merged (two-vector)
+    cluster."""
     t = 2.0
     gammas = np.array([0.0, 0.4, 0.4002, 1.1]) * 2 * math.pi / t / 4.0
     basis, _ = np.linalg.qr(np.random.default_rng(13).standard_normal((4, 4)))
     block = basis @ np.diag(np.exp(-1j * gammas * t)) @ basis.T
     enc = BlockEncoding(1.0, 0, 0.0, 4, backend="composite", _block=block)
     s = run_qpe(enc, QpeConfig(phase_bits=6, shots=8192, seed=5, time_scale=t))
-    factors = np.random.default_rng(14).uniform(1e-3, 1e3, len(s.counts))
+    factors = dict(zip(s.counts, np.random.default_rng(14).uniform(
+        1e-3, 1e3, len(s.counts))))
 
     def with_posts(scale):
-        post = {z: scale(k) * m / np.linalg.norm(m)
-                for k, (z, m) in enumerate(s.post_states.items())}
-        return QpeSamples(s.counts, post, s.probs, s.phase_bits, s.time_scale,
-                          s.shots)
+        class Scaled(QpeSamples):
+            def post_state(self, z):
+                m = super().post_state(z)
+                return scale(z) * m / np.linalg.norm(m)
 
-    want = extract_d_smallest(with_posts(lambda k: 1.0), 2)
-    got = extract_d_smallest(with_posts(lambda k: factors[k]), 2)
+        return Scaled(s.counts, s.probs, s.phase_bits, s.time_scale, s.shots,
+                      s.n, s.powers)
+
+    want = extract_d_smallest(with_posts(lambda z: 1.0), 2)
+    got = extract_d_smallest(with_posts(factors.get), 2)
     assert [c.vectors.shape[1] for c in want.clusters] == [2, 1]
     assert got.eigenvalues == want.eigenvalues
     for g, w in zip(got.clusters, want.clusters):

@@ -6,9 +6,11 @@ references.
   ancillas reversed) against the per-(row, rung) complex ``moveaxis`` round
   trip on the full register in circuit order, within round-off, for real and
   complex U.
-- Phase estimation: ``run_qpe`` (controlled powers by doubling, one register
-  transformed in place) against ``sequential_qpe``, the circuit that builds
-  U^y one power at a time, within round-off.
+- Phase estimation: ``run_qpe`` (controlled powers by doubling, one block of
+  system rows at a time, transformed in place) and the post-states
+  ``QpeSamples.post_state`` builds as products over the powers, against
+  ``sequential_qpe``, the circuit that builds U^y one power at a time on the
+  whole register, within round-off.
 - Extraction: ``extract_d_smallest`` (eigenvectors of the reported clusters
   only, one eigendecomposition call per cluster) against
   ``extract_reference``, which decomposes every kept bin of every cluster on
@@ -24,8 +26,8 @@ from hypothesis import strategies as st
 
 from qlapeig.blockenc import BlockEncoding
 from qlapeig.spectral import (LCU_MAX_AMPLITUDES, MAX_TAYLOR_ORDER, QpeConfig,
-                              QpeSamples, ResolutionError, _select_factors,
-                              _taylor_select, extract_d_smallest, run_qpe)
+                              ResolutionError, _select_factors, _taylor_select,
+                              extract_d_smallest, run_qpe)
 
 # no shrink phase: a failing draw is four small integers that already name a
 # reproducible instance, and shrinking would rerun order-12 states for minutes
@@ -99,8 +101,9 @@ def test_taylor_select_matches_per_row_moveaxis(instance):
 
 def sequential_qpe(u_enc, qcfg):
     """Phase estimation on the purified maximally-mixed input, with the
-    controlled powers U^y built one at a time, the transform out of place and
-    every sampled post-measurement state normalized."""
+    controlled powers U^y built one at a time on the whole register and the
+    transform out of place: (probs, counts, register), the register's slot z
+    being outcome z's unnormalized post-measurement state."""
     u = u_enc.block().conj().T
     n = u.shape[0]
     pdim = 1 << qcfg.phase_bits
@@ -118,10 +121,7 @@ def sequential_qpe(u_enc, qcfg):
     rng = np.random.default_rng(qcfg.seed)
     draws = rng.choice(pdim, size=qcfg.shots, p=probs)
     vals, counts = np.unique(draws, return_counts=True)
-    counts = {int(z): int(c) for z, c in zip(vals, counts)}
-    post = {z: psi[z] / np.linalg.norm(psi[z]) for z in counts}
-    return QpeSamples(counts, post, probs, qcfg.phase_bits, qcfg.time_scale,
-                      qcfg.shots)
+    return probs, {int(z): int(c) for z, c in zip(vals, counts)}, psi
 
 
 @st.composite
@@ -132,9 +132,7 @@ def qpe_instances(draw):
             draw(st.booleans()), draw(st.integers(0, 2**32 - 1)))
 
 
-@PROPERTY
-@given(qpe_instances())
-def test_run_qpe_matches_sequential_powers(instance):
+def qpe_instance(instance):
     """A unitary block, or a contraction W diag(sigma) V^dag with sigma in
     [1/2, 1] like the truncated-Taylor block that is only near unitary."""
     n, bits, unitary, seed = instance
@@ -149,14 +147,36 @@ def test_run_qpe_matches_sequential_powers(instance):
     if not unitary:
         block = block @ np.diag(rng.uniform(0.5, 1.0, n)) @ haar()
     enc = BlockEncoding(1.0, 0, 0.0, n, backend="composite", _block=block)
-    qcfg = QpeConfig(phase_bits=bits, shots=512, seed=seed, time_scale=1.0)
+    return enc, QpeConfig(phase_bits=bits, shots=512, seed=seed, time_scale=1.0)
+
+
+@PROPERTY
+@given(qpe_instances())
+def test_run_qpe_matches_sequential_powers(instance):
+    """Probabilities, counts and every sampled bin's post-state, both as it
+    is and normalized, as extraction reads it."""
+    enc, qcfg = qpe_instance(instance)
     got = run_qpe(enc, qcfg)
-    want = sequential_qpe(enc, qcfg)
-    assert np.max(np.abs(got.probs - want.probs)) <= 1e-12
-    assert got.counts == want.counts
-    assert got.post_states.keys() == want.post_states.keys()
-    for z, m in got.post_states.items():
-        assert np.max(np.abs(m / np.linalg.norm(m) - want.post_states[z])) <= 1e-12
+    probs, counts, register = sequential_qpe(enc, qcfg)
+    assert np.max(np.abs(got.probs - probs)) <= 1e-12
+    assert got.counts == counts
+    for z in counts:
+        m, want = got.post_state(z), register[z]
+        assert np.max(np.abs(m - want)) <= 1e-12
+        assert np.max(np.abs(m / np.linalg.norm(m)
+                             - want / np.linalg.norm(want))) <= 1e-12
+
+
+@PROPERTY
+@given(qpe_instances())
+def test_post_state_product_matches_transformed_slot_on_every_bin(instance):
+    """prod_k (I + (w^z U)^(2^k)) is the register's Fourier-transformed slot
+    z on every bin, sampled or not, up to n = 8 and 10 bits."""
+    enc, qcfg = qpe_instance(instance)
+    samples = run_qpe(enc, qcfg)
+    _, _, register = sequential_qpe(enc, qcfg)
+    got = np.stack([samples.post_state(z) for z in range(len(register))])
+    assert np.max(np.abs(got - register)) <= 1e-12
 
 
 def extract_reference(samples, d, signed):
@@ -164,7 +184,7 @@ def extract_reference(samples, d, signed):
     decomposed on its own; then the d smallest, as (eigenvalue, phase,
     weight, vectors, bins)."""
     pdim = 1 << samples.phase_bits
-    n = next(iter(samples.post_states.values())).shape[0]
+    n = samples.n
     zero_threshold = 1.5 / pdim
     min_count = max(3, int(0.05 * samples.shots / n))
     wrap = 0.5 if signed else 1.0 - max(3.0 / pdim, 2.0 * zero_threshold)
@@ -184,7 +204,7 @@ def extract_reference(samples, d, signed):
         mult = max(1, int(round(frac * n)))
         rhos = []
         for _, z, c in group:
-            m = samples.post_states[z] / np.linalg.norm(samples.post_states[z])
+            m = samples.post_state(z) / np.linalg.norm(samples.post_state(z))
             rhos.append((c / weight, m @ m.conj().T))
         if mult == 1:
             vecs = []
