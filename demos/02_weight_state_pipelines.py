@@ -4,8 +4,9 @@ Two pipelines produce a state whose reduced density operator carries the
 (truncated) weight matrix: the unit-norm ladder, and the general-norm version
 with norm queries, fixed-point powers, the exp(-lam x) gate, a scaled
 rotation, and exact-count amplitude amplification.  The pipelines block-encode
-a reduced state straight from its purification vector; below, a materialized
-SWAP sandwich around a unitary with that first column cross-checks it.
+a reduced state straight from its purification vector; below, the simulator's
+partial trace and a materialized SWAP sandwich around a unitary with that
+first column cross-check it.
 
 Run:  python3 demos/02_weight_state_pipelines.py
 """
@@ -13,8 +14,8 @@ Run:  python3 demos/02_weight_state_pipelines.py
 import numpy as np
 
 from qlapeig import (KernelParams, VertexSet, build_phi_state, build_psi_state,
-                     build_taylor_weight_matrix, purified_density_encoding,
-                     verify_block_encoding)
+                     build_taylor_weight_matrix, partial_trace,
+                     purified_density_encoding, verify_block_encoding)
 from qlapeig.stateprep import completion_unitary
 
 rng = np.random.default_rng(11)
@@ -26,20 +27,23 @@ vs = VertexSet.from_vectors(x)
 kp = KernelParams(0.5, 3)
 
 phi = build_phi_state(vs, kp)
+# the pipelines encode rho0 straight from the purification |Phi>
+enc = purified_density_encoding(phi.purification, phi.system_dim)
+rho0 = enc.block()
 print("registers:", [(r.name, r.qubits, r.kind) for r in phi.state.layout.registers])
-print("reduced-state diagonal (all 1/n):", np.round(np.diag(phi.rho0.matrix).real, 6))
+print("reduced-state diagonal (all 1/n):", np.round(np.diag(rho0).real, 6))
 
 a_t = kp.a_tilde_sum
 wp, _ = build_taylor_weight_matrix(vs, kp, absorbed=True)
-identity_err = np.max(np.abs(4 * a_t * phi.rho0.matrix - a_t * np.eye(4) - wp))
+identity_err = np.max(np.abs(4 * a_t * rho0 - a_t * np.eye(4) - wp))
 print(f"identity  n a~ rho0 = a~ I + W_p  holds to {identity_err:.2e}")
 
-# the pipelines encode rho0 straight from the purification |Phi>; any G with
-# G|0> = |Phi> gives the same block once the SWAP sandwich is materialized
-enc = purified_density_encoding(phi.purification, phi.system_dim)
+# the simulator's partial trace over the index register gives the same
+# state, and any G with G|0> = |Phi> gives the same block once the SWAP
+# sandwich is materialized
 sandwich = purified_density_encoding(completion_unitary(phi.purification),
                                      phi.system_dim)
-measured, ok = verify_block_encoding(enc, phi.rho0.matrix)
+measured, ok = verify_block_encoding(enc, partial_trace(phi.state, ["idx"]).matrix)
 gap = np.max(np.abs(sandwich.block() - enc.block()))
 print(f"purified-density encoding of rho0: measured error {measured:.2e} "
       f"(exact construction), pass={ok}")
@@ -57,7 +61,8 @@ print(f"  post-selected residual            {psi.stats.residual:.3e}")
 print(f"  measured Upsilon                  {psi.stats.Upsilon:.6f}")
 
 wp2, diag2 = build_taylor_weight_matrix(vs2, kp)
-got = psi.rho1.matrix * psi.stats.Upsilon
+rho1 = purified_density_encoding(psi.purification, psi.system_dim).block()
+got = rho1 * psi.stats.Upsilon
 off_err = np.max(np.abs((got - np.diag(np.diag(got))) - wp2))
 print(f"  Upsilon rho1 off-diagonals reproduce W_p to {off_err:.2e}")
 print("  diagonal vs the truncated self-overlaps:",

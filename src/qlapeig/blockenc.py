@@ -28,8 +28,8 @@ import numpy as np
 
 from .graph import GraphError, KernelParams, VertexSet, build_taylor_weight_matrix
 from .sim import SimError, operator_norm_distance
-from .stateprep import (AmplificationStats, EstimatorConfig, PhiBuild,
-                        PrepConfig, build_degree_state, build_weight_state,
+from .stateprep import (EstimatorConfig, PhiBuild, PrepConfig,
+                        build_degree_state, build_weight_state,
                         completion_unitary)
 
 __all__ = [
@@ -79,8 +79,10 @@ class BlockEncoding:
                 raise SimError(f"encoding unitary deviates from unitarity by {dev:.2e}")
         elif self.backend == "purified":
             v = self.purification
-            if v is None or abs(np.linalg.norm(v) - 1.0) > 1e-9:
+            norm = np.nan if v is None else np.linalg.norm(v)
+            if not abs(norm - 1.0) <= 1e-9:  # checked as given; a NaN norm fails
                 raise SimError("purified encoding needs a normalized purification")
+            self.purification = v / norm  # clears the round-off
         elif self.backend == "composite":
             if self._block is None:
                 raise SimError("composite encoding needs its block")
@@ -201,14 +203,15 @@ def purified_density_encoding(G, sys_dim: int) -> BlockEncoding:
     (sys x anc) purification space (system axis first), the sandwich
     (G^dag (x) I)(SWAP (x) I-ish)(G (x) I) is materialized; that reference
     path depends only on G's first column.  Either way the ancilla count is
-    the purification's qubit count.
+    the purification's qubit count.  A purification vector must have unit
+    norm within 1e-9.
     """
     G = np.asarray(G)
     pur = G.shape[0]
     anc_q = int(round(math.log2(pur)))
     if G.ndim == 1:
         return BlockEncoding(1.0, anc_q, 0.0, sys_dim, backend="purified",
-                             purification=G / np.linalg.norm(G))
+                             purification=G)
     if G.shape != (pur, pur) or pur % sys_dim:
         raise SimError("preparation unitary does not match the declared split")
     dev = np.max(np.abs(G.conj().T @ G - np.eye(pur)))
@@ -395,7 +398,6 @@ class LaplacianEncodingResult:
     pair: StatePreparationPair
     components: dict
     trace_D: float | None
-    stats: AmplificationStats
 
 
 def _purified(build) -> BlockEncoding:
@@ -431,7 +433,7 @@ def encode_calL(vs: VertexSet, kp: KernelParams, trace_D_estimate: float | None 
     enc = lcu_combine(pair, [weight_enc, rho2_enc, rho3_enc])
     comps = {"rho_weight": weight_enc, "rho2": rho2_enc, "rho3": rho3_enc,
              "weight_build": weight_build, "degree_build": degree}
-    return LaplacianEncodingResult(enc, combo, pair, comps, trace_d, degree.stats)
+    return LaplacianEncodingResult(enc, combo, pair, comps, trace_d)
 
 
 def encode_barL_unit_norm(vs: VertexSet, kp: KernelParams) -> LaplacianEncodingResult:
@@ -455,7 +457,7 @@ def encode_barL_unit_norm(vs: VertexSet, kp: KernelParams) -> LaplacianEncodingR
     enc = lcu_combine(pair, [rho2_enc, rho0_enc, rho3_enc])
     comps = {"rho_weight": rho0_enc, "rho2": rho2_enc, "rho3": rho3_enc,
              "weight_build": phi, "degree_build": degree}
-    return LaplacianEncodingResult(enc, combo, pair, comps, trace_d, degree.stats)
+    return LaplacianEncodingResult(enc, combo, pair, comps, trace_d)
 
 
 def encode_W_over_n(vs: VertexSet, kp: KernelParams, norm_case: str = "auto",
@@ -470,14 +472,12 @@ def encode_W_over_n(vs: VertexSet, kp: KernelParams, norm_case: str = "auto",
     if isinstance(build, PhiBuild):
         a_t = kp.a_tilde_sum
         pair = make_signed_pair(np.array([a_t, -a_t]), beta=2.0 * a_t)
-        stats = AmplificationStats()
     else:
         pair = make_signed_pair(np.array([1.0, -1.0]), beta=2.0)
-        stats = build.stats
     enc = lcu_combine(pair, [weight_enc, rho3_enc])
     combo = CombinationSpec(c=0.5, l=max(weight_enc.ancillas, rho3_enc.ancillas))
     comps = {"rho_weight": weight_enc, "rho3": rho3_enc, "weight_build": build}
-    return LaplacianEncodingResult(enc, combo, pair, comps, None, stats)
+    return LaplacianEncodingResult(enc, combo, pair, comps, None)
 
 
 def sandwich_negative_power(be_a: BlockEncoding, be_b: BlockEncoding,

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .arith import exp_neg_lambda_bound, exp_neg_lambda_label
-from .blockenc import (BlockEncoding, dilate, encode_barL_unit_norm,
+from .blockenc import (BlockEncoding, _purified, dilate, encode_barL_unit_norm,
                        encode_calL, fixed_point_gram, lcu_combine,
                        make_signed_pair, purified_density_encoding,
                        verify_block_encoding)
@@ -196,7 +196,7 @@ def check_rho0_identity(seed=5, n=4, m=2, p=3, lam=0.5):
     phi = build_phi_state(vs, kp)
     a_t = kp.a_tilde_sum
     wp, _ = build_taylor_weight_matrix(vs, kp, absorbed=True)
-    lhs = n * a_t * phi.rho0.matrix - a_t * np.eye(n)
+    lhs = n * a_t * _purified(phi).block() - a_t * np.eye(n)
     err = float(np.max(np.abs(lhs - wp)))
     return _summary("rho0_identity", 1, int(err > 1e-9), err / 1e-9)
 
@@ -210,7 +210,7 @@ def check_rho1_identity(seed=6, n=4, m=2, p=2, lam=0.5):
     psi = build_psi_state(vs, kp)
     gram = fixed_point_gram(vs, kp, psi.fx_values)
     ups = np.trace(gram)
-    err = float(np.max(np.abs(psi.rho1.matrix * ups - gram)))
+    err = float(np.max(np.abs(_purified(psi).block() * ups - gram)))
     amp_err = abs(psi.stats.initial_amplitude
                   - ups / (n * kp.a_sum * psi.rotation_scale ** 2))
     bad = int(err > 1e-9) + int(amp_err > 1e-9)
@@ -224,7 +224,7 @@ def check_degree_identity(seed=7, n=4, m=2, lam=0.5):
     vs = _general_vertices(rng, n, m, 0.6, 1.2)
     kp = KernelParams(lam, 4)
     deg = build_degree_state(vs, kp, EstimatorConfig(mode="exact"))
-    diag = np.diag(deg.rho2.matrix).real
+    diag = np.diag(_purified(deg).block()).real
     err = float(np.max(np.abs(diag - deg.degree_estimates / deg.degree_estimates.sum())))
     gm = build_graph(vs, kp)
     tr_err = abs(deg.trace_estimate - np.trace(gm.D)) / np.trace(gm.D)
@@ -241,7 +241,7 @@ def check_purified_encoding_exactness(seed=8, n=4, m=2, p=2, lam=0.5):
     phi = build_phi_state(vs, kp)
     enc = purified_density_encoding(completion_unitary(phi.purification),
                                     phi.system_dim)
-    measured, _ = verify_block_encoding(enc, phi.rho0.matrix)
+    measured, _ = verify_block_encoding(enc, _purified(phi).block())
     return _summary("purified_encoding_exactness", 1,
                     int(measured > 1e-10), measured / 1e-10)
 

@@ -12,6 +12,10 @@ Three pipelines:
   estimation, kernel gate, two rotation/amplification rounds, ending in a
   diagonal reduced state proportional to the degree matrix.
 
+Each build returns its final state and its unit-norm purification, and
+forms no reduced state: ``blockenc.purified_density_encoding(b.purification,
+b.system_dim).block()`` computes rho0, rho1 or rho2 where a consumer reads it.
+
 QRAM-style oracles are simulated exactly from the classical data, with an
 optional injected per-vector perturbation for the error-budget suites.
 """
@@ -28,8 +32,7 @@ from .arith import (ArithmeticError_, exp_neg_lambda_label, multiply_labels,
                     rotation_matrix)
 from .graph import (DegenerateGraphError, GraphError, KernelParams,
                     VertexSet, resolve_norm_case)
-from .sim import (DensityOperator, FixedPointSpec, Register, RegisterLayout,
-                  SimError, SimState, partial_trace)
+from .sim import FixedPointSpec, Register, RegisterLayout, SimError, SimState
 
 __all__ = [
     "QramOracle",
@@ -375,7 +378,6 @@ def amplitude_amplification(state: SimState, good_predicate, known_amplitude: fl
 @dataclass
 class PhiBuild:
     state: SimState
-    rho0: DensityOperator
     purification: np.ndarray     # G0|0>, over idx (x) coeff (x) data^p
     system_dim: int
 
@@ -403,9 +405,7 @@ def build_phi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
     state.apply_dense(coefficient_unitary(kp.coeffs_a_tilde, cdim, prep.coeff_eps,
                                           _coeff_rng(prep, 0xA)), ["coeff"])
     apply_R_U(state, "idx", "coeff", data, oracle)
-
-    rho0 = partial_trace(state, ["idx"]).validate()
-    return PhiBuild(state, rho0, _dense_over(state, ["idx", "coeff"] + data), vs.n)
+    return PhiBuild(state, _dense_over(state, ["idx", "coeff"] + data), vs.n)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +414,6 @@ def build_phi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
 @dataclass
 class PsiBuild:
     state: SimState
-    rho1: DensityOperator
     stats: AmplificationStats
     purification: np.ndarray     # vector over system (x) ancilla
     system_dim: int
@@ -542,13 +541,11 @@ def build_psi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
     # (8) amplitude-encoding ladder into the data blocks
     apply_R_U(state, "idx", "coeff", data, oracle)
 
-    rho1 = partial_trace(state, ["idx"]).validate()
-
     # Upsilon from the pre-amplification flag amplitude: amp = Upsilon/(n a C^2)
     stats.Upsilon = n * kp.a_sum * scale * scale * amp
 
     vec = _dense_over(state, ["idx", "coeff", "rot"] + data)
-    return PsiBuild(state, rho1, stats, vec, n, fx_values, scale)
+    return PsiBuild(state, stats, vec, n, fx_values, scale)
 
 
 def build_weight_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None,
@@ -562,8 +559,9 @@ def build_weight_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None,
 
 def _dense_over(state: SimState, regs) -> np.ndarray:
     """Join the state, then flatten it over the listed dense registers,
-    checking that it is label-free and every remaining register sits in
-    |0...0>."""
+    checking that it is label-free, every remaining register sits in
+    |0...0> and the purification has unit norm, so the reduced state it
+    encodes has trace 1."""
     state.join()
     if len(state.branches) != 1:
         raise SimError("state still carries nonzero arithmetic labels")
@@ -576,7 +574,10 @@ def _dense_over(state: SimState, regs) -> np.ndarray:
     flat = moved.reshape(int(np.prod([vec.shape[a] for a in axes])), -1)
     if flat.shape[1] > 1 and np.max(np.abs(flat[:, 1:])) > 1e-10:
         raise SimError("registers outside the purification are not |0>")
-    return flat[:, 0].copy()
+    pur = flat[:, 0].copy()
+    if not abs(np.vdot(pur, pur).real - 1.0) <= 1e-10:  # a NaN norm fails too
+        raise SimError("purification is not normalized")
+    return pur
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +631,6 @@ def inner_product_estimation(state: SimState, i_reg: str, out_reg: str,
 @dataclass
 class DegreeBuild:
     state: SimState
-    rho2: DensityOperator
     stats: AmplificationStats
     purification: np.ndarray
     system_dim: int
@@ -653,9 +653,9 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
     spec_u = FixedPointSpec(prep.bits, 1)
     # the label maps split i and j, so the n^2 branches hold 4n amplitudes
     # each until the labels clear and the state joins back.  The build's
-    # working set peaks near 3.1 such states (tracemalloc at n = 64): the
-    # Hadamards on the joined state, _disentangle and the partial trace each
-    # hold two more for a moment
+    # working set peaks near 3.1 such states (tracemalloc at n = 64: 49.1 MB
+    # for a 16 MB state): the Hadamards on the joined state and _disentangle
+    # each hold two more for a moment
     _desk_scale_guard(4 * n ** 3, "degree pipeline (working set about 3.1 states)",
                       "lower the vertex count")
     regs = [
@@ -761,16 +761,14 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
     for i in range(n):
         state.apply_dense(eye[[c ^ i for c in range(n)]], ["copy"], controls={"i": i})
 
-    # (11) reduced state over the index register
-    rho2 = partial_trace(state, ["i"]).validate()
-
     degrees = np.where(off, w_fx, 0.0).sum(axis=1)
     r_min = float(w_fx[off].min())
     stats = AmplificationStats(
         initial_amplitude=p0, iterations=stats9.iterations,
         residual=stats9.residual, p0=p0, r=r_min)
 
-    return DegreeBuild(state, rho2, stats, _dense_over(state, ["i", "copy"]), n,
+    # (11) the purification over (i, copy) carries rho2 on the index register
+    return DegreeBuild(state, stats, _dense_over(state, ["i", "copy"]), n,
                        degrees, float(n * (n - 1) * p0))
 
 

@@ -83,8 +83,8 @@ def test_criterion_2_degree_identity():
         deg = build_degree_state(vs, kp, EstimatorConfig(mode="exact"))
         gm = build_graph(vs, kp)
         d = np.diag(gm.D)
-        diag_err = float(np.max(np.abs(np.diag(deg.rho2.matrix).real
-                                       - d / d.sum())))
+        rho2 = purified_density_encoding(deg.purification, deg.system_dim).block()
+        diag_err = float(np.max(np.abs(np.diag(rho2).real - d / d.sum())))
         tr_err = abs(deg.trace_estimate - gm.trace_D) / gm.trace_D
         worst_diag = max(worst_diag, diag_err)
         worst_trace = max(worst_trace, tr_err)

@@ -17,7 +17,7 @@ from qlapeig.blockenc import (BlockEncoding,
                               sandwich_negative_power, verify_block_encoding)
 from qlapeig.graph import (GraphError, KernelParams, VertexSet, build_graph,
                            build_taylor_weight_matrix)
-from qlapeig.sim import operator_norm_distance
+from qlapeig.sim import SimError, operator_norm_distance, partial_trace
 from qlapeig.stateprep import (build_degree_state, build_phi_state,
                                completion_unitary, hadamard_all)
 
@@ -86,7 +86,7 @@ def test_purified_phi_encoding_exact():
     phi = build_phi_state(vs, kp)
     enc = purified_density_encoding(completion_unitary(phi.purification),
                                     phi.system_dim)
-    measured, ok = verify_block_encoding(enc, phi.rho0.matrix)
+    measured, ok = verify_block_encoding(enc, partial_trace(phi.state, ["idx"]).matrix)
     assert measured <= 1e-10 and ok
     a_t = kp.a_tilde_sum
     wp, _ = build_taylor_weight_matrix(vs, kp, absorbed=True)
@@ -107,13 +107,26 @@ def test_purified_vector_backend_matches_dense():
 
 def test_purified_encoding_of_a_desk_scale_phi_state():
     """At n = 64, m = 4, p = 6 the unit-norm purification holds 2^21
-    amplitudes, within the desk-scale guard; its reduced state is rho0, and
-    the encoding's ancilla register is all 21 of its qubits."""
+    amplitudes, within the desk-scale guard; its block is the simulator's
+    reduced state over the index register, and the encoding's ancilla
+    register is all 21 of its qubits."""
     vs = unit_vs(np.random.default_rng(64), 64, 4)
     phi = build_phi_state(vs, KernelParams(0.5, 6))
     enc = purified_density_encoding(phi.purification, phi.system_dim)
     assert phi.purification.size == 1 << 21 and enc.ancillas == 21
-    assert np.max(np.abs(enc.block() - phi.rho0.matrix)) < 1e-12
+    rho0 = partial_trace(phi.state, ["idx"]).matrix
+    assert np.max(np.abs(enc.block() - rho0)) < 1e-12
+
+
+@pytest.mark.parametrize("vector", [np.zeros(8), np.full(8, np.nan),
+                                    np.full(8, 1.1 / math.sqrt(8))],
+                         ids=["zero", "nan", "scaled"])
+def test_purified_encoding_refuses_an_unnormalized_vector(vector):
+    """The norm is checked on the vector as given, before it is divided out:
+    a zero vector would otherwise give a NaN block, and a vector of norm
+    1.1 would be rescaled silently."""
+    with pytest.raises(SimError, match="normalized purification"):
+        purified_density_encoding(vector, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qlapeig.stateprep as stateprep
+from qlapeig.blockenc import purified_density_encoding
 from qlapeig.graph import GraphError, KernelParams, VertexSet, \
     build_taylor_weight_matrix, build_weight_matrix
 from qlapeig.sim import FixedPointSpec, Register, RegisterLayout, SimError, SimState
@@ -28,6 +29,11 @@ def general_vs(rng, n, m, lo, hi):
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     x *= rng.uniform(lo, hi, size=(n, 1))
     return VertexSet.from_vectors(x)
+
+
+def reduced(build):
+    """The reduced state a build's purified encoding carries."""
+    return purified_density_encoding(build.purification, build.system_dim).block()
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +172,9 @@ def test_rho0_identity_and_diagonal():
     kp = KernelParams(0.5, 3)
     phi = build_phi_state(vs, kp)
     a_t = kp.a_tilde_sum
-    assert np.allclose(np.diag(phi.rho0.matrix).real, 1.0 / 4, atol=1e-12)
+    assert np.allclose(np.diag(reduced(phi)).real, 1.0 / 4, atol=1e-12)
     wp, _ = build_taylor_weight_matrix(vs, kp, absorbed=True)
-    lhs = 4 * a_t * phi.rho0.matrix - a_t * np.eye(4)
+    lhs = 4 * a_t * reduced(phi) - a_t * np.eye(4)
     assert np.linalg.norm(lhs - wp, 2) <= 1e-9
 
 
@@ -178,7 +184,7 @@ def test_rho0_antipodal_pair():
     phi = build_phi_state(vs, kp)
     # off-diagonal reduces to the truncated w12 / (n a~)
     w12 = sum(kp.coeffs_a_tilde[k] * (-1.0) ** k for k in range(kp.p + 1))
-    assert phi.rho0.matrix[0, 1].real == pytest.approx(w12 / (2 * kp.a_tilde_sum),
+    assert reduced(phi)[0, 1].real == pytest.approx(w12 / (2 * kp.a_tilde_sum),
                                                        abs=1e-12)
 
 
@@ -197,7 +203,7 @@ def test_psi_unit_norms_equals_rho0():
     kp = KernelParams(0.5, 2)
     phi = build_phi_state(vs, kp)
     psi = build_psi_state(vs, kp)
-    assert np.max(np.abs(psi.rho1.matrix - phi.rho0.matrix)) < 1e-10
+    assert np.max(np.abs(reduced(psi) - reduced(phi))) < 1e-10
 
 
 def test_psi_rejects_single_vertex_and_zero_norm():
@@ -222,7 +228,7 @@ def test_psi_fixed_point_identity_b16():
     u = 2.0 ** -(16 - 3)
     per_amp = (kp.p + 3) * u + 12 * u
     bound = 3 * kp.a_sum * per_amp * float(np.max(vs.norms)) ** kp.p * 4
-    assert np.max(np.abs(psi.rho1.matrix * ups - full)) <= bound
+    assert np.max(np.abs(reduced(psi) * ups - full)) <= bound
 
 
 def test_psi_eq31_amplitude():
@@ -244,7 +250,7 @@ def test_psi_offdiagonal_matches_truncated_weights():
     kp = KernelParams(0.5, 3)
     psi = build_psi_state(vs, kp)
     wp, _ = build_taylor_weight_matrix(vs, kp)
-    got = psi.rho1.matrix * psi.stats.Upsilon
+    got = reduced(psi) * psi.stats.Upsilon
     off = got - np.diag(np.diag(got))
     assert np.max(np.abs(off - wp)) < 1e-9  # 44-bit default grid
 
@@ -338,14 +344,14 @@ def test_degree_amplitude_dominates_min_weight():
 def test_degree_n2_is_maximally_mixed():
     vs = VertexSet.from_vectors([[1.0, 0.3], [0.4, 1.0]])
     deg = build_degree_state(vs, KernelParams(0.5, 2))
-    assert np.allclose(deg.rho2.matrix, np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(reduced(deg), np.eye(2) / 2, atol=1e-12)
 
 
 def test_degree_regular_graph_uniform():
     # vertices at the corners of a square: all degrees equal
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     deg = build_degree_state(VertexSet.from_vectors(pts), KernelParams(0.5, 2))
-    assert np.allclose(deg.rho2.matrix, np.eye(4) / 4, atol=1e-10)
+    assert np.allclose(reduced(deg), np.eye(4) / 4, atol=1e-10)
 
 
 def test_degree_asymmetric_bound_and_trace():
@@ -360,7 +366,7 @@ def test_degree_asymmetric_bound_and_trace():
     r = float(np.min(w[w > 0]))
     eps2 = kp.lam * eps_d / (2.0 * math.sqrt(r))
     # rho2 diagonal within the eps2-propagated bound of the classical degrees
-    diff = np.abs(np.diag(deg.rho2.matrix).real - d / d.sum())
+    diff = np.abs(np.diag(reduced(deg)).real - d / d.sum())
     assert np.max(diff) <= 2.0 * eps2
     assert abs(deg.trace_estimate - d.sum()) <= 4 * 3 * kp.lam * eps_d + 1e-8
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qlapeig.graph import KernelParams, VertexSet
-from qlapeig.sim import SimState
+from qlapeig.sim import SimState, partial_trace
 from qlapeig.stateprep import (EstimatorConfig, build_degree_state,
                                build_phi_state, build_psi_state)
 
@@ -58,11 +58,11 @@ def assert_compact(got, compact, full, distinct_labels):
     assert (final.size < full) == distinct_labels
 
 
-def assert_builds_agree(got, want, rho):
+def assert_builds_agree(got, want, system):
     assert got.state.split == want.state.split == ()
     assert np.allclose(got.purification, want.purification, rtol=0, atol=TOL)
-    assert np.allclose(getattr(got, rho).matrix, getattr(want, rho).matrix,
-                       rtol=0, atol=TOL)
+    assert np.allclose(partial_trace(got.state, [system]).matrix,
+                       partial_trace(want.state, [system]).matrix, rtol=0, atol=TOL)
     if hasattr(want, "stats"):
         for field, value in dataclasses.asdict(want.stats).items():
             mine = getattr(got.stats, field)
@@ -81,12 +81,12 @@ def test_weight_pipelines_match_the_full_array_path(n, norm_case, build):
     got, compact = build(lambda: build_psi_state(vs, kp), join=False)
     # unit norms give every vertex the same norm label
     assert_compact(got, compact, full, distinct_labels=norm_case == "general")
-    assert_builds_agree(got, want, "rho1")
+    assert_builds_agree(got, want, "idx")
     assert np.array_equal(got.fx_values, want.fx_values)
     if norm_case == "unit":  # no label maps: both paths are one path
         want, _ = build(lambda: build_phi_state(vs, kp), join=True)
         got, _ = build(lambda: build_phi_state(vs, kp), join=False)
-        assert_builds_agree(got, want, "rho0")
+        assert_builds_agree(got, want, "idx")
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -99,7 +99,7 @@ def test_degree_pipeline_matches_the_full_array_path(n, norm_case, mode, build):
     want, full = build(lambda: build_degree_state(vs, kp, est), join=True)
     got, compact = build(lambda: build_degree_state(vs, kp, est), join=False)
     assert_compact(got, compact, full, distinct_labels=True)
-    assert_builds_agree(got, want, "rho2")
+    assert_builds_agree(got, want, "i")
     assert np.allclose(got.degree_estimates, want.degree_estimates, rtol=0, atol=TOL)
     assert got.trace_estimate == pytest.approx(want.trace_estimate, abs=TOL)
 
