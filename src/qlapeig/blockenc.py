@@ -461,11 +461,9 @@ def encode_barL_unit_norm(vs: VertexSet, kp: KernelParams) -> LaplacianEncodingR
 
 
 def encode_W_over_n(vs: VertexSet, kp: KernelParams, norm_case: str = "auto",
-                    prep: PrepConfig | None = None,
-                    est: EstimatorConfig | None = None) -> LaplacianEncodingResult:
+                    prep: PrepConfig | None = None) -> LaplacianEncodingResult:
     """Encoding of W_p/n: a~ (rho0 - rho3) for unit norms, rho1 - rho3 else."""
     prep = prep or PrepConfig()
-    est = est or EstimatorConfig()
     rho3_enc = identity_mixture_encoding(vs.n)
     build = build_weight_state(vs, kp, prep, norm_case)
     weight_enc = _purified(build)

@@ -17,22 +17,36 @@ simulation: 3 * order queries per segment.
 The state holds only the live rows 0 .. order + 1 of the coefficient
 register; the others stay exactly zero.  A row is laid out as flag, ancilla
 order .. 1, subject, so the cell where ancillas k+1 .. order and the flag are
-zero is the row's first a_dim^k s amplitudes, and the rank-s update of a
-segment writes contiguous row prefixes.  SELECT (``_taylor_select``) runs one
-row at a time.  Every rung queries the same U, so two rungs fuse into one
-matrix F = U_{j+1} U_j on (ancilla j+1, ancilla j, subject), built once per
-call: row k runs floor(k/2) GEMMs with F, then U_k alone when k is odd.  A
-transpose brings a step's ancillas and the subject to the front of a
-contiguous copy of the row; the next step's transpose rotates them behind
-the subject and brings the next ancillas forward, so a row is written back
-once, after its last step.  Every temporary is one row slab, 1/(order + 2)
-of the state.  The arithmetic is real where the circuit is: U, F and P_L^dag
-are split into real and imaginary parts once per call, and each is applied
-as real GEMMs on the float64 view of the complex slab, whose columns are
-interleaved real and imaginary parts; the imaginary GEMM runs only when that
-part is nonzero.  The pipeline meters dilations of real symmetric blocks,
-whose U is exactly real, so only P_R (the phases (-i)^k) stays a complex
-GEMM.  The meter counts the circuit's rungs, not these GEMMs.
+zero is the row's first a_dim^k s amplitudes.  Each input column's state is
+one buffer, updated in place.  P_R, and at the end -P_L^dag, act on it one
+chunk of columns at a time through a scratch slab.  Between them SELECT
+leaves X = SELECT P_R psi, and the rank-s update is folded into X before
+P_L^dag: E c = P_L^dag Y(c), where Y(c) holds d_k V_k (|0^k> (x) c) in row
+k's cell, V_k = U_k ... U_1, so the new state R A psi - E (2 E^dag R A psi)
+is -P_L^dag (X + Y(coef)) with 2 y0 added back on the all-zero cell, y0
+= (P_L^dag X) there and coef = 2 (2 W^dag y0 - Pi psi).  Y's cells are built
+rung by rung from coef each segment; W^dag needs only the powers B^k of B,
+U's top-left block.  The update thus costs no pass over the state of its
+own.
+
+SELECT (``_taylor_select``) runs one row at a time.  Every rung queries the
+same U, so two rungs fuse into one matrix F = U_{j+1} U_j on (ancilla j+1,
+ancilla j, subject), built once per call: row k runs floor(k/2) GEMMs with
+F, then U_k alone when k is odd.  A step copies the row into one row slab,
+transposed so that the step's ancillas and the subject come first, and
+writes its GEMM into a second; the next step's transpose rotates them
+behind the subject and brings the next ancillas forward, so a row is written
+back once, after its last step.  The two slabs, and a third for a complex
+U, are allocated once per call with the state, 2/(order + 2) of it, and the
+first also serves the P maps and the rungs of Y: nothing of a slab's size
+is allocated in the segment loop.  The arithmetic is real where the circuit
+is: U and F are split into real and imaginary parts once per call, and each
+is applied as real GEMMs on the float64 view of the complex slab, whose
+columns are interleaved real and imaginary parts; the imaginary GEMM runs
+only when that part is nonzero.  -P_L^dag is real.  The pipeline meters
+dilations of real symmetric blocks, whose U is exactly real, so only P_R
+(the phases (-i)^k) stays a complex GEMM.  The meter counts the circuit's
+rungs, not these GEMMs.
 
 Phase estimation (``run_qpe``) never holds the whole register of 2^bits
 slots, each an n x n matrix: slot y is U^y |Phi>, |Phi> the purified
@@ -237,35 +251,51 @@ def _series_tail(x: float, k: int) -> float:
     return tail / max(1e-12, 1.0 - x / (k + 2))
 
 
-def _choose_order(segment_x: float, budget: float) -> int:
+def _choose_order(segment_x: float, budget: float, eps: float) -> int:
     for k in range(1, MAX_TAYLOR_ORDER + 1):
         if _series_tail(segment_x, k) <= budget:
             return k
-    raise SimulationError(
-        f"series order bound unreachable within order {MAX_TAYLOR_ORDER}")
+    raise GraphError(
+        f"lcu_taylor: sim_eps = {eps:g} needs a series order above "
+        f"MAX_TAYLOR_ORDER = {MAX_TAYLOR_ORDER}; raise sim_eps")
 
 
 def _real_split(mat: np.ndarray) -> tuple:
     """A matrix as (real part, imaginary part), the second None when it is
-    exactly zero, for ``_real_gemm``."""
+    exactly zero, for ``_gemm_into``."""
     im = mat.imag
     return (np.ascontiguousarray(mat.real),
             np.ascontiguousarray(im) if im.any() else None)
 
 
-def _real_gemm(factor: tuple, x: np.ndarray) -> np.ndarray:
-    """factor @ x for a C-contiguous complex x of shape (lead, cols) and a
-    ``_real_split`` factor: real GEMMs on x's float64 view, whose columns are
-    x's interleaved real and imaginary parts.  The imaginary part's GEMM runs
-    only when it is nonzero."""
+def _gemm_into(factor: tuple, x: np.ndarray, out: np.ndarray, spare) -> None:
+    """out = factor @ x for C-contiguous complex x and out of shape (lead,
+    cols) and a ``_real_split`` factor: real GEMMs on their float64 views,
+    whose columns are interleaved real and imaginary parts.  The imaginary
+    part's GEMM runs only when it is nonzero, into ``spare``, a flat complex
+    buffer of at least x's size."""
     re, im = factor
     xf = x.view(np.float64)
-    out = (re @ xf).view(complex)
+    np.matmul(re, xf, out=out.view(np.float64))
     if im is not None:  # out += 1j (im @ x), without a 1j-scaled temporary
-        i_part = (im @ xf).view(complex)
-        out.real -= i_part.imag
-        out.imag += i_part.real
-    return out
+        part = spare[:x.size].reshape(x.shape)
+        np.matmul(im, xf, out=part.view(np.float64))
+        out.real -= part.imag
+        out.imag += part.real
+
+
+def _map_rows(mat: np.ndarray, psi: np.ndarray, scratch: np.ndarray) -> None:
+    """psi <- mat @ psi in place for psi of shape (rows, cols), one chunk of
+    columns at a time through the flat buffer ``scratch``.  A real mat runs
+    as real GEMMs on the float64 views."""
+    if not np.iscomplexobj(mat):
+        psi, scratch = psi.view(np.float64), scratch.view(np.float64)
+    width = scratch.size // psi.shape[0]
+    for c in range(0, psi.shape[1], width):
+        cols = psi[:, c:c + width]
+        out = scratch[:cols.size].reshape(cols.shape)
+        np.matmul(mat, cols, out=out)
+        cols[...] = out
 
 
 def _select_factors(u_mat: np.ndarray, s: int) -> tuple:
@@ -300,32 +330,42 @@ def _select_plan(order: int) -> tuple:
     return tuple(rows)
 
 
-def _taylor_select(psi: np.ndarray, factors: tuple, order: int) -> np.ndarray:
+def _taylor_select(psi: np.ndarray, factors: tuple, order: int,
+                   slabs: np.ndarray) -> np.ndarray:
     """SELECT of the truncated-Taylor LCU, in place on psi of shape
     (live, 2) + (a_dim,) * order + (s,), a row's axes running flag, ancilla
     order .. 1, subject: row k <= order takes U_1 ... U_k, U_j = U on
     (ancilla j, subject); the padding row sets the spare flag.  ``factors``
-    is ``_select_factors(U, s)``.
+    is ``_select_factors(U, s)``; ``slabs`` holds two flat complex buffers
+    of one row each, three when U is complex.
 
     Row k runs floor(k/2) GEMMs with the fused pair F = U_{j+1} U_j, then U_k
-    alone when k is odd, each a real GEMM on the float64 view of the row slab
-    (``_real_gemm``).  A row's slab is rotated rather than moved back after
-    each step: the step's (ancilla .., subject) axes come to the front and
-    the others keep their order behind them, so the ancillas done move
+    alone when k is odd, each a real GEMM on the float64 views
+    (``_gemm_into``).  A step copies the row, transposed, into slab 0 and
+    writes its GEMM into slab 1.  The row is rotated rather than moved back
+    after each step: the step's (ancilla .., subject) axes come to the front
+    and the others keep their order behind them, so the ancillas done move
     behind the subject and the next ones are always the last axes.  The row
     is written back once, after its last step.  The meter counts the
     circuit's k rungs, not these GEMMs."""
     one, pair = factors
+    spare = slabs[2] if len(slabs) > 2 else None
     for k, (steps, back) in enumerate(_select_plan(order), start=1):
         x = psi[k]
         for perm, step in steps:
-            x = np.ascontiguousarray(x.transpose(perm))
-            shape = x.shape
-            x = _real_gemm(pair if step == 2 else one,
-                           x.reshape(math.prod(shape[:step + 1]), -1)
-                           ).reshape(shape)
+            moved = x.transpose(perm)
+            src = slabs[0].reshape(moved.shape)
+            np.copyto(src, moved)
+            x = slabs[1].reshape(moved.shape)
+            lead = math.prod(moved.shape[:step + 1])
+            _gemm_into(pair if step == 2 else one, src.reshape(lead, -1),
+                       x.reshape(lead, -1), spare)
         psi[k] = x.transpose(back)
-    psi[order + 1] = np.flip(psi[order + 1], axis=0)
+    pad = psi[order + 1]  # swap its flag halves
+    held = slabs[0][:pad[0].size].reshape(pad[0].shape)
+    np.copyto(held, pad[0])
+    pad[0] = pad[1]
+    pad[1] = held
     return psi
 
 
@@ -333,11 +373,13 @@ def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig,
                 on_segment=None) -> BlockEncoding:
     """Segmented truncated-Taylor series over controlled encoding queries,
     A = (P_L^dag (x) I) SELECT (P_R (x) I).  Each segment passes A once (the
-    identities are in the module docstring): phi = R A psi, then
-    psi <- phi - 2 E (2 W^dag w - Pi psi), a rank-s update from the compact
-    rows of E.  ``on_segment(col, psi)``, when given, reads input column
-    col's state after each segment, as live rows of shape (order + 2,
-    2 a_dim^order s); it must not write to psi."""
+    identities are in the module docstring), in place on one state buffer:
+    X = SELECT P_R psi, then psi <- R A psi - E (2 E^dag R A psi) as
+    -P_L^dag (X + Y), with 2 y0 added back on the all-zero cell, y0 that
+    cell of P_L^dag X; Y holds E's rank-s update before P_L^dag.
+    ``on_segment(col, psi)``, when given, reads input column col's state
+    after each segment, as live rows of shape (order + 2,
+    2 a_dim^order s); it must not write to psi, which is reused."""
     if be.backend != "dense":
         raise SimulationError("the metered path needs an explicit encoding unitary")
     s = be.subject_dim
@@ -350,13 +392,16 @@ def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig,
     budget = cfg.eps / (6.0 * r)
     order = cfg.truncation_order
     if order is None:
-        order = _choose_order(x, budget)
+        order = _choose_order(x, budget, cfg.eps)
     elif _series_tail(x, order) > budget:
         raise SimulationError("requested series order violates the error budget")
     cdim = 1 << max(1, (order + 1).bit_length())
     total_dim = cdim * a_dim ** order * 2 * s
     if total_dim > LCU_MAX_AMPLITUDES:
-        raise SimulationError("lcu_taylor instance too large to simulate")
+        raise GraphError(
+            f"lcu_taylor: series order {order} needs {total_dim} amplitudes, "
+            f"beyond LCU_MAX_AMPLITUDES = {LCU_MAX_AMPLITUDES}; raise sim_eps "
+            "or use fewer vertices")
 
     ys = np.array([x ** k / math.factorial(k) for k in range(order + 1)])
     pad = 2.0 - ys.sum()
@@ -370,60 +415,66 @@ def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig,
     d_col[order + 1] = math.sqrt(max(pad, 0.0) / 2.0)
     # rows past order + 1 stay zero: the Householder vectors of P_R and P_L
     # vanish there (their phase is 1, the leading entries being positive),
-    # SELECT leaves them alone and the update subtracts p_l_dag[i, k] = 0
+    # SELECT leaves them alone and Y has no cell there
     live = order + 2
     p_l_dag = completion_unitary(c_col).conj().T[:live, :live]
     # -P_L^dag carries R's sign (IEEE negation is exact); it is real, c_col
-    # being real with a positive leading entry
-    neg_p_l_dag = _real_split(-p_l_dag)
+    # being real with a positive leading entry, so it runs as real GEMMs
+    neg_p_l_dag = np.ascontiguousarray(-p_l_dag.real)
     p_r = completion_unitary(d_col)[:live, :live]
 
-    shape = (live, 2) + (a_dim,) * order + (s,)
     u_mat = be.unitary
     factors = _select_factors(u_mat, s)
     queries = 3 * order * r  # A, A^dag, A per segment, one query per rung
 
-    def neg_a_op(psi):  # -A psi, as live rows
-        psi = (p_r @ psi.reshape(live, -1)).reshape(shape)
-        return _real_gemm(neg_p_l_dag,
-                          _taylor_select(psi, factors, order).reshape(live, -1))
-
-    # SELECT on |0..0>|c> leaves row k <= order as V_k |0^k>|c>, V_k =
-    # U_k ... U_1, on the cells where the later ancillas and the flag are
-    # zero: keep G_k = V_k (|0^k> (x) I_s), shape (a_dim^k s, s), its rows
-    # ordered (ancilla k .. 1, subject) as in the state.  That cell is the
-    # row's prefix of a_dim^k s amplitudes.  The padding row sets the flag
-    # instead, so its G is the identity, on the s amplitudes past the flag.
-    g = [np.eye(s, dtype=complex)]
-    for _ in range(order):
-        g.append(np.einsum("xy,iyc->ixc", u_mat[:, :s],
-                           g[-1].reshape(-1, s, s)).reshape(-1, s))
-    g = [gk.reshape((a_dim,) * k + (s, s))
-         .transpose(tuple(range(k - 1, -1, -1)) + (k, k + 1)).reshape(-1, s)
-         for k, gk in enumerate(g)]
+    # E (|0>|c>) before P_L^dag: SELECT on |0..0>|c> leaves row k <= order as
+    # d_k V_k (|0^k> (x) c), V_k = U_k ... U_1, on the cell where the later
+    # ancillas and the flag are zero, the row's prefix of a_dim^k s
+    # amplitudes laid out (ancilla k .. 1, subject).  Built rung by rung:
+    # term k + 1 is rungs[k] applied to term k, the columns U (|0> (x) I_s)
+    # scaled by d_{k+1} / d_k, as (a_dim, s, s) blocks of right factors.  The
+    # padding row sets the flag instead: d_{order+1} c past the flag.
+    # W^dag needs only the zero-ancilla cells: <0^k| V_k |0^k> = B^k, B the
+    # top-left block of U.
     flagged = a_dim ** order * s  # where a row's flag-set half starts
-    cells = [slice(0, a_dim ** k * s) for k in range(order + 1)]
-    cells.append(slice(flagged, flagged + s))
-    g.append(g[0])
-    w_dag = sum(p_l_dag[0, k] * d_col[k] * g[k][:s]
-                for k in range(order + 1)).conj().T
+    first = u_mat[:, :s].reshape(a_dim, s, s).transpose(0, 2, 1)
+    rungs = [math.sqrt(x / (k + 1)) * -1j * first for k in range(order)]
+    w = np.zeros((s, s), dtype=complex)
+    b_k = np.eye(s, dtype=complex)
+    for k in range(order + 1):
+        w += p_l_dag[0, k] * d_col[k] * b_k
+        b_k = u_mat[:s, :s] @ b_k
+    w_dag = w.conj().T
 
-    def segment(psi):
+    psi = np.empty((live, 2 * flagged), dtype=complex)
+    complex_u = any(im is not None for _, im in factors)
+    slabs = np.empty((3 if complex_u else 2, 2 * flagged), dtype=complex)
+    selected = psi.reshape((live, 2) + (a_dim,) * order + (s,))
+
+    def segment():
         zero_in = psi[0, :s].copy()
-        rows = neg_a_op(psi)
-        rows[0, :s] *= -1.0  # R A psi: the ancilla all-zero row keeps its sign
-        coef = 2.0 * (2.0 * (w_dag @ rows[0, :s]) - zero_in)  # 2 E^dag R A psi
-        for k, cell in enumerate(cells):  # psi -= E coef, one cell at a time
-            rows[:, cell] -= np.multiply.outer(p_l_dag[:, k],
-                                               d_col[k] * (g[k] @ coef))
-        return rows
+        _map_rows(p_r, psi, slabs[0])
+        _taylor_select(selected, factors, order, slabs)
+        y0 = p_l_dag[0] @ psi[:, :s]  # R A psi on the all-zero cell
+        coef = 2.0 * (2.0 * (w_dag @ y0) - zero_in)  # 2 E^dag R A psi
+        term = slabs[0][:s]
+        np.multiply(d_col[0], coef, out=term)
+        psi[0, :s] += term
+        for k, rung in enumerate(rungs):  # X + Y, one cell at a time
+            cell = slabs[(k + 1) % 2][:a_dim * term.size].reshape(a_dim, -1, s)
+            np.matmul(term.reshape(-1, s), rung, out=cell)
+            term = cell.reshape(-1)
+            psi[k + 1, :term.size] += term
+        psi[order + 1, flagged:flagged + s] += d_col[order + 1] * coef
+        _map_rows(neg_p_l_dag, psi, slabs[0])
+        psi[0, :s] += 2.0 * y0
 
     block = np.zeros((s, s), dtype=complex)
     for col in range(s):
-        psi = np.zeros((live, 2 * flagged), dtype=complex)
+        psi.fill(0.0)
         psi[0, col] = 1.0
         for _ in range(r):
-            psi = segment(psi)
+            segment()
             if on_segment is not None:
                 on_segment(col, psi)
         block[:, col] = psi[0, :s]
@@ -699,7 +750,7 @@ def encode_target(vs: VertexSet, kp: KernelParams,
 
     with _Stage("block-encoding"):
         if cfg.target == "W":
-            res = encode_W_over_n(vs, kp, norm_case, cfg.prep, cfg.estimator)
+            res = encode_W_over_n(vs, kp, norm_case, cfg.prep)
             subject = gm.W_p / vs.n
             target_enc = res.encoding
             consistent_w = w_consistent_reference(

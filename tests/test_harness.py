@@ -282,6 +282,38 @@ def test_cli_oversized_qpe_register_names_qpe_bits(tmp_path, capsys):
         "desk-scale budget of 33554432; use fewer qpe_bits\n")
 
 
+def general_csv(path, n):
+    """n general-norm vertices in R^2, drawn as the benchmark draws them."""
+    rng = np.random.default_rng([301, 0])
+    x = rng.standard_normal((n, 2))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x *= rng.uniform(0.35, 0.55, size=(n, 1))
+    path.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in x))
+    return path
+
+
+@pytest.mark.parametrize("n,sim_eps,names", [
+    (16, 1e-13, "sim_eps = 1e-13 needs a series order above MAX_TAYLOR_ORDER = 12"),
+    (32, 1e-8, "beyond LCU_MAX_AMPLITUDES = 2097152"),
+], ids=["order", "amplitudes"])
+def test_cli_metered_path_limits_exit_2_no_report(tmp_path, capsys, n, sim_eps,
+                                                  names):
+    """The metered path's limits are instance limits, as the desk-scale
+    guard is: a sim_eps that needs a series order above MAX_TAYLOR_ORDER, or
+    an order whose state exceeds LCU_MAX_AMPLITUDES, exits 2 naming the
+    setting, with no report."""
+    csv = general_csv(tmp_path / "v.csv", n)
+    out = tmp_path / "report.json"
+    cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), output=str(out),
+                            norm_case="general", sim_path="lcu_taylor",
+                            sim_eps=sim_eps)
+    assert main(["run", "--config", str(cfg_file)]) == 2
+    assert not out.exists()
+    text = capsys.readouterr().out
+    assert text.startswith("error: [stage:simulation] lcu_taylor: ")
+    assert names in text
+
+
 def test_cli_verify_only_desk_scale_unit_norm_weight_target(tmp_path):
     """A unit-norm W run at n = 64, m = 4, p = 6 prepares 2^21 amplitudes,
     within the desk-scale guard, and its encodings verify (exit 0)."""

@@ -9,7 +9,8 @@ import scipy.linalg as sla
 
 from qlapeig import spectral
 from qlapeig.blockenc import BlockEncoding, dilate, lcu_combine, make_signed_pair
-from qlapeig.graph import KernelParams, VertexSet, build_graph, classical_eigensolve
+from qlapeig.graph import (GraphError, KernelParams, VertexSet, build_graph,
+                           classical_eigensolve)
 from qlapeig.spectral import (LCU_MAX_AMPLITUDES, PipelineConfig, QpeConfig,
                               QpeSamples, ResolutionError, SimulationConfig,
                               SimulationError, extract_d_smallest, full_pipeline,
@@ -246,10 +247,24 @@ def test_lcu_taylor_matches_three_pass_circuit_wide_ancilla_at_the_guard():
     assert 16 * 4 ** order * 2 * 2 <= LCU_MAX_AMPLITUDES < 16 * 4 ** (order + 1) * 2 * 2
 
 
+@pytest.mark.parametrize("complex_block", [False, True])
+def test_lcu_taylor_matches_three_pass_circuit_with_more_columns_than_rows(
+        complex_block):
+    """s = 8 subject columns over order + 2 = 6 live rows: the rank-s update,
+    folded into P_L^dag cell by cell, is checked on full states where the
+    compact rows of E would have outgrown the state."""
+    rng = np.random.default_rng(8004 + complex_block)
+    h = (random_complex_hermitian if complex_block else random_hermitian)(rng, 8)
+    enc = dilate(h, 1.0)
+    out = assert_matches_three_pass(enc, 1.0, 1e-2, 4)
+    assert out.meta["order"] + 2 < enc.subject_dim
+
+
 def test_lcu_taylor_peak_memory_on_the_benchmark_instance(monkeypatch):
-    """SELECT works on one row slab at a time and adds no state-sized buffer:
-    on the metered-taylor benchmark's n=4 L job (seed 301; order 10, s = 4)
-    the traced peak of the simulation stays under 3.5 live-row states."""
+    """The segment runs in place on one state buffer with two row slabs of
+    scratch: on the metered-taylor benchmark's n=4 L job (seed 301; order
+    10, s = 4) the traced peak of the simulation stays under 1.5 live-row
+    states."""
     rng = np.random.default_rng([301, 0])
     x = rng.standard_normal((4, 2))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -275,7 +290,56 @@ def test_lcu_taylor_peak_memory_on_the_benchmark_instance(monkeypatch):
     a_dim = be.unitary.shape[0] // s
     assert (order, s, a_dim) == (10, 4, 2)
     state_bytes = (order + 2) * 2 * a_dim ** order * s * 16
-    assert peak <= 3.5 * state_bytes
+    assert peak <= 1.5 * state_bytes
+
+
+@pytest.mark.parametrize("complex_block", [False, True])
+def test_lcu_taylor_segment_loop_allocates_no_slab(complex_block):
+    """After the first segment nothing of a row slab or more is allocated:
+    the traced peak between two ``on_segment`` calls stays below one slab
+    over what was held at the first."""
+    rng = np.random.default_rng(61 + complex_block)
+    h = (random_complex_hermitian if complex_block else random_hermitian)(rng, 4)
+    enc = dilate(h, 1.0)
+    cfg = SimulationConfig(t=6.0, eps=1e-9, path="lcu_taylor")
+    held, extra = [], []
+
+    def watch(col, psi):
+        current, peak = tracemalloc.get_traced_memory()
+        if held:
+            extra.append(peak - held[-1])
+        tracemalloc.reset_peak()
+        held.append(current)
+
+    tracemalloc.start()
+    try:
+        out = spectral._lcu_taylor(enc, h, cfg, on_segment=watch)
+    finally:
+        tracemalloc.stop()
+    order, s = out.meta["order"], enc.subject_dim
+    slab_bytes = 2 * 2 ** order * s * 16
+    assert len(extra) == s * out.meta["segments"] - 1 > 0
+    assert max(extra) < slab_bytes
+
+
+def test_lcu_taylor_unreachable_order_names_sim_eps():
+    """A budget no order up to MAX_TAYLOR_ORDER meets is an instance limit,
+    like the desk-scale guard, not a failed verification."""
+    enc = dilate(np.diag([0.5, -0.5]), 1.0)
+    with pytest.raises(GraphError, match=r"sim_eps = 1e-300 .* MAX_TAYLOR_ORDER = 12"):
+        simulate_hamiltonian(enc, SimulationConfig(t=1.0, eps=1e-300,
+                                                   path="lcu_taylor"))
+
+
+def test_lcu_taylor_amplitude_cap_names_the_cap():
+    """An order whose live rows exceed LCU_MAX_AMPLITUDES is refused before
+    any state is allocated, naming the cap."""
+    rng = np.random.default_rng(31)
+    encs = [dilate(random_complex_hermitian(rng, 2), 1.0) for _ in range(2)]
+    enc = lcu_combine(make_signed_pair([0.7, -0.3]), encs)
+    with pytest.raises(GraphError, match=f"LCU_MAX_AMPLITUDES = {LCU_MAX_AMPLITUDES}"):
+        simulate_hamiltonian(enc, SimulationConfig(t=2.0, eps=1e-6,
+                                                   path="lcu_taylor"))
 
 
 @pytest.mark.parametrize("t,eps", [(1.0, 1e-2), (4.0, 1e-4), (2.0, 1e-6)])

@@ -2,10 +2,10 @@
 references.
 
 - SELECT of the metered ``lcu_taylor`` path: ``_taylor_select`` (real GEMMs
-  with fused rung pairs on a rotating row slab, over the live rows with the
-  ancillas reversed) against the per-(row, rung) complex ``moveaxis`` round
-  trip on the full register in circuit order, within round-off, for real and
-  complex U.
+  with fused rung pairs between two preallocated row slabs, in place over
+  the live rows with the ancillas reversed) against the per-(row, rung)
+  complex ``moveaxis`` round trip on the full register in circuit order,
+  within round-off, for real and complex U.
 - Phase estimation: ``run_qpe`` (controlled powers by doubling, one block of
   system rows at a time, transformed in place) and the post-states
   ``QpeSamples.post_state`` builds as products over the powers, against
@@ -91,8 +91,9 @@ def test_taylor_select_matches_per_row_moveaxis(instance):
     shape = state_shape(a_dim, s, order)
     psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     want = live_layout(select_reference(psi.copy(), u_mat, order), order)
-    got = _taylor_select(np.ascontiguousarray(live_layout(psi, order)),
-                         factors, order)
+    got = np.ascontiguousarray(live_layout(psi, order))
+    slabs = np.empty((2 if real else 3, got[0].size), dtype=complex)
+    assert _taylor_select(got, factors, order, slabs) is got
     assert got.shape == want.shape
     # the fused pairs and real GEMMs round differently from one complex
     # GEMM per rung

@@ -7,7 +7,9 @@ classes whose names do not start with an underscore, so dunders such as
 ``__post_init__`` are left out, and so are the closures nested in a body
 (label maps, predicates), whose signatures the simulator fixes.  A parameter
 counts as read when its name is loaded anywhere in the body, nested closures
-included.
+included, except in its own rebinding: the load in ``p = p or Default()`` or
+``p += 1`` only feeds ``p`` back to itself, so a parameter loaded nowhere
+else is unread.
 """
 
 import ast
@@ -38,14 +40,28 @@ def unread_parameters(fn):
     args = fn.args
     params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
     params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
-    read = set()
+    rebinding = set()  # the loads of a name inside an assignment back to it
     for stmt in fn.body:
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
-                read.add(node.target.id)
+            targets = rebound_names(node)
+            if targets and node.value is not None:
+                rebinding.update(id(load) for load in ast.walk(node.value)
+                                 if isinstance(load, ast.Name) and load.id in targets)
+    read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and id(node) not in rebinding}
     return [p for p in params if p not in read and p not in ("self", "cls")]
+
+
+def rebound_names(node):
+    """The plain names an assignment statement binds; empty for any other
+    node.  ``p += 1`` binds p from its own load."""
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    if (isinstance(node, (ast.AnnAssign, ast.AugAssign))
+            and isinstance(node.target, ast.Name)):
+        return {node.target.id}
+    return set()
 
 
 @pytest.mark.parametrize("path", FILES, ids=[p.stem for p in FILES])
