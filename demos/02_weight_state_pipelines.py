@@ -58,11 +58,13 @@ print("\ngeneral-norm pipeline:")
 print(f"  pre-amplification flag amplitude  {psi.stats.initial_amplitude:.6f}")
 print(f"  Grover rotations                  {psi.stats.iterations}")
 print(f"  post-selected residual            {psi.stats.residual:.3e}")
-print(f"  measured Upsilon                  {psi.stats.Upsilon:.6f}")
+# the flag amplitude is Upsilon/(n a C^2), C the rotation scale
+upsilon = vs2.n * kp.a_sum * psi.rotation_scale ** 2 * psi.stats.initial_amplitude
+print(f"  measured Upsilon                  {upsilon:.6f}")
 
 wp2, diag2 = build_taylor_weight_matrix(vs2, kp)
 rho1 = purified_density_encoding(psi.purification, psi.system_dim).block()
-got = rho1 * psi.stats.Upsilon
+got = rho1 * upsilon
 off_err = np.max(np.abs((got - np.diag(np.diag(got))) - wp2))
 print(f"  Upsilon rho1 off-diagonals reproduce W_p to {off_err:.2e}")
 print("  diagonal vs the truncated self-overlaps:",

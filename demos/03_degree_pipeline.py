@@ -31,7 +31,7 @@ print("classical degrees        :", np.round(np.diag(gm.D), 8))
 print("rho2 diagonal            :", np.round(np.diag(rho2).real, 8))
 print("off-diagonal mass        :", np.max(np.abs(rho2 - np.diag(np.diag(rho2)))))
 
-print(f"\namplification: initial amplitude p0 = {deg.stats.p0:.6f}, "
+print(f"\namplification: initial amplitude p0 = {deg.stats.initial_amplitude:.6f}, "
       f"{deg.stats.iterations} rotation(s), residual {deg.stats.residual:.3e}")
 print(f"minimum weight r = {deg.stats.r:.6f} controls the amplification cost")
 

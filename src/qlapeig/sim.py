@@ -575,10 +575,10 @@ class SimState:
 
     # -- projection / post-selection -----------------------------------------
 
-    def project(self, predicate, renormalize=True):
+    def project(self, predicate):
         """Keep amplitude where ``predicate(idx, labels)`` holds, in place,
-        with ``idx`` the index grid of ``predicate_mask``.  Returns the
-        retained squared weight."""
+        with ``idx`` the index grid of ``predicate_mask``, and renormalize.
+        Returns the retained squared weight."""
         keep = self.predicate_mask(predicate)
 
         def mask(block, sel):
@@ -588,20 +588,20 @@ class SimState:
         self._for_rows(None, mask)
         terms = self._row_weights()
         weight = self._total(terms)
-        if renormalize:
-            if weight <= 0:
-                raise SimError("projection annihilated the state")
-            self.amps /= math.sqrt(weight)
-            terms = terms / weight
-        self.prune(weights=terms)
+        if weight <= 0:
+            raise SimError("projection annihilated the state")
+        self.amps /= math.sqrt(weight)
+        self.prune(weights=terms / weight)
         return weight
 
-    def set_branch(self, key, vec: np.ndarray):
-        """Overwrite the amplitudes of branch ``key``."""
-        row = self.amps[self._row_of()[key]]
-        if np.shape(vec) != row.shape:
-            raise SimError("amplitudes do not have the branch shape")
-        row[...] = vec
+    def label_free_row(self) -> np.ndarray:
+        """Join the state and return its one row, writable: the amplitudes
+        over the dense registers of a state whose arithmetic labels are all
+        uncomputed."""
+        self.join()
+        if len(self.keys) != 1 or any(self.keys[0]):
+            raise SimError("arithmetic registers not uncomputed")
+        return self.amps[0]
 
     def reflect_about(self, ref: "SimState"):
         """psi -> 2 <ref|psi> ref - psi."""

@@ -210,7 +210,6 @@ class SpectralCluster:
 class SpectralResult:
     clusters: list
     d: int
-    query_count: int | None = None
     fidelities: list = field(default_factory=list)
     reference_eigenvalues: list = field(default_factory=list)
     weight_build: object = None  # the weight-state build the encodings used
@@ -822,7 +821,6 @@ def full_pipeline(vs: VertexSet, kp: KernelParams, cfg: PipelineConfig):
         samples = run_qpe(u_enc, qcfg, lambda_max_bound=bound)
     with _Stage("extraction"):
         result = extract_d_smallest(samples, cfg.d, signed=(cfg.target == "W"))
-    result.query_count = u_enc.meta.get("query_count")
     result.weight_build = res.components["weight_build"]
 
     # classical reference for the same (truncated) matrix

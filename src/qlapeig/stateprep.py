@@ -16,6 +16,12 @@ Each build returns its final state and its unit-norm purification, and
 forms no reduced state: ``blockenc.purified_density_encoding(b.purification,
 b.system_dim).block()`` computes rho0, rho1 or rho2 where a consumer reads it.
 
+The builds act on their states only through ``SimState`` gates and reads:
+amplitude amplification reads the flagged weight from the projection that
+post-selects it, and the flagged weights a build reports (the Psi build's
+Upsilon/(n a C^2), the degree build's p0) are those amplification records.
+Only ``sim`` reads the branch table.
+
 QRAM-style oracles are simulated exactly from the classical data, with an
 optional injected per-vector perturbation for the error-budget suites.
 """
@@ -192,12 +198,10 @@ class QramOracle:
 
 @dataclass
 class AmplificationStats:
-    initial_amplitude: float = 0.0
+    initial_amplitude: float = 0.0  # the flagged weight sin^2(theta)
     iterations: int = 0
     residual: float = 0.0
-    Upsilon: float | None = None
-    p0: float | None = None
-    r: float | None = None
+    r: float | None = None          # degree build: the least pairwise weight
 
 
 @dataclass
@@ -322,10 +326,10 @@ def apply_R_U(state: SimState, index_reg: str, coeff_reg: str, data_regs,
     vector into the last k data blocks; the first p-k blocks stay |0>."""
     data_regs = list(data_regs)
     p = len(data_regs)
-    amps = state.amps
+    amps = state.label_free_row()
     for reg in data_regs:
         nonzero = [slice(None)] * amps.ndim  # the register's |1> .. cells
-        nonzero[1 + state.layout.dense_axis[reg]] = slice(1, None)
+        nonzero[state.layout.dense_axis[reg]] = slice(1, None)
         if np.any(np.abs(amps[tuple(nonzero)]) > 1e-12):
             raise SimError("data register not zeroed before the ladder")
     u = oracle_U.unitary_matrix()
@@ -338,15 +342,16 @@ def apply_R_U(state: SimState, index_reg: str, coeff_reg: str, data_regs,
 # ---------------------------------------------------------------------------
 # amplitude amplification
 
-def amplitude_amplification(state: SimState, good_predicate, known_amplitude: float):
+def amplitude_amplification(state: SimState, good_predicate):
     """Exact-count Grover amplification toward a flagged subspace, then
     post-selection of the flagged part.
 
     Runs floor(pi/(4 theta)) rotations, taking one more only when that
     improves the flagged weight, and records the residual bad weight that
-    post-selection discards.  The amplitude is always known exactly in
-    simulation.  ``good_predicate(idx, labels)`` takes the index grid of
-    ``SimState.predicate_mask`` and must act elementwise on it.
+    post-selection discards.  The flagged weight sin^2(theta) is read
+    exactly from the state it amplifies, and recorded as
+    ``initial_amplitude``.  ``good_predicate(idx, labels)`` takes the index
+    grid of ``SimState.predicate_mask`` and must act elementwise on it.
 
     The rotations are not simulated one by one: k of them leave the start
     state psi in sin((2k+1) theta)/sin(theta) P_g psi + cos((2k+1)
@@ -354,21 +359,20 @@ def amplitude_amplification(state: SimState, good_predicate, known_amplitude: fl
     (Brassard, Hoyer, Mosca and Tapp, quant-ph/0005055).  The iteration
     count keeps sin((2k+1) theta) >= 1/sqrt(2), so post-selection keeps
     P_g psi / |P_g psi| and discards cos^2((2k+1) theta): the state is
-    projected in place and theta is read off the projected weight.
+    projected in place, and theta is read off the projected weight.
     """
-    if known_amplitude <= 1e-15:
+    weight = state.project(good_predicate)
+    if weight <= 1e-15:
         raise SimError("cannot amplify a zero amplitude")
-    stats = AmplificationStats(initial_amplitude=known_amplitude)
-    if known_amplitude >= 1.0 - 1e-12:
+    stats = AmplificationStats(initial_amplitude=weight)
+    if weight >= 1.0 - 1e-12:
         return state, stats
-    theta = math.asin(math.sqrt(known_amplitude))
+    theta = math.asin(math.sqrt(weight))
     k = int(math.floor(math.pi / (4.0 * theta)))
     amp_k = math.sin((2 * k + 1) * theta) ** 2
     amp_k1 = math.sin((2 * k + 3) * theta) ** 2
-    iters = k + 1 if amp_k1 > amp_k else k
-    measured = math.asin(math.sqrt(min(state.project(good_predicate), 1.0)))
-    stats.iterations = iters
-    stats.residual = math.cos((2 * iters + 1) * measured) ** 2
+    stats.iterations = k + 1 if amp_k1 > amp_k else k
+    stats.residual = math.cos((2 * stats.iterations + 1) * theta) ** 2
     return state, stats
 
 
@@ -529,20 +533,12 @@ def build_psi_state(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = N
     state.apply_branch_dense(rot, ["rot"])
     _clear_labels(state, ["ex"], ("idx", "coeff"))
 
-    # (7) amplify the rot=|0> branch; amplitude known from the state
+    # (7) amplify the rot=|0> branch, of weight Upsilon/(n a C^2)
     rot_axis = layout.dense_axis["rot"]
-    amp = 0.0
-    for vec in state.branches.values():
-        moved = np.moveaxis(vec, rot_axis, 0)
-        amp += float(np.vdot(moved[0], moved[0]).real)
-    state, stats = amplitude_amplification(
-        state, lambda idx, lab: idx[rot_axis] == 0, amp)
+    state, stats = amplitude_amplification(state, lambda idx, lab: idx[rot_axis] == 0)
 
     # (8) amplitude-encoding ladder into the data blocks
     apply_R_U(state, "idx", "coeff", data, oracle)
-
-    # Upsilon from the pre-amplification flag amplitude: amp = Upsilon/(n a C^2)
-    stats.Upsilon = n * kp.a_sum * scale * scale * amp
 
     vec = _dense_over(state, ["idx", "coeff", "rot"] + data)
     return PsiBuild(state, stats, vec, n, fx_values, scale)
@@ -562,12 +558,7 @@ def _dense_over(state: SimState, regs) -> np.ndarray:
     checking that it is label-free, every remaining register sits in
     |0...0> and the purification has unit norm, so the reduced state it
     encodes has trace 1."""
-    state.join()
-    if len(state.branches) != 1:
-        raise SimError("state still carries nonzero arithmetic labels")
-    labels, vec = next(iter(state.branches.items()))
-    if any(labels):
-        raise SimError("arithmetic registers not uncomputed")
+    vec = state.label_free_row()
     lay = state.layout
     axes = [lay.dense_axis[r] for r in regs]
     moved = np.moveaxis(vec, axes, range(len(axes)))
@@ -706,8 +697,7 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
 
     # (4) amplify away the diagonal i = j (kernel value 1 instead of 0 there)
     i_ax, j_ax = layout.dense_axis["i"], layout.dense_axis["j"]
-    state, stats4 = amplitude_amplification(
-        state, lambda idx, lab: idx[i_ax] != idx[j_ax], (n * n - n) / (n * n))
+    state, _ = amplitude_amplification(state, lambda idx, lab: idx[i_ax] != idx[j_ax])
 
     # (5) flag superposition
     state.apply_dense(hadamard_all(1), ["flag"])
@@ -747,13 +737,8 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
     _clear_labels(state, ["ip"], ("i",))
     _disentangle(state, "i", ["flag", "j", "rot"])
 
-    # (9) amplify the top-qubit-0 branch; p0 = Tr(D)/(n(n-1))
-    p0 = 0.0
-    for vec in state.branches.values():
-        moved = np.moveaxis(vec, copy_ax, 0)
-        p0 += float(np.vdot(moved[:half], moved[:half]).real)
-    state, stats9 = amplitude_amplification(
-        state, lambda idx, lab: idx[copy_ax] < half, p0)
+    # (9) amplify the top-qubit-0 branch, of weight p0 = Tr(D)/(n(n-1))
+    state, stats = amplitude_amplification(state, lambda idx, lab: idx[copy_ax] < half)
 
     # (10) copy the index into the freed register: |i>|c> -> |i>|c xor i>,
     # one n x n permutation of copy per value of i
@@ -762,14 +747,11 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
         state.apply_dense(eye[[c ^ i for c in range(n)]], ["copy"], controls={"i": i})
 
     degrees = np.where(off, w_fx, 0.0).sum(axis=1)
-    r_min = float(w_fx[off].min())
-    stats = AmplificationStats(
-        initial_amplitude=p0, iterations=stats9.iterations,
-        residual=stats9.residual, p0=p0, r=r_min)
+    stats.r = float(w_fx[off].min())
 
     # (11) the purification over (i, copy) carries rho2 on the index register
     return DegreeBuild(state, stats, _dense_over(state, ["i", "copy"]), n,
-                       degrees, float(n * (n - 1) * p0))
+                       degrees, float(n * (n - 1) * stats.initial_amplitude))
 
 
 def _eye_stack(count: int, dim: int) -> np.ndarray:
@@ -797,10 +779,7 @@ def _disentangle(state: SimState, control_reg: str, target_regs):
     uncompute exists; the freed factor keeps its physical (nonnegative)
     amplitude convention."""
     lay = state.layout
-    state.join()
-    if len(state.branches) != 1:
-        raise SimError("disentangle expects cleared labels")
-    labels, vec = next(iter(state.branches.items()))
+    vec = state.label_free_row()
     c_ax = lay.dense_axis[control_reg]
     t_axes = [lay.dense_axis[r] for r in target_regs]
     other = [i for i in range(vec.ndim) if i != c_ax and i not in t_axes]
@@ -824,6 +803,4 @@ def _disentangle(state: SimState, control_reg: str, target_regs):
         if np.max(np.abs(row.imag)) > 1e-9 or np.min(row.real) < -1e-9:
             raise SimError("freed factor is not in the nonnegative convention")
         new[c, 0, :] = row
-    back = new.reshape(moved.shape)
-    state.set_branch(labels, np.moveaxis(back, range(vec.ndim), perm))
-    state.prune()
+    vec[...] = np.moveaxis(new.reshape(moved.shape), range(vec.ndim), perm)

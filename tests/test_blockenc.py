@@ -337,7 +337,7 @@ def test_W_over_n_general_norm_diagonal_gap():
     blk = res.encoding.alpha * res.encoding.block()
     wp, diag = build_taylor_weight_matrix(vs, kp)
     psi = res.components["weight_build"]
-    ups = psi.stats.Upsilon
+    ups = vs.n * kp.a_sum * psi.rotation_scale ** 2 * psi.stats.initial_amplitude
     # scalar evaluation: off-diagonal w12/Upsilon, diagonal t_i/Upsilon - 1/n
     assert blk[0, 1].real == pytest.approx(wp[0, 1] / ups, abs=1e-9)
     for i in range(2):
@@ -363,7 +363,7 @@ def test_trace_estimate_regular_and_random():
     deg = build_degree_state(vs, kp)
     # regular graph: p0 equals the mean weight
     w = build_graph(vs, kp).W
-    assert deg.stats.p0 == pytest.approx(w.sum() / 12, abs=1e-10)
+    assert deg.stats.initial_amplitude == pytest.approx(w.sum() / 12, abs=1e-10)
     rng = np.random.default_rng(11)
     vs = general_vs(rng, 4, 2, 0.5, 1.0)
     deg = build_degree_state(vs, kp)
@@ -378,8 +378,8 @@ def test_trace_estimate_requires_p0():
     vs = VertexSet.from_vectors([[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]])
     res = encode_calL(vs, KernelParams(0.5, 4))
     deg = res.components["degree_build"]
-    assert deg.stats.p0 is not None
-    assert deg.trace_estimate == float(4 * 3 * deg.stats.p0)
+    assert deg.stats.initial_amplitude > 0
+    assert deg.trace_estimate == float(4 * 3 * deg.stats.initial_amplitude)
     assert res.trace_D == deg.trace_estimate
 
 

@@ -214,7 +214,6 @@ def test_predicate_mask_matches_ndindex(data):
 def test_project_matches_ndindex(data):
     state = data.draw(states())
     predicate = data.draw(predicates(state.layout))
-    renormalize = data.draw(st.booleans())
     want, weight = {}, 0.0
     for labels, vec in state.branches.items():
         keep = np.zeros(vec.shape, dtype=bool)
@@ -223,13 +222,12 @@ def test_project_matches_ndindex(data):
                 keep[idx] = True
         want[labels] = np.where(keep, vec, 0.0)
         weight += float(np.vdot(want[labels], want[labels]).real)
-    if renormalize and weight <= 0:
+    if weight <= 0:
         with pytest.raises(SimError):
-            state.project(predicate, renormalize)
+            state.project(predicate)
         return
-    if renormalize:
-        want = {k: v / np.sqrt(weight) for k, v in want.items()}
-    assert state.project(predicate, renormalize) == weight
+    want = {k: v / np.sqrt(weight) for k, v in want.items()}
+    assert state.project(predicate) == weight
     assert_same_bits(state, pruned(state.layout, want))
 
 
@@ -438,19 +436,41 @@ def test_predicate_mask_on_split_state_matches_joined(data):
 def test_project_on_split_state_matches_joined(data):
     split, plain = data.draw(split_pairs())
     predicate = data.draw(predicates(plain.layout))
-    renormalize = data.draw(st.booleans())
     try:
-        want = plain.project(predicate, renormalize)
+        want = plain.project(predicate)
     except SimError:
         with pytest.raises(SimError):
-            split.project(predicate, renormalize)
+            split.project(predicate)
         return
-    got = split.project(predicate, renormalize)
+    got = split.project(predicate)
     assert abs(got - want) <= 1e-12
-    if renormalize:
-        close(split, plain)
-    else:  # elementwise masking: the same bits
-        assert np.array_equal(split.dense_vector(), plain.dense_vector())
+    close(split, plain)
+
+
+@PROPERTY
+@given(st.data())
+def test_label_free_row_is_the_joined_row_and_writes_through(data):
+    """A split state whose only label is all zeros hands over its joined row,
+    bit for bit, and writing the row writes the state; any other label set
+    raises."""
+    layout = data.draw(layouts())
+    zeros = (0,) * len(layout.arith)
+    if data.draw(st.booleans()):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        plain = SimState(layout, {zeros: random_branch(layout, rng)})
+    else:
+        plain = data.draw(states(layout))
+    split = plain.copy()
+    split.split_by(data.draw(st.lists(st.sampled_from([r.name for r in layout.dense]),
+                                      min_size=1, unique=True)))
+    if list(plain.branches) != [zeros]:
+        with pytest.raises(SimError):
+            split.label_free_row()
+        return
+    row, want = split.label_free_row(), plain.branches[zeros]
+    assert row.shape == want.shape and row.tobytes() == want.tobytes()
+    row *= 2j
+    assert split.branches[zeros].tobytes() == (2j * want).tobytes()
 
 
 @PROPERTY
@@ -524,7 +544,7 @@ def operations(draw, layout):
         return kind, lambda s: s.apply_dense(u, [target], controls=controls)
     if kind == "project":
         predicate = draw(predicates(layout))
-        return kind, lambda s: s.project(predicate, renormalize=False)
+        return kind, lambda s: s.project(predicate)
     ref = draw(states(layout))
     return kind, lambda s: s.reflect_about(ref)
 
@@ -537,8 +557,13 @@ def test_circuits_on_split_states_match_joined(data):
     split, plain = data.draw(split_pairs())
     for _ in range(data.draw(st.integers(1, 4))):
         kind, op = data.draw(operations(plain.layout))
+        try:
+            op(plain)
+        except SimError:  # a projection that keeps nothing
+            with pytest.raises(SimError):
+                op(split)
+            return
         op(split)
-        op(plain)
         plain.join()
         close(split, plain)
 
@@ -747,7 +772,30 @@ def test_amplitude_amplification_matches_the_grover_loop(data):
     psi, flagged = state.dense_vector(), statevector_mask(predicate, lay).reshape(-1)
     known = float(np.vdot(psi[flagged], psi[flagged]).real)
     want, iters, residual = grover_loop(psi, flagged, known)
-    _, stats = amplitude_amplification(state, predicate, known)
+    _, stats = amplitude_amplification(state, predicate)
     assert stats.iterations == iters
     assert abs(stats.residual - residual) <= 1e-12
     assert np.allclose(state.dense_vector(), want, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(st.data())
+def test_amplification_records_the_good_weight_of_the_state(data):
+    """On random normalized states, joined or split on random registers, the
+    recorded ``initial_amplitude`` is the good weight read from
+    ``dense_vector()`` within 1e-12; a good weight of at most 1e-15 raises."""
+    plain = data.draw(states())
+    lay = plain.layout
+    predicate = data.draw(predicates(lay))
+    norm = plain.norm()
+    state = SimState(lay, {lab: v / norm for lab, v in plain.branches.items()})
+    state.split_by(data.draw(st.lists(st.sampled_from([r.name for r in lay.dense]),
+                                      unique=True)))
+    psi, flagged = state.dense_vector(), statevector_mask(predicate, lay).reshape(-1)
+    good = float(np.vdot(psi[flagged], psi[flagged]).real)
+    if good <= 1e-15:
+        with pytest.raises(SimError):
+            amplitude_amplification(state, predicate)
+        return
+    _, stats = amplitude_amplification(state, predicate)
+    assert abs(stats.initial_amplitude - good) <= 1e-12

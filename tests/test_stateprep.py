@@ -36,6 +36,11 @@ def reduced(build):
     return purified_density_encoding(build.purification, build.system_dim).block()
 
 
+def upsilon(psi, vs, kp):
+    """Upsilon = n a C^2 times the flag weight the Psi build amplified."""
+    return vs.n * kp.a_sum * psi.rotation_scale ** 2 * psi.stats.initial_amplitude
+
+
 # ---------------------------------------------------------------------------
 # coefficient ladder
 
@@ -221,7 +226,7 @@ def test_psi_fixed_point_identity_b16():
     psi = build_psi_state(vs, kp, PrepConfig(bits=16, exp_order=12))
     wp, diag = build_taylor_weight_matrix(vs, kp)
     full = wp + np.diag(diag)
-    ups = psi.stats.Upsilon
+    ups = upsilon(psi, vs, kp)
     # budget: each amplitude v_ik carries a handful of roundings at 2^-13
     # grid resolution (int part needs 3 bits) plus the exp-gate allowance,
     # entering quadratically through a_k v_ik v_jk products.
@@ -241,7 +246,7 @@ def test_psi_eq31_amplitude():
                  for k in range(kp.p + 1))
     predicted = ups_fx / (4 * kp.a_sum * psi.rotation_scale ** 2)
     assert abs(psi.stats.initial_amplitude - predicted) < 1e-9
-    assert abs(psi.stats.Upsilon - ups_fx) < 1e-9
+    assert abs(upsilon(psi, vs, kp) - ups_fx) < 1e-9
 
 
 def test_psi_offdiagonal_matches_truncated_weights():
@@ -250,7 +255,7 @@ def test_psi_offdiagonal_matches_truncated_weights():
     kp = KernelParams(0.5, 3)
     psi = build_psi_state(vs, kp)
     wp, _ = build_taylor_weight_matrix(vs, kp)
-    got = reduced(psi) * psi.stats.Upsilon
+    got = reduced(psi) * upsilon(psi, vs, kp)
     off = got - np.diag(np.diag(got))
     assert np.max(np.abs(off - wp)) < 1e-9  # 44-bit default grid
 
@@ -338,7 +343,7 @@ def test_degree_amplitude_dominates_min_weight():
     for trial in range(5):
         vs = general_vs(rng, 4, 2, 0.5, 1.2)
         deg = build_degree_state(vs, KernelParams(0.5, 4))
-        assert deg.stats.p0 >= deg.stats.r - 1e-12
+        assert deg.stats.initial_amplitude >= deg.stats.r - 1e-12
 
 
 def test_degree_n2_is_maximally_mixed():
@@ -379,12 +384,14 @@ def test_amplification_trivial_and_closed_form():
     st = SimState(layout)
     st.apply_dense(hadamard_all(2), ["q"])
     # amplitude 1: nothing to do
-    out, stats = amplitude_amplification(st.copy(), lambda idx, lab: True, 1.0)
+    out, stats = amplitude_amplification(st.copy(), lambda idx, lab: True)
+    assert stats.initial_amplitude == pytest.approx(1.0, abs=1e-15)
     assert stats.iterations == 0
     # amplitude sin^2(pi/6) = 0.25: one Grover rotation lands exactly on 1
     st = SimState(layout)
     st.apply_dense(hadamard_all(2), ["q"])
-    out, stats = amplitude_amplification(st, lambda idx, lab: idx[0] == 3, 0.25)
+    out, stats = amplitude_amplification(st, lambda idx, lab: idx[0] == 3)
+    assert stats.initial_amplitude == pytest.approx(0.25, abs=1e-15)
     assert stats.iterations == 1
     assert stats.residual < 1e-12
     vec = out.dense_vector()
@@ -399,8 +406,8 @@ def test_amplification_discard_diagonal_n4():
     st = SimState(layout)
     st.apply_dense(hadamard_all(2), ["i"])
     st.apply_dense(hadamard_all(2), ["j"])
-    out, stats = amplitude_amplification(
-        st, lambda idx, lab: idx[0] != idx[1], 0.75)
+    out, stats = amplitude_amplification(st, lambda idx, lab: idx[0] != idx[1])
+    assert stats.initial_amplitude == pytest.approx(0.75, abs=1e-15)
     assert stats.iterations == 0
     assert stats.residual == pytest.approx(0.25, abs=1e-12)
     vec = out.dense_vector().reshape(4, 4)
@@ -413,7 +420,17 @@ def test_amplification_zero_amplitude_fails():
     layout = RegisterLayout([Register("q", 1, "flag")])
     st = SimState(layout)
     with pytest.raises(SimError):
-        amplitude_amplification(st, lambda idx, lab: idx[0] == 1, 0.0)
+        amplitude_amplification(st, lambda idx, lab: idx[0] == 1)
+
+
+def test_amplification_of_a_weight_below_1e_15_fails():
+    """Flagged amplitude 1e-9: a weight of 1e-18 counts as zero."""
+    layout = RegisterLayout([Register("q", 1, "flag")])
+    st = SimState(layout)
+    c = math.sqrt(1.0 - 1e-18)
+    st.apply_dense(np.array([[c, -1e-9], [1e-9, c]], dtype=complex), ["q"])
+    with pytest.raises(SimError, match="zero amplitude"):
+        amplitude_amplification(st, lambda idx, lab: idx[0] == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ pipelines is written here one key at a time, as the simulator once called
 them, and run through ``label_columns``.  The pipelines, which map whole key
 columns and compute each fixed-point value once per distinct input, must
 give the same bytes: purifications, fixed-point values, degree estimates,
-the trace estimate and the reduced states.
+the trace estimate and the reduced states, and the same amplification
+records, since both call ``amplitude_amplification`` the same way.
 """
 
 import math
@@ -124,12 +125,7 @@ def reference_psi(vs, kp, prep):
     state.apply_branch_dense(per_labels(rot), ["rot"])
     clear_per_key(state, ["ex"], ("idx", "coeff"))
     rot_axis = layout.dense_axis["rot"]
-    amp = 0.0
-    for vec in state.branches.values():
-        moved = np.moveaxis(vec, rot_axis, 0)
-        amp += float(np.vdot(moved[0], moved[0]).real)
-    state, stats = amplitude_amplification(
-        state, lambda idx, lab: idx[rot_axis] == 0, amp)
+    state, stats = amplitude_amplification(state, lambda idx, lab: idx[rot_axis] == 0)
     apply_R_U(state, "idx", "coeff", data, oracle)
     rho1 = partial_trace(state, ["idx"]).validate()
     purification = stateprep._dense_over(state, ["idx", "coeff", "rot"] + data)
@@ -183,8 +179,7 @@ def reference_degree(vs, kp, est, prep):
 
     state.apply_label_map(per_key(kernel), dense_controls=("i", "j"))
     i_ax, j_ax = layout.dense_axis["i"], layout.dense_axis["j"]
-    state, _ = amplitude_amplification(
-        state, lambda idx, lab: idx[i_ax] != idx[j_ax], (n * n - n) / (n * n))
+    state, _ = amplitude_amplification(state, lambda idx, lab: idx[i_ax] != idx[j_ax])
     state.apply_dense(hadamard_all(1), ["flag"])
 
     def rw(labels):
@@ -219,12 +214,8 @@ def reference_degree(vs, kp, est, prep):
     state.apply_branch_dense(per_labels(rp), ["copy"])
     clear_per_key(state, ["ip"], ("i",))
     stateprep._disentangle(state, "i", ["flag", "j", "rot"])
-    p0 = 0.0
-    for vec in state.branches.values():
-        moved = np.moveaxis(vec, copy_ax, 0)
-        p0 += float(np.vdot(moved[:half], moved[:half]).real)
-    state, stats9 = amplitude_amplification(
-        state, lambda idx, lab: idx[copy_ax] < half, p0)
+    state, stats9 = amplitude_amplification(state, lambda idx, lab: idx[copy_ax] < half)
+    p0 = stats9.initial_amplitude
     eye = np.eye(n, dtype=complex)
     for i in range(n):
         state.apply_dense(eye[[c ^ i for c in range(n)]], ["copy"], controls={"i": i})
@@ -309,8 +300,7 @@ def test_pipelines_match_the_per_key_references(instance):
         assert_same_bytes(partial_trace(got.state, ["idx"]).validate().matrix,
                           want["rho"])
         assert_same_bytes(got.fx_values, want["fx_values"])
-        assert got.stats.iterations == want["stats"].iterations
-        assert got.stats.residual == want["stats"].residual
+        assert got.stats == want["stats"]
         assert_same_bytes(fixed_point_gram(vs, kp, got.fx_values),
                           reference_gram(vs, kp, got.fx_values))
     want = outcome(reference_degree, vs, kp, est, prep)
@@ -322,7 +312,7 @@ def test_pipelines_match_the_per_key_references(instance):
     assert_same_bytes(partial_trace(got.state, ["i"]).validate().matrix, want["rho"])
     assert_same_bytes(got.degree_estimates, want["degree_estimates"])
     assert got.trace_estimate == want["trace_estimate"]
-    assert (got.stats.p0, got.stats.iterations, got.stats.residual,
+    assert (got.stats.initial_amplitude, got.stats.iterations, got.stats.residual,
             got.stats.r) == want["stats"]
 
 

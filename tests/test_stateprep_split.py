@@ -114,12 +114,12 @@ def test_amplification_allocates_less_than_a_quarter_state(monkeypatch):
     amplify = stateprep.amplitude_amplification
     seen = []
 
-    def measured(state, predicate, amplitude):
+    def measured(state, predicate):
         rows = len(state.branches)
         size = sum(v.nbytes for v in state.branches.values())
         tracemalloc.start()
         try:
-            out = amplify(state, predicate, amplitude)
+            out = amplify(state, predicate)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
