@@ -48,28 +48,33 @@ dilations of real symmetric blocks, whose U is exactly real, so only P_R
 (the phases (-i)^k) stays a complex GEMM.  The meter counts the circuit's
 rungs, not these GEMMs.
 
-Phase estimation (``run_qpe``) never holds the whole register of 2^bits
-slots, each an n x n matrix: slot y is U^y |Phi>, |Phi> the purified
-maximally-mixed input, whose matrix is the identity over sqrt(n 2^bits), so
-slot y is that multiple of U^y.  Right-multiplication acts on each system row
-alone, so the register is run one block of b system rows at a time, b the
-largest with 2^bits b n <= ``QPE_BLOCK_AMPLITUDES`` (1 <= b <= n), in one
-reused buffer.  The powers U^(2^k) are squared once.  A block's slots are
-filled by doubling: slot 0 holds its rows of |Phi>, and for f = 1, 2, 4, ..
-slots f .. 2f - 1 are slots 0 .. f - 1 right-multiplied by U^f (powers of
-one matrix commute).  The slots are stacked row-wise, so a run of them times
-U^f is one 2-D GEMM of at most max(``QPE_GEMM_MACS``, n^3) multiply-adds.
-The Fourier transform runs in place on the block, and its Born weights, a
-conjugating ``vecdot`` over its rows, are added into the probabilities.  The
-shots are the draws ``Generator.choice`` makes, the same uniforms compared
-with the same CDF, but counted per bin from the sorted uniforms
-(``_shot_counts``) rather than located one by one.  The phase register is
-read out in the Fourier basis, a product state, so the transformed slot z is
-sum_y (w^z U)^y = prod_k (I + (w^z U)^(2^k)) times the slot scale, w =
-e^(-2 pi i / 2^bits) (Cleve, Ekert, Macchiavello and Mosca 1998):
+Phase estimation (``run_qpe``) never holds the register of 2^bits slots,
+each an n x n matrix: slot y is U^y |Phi>, |Phi> the purified
+maximally-mixed input, whose matrix is the identity over sqrt(n 2^bits).
+For that input the register's Born distribution depends on U only through
+the traces Tr(U^d), the quantities one clean qubit estimates (DQC1: Knill
+and Laflamme 1998).  For unitary U and P = 2^bits,
+p(z) = (1 / (n P^2)) sum_{|d| < P} (P - |d|) e^(-2 pi i z d / P) Tr(U^d),
+and Tr(U^-d) is the conjugate of Tr(U^d), so p is one length-P FFT of the
+folded sequence (P - d) Tr(U^d) + d conj(Tr(U^(P - d))), d < P.  The traces
+come by baby-step giant-step (Paterson and Stockmeyer 1973,
+``_trace_moments``): Tr(U^(a + c s)) = <(U^a)^T, (U^s)^c>, the elementwise
+product summed, with the ladder (U^a)^T, a < s = 2^floor(bits/2), filled by
+doubling from the powers U^(2^k) and the giant steps (U^s)^c streamed two
+at a time, one GEMM each; s halves while (s + 2) n^2 and the P moments
+would exceed the desk-scale guard.  That is about 2 sqrt(P) n x n GEMMs,
+against P n^3 multiply-adds for the register, and every GEMM is at most
+max(``QPE_GEMM_MACS``, n^3) multiply-adds.  The shots are the draws
+``Generator.choice`` makes, the same uniforms compared with the same CDF,
+but counted per bin from the sorted uniforms (``_shot_counts``) rather than
+located one by one.  The phase register is read out in the Fourier basis, a
+product state, so the transformed slot z is
+sum_y (w^z U)^y = prod_k (I + (w^z U)^(2^k)) times the slot scale,
+w = e^(-2 pi i / 2^bits) (Cleve, Ekert, Macchiavello and Mosca 1998):
 ``QpeSamples.post_state`` builds a bin's unnormalized post-measurement state
-from the powers on first read, one n x n GEMM per phase bit, and extraction
-reads it only for the bins of the clusters it reports.
+from the powers on each read, one n x n GEMM per phase bit, and extraction
+reads it only for the bins of the clusters it reports, one chunk of bins at
+a time.
 """
 
 from __future__ import annotations
@@ -88,8 +93,8 @@ from .graph import (GraphError, GraphMatrices, KernelParams, VertexSet,
                     build_graph, classical_eigensolve, graph_matrices_to_json,
                     resolve_norm_case)
 from .sim import SimError, operator_norm_distance
-from .stateprep import (EstimatorConfig, PrepConfig, _desk_scale_guard,
-                        completion_unitary)
+from .stateprep import (DESK_SCALE_AMPLITUDES, EstimatorConfig, PrepConfig,
+                        _desk_scale_guard, completion_unitary)
 
 __all__ = [
     "SimulationError",
@@ -120,16 +125,17 @@ class ResolutionError(SimError):
 
 MAX_TAYLOR_ORDER = 12  # lcu path: the highest truncation order chosen from eps
 LCU_MAX_AMPLITUDES = 1 << 21  # lcu path: the largest state it simulates
-# QPE: the most complex multiply-adds in one doubling GEMM, unless one n x n
-# product (n^3, n > 32) is more.  OpenBLAS 0.3.31 splits a call of 2^16 or
-# more across its threads; the helper thread then packs its share of the
-# register into a buffer of its own, so one GEMM per bit raised the n = 16
-# peak RSS by 2.7 MB (6%), and on a contended machine such calls stall for
-# milliseconds while the threads wait on each other
+# QPE: the most complex multiply-adds in one trace-moment GEMM, unless one
+# n x n product (n^3, n > 32) is more.  OpenBLAS 0.3.31 splits a call of 2^16
+# or more across its threads, whose packing buffers raise the peak RSS, and
+# on a contended machine such calls stall for milliseconds while the threads
+# wait on each other
 QPE_GEMM_MACS = 1 << 15
-# QPE: the most amplitudes a block of the phase register holds, unless one
-# system row alone (2^bits n amplitudes) is more
-QPE_BLOCK_AMPLITUDES = 1 << 15
+# extraction: the most post-state amplitudes one chunk of bins holds, unless
+# one bin (n^2 amplitudes) is more
+EXTRACT_CHUNK_AMPLITUDES = 1 << 20
+# the least error a simulated evolution claims: its round-off
+_EPS_FLOOR = 1e-12
 
 
 def _sim_setting_error(path: str, eps: float) -> str | None:
@@ -177,23 +183,19 @@ class QpeSamples:
     shots: int
     n: int                       # system dimension
     powers: list                 # U^(2^k), k = 0 .. phase_bits - 1, each n x n
-    _posts: dict = field(default_factory=dict, init=False, repr=False)
 
     def post_state(self, z: int) -> np.ndarray:
         """Outcome z's unnormalized post-measurement state, the (n_sys,
         n_purifier) matrix sum_y w^(yz) U^y / (2^bits sqrt n), w =
         e^(-2 pi i / 2^bits): the register's slot z after the Fourier
-        transform.  Built on first read, and kept, as the product
+        transform.  Built on each read, as the product
         prod_k (I + w^(z 2^k) U^(2^k)) over the powers."""
-        post = self._posts.get(z)
-        if post is None:
-            pdim = 1 << self.phase_bits
-            post = np.eye(self.n, dtype=complex)
-            for k, power in enumerate(self.powers):
-                phase = np.exp(-2j * math.pi * ((z << k) % pdim) / pdim)
-                post = post + phase * (post @ power)
-            post /= pdim * math.sqrt(self.n)
-            self._posts[z] = post
+        pdim = 1 << self.phase_bits
+        post = np.eye(self.n, dtype=complex)
+        for k, power in enumerate(self.powers):
+            phase = np.exp(-2j * math.pi * ((z << k) % pdim) / pdim)
+            post = post + phase * (post @ power)
+        post /= pdim * math.sqrt(self.n)
         return post
 
 
@@ -236,7 +238,7 @@ def simulate_hamiltonian(be: BlockEncoding, cfg: SimulationConfig) -> BlockEncod
         vals, vecs = np.linalg.eigh(h)
         u = vecs @ np.diag(np.exp(-1j * vals * cfg.t)) @ vecs.conj().T
         eps = 2.0 * cfg.t * be.epsilon
-        return BlockEncoding(1.0, be.ancillas + 2, max(eps, 1e-12), be.subject_dim,
+        return BlockEncoding(1.0, be.ancillas + 2, max(eps, _EPS_FLOOR), be.subject_dim,
                              backend="composite", _block=u,
                              meta={"path": cfg.path, "query_count": None,
                                    "t": cfg.t})
@@ -499,48 +501,98 @@ def run_qpe(u_enc: BlockEncoding, qcfg: QpeConfig,
     """Textbook QPE with the purified maximally-mixed input.
 
     Controlled powers use the adjoint of the encoded evolution so that
-    eigenphases come out as +gamma t / 2 pi.  Slot y of the register is the
-    n x n matrix U^y / sqrt(n pdim), run one block of system rows at a time
-    (module docstring): slots f .. 2f - 1 of a block are slots 0 .. f - 1
-    right-multiplied by U^f, as 2-D GEMMs over runs of slots stacked
-    row-wise.  Each block's Born weights are added into the probabilities;
-    the shots are the draws of ``Generator.choice`` (``_shot_counts``).
+    eigenphases come out as +gamma t / 2 pi.  The phase register's Born
+    weights are read from the trace moments Tr(U^d) (module docstring),
+    an identity of the circuit's output for unitary U.  Precondition: the
+    simulation contract ||U - e^(-iHt)|| <= eps, eps = ``u_enc.epsilon`` (read
+    as at least the round-off floor 1e-12 the oracle path claims), gives
+    ||U^dag U - I|| <= 2 eps + eps^2; a U beyond that raises
+    ``SimulationError``.  Within it, the trace-moment marginal and the
+    register's own both stay within about 4 2^bits eps of the exact
+    evolution's.  The shots are the draws of ``Generator.choice``
+    (``_shot_counts``).
     """
     t = qcfg.time_scale
     if lambda_max_bound is not None and t * lambda_max_bound >= 2.0 * math.pi:
         raise SimulationError("phase wraparound: t * lambda_max >= 2 pi")
     u = u_enc.block().conj().T
     n = u.shape[0]
-    pdim = 1 << qcfg.phase_bits
-    rows = max(1, min(n, QPE_BLOCK_AMPLITUDES // (pdim * n)))  # system rows a block
-    _desk_scale_guard(pdim * rows * n,
-                      f"{qcfg.phase_bits}-bit phase-estimation register block",
-                      "use fewer qpe_bits")
-    powers = [u]  # U^f, f = 2^k: fills slots f .. 2f - 1 from slots 0 .. f - 1
-    for _ in range(qcfg.phase_bits - 1):
+    eps = max(u_enc.epsilon, _EPS_FLOOR)
+    bound = 2.0 * eps + eps * eps
+    defect = _unitarity_defect(u, bound)
+    if defect > bound:
+        raise SimulationError(
+            f"phase estimation needs a unitary evolution: ||U^dag U - I|| = "
+            f"{defect:.3e} exceeds 2 eps + eps^2 for the claimed eps = {eps:.3e}")
+    bits = qcfg.phase_bits
+    pdim = 1 << bits
+    baby = 1 << (bits // 2)  # the ladder U^0 .. U^(baby - 1)
+    while baby > 1 and (baby + 2) * n * n + pdim > DESK_SCALE_AMPLITUDES:
+        baby //= 2
+    _desk_scale_guard((baby + 2) * n * n + pdim,
+                      f"{bits}-bit phase estimation's trace ladder and moments",
+                      "use fewer qpe_bits or fewer vertices")
+    powers = [u]  # U^(2^k): ladder steps, giant step, post-states
+    for _ in range(bits - 1):
         powers.append(powers[-1] @ powers[-1])
-    run = max(QPE_GEMM_MACS, n ** 3) // (rows * n * n)  # slots per GEMM, >= 1
-    start = np.eye(n) / math.sqrt(n) / math.sqrt(pdim)  # sum_j |j>|j> / sqrt(n pdim)
-    buf = np.empty(pdim * rows * n, dtype=complex)
-    probs = np.zeros(pdim)
-    for top in range(0, n, rows):
-        b = min(rows, n - top)
-        psi = buf[:pdim * b * n].reshape(pdim, b, n)
-        psi[0] = start[top:top + b]
-        for k, step in enumerate(powers):
-            f = 1 << k
-            for y in range(0, f, run):
-                z = min(f, y + run)
-                np.matmul(psi[y:z].reshape(-1, n), step,
-                          out=psi[f + y:f + z].reshape(-1, n))
-        np.fft.fft(psi, axis=0, out=psi)
-        psi /= math.sqrt(pdim)
-        flat = psi.reshape(pdim, -1)
-        probs += np.vecdot(flat, flat).real
+    traces = _trace_moments(powers, baby, pdim)
+    k = np.arange(pdim)
+    folded = (pdim - k) * traces  # d and d - pdim share bin d of the FFT
+    folded[1:] += k[1:] * traces[:0:-1].conj()
+    probs = np.fft.fft(folded).real / (n * pdim * pdim)
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
     counts = _shot_counts(probs, qcfg.shots, np.random.default_rng(qcfg.seed))
-    return QpeSamples(counts, probs, qcfg.phase_bits, t, qcfg.shots, n, powers)
+    return QpeSamples(counts, probs, bits, t, qcfg.shots, n, powers)
+
+
+def _unitarity_defect(u: np.ndarray, bound: float) -> float:
+    """||U^dag U - I|| in the spectral norm, or the largest absolute row sum
+    of U^dag U - I when that is at most ``bound``: for a Hermitian matrix it
+    bounds the spectral norm from above, and costs no decomposition."""
+    gram = u.conj().T @ u
+    gram[np.diag_indices_from(gram)] -= 1.0
+    rows = float(np.max(np.abs(gram).sum(axis=1)))
+    if rows <= bound:
+        return rows
+    return float(np.max(np.abs(np.linalg.eigvalsh(gram))))
+
+
+def _trace_moments(powers: list, baby: int, pdim: int) -> np.ndarray:
+    """Tr(U^d), d = 0 .. pdim - 1, as Tr(U^(a + c s)) = <(U^a)^T, (U^s)^c>,
+    s = ``baby`` (module docstring).  The ladder's rungs f .. 2f - 1 are
+    rungs 0 .. f - 1 right-multiplied by (U^f)^T, stacked row-wise.  The
+    giant steps are streamed two at a time, each pair read against the
+    ladder by GEMMs: a single giant step would make them matrix-vector
+    products, which OpenBLAS 0.3.31 splits across its threads from 2^13
+    multiply-adds on, well below its GEMM threshold.  Besides the powers,
+    the ladder and the pair are held."""
+    n = powers[0].shape[0]
+    cap = max(QPE_GEMM_MACS, n ** 3)
+    ladder = np.empty((baby, n, n), dtype=complex)
+    ladder[0] = np.eye(n)
+    run = cap // n ** 3  # rungs per ladder GEMM, >= 1
+    for k in range(baby.bit_length() - 1):
+        f, step = 1 << k, powers[k].T
+        for a in range(0, f, run):
+            b = min(f, a + run)
+            np.matmul(ladder[a:b].reshape(-1, n), step,
+                      out=ladder[f + a:f + b].reshape(-1, n))
+    flat = ladder.reshape(baby, -1)
+    rows = max(1, cap // (2 * n * n))  # rungs per trace GEMM
+    jump = powers[baby.bit_length() - 1]  # U^s
+    moments = np.empty((pdim // baby, baby), dtype=complex)  # row c: giant step c
+    pair = np.zeros((2, n, n), dtype=complex)
+    np.fill_diagonal(pair[0], 1.0)
+    pair[1] = jump
+    for c in range(0, pdim // baby, 2):  # an even count: pdim / s >= 2
+        if c:
+            np.matmul(pair[1], jump, out=pair[0])
+            np.matmul(pair[0], jump, out=pair[1])
+        for a in range(0, baby, rows):
+            b = min(baby, a + rows)
+            np.matmul(pair.reshape(2, -1), flat[a:b].T, out=moments[c:c + 2, a:b])
+    return moments.reshape(-1)
 
 
 def _shot_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> dict:
@@ -563,22 +615,35 @@ def _shot_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> dic
 
 def _cluster_vectors(samples: QpeSamples, bins: list, mult: int) -> np.ndarray:
     """A cluster's eigenvectors, from the normalized post-states m of its
-    bins and one eigendecomposition call: the top ``mult`` eigenvectors of
-    the count-weighted mixture of the m m^dag when the cluster spans a
-    subspace, else the count-weighted average of their principal vectors,
-    each phase-fixed on its largest component (the m m^dag stacked and
-    decomposed together)."""
+    bins: the top ``mult`` eigenvectors of the count-weighted mixture of the
+    m m^dag when the cluster spans a subspace, else the count-weighted
+    average of their principal vectors, each phase-fixed on its largest
+    component.  The post-states are built, normalized and their m m^dag
+    stacked and decomposed one chunk of bins at a time, at most
+    ``EXTRACT_CHUNK_AMPLITUDES`` post-state amplitudes a chunk; the terms add
+    up in bin order either way."""
     counts = [samples.counts[z] for z in bins]
     weight = sum(counts)
-    ms = np.stack([m / np.linalg.norm(m) for m in map(samples.post_state, bins)])
-    rhos = ms @ ms.conj().transpose(0, 2, 1)
+    n = samples.n
+    chunk = max(1, EXTRACT_CHUNK_AMPLITUDES // (n * n))
+    rho = avg = 0
+    for lo in range(0, len(bins), chunk):
+        part = bins[lo:lo + chunk]
+        ms = np.empty((len(part), n, n), dtype=complex)
+        for m, z in zip(ms, part):
+            post = samples.post_state(z)
+            np.divide(post, np.linalg.norm(post), out=m)
+        rhos = ms @ ms.conj().transpose(0, 2, 1)
+        del ms
+        if mult > 1:
+            for c, r in zip(counts[lo:lo + chunk], rhos):
+                rho = rho + c / weight * r
+        else:
+            for c, v in zip(counts[lo:lo + chunk], np.linalg.eigh(rhos)[1][:, :, -1]):
+                k = int(np.argmax(np.abs(v)))
+                avg = avg + c / weight * (v * np.conj(v[k] / abs(v[k])))
     if mult > 1:
-        rho = sum(c / weight * r for c, r in zip(counts, rhos))
         return np.linalg.eigh(rho)[1][:, -mult:]
-    avg = 0
-    for c, v in zip(counts, np.linalg.eigh(rhos)[1][:, :, -1]):
-        k = int(np.argmax(np.abs(v)))
-        avg = avg + c / weight * (v * np.conj(v[k] / abs(v[k])))
     return (avg / np.linalg.norm(avg)).reshape(-1, 1)
 
 

@@ -346,12 +346,15 @@ def amplitude_amplification(state: SimState, good_predicate):
     """Exact-count Grover amplification toward a flagged subspace, then
     post-selection of the flagged part.
 
-    Runs floor(pi/(4 theta)) rotations, taking one more only when that
-    improves the flagged weight, and records the residual bad weight that
-    post-selection discards.  The flagged weight sin^2(theta) is read
-    exactly from the state it amplifies, and recorded as
-    ``initial_amplitude``.  ``good_predicate(idx, labels)`` takes the index
-    grid of ``SimState.predicate_mask`` and must act elementwise on it.
+    Runs k = floor(pi/(4 theta)) rotations, which leave (2k+1) theta within
+    theta of pi/2, so no further rotation raises the flagged weight; when
+    k - 1 rotations leave the same weight within 1e-12 (a tie at theta =
+    pi/(4k), decided by the last bits of the weight), it takes k - 1.  It
+    records the residual bad weight that post-selection discards.  The
+    flagged weight sin^2(theta) is read exactly from the state it
+    amplifies, and recorded as ``initial_amplitude``.
+    ``good_predicate(idx, labels)`` takes the index grid of
+    ``SimState.predicate_mask`` and must act elementwise on it.
 
     The rotations are not simulated one by one: k of them leave the start
     state psi in sin((2k+1) theta)/sin(theta) P_g psi + cos((2k+1)
@@ -369,10 +372,11 @@ def amplitude_amplification(state: SimState, good_predicate):
         return state, stats
     theta = math.asin(math.sqrt(weight))
     k = int(math.floor(math.pi / (4.0 * theta)))
-    amp_k = math.sin((2 * k + 1) * theta) ** 2
-    amp_k1 = math.sin((2 * k + 3) * theta) ** 2
-    stats.iterations = k + 1 if amp_k1 > amp_k else k
-    stats.residual = math.cos((2 * stats.iterations + 1) * theta) ** 2
+    if k and abs(math.sin((2 * k - 1) * theta) ** 2
+                 - math.sin((2 * k + 1) * theta) ** 2) <= 1e-12:
+        k -= 1
+    stats.iterations = k
+    stats.residual = math.cos((2 * k + 1) * theta) ** 2
     return state, stats
 
 

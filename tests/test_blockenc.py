@@ -222,6 +222,30 @@ def test_lcu_parameter_law_under_injected_errors():
     assert check_lcu_parameter_law(trials=50, seed=9)["violations"] == 0
 
 
+def test_lcu_claimed_error_composes_pair_and_component_errors():
+    """Perturbed dense components (each eps_A from its matrix) combined by a
+    pair with an injected eps_y: the claimed error is alpha eps_y + alpha
+    beta eps_A, and it covers the measured distance."""
+    rng = np.random.default_rng(21)
+    alpha, eps_a, s = 2.0, 1e-4, 4
+    y = np.array([0.6, -0.9, 0.3])
+    mats = [np.linalg.qr(rng.standard_normal((s, s)))[0] * 0.8 for _ in y]
+    encs = []
+    for a in mats:
+        bump = rng.standard_normal((s, s))
+        bump *= eps_a / np.linalg.norm(bump, 2)
+        encs.append(BlockEncoding(alpha, 1, eps_a, s, backend="dense",
+                                  unitary=dilate(a + bump, alpha).unitary))
+    pair = make_signed_pair(y, beta=2.2, inject_eps_y=1e-4, seed=5)
+    assert pair.epsilon_y > 1e-6
+    out = lcu_combine(pair, encs)
+    assert out.backend == "dense"
+    assert out.epsilon == pytest.approx(
+        alpha * pair.epsilon_y + alpha * pair.beta * eps_a, rel=1e-12)
+    target = sum(w * a for w, a in zip(y, mats))
+    assert operator_norm_distance(out.alpha * out.block(), target) <= out.epsilon
+
+
 def test_lcu_requires_matching_dimensions():
     enc2 = dilate(np.eye(2) * 0.5, 1.0)
     enc4 = dilate(np.eye(4) * 0.5, 1.0)
@@ -420,6 +444,21 @@ def test_sandwich_alpha_law_and_verification():
     assert measured <= enc.epsilon
     assert measured <= 1e-6
     assert params.zeta1 > 0 and params.kappa >= 2
+
+
+def test_sandwich_claimed_error_composes_the_base_error():
+    """A base B with eps_B > 0: the claimed error is 4 kappa^c alpha_B
+    varsigma1 + 4 kappa^{2c} eps_B, c = 1/2."""
+    rng = np.random.default_rng(22)
+    q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    be_a = BlockEncoding(1.0, 1, 0.0, 4, backend="composite",
+                         _block=q @ np.diag([0.3, 0.5, 0.8, 1.0]) @ q.T)
+    b = rng.standard_normal((4, 4))
+    be_b = BlockEncoding(3.0, 1, 2e-5, 4, backend="composite",
+                         _block=(b + b.T) / (2.0 * np.linalg.norm(b + b.T, 2)))
+    enc, params = sandwich_negative_power(be_a, be_b, kappa=4.0, varsigma1=1e-3)
+    assert enc.epsilon == pytest.approx(
+        4.0 * 4.0 ** 0.5 * 3.0 * 1e-3 + 4.0 * 4.0 * 2e-5, rel=1e-12)
 
 
 def test_sandwich_spectral_window_violation():

@@ -259,7 +259,7 @@ def test_cli_malformed_json_vertices_exits_2_no_report(tmp_path, capsys, text):
 
 
 def test_cli_oversized_qpe_register_exits_2_no_report(tmp_path, capsys):
-    """A register block of 2^40 phase bins is refused before allocation."""
+    """2^40 phase bins are refused before allocation."""
     csv = toy4_csv(tmp_path / "v.csv")
     out = tmp_path / "report.json"
     cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), output=str(out),
@@ -270,16 +270,18 @@ def test_cli_oversized_qpe_register_exits_2_no_report(tmp_path, capsys):
 
 
 def test_cli_oversized_qpe_register_names_qpe_bits(tmp_path, capsys):
-    """The phase-estimation register's refusal names its own knob and counts
-    the block it would hold: 2^40 slots of one system row of n = 4."""
+    """Phase estimation's refusal names its own knobs and counts what it
+    would hold: 2^40 trace moments, and a ladder of one n x n matrix plus
+    two giant steps at n = 4."""
     csv = toy4_csv(tmp_path / "v.csv")
     cfg_file = write_config(tmp_path / "run.cfg", input=str(csv),
                             output=str(tmp_path / "report.json"), qpe_bits=40)
     assert main(["run", "--config", str(cfg_file)]) == 2
     assert capsys.readouterr().out == (
-        "error: [stage:phase-estimation] 40-bit phase-estimation register "
-        "block: instance needs 4398046511104 dense amplitudes, beyond the "
-        "desk-scale budget of 33554432; use fewer qpe_bits\n")
+        "error: [stage:phase-estimation] 40-bit phase estimation's trace "
+        "ladder and moments: instance needs 1099511627824 dense amplitudes, "
+        "beyond the desk-scale budget of 33554432; use fewer qpe_bits or "
+        "fewer vertices\n")
 
 
 def general_csv(path, n):

@@ -732,10 +732,10 @@ def grover_loop(psi, good, known_amplitude):
     """Exact-count Grover rotations on a flat statevector, then
     post-selection of the flagged part: (state, iterations, residual)."""
     theta = math.asin(math.sqrt(known_amplitude))
-    k = int(math.floor(math.pi / (4.0 * theta)))
-    amp_k = math.sin((2 * k + 1) * theta) ** 2
-    amp_k1 = math.sin((2 * k + 3) * theta) ** 2
-    iters = k + 1 if amp_k1 > amp_k else k
+    iters = int(math.floor(math.pi / (4.0 * theta)))
+    if iters and abs(math.sin((2 * iters - 1) * theta) ** 2
+                     - math.sin((2 * iters + 1) * theta) ** 2) <= 1e-12:
+        iters -= 1  # a tie: the smaller count
     start = psi.copy()
     for _ in range(iters):
         psi = np.where(good, -psi, psi)

@@ -6,13 +6,16 @@ references.
   the live rows with the ancillas reversed) against the per-(row, rung)
   complex ``moveaxis`` round trip on the full register in circuit order,
   within round-off, for real and complex U.
-- Phase estimation: ``run_qpe`` (controlled powers by doubling, one block of
-  system rows at a time, transformed in place) and the post-states
-  ``QpeSamples.post_state`` builds as products over the powers, against
-  ``sequential_qpe``, the circuit that builds U^y one power at a time on the
-  whole register, within round-off.
+- Phase estimation: ``run_qpe`` (Born probabilities from the trace moments
+  Tr(U^d), by baby-step giant-step) against ``sequential_qpe``, the circuit
+  that builds U^y one power at a time on the whole register, and against
+  ``qpe_reference.row_block_probs``, the register run one block of system
+  rows at a time, within round-off; a U that is not unitary within its
+  claimed error is refused.  The post-states ``QpeSamples.post_state``
+  builds as products over the powers, against ``sequential_qpe``'s
+  register, for unitary and contracting U alike.
 - Extraction: ``extract_d_smallest`` (eigenvectors of the reported clusters
-  only, one eigendecomposition call per cluster) against
+  only, decomposed one chunk of bins at a time) against
   ``extract_reference``, which decomposes every kept bin of every cluster on
   its own, bit for bit.
 """
@@ -21,13 +24,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from qlapeig import spectral
 from qlapeig.blockenc import BlockEncoding
 from qlapeig.spectral import (LCU_MAX_AMPLITUDES, MAX_TAYLOR_ORDER, QpeConfig,
-                              ResolutionError, _select_factors, _taylor_select,
+                              QpeSamples, ResolutionError, SimulationError,
+                              _select_factors, _taylor_select,
                               extract_d_smallest, run_qpe)
+from qpe_reference import row_block_probs
 
 # no shrink phase: a failing draw is four small integers that already name a
 # reproducible instance, and shrinking would rerun order-12 states for minutes
@@ -133,20 +139,20 @@ def qpe_instances(draw):
             draw(st.booleans()), draw(st.integers(0, 2**32 - 1)))
 
 
+def haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def qpe_instance(instance):
     """A unitary block, or a contraction W diag(sigma) V^dag with sigma in
-    [1/2, 1] like the truncated-Taylor block that is only near unitary."""
+    [1/2, 1], far from unitary for its claimed error of 0."""
     n, bits, unitary, seed = instance
     rng = np.random.default_rng(seed)
-
-    def haar():
-        q, r = np.linalg.qr(rng.standard_normal((n, n))
-                            + 1j * rng.standard_normal((n, n)))
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
-    block = haar()
+    block = haar_unitary(rng, n)
     if not unitary:
-        block = block @ np.diag(rng.uniform(0.5, 1.0, n)) @ haar()
+        block = block @ np.diag(rng.uniform(0.5, 1.0, n)) @ haar_unitary(rng, n)
     enc = BlockEncoding(1.0, 0, 0.0, n, backend="composite", _block=block)
     return enc, QpeConfig(phase_bits=bits, shots=512, seed=seed, time_scale=1.0)
 
@@ -155,8 +161,13 @@ def qpe_instance(instance):
 @given(qpe_instances())
 def test_run_qpe_matches_sequential_powers(instance):
     """Probabilities, counts and every sampled bin's post-state, both as it
-    is and normalized, as extraction reads it."""
+    is and normalized, as extraction reads it.  A contraction is refused:
+    the trace-moment identity needs U^dag U = I within the claimed error."""
     enc, qcfg = qpe_instance(instance)
+    if not instance[2]:
+        with pytest.raises(SimulationError, match="unitary"):
+            run_qpe(enc, qcfg)
+        return
     got = run_qpe(enc, qcfg)
     probs, counts, register = sequential_qpe(enc, qcfg)
     assert np.max(np.abs(got.probs - probs)) <= 1e-12
@@ -172,12 +183,30 @@ def test_run_qpe_matches_sequential_powers(instance):
 @given(qpe_instances())
 def test_post_state_product_matches_transformed_slot_on_every_bin(instance):
     """prod_k (I + (w^z U)^(2^k)) is the register's Fourier-transformed slot
-    z on every bin, sampled or not, up to n = 8 and 10 bits."""
+    z on every bin, sampled or not, up to n = 8 and 10 bits, for a unitary
+    U or a contraction."""
     enc, qcfg = qpe_instance(instance)
-    samples = run_qpe(enc, qcfg)
+    powers = [enc.block().conj().T]
+    for _ in range(qcfg.phase_bits - 1):
+        powers.append(powers[-1] @ powers[-1])
+    samples = QpeSamples({}, None, qcfg.phase_bits, qcfg.time_scale, qcfg.shots,
+                         len(powers[0]), powers)
     _, _, register = sequential_qpe(enc, qcfg)
     got = np.stack([samples.post_state(z) for z in range(len(register))])
     assert np.max(np.abs(got - register)) <= 1e-12
+
+
+@PROPERTY
+@given(st.integers(1, 64), st.integers(1, 10), st.integers(0, 2**32 - 1))
+@example(64, 10, 0)
+@example(64, 9, 1)
+def test_run_qpe_matches_the_row_block_register(n, bits, seed):
+    """The trace-moment marginal against the register's own Born weights,
+    run one block of system rows at a time, for a Haar-random unitary."""
+    block = haar_unitary(np.random.default_rng(seed), n)
+    enc = BlockEncoding(1.0, 0, 0.0, n, backend="composite", _block=block)
+    got = run_qpe(enc, QpeConfig(phase_bits=bits, shots=64, seed=seed))
+    assert np.max(np.abs(got.probs - row_block_probs(enc, bits))) <= 1e-12
 
 
 def extract_reference(samples, d, signed):
@@ -237,8 +266,10 @@ def extraction_instances(draw):
 
 
 @PROPERTY
-@given(extraction_instances())
-def test_extraction_matches_per_bin_reference(instance):
+@given(extraction_instances(), st.sampled_from([None, 1, 2, 3]))
+def test_extraction_matches_per_bin_reference(instance, chunk_bins):
+    """Bit for bit, whether a cluster's bins are decomposed in one stack or
+    ``chunk_bins`` at a time."""
     n, bits, pattern, d, signed, seed = instance
     rng = np.random.default_rng(seed)
     t = 2.0
@@ -253,11 +284,14 @@ def test_extraction_matches_per_bin_reference(instance):
     samples = run_qpe(enc, QpeConfig(phase_bits=bits, shots=4096, seed=seed,
                                      time_scale=t))
     want = extract_reference(samples, d, signed)
-    if want is None:
-        with pytest.raises(ResolutionError):
-            extract_d_smallest(samples, d, signed)
-        return
-    got = extract_d_smallest(samples, d, signed)
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_bins is not None:
+            patch.setattr(spectral, "EXTRACT_CHUNK_AMPLITUDES", chunk_bins * n * n)
+        if want is None:
+            with pytest.raises(ResolutionError):
+                extract_d_smallest(samples, d, signed)
+            return
+        got = extract_d_smallest(samples, d, signed)
     assert len(got.clusters) == len(want)
     for c, (gamma, phase, frac, vectors, bins) in zip(got.clusters, want):
         assert (c.eigenvalue, c.phase, c.weight, c.bins) == (gamma, phase, frac, bins)

@@ -416,6 +416,39 @@ def test_amplification_discard_diagonal_n4():
     assert np.allclose(off, 1.0 / math.sqrt(12), atol=1e-12)
 
 
+class Weighed:
+    """A state whose flagged weight is given exactly, as ``project`` reports
+    it; amplification reads nothing else."""
+
+    def __init__(self, weight):
+        self.weight = weight
+
+    def project(self, predicate):
+        return self.weight
+
+
+@pytest.mark.parametrize("weight", [math.nextafter(0.5, 0.0), 0.5,
+                                    math.nextafter(0.5, 1.0)])
+def test_amplification_tie_at_half_takes_no_rotation(weight):
+    """At a good weight of 1/2, theta = pi/4: zero rotations and one leave
+    the same flagged weight 1/2, and the last bit of the weight used to pick
+    between them.  The tie goes to the smaller count, one ulp either side."""
+    _, stats = amplitude_amplification(Weighed(weight), None)
+    assert stats.iterations == 0
+    assert stats.residual == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7])
+def test_amplification_tie_at_pi_over_4k_takes_k_minus_1(k):
+    """theta = pi/(4k): k - 1 and k rotations tie, k - 1 is taken; a weight a
+    little off the tie takes floor(pi/(4 theta)) rotations either way."""
+    tie = math.sin(math.pi / (4 * k)) ** 2
+    for weight in (math.nextafter(tie, 0.0), tie, math.nextafter(tie, 1.0)):
+        assert amplitude_amplification(Weighed(weight), None)[1].iterations == k - 1
+    assert amplitude_amplification(Weighed(tie * 0.999), None)[1].iterations == k
+    assert amplitude_amplification(Weighed(tie * 1.001), None)[1].iterations == k - 1
+
+
 def test_amplification_zero_amplitude_fails():
     layout = RegisterLayout([Register("q", 1, "flag")])
     st = SimState(layout)
