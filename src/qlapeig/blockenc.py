@@ -5,14 +5,13 @@ sandwiched negative-power construction for the symmetric normalized Laplacian.
 Encodings carry one of three backends:
 
 * ``dense``     -- the full unitary matrix is materialized; the block is
-  literally its top-left corner.  Dilations use it, as do the reference
-  circuits the tests compare against (the materialized SWAP sandwich and the
-  materialized LCU).  No pipeline density encoding is materialized.
+  literally its top-left corner.  Dilations and the small materialized LCU
+  use it.
 * ``purified``  -- defined by a purification vector; the encoded block is the
-  reduced density operator.  The sandwich unitary exists by construction and
-  is never materialized.  Every density encoding the pipelines build (rho0 or
-  rho1, rho2, and I/n) takes this form.  Its ancilla register is the whole
-  purification register (Gilyen, Su, Low and Wiebe, arXiv:1806.01838).
+  reduced density operator, and ``BlockEncoding.apply`` runs the SWAP
+  sandwich (Gilyen, Su, Low and Wiebe, arXiv:1806.01838) in O(dim) without
+  materializing it.  Every density encoding the pipelines build (rho0 or
+  rho1, rho2, and I/n) takes this form; its ancillas are the purification's.
 * ``composite`` -- produced by combination rules whose encoded block follows
   exactly from the component blocks; the equivalence of this shortcut with
   the materialized circuit is itself unit-tested on dense instances.
@@ -28,7 +27,7 @@ import numpy as np
 
 from .graph import GraphError, KernelParams, VertexSet, build_taylor_weight_matrix
 from .sim import SimError, operator_norm_distance
-from .stateprep import (EstimatorConfig, PhiBuild, PrepConfig,
+from .stateprep import (EstimatorConfig, PhiBuild, PrepConfig, _householder,
                         build_degree_state, build_weight_state,
                         completion_unitary)
 
@@ -97,6 +96,29 @@ class BlockEncoding:
             m = self.purification.reshape(s, -1)
             return m @ m.conj().T
         return np.array(self._block)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The encoding's unitary on the k columns of ``x``, rows in (ancilla,
+        subject) order as ``block()`` reads them.  Purified: (G^dag (x) I)
+        SWAP (G (x) I), SWAP exchanging the purification's system axis with
+        the subject.  G = phase H (``stateprep._householder``), so this is H
+        SWAP H, Hermitian and self-inverse, in O(rows k) work."""
+        s, rows = self.subject_dim, (1 << self.ancillas) * self.subject_dim
+        if np.ndim(x) != 2 or len(x) != rows:
+            raise SimError(f"encoding input must be ({rows}, k), not {np.shape(x)}")
+        if self.backend == "composite":
+            raise SimError("a composite encoding has no circuit to apply")
+        if self.backend == "dense":
+            return self.unitary @ x
+        pur, k = len(self.purification), np.shape(x)[1]
+        _, w = _householder(self.purification)
+
+        def reflect(y):  # H = I - 2 w w^dag on the purification axis
+            return y if w is None else y - np.outer(2.0 * w, w.conj() @ y)
+
+        y = reflect(np.array(x, dtype=complex).reshape(pur, s * k))
+        y = y.reshape(s, pur // s, s, k).transpose(2, 1, 0, 3).reshape(pur, s * k)
+        return reflect(y).reshape(rows, k)
 
 
 @dataclass
@@ -194,51 +216,26 @@ def encoding_report(name: str, be: BlockEncoding, subject: np.ndarray,
 # ---------------------------------------------------------------------------
 # Purified density encodings
 
-def purified_density_encoding(G, sys_dim: int) -> BlockEncoding:
-    """Exact block-encoding of the reduced state of a purification, over its
-    leading ``sys_dim`` factor.
-
-    ``G`` is normally the purification vector G|0>, and the encoding stays in
-    purified form.  Given instead a dense preparation unitary on the
-    (sys x anc) purification space (system axis first), the sandwich
-    (G^dag (x) I)(SWAP (x) I-ish)(G (x) I) is materialized; that reference
-    path depends only on G's first column.  Either way the ancilla count is
-    the purification's qubit count.  A purification vector must have unit
-    norm within 1e-9.
-    """
-    G = np.asarray(G)
-    pur = G.shape[0]
-    anc_q = int(round(math.log2(pur)))
-    if G.ndim == 1:
-        return BlockEncoding(1.0, anc_q, 0.0, sys_dim, backend="purified",
-                             purification=G)
-    if G.shape != (pur, pur) or pur % sys_dim:
-        raise SimError("preparation unitary does not match the declared split")
-    dev = np.max(np.abs(G.conj().T @ G - np.eye(pur)))
-    if dev > 1e-10:
-        raise SimError("preparation operator is not unitary")
-    big = np.kron(G, np.eye(sys_dim, dtype=complex))
-    swapped = _swap_sys_extra(big, sys_dim)
-    v = np.kron(G.conj().T, np.eye(sys_dim, dtype=complex)) @ swapped
-    # rows are ordered (sys, anc, extra); the purification axes come first, so
-    # the zero-ancilla sector is already the top-left corner.
-    return BlockEncoding(1.0, anc_q, 0.0, sys_dim, backend="dense", unitary=v)
-
-
-def _swap_sys_extra(mat: np.ndarray, sys_dim: int) -> np.ndarray:
-    """Left-multiply by the permutation exchanging the purification's system
-    axis with the extra subject axis, on (sys, anc, extra) row ordering."""
-    rows = mat.shape[0]
-    t = mat.reshape(sys_dim, -1, sys_dim, rows)
-    t = np.transpose(t, (2, 1, 0, 3))
-    return t.reshape(rows, rows)
+def purified_density_encoding(purification, sys_dim: int) -> BlockEncoding:
+    """Exact block-encoding of the reduced state of a purification vector
+    G|0> over its leading ``sys_dim`` factor; ``apply`` runs its circuit.
+    The vector must be 1-D, of unit norm within 1e-9, and its length a power
+    of two divisible by ``sys_dim``: 2^ancillas, the purification's qubits."""
+    v = np.asarray(purification)
+    if v.ndim != 1:
+        raise SimError("a purified encoding takes the purification vector G|0>, "
+                       f"not an array of shape {v.shape}")
+    pur = len(v)
+    if not 0 < sys_dim <= pur or pur & (pur - 1) or pur % sys_dim:
+        raise SimError(f"purification length {pur} is not a power of two "
+                       f"divisible by the system dimension {sys_dim}")
+    return BlockEncoding(1.0, pur.bit_length() - 1, 0.0, sys_dim,
+                         backend="purified", purification=v)
 
 
 def identity_mixture_encoding(n: int) -> BlockEncoding:
-    """(1, 2 log n, 0)-encoding of I/n from the maximally entangled pair."""
-    log_n = n.bit_length() - 1
-    if (1 << log_n) != n:
-        raise GraphError("system size must be a power of two")
+    """(1, 2 log n, 0)-encoding of I/n from the maximally entangled pair; n
+    must be a power of two, as ``purified_density_encoding`` checks."""
     vec = np.eye(n, dtype=complex).reshape(-1) / math.sqrt(n)
     return purified_density_encoding(vec, n)
 
@@ -337,10 +334,9 @@ def lcu_combine(pair: StatePreparationPair, encodings) -> BlockEncoding:
     l = max(e.ancillas for e in encodings)
     eps_a = max(e.epsilon for e in encodings)
     claimed = alpha * pair.epsilon_y + alpha * pair.beta * eps_a
-    log_s = s.bit_length() - 1
 
     dense_ok = (all(e.backend == "dense" for e in encodings)
-                and (1 << (pair.b + l + log_s)) <= (1 << 12))
+                and (1 << (pair.b + l)) * s <= (1 << 12))
     if dense_ok:
         dim_anc = 1 << l
         sel = np.zeros(((1 << pair.b) * dim_anc * s,) * 2, dtype=complex)

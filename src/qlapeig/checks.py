@@ -20,14 +20,13 @@ import numpy as np
 from .arith import exp_neg_lambda_bound, exp_neg_lambda_label
 from .blockenc import (BlockEncoding, _purified, dilate, encode_barL_unit_norm,
                        encode_calL, fixed_point_gram, lcu_combine,
-                       make_signed_pair, purified_density_encoding,
-                       verify_block_encoding)
+                       make_signed_pair)
 from .graph import (KernelParams, VertexSet, build_graph,
                     build_taylor_weight_matrix, build_weight_matrix)
 from .sim import FixedPointSpec, operator_norm_distance
 from .stateprep import (ErrorBudget, EstimatorConfig, PrepConfig, QramOracle,
                         build_degree_state, build_phi_state, build_psi_state,
-                        completion_unitary, sphere_perturb)
+                        sphere_perturb)
 
 __all__ = ["run_checks", "CHECKS"]
 
@@ -233,15 +232,14 @@ def check_degree_identity(seed=7, n=4, m=2, lam=0.5):
 
 
 def check_purified_encoding_exactness(seed=8, n=4, m=2, p=2, lam=0.5):
-    """Purified encodings are exact: the materialized SWAP sandwich around a
-    preparation of |Phi> has measured epsilon 0 within 1e-10."""
-    rng = np.random.default_rng(seed)
-    vs = _unit_vertices(rng, n, m)
-    kp = KernelParams(lam, p)
-    phi = build_phi_state(vs, kp)
-    enc = purified_density_encoding(completion_unitary(phi.purification),
-                                    phi.system_dim)
-    measured, _ = verify_block_encoding(enc, _purified(phi).block())
+    """Purified encodings are exact: the SWAP-sandwich circuit around a
+    preparation of |Phi>, run by ``apply`` on the zero-ancilla inputs
+    |0>|e_j>, returns the reduced state ``block()`` reads, within 1e-10."""
+    vs = _unit_vertices(np.random.default_rng(seed), n, m)
+    enc = _purified(build_phi_state(vs, KernelParams(lam, p)))
+    s = enc.subject_dim
+    zero_ancilla = np.eye((1 << enc.ancillas) * s, s)  # column j is |0>|e_j>
+    measured = operator_norm_distance(enc.apply(zero_ancilla)[:s], enc.block())
     return _summary("purified_encoding_exactness", 1,
                     int(measured > 1e-10), measured / 1e-10)
 

@@ -68,30 +68,15 @@ __all__ = [
 # small vector helpers
 
 def completion_unitary(first_column: np.ndarray) -> np.ndarray:
-    """Any unitary whose first column is the given unit vector.
-
-    Householder reflection after rotating the leading entry onto the real
-    axis, so complex columns are handled too.
-    """
+    """Any unitary whose first column is the given unit vector: G of
+    ``_householder``."""
     v = np.asarray(first_column, dtype=complex)
     dim = len(v)
-    if abs(_norm(v) - 1.0) > 1e-10:
-        raise SimError("state-preparation column must be unit norm")
-    phase = 1.0 + 0.0j
-    if abs(v[0]) > 1e-14:
-        phase = v[0] / abs(v[0])
-    # w = vr - e0 for vr = conj(phase) v, with the leading entry vr[0] - 1 =
-    # -||vr[1:]||^2 / (1 + vr[0]) written so it does not cancel when vr is
-    # close to e0
-    w = np.conj(phase) * v
-    tail = w[1:]
-    w[0] = -np.vdot(tail, tail).real / (1.0 + w[0].real)
-    wn = _norm(w)
-    if wn < 1e-14:
+    phase, w = _householder(v)
+    if w is None:
         u = phase * np.eye(dim, dtype=complex)
     else:
-        w /= wn
-        # phase (I - 2 w w^dag), in place: 0 - 2 w w^dag, then 1 on the diagonal
+        # in place: 0 - 2 w w^dag, then 1 on the diagonal
         u = np.multiply.outer(w, w.conj())
         u *= 2.0
         np.subtract(0.0, u, out=u)
@@ -100,6 +85,26 @@ def completion_unitary(first_column: np.ndarray) -> np.ndarray:
     if abs(u[:, 0] - v).max() > 1e-10:
         raise SimError("state-preparation completion failed")
     return u
+
+
+def _householder(first_column: np.ndarray):
+    """(phase, w) with phase (I - 2 w w^dag)|0> = v, w None when v = phase|0>:
+    the one definition of the preparation G that ``completion_unitary`` forms
+    and ``BlockEncoding.apply`` reflects by.  The leading entry is rotated
+    onto the real axis first, so complex columns are handled too."""
+    v = np.asarray(first_column, dtype=complex)
+    if not abs(_norm(v) - 1.0) <= 1e-10:  # a NaN norm fails too
+        raise SimError("state-preparation column must be unit norm")
+    phase = 1.0 + 0.0j
+    if abs(v[0]) > 1e-14:
+        phase = v[0] / abs(v[0])
+    # w = vr - e0 for vr = conj(phase) v, with the leading entry vr[0] - 1 =
+    # -||vr[1:]||^2 / (1 + vr[0]) written so it does not cancel when vr is
+    # close to e0
+    w = np.conj(phase) * v
+    w[0] = -np.vdot(w[1:], w[1:]).real / (1.0 + w[0].real)
+    wn = _norm(w)
+    return (phase, None) if wn < 1e-14 else (phase, w / wn)
 
 
 def _norm(v: np.ndarray) -> float:

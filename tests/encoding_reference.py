@@ -1,0 +1,37 @@
+"""The SWAP sandwich of a purified density encoding, materialized: the slow
+reference ``BlockEncoding.apply`` is tested against.
+
+For a preparation unitary G on the purification space (system axis first)
+and a subject register of the system's dimension s, the sandwich is
+(G^dag (x) I_s) SWAP (G (x) I_s), SWAP exchanging the purification's system
+axis with the subject.  Rows and columns run in (purification, subject)
+order, so the zero-ancilla sector is the top-left s x s corner, where the
+reduced state of G|0> sits (Gilyen, Su, Low and Wiebe, arXiv:1806.01838).
+"""
+
+import numpy as np
+
+
+def dense_sandwich(G, sys_dim):
+    """The sandwich as a dense (pur s) x (pur s) unitary, for any unitary G."""
+    G = np.asarray(G, dtype=complex)
+    pur = G.shape[0]
+    if G.shape != (pur, pur) or pur % sys_dim:
+        raise ValueError("preparation unitary does not match the declared split")
+    if np.max(np.abs(G.conj().T @ G - np.eye(pur))) > 1e-10:
+        raise ValueError("preparation operator is not unitary")
+    rows = pur * sys_dim
+    big = np.kron(G, np.eye(sys_dim))
+    # left-multiply by SWAP: exchange the row axes (sys, anc, subject)
+    swapped = big.reshape(sys_dim, -1, sys_dim, rows).transpose(2, 1, 0, 3)
+    return np.kron(G.conj().T, np.eye(sys_dim)) @ swapped.reshape(rows, rows)
+
+
+def zero_ancilla_corner(enc, columns=None):
+    """Rows :s of ``enc.apply`` on the inputs |0>|e_j>, j in ``columns``
+    (all s by default), one call for all of them."""
+    s = enc.subject_dim
+    columns = range(s) if columns is None else columns
+    inputs = np.zeros(((1 << enc.ancillas) * s, len(columns)))
+    inputs[list(columns), range(len(columns))] = 1.0
+    return enc.apply(inputs)[:s]

@@ -25,7 +25,9 @@ from qlapeig.sim import operator_norm_distance
 from qlapeig.spectral import (PipelineConfig, SimulationConfig, full_pipeline,
                               simulate_hamiltonian)
 from qlapeig.stateprep import (EstimatorConfig, build_degree_state,
-                               build_phi_state, completion_unitary)
+                               build_phi_state)
+
+from encoding_reference import zero_ancilla_corner
 
 
 def unit_vs(rng, n, m):
@@ -47,8 +49,9 @@ def report(name, ok, detail):
 
 
 def test_criterion_1_block_encoding_identity():
-    """The purified weight encoding carries (W_p + a~ I)/(n a~): ten seeded
-    unit-norm instances, tolerance 1e-9, under ten seconds."""
+    """The purified weight encoding's circuit, run on the zero-ancilla
+    inputs, carries (W_p + a~ I)/(n a~): ten seeded unit-norm instances,
+    tolerance 1e-9, under ten seconds."""
     t0 = time.time()
     worst = 0.0
     for trial in range(10):
@@ -57,9 +60,8 @@ def test_criterion_1_block_encoding_identity():
         vs = unit_vs(rng, 4, 2)
         kp = KernelParams(0.5, p)
         phi = build_phi_state(vs, kp)
-        enc = purified_density_encoding(completion_unitary(phi.purification),
-                                        phi.system_dim)
-        rho0 = enc.block()
+        enc = purified_density_encoding(phi.purification, phi.system_dim)
+        rho0 = zero_ancilla_corner(enc)  # the circuit on |0>|e_j>
         a_t = kp.a_tilde_sum
         wp, _ = build_taylor_weight_matrix(vs, kp, absorbed=True)
         err = operator_norm_distance(4 * a_t * rho0,

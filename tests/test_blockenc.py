@@ -19,7 +19,9 @@ from qlapeig.graph import (GraphError, KernelParams, VertexSet, build_graph,
                            build_taylor_weight_matrix)
 from qlapeig.sim import SimError, operator_norm_distance, partial_trace
 from qlapeig.stateprep import (build_degree_state, build_phi_state,
-                               completion_unitary, hadamard_all)
+                               build_psi_state, completion_unitary, hadamard_all)
+
+from encoding_reference import dense_sandwich, zero_ancilla_corner
 
 
 def unit_vs(rng, n, m):
@@ -67,31 +69,37 @@ def test_rho3_encoding_parameters():
 # purified-density encodings
 
 def test_purified_pure_state_and_bell():
+    """The materialized sandwich around any preparation unitary encodes the
+    reduced state of its first column, as the purified encoding does."""
     g = np.eye(4, dtype=complex)  # prepares |00>
-    enc = purified_density_encoding(g, 2)
+    enc = BlockEncoding(1.0, 2, 0.0, 2, backend="dense", unitary=dense_sandwich(g, 2))
     measured, ok = verify_block_encoding(enc, np.outer([1, 0], [1, 0]))
     assert measured < 1e-12 and ok
     h = hadamard_all(1)
     cnot = np.eye(4)[[0, 1, 3, 2]].astype(complex)
     bell = cnot @ np.kron(h, np.eye(2))
-    enc = purified_density_encoding(bell, 2)
+    enc = BlockEncoding(1.0, 2, 0.0, 2, backend="dense", unitary=dense_sandwich(bell, 2))
     measured, ok = verify_block_encoding(enc, np.eye(2) / 2)
     assert measured < 1e-12 and ok
+    pure = purified_density_encoding(bell[:, 0], 2)
+    assert np.max(np.abs(zero_ancilla_corner(pure) - enc.block())) < 1e-12
 
 
 def test_purified_phi_encoding_exact():
+    """The circuit run on the zero-ancilla inputs gives the simulator's
+    reduced state and the truncated-weight identity."""
     rng = np.random.default_rng(1)
     vs = unit_vs(rng, 4, 2)
     kp = KernelParams(0.5, 2)
     phi = build_phi_state(vs, kp)
-    enc = purified_density_encoding(completion_unitary(phi.purification),
-                                    phi.system_dim)
-    measured, ok = verify_block_encoding(enc, partial_trace(phi.state, ["idx"]).matrix)
-    assert measured <= 1e-10 and ok
+    enc = purified_density_encoding(phi.purification, phi.system_dim)
+    corner = zero_ancilla_corner(enc)
+    measured = operator_norm_distance(corner, partial_trace(phi.state, ["idx"]).matrix)
+    assert measured <= 1e-10 and measured <= enc.epsilon + 1e-12  # verify's pass rule
     a_t = kp.a_tilde_sum
     wp, _ = build_taylor_weight_matrix(vs, kp, absorbed=True)
     target = (wp + a_t * np.eye(4)) / (4 * a_t)
-    assert operator_norm_distance(enc.block(), target) <= 1e-9
+    assert operator_norm_distance(corner, target) <= 1e-9
 
 
 def test_purified_vector_backend_matches_dense():
@@ -99,10 +107,78 @@ def test_purified_vector_backend_matches_dense():
     vs = unit_vs(rng, 4, 2)
     kp = KernelParams(0.5, 2)
     phi = build_phi_state(vs, kp)
-    dense = purified_density_encoding(completion_unitary(phi.purification),
-                                      phi.system_dim)
+    dense = dense_sandwich(completion_unitary(phi.purification), phi.system_dim)
     pure = purified_density_encoding(phi.purification, phi.system_dim)
-    assert np.max(np.abs(dense.block() - pure.block())) < 1e-12
+    s = phi.system_dim
+    assert np.max(np.abs(dense[:s, :s] - pure.block())) < 1e-12
+
+
+@st.composite
+def purifications(draw):
+    """A random unit purification vector (real or complex) with system
+    dimension s in {2, 4, 8} and ancilla dimension 1..16, and k >= 1 input
+    columns over (purification, subject)."""
+    s = draw(st.sampled_from([2, 4, 8]))
+    anc = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    v = rng.standard_normal(s * anc)
+    if draw(st.booleans()):
+        v = v + 1j * rng.standard_normal(s * anc)
+    x = rng.standard_normal((s * anc * s, k)) + 1j * rng.standard_normal((s * anc * s, k))
+    return v / np.linalg.norm(v), s, x
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(purifications())
+def test_purified_apply_matches_the_materialized_sandwich(case):
+    """``apply`` is the sandwich around the Householder preparation of the
+    vector, and that circuit is Hermitian and its own inverse."""
+    v, s, x = case
+    enc = purified_density_encoding(v, s)
+    reference = dense_sandwich(completion_unitary(v), s)
+    assert np.max(np.abs(enc.apply(x) - reference @ x)) <= 1e-12
+    rows = len(v) * s
+    V = enc.apply(np.eye(rows))
+    assert np.max(np.abs(V - V.conj().T)) <= 1e-12
+    assert np.max(np.abs(enc.apply(V) - np.eye(rows))) <= 1e-12
+
+
+def test_purified_apply_of_a_basis_preparation_is_the_swap():
+    """A purification |0>: H = I, so the circuit is the SWAP alone."""
+    v = np.zeros(8)
+    v[0] = 1.0
+    enc = purified_density_encoding(v, 2)
+    x = np.random.default_rng(3).standard_normal((16, 2))
+    assert np.array_equal(enc.apply(x), dense_sandwich(np.eye(8), 2) @ x)
+
+
+def _pipeline_encodings(n):
+    """(name, encoding) for rho0, rho1, rho2 and I/n at n vertices, m = 2,
+    p = 6, as the pipelines build them."""
+    rng = np.random.default_rng(500 + n)
+    kp = KernelParams(0.5, 6)
+    unit = unit_vs(rng, n, 2)
+    general = general_vs(rng, n, 2, 0.4, 0.9)
+    builds = [("rho0", build_phi_state(unit, kp)),
+              ("rho1", build_psi_state(general, kp)),
+              ("rho2", build_degree_state(general, kp))]
+    encs = [(name, purified_density_encoding(b.purification, b.system_dim))
+            for name, b in builds]
+    return encs + [("I/n", identity_mixture_encoding(n))]
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_purified_apply_on_zero_ancilla_inputs_is_the_block(n):
+    """For every pipeline density encoding, the circuit on |0>|e_j> returns
+    column j of ``block()``; at n = 16 one input column at a time."""
+    for name, enc in _pipeline_encodings(n):
+        block = enc.block()
+        if n < 16:
+            got = zero_ancilla_corner(enc)
+        else:
+            got = np.hstack([zero_ancilla_corner(enc, [j]) for j in range(n)])
+        assert np.max(np.abs(got - block)) <= 1e-12, name
 
 
 def test_purified_encoding_of_a_desk_scale_phi_state():
@@ -127,6 +203,39 @@ def test_purified_encoding_refuses_an_unnormalized_vector(vector):
     1.1 would be rescaled silently."""
     with pytest.raises(SimError, match="normalized purification"):
         purified_density_encoding(vector, 2)
+
+
+@pytest.mark.parametrize("vector, sys_dim, message", [
+    (np.full(6, 1 / math.sqrt(6)), 4, "length 6 is not a power of two"),
+    (np.full(12, 1 / math.sqrt(12)), 4, "length 12 is not a power of two"),
+    (np.full(8, 1 / math.sqrt(8)), 16, "length 8 is not a power of two divisible"),
+    (np.eye(4, dtype=complex), 2, "purification vector G|0>"),
+], ids=["length-6", "length-12", "shorter-than-system", "unitary"])
+def test_purified_encoding_refuses_a_vector_of_the_wrong_shape(vector, sys_dim, message):
+    """A length that is not a power of two, or not a multiple of the system
+    dimension, claims an ancilla count the register does not have; a 2-D
+    array (a preparation unitary, say) is refused with the vector form
+    named."""
+    with pytest.raises(SimError, match=message):
+        purified_density_encoding(vector, sys_dim)
+
+
+def test_apply_checks_its_input_and_refuses_a_composite_encoding():
+    enc = identity_mixture_encoding(2)
+    with pytest.raises(SimError, match=r"\(8, k\)"):
+        enc.apply(np.zeros(8))
+    with pytest.raises(SimError, match=r"\(8, k\)"):
+        enc.apply(np.zeros((4, 1)))
+    composite = BlockEncoding(1.0, 1, 0.0, 2, backend="composite",
+                              _block=np.eye(2) / 2)
+    with pytest.raises(SimError, match="no circuit"):
+        composite.apply(np.zeros((4, 1)))
+
+
+def test_apply_of_a_dense_encoding_is_its_unitary():
+    be = dilate(np.diag([0.3, -0.5]), 1.0)
+    x = np.random.default_rng(4).standard_normal((4, 3))
+    assert np.array_equal(be.apply(x), be.unitary @ x)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -63,6 +64,24 @@ def test_phi_chain_and_norm_regimes():
     below = check_psi_budget(trials=8, seed=13, regime="below")
     assert above["violations"] == 0 and below["violations"] == 0
     assert "norms > 1" in above["note"] and "norms < 1" in below["note"]
+
+
+def test_every_small_check_peaks_below_2_mb_traced():
+    """No check materializes a circuit: each check of the ``small`` suite
+    peaks below 2 MB traced, above what was allocated before it ran.  A
+    materialized 256 x 256 SWAP sandwich at n = 4, with its unitarity
+    product, peaks at 5.1 MB."""
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for check in checks.CHECKS["small"]:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            name = check()["check"]
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - before) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) < 2.0, peaks
 
 
 # ---------------------------------------------------------------------------

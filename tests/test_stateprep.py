@@ -56,6 +56,14 @@ def test_completion_unitary_close_to_e0(tail):
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-14
 
 
+@pytest.mark.parametrize("column", [np.full(4, np.nan), np.zeros(4), np.full(4, 0.6)],
+                         ids=["nan", "zero", "scaled"])
+def test_completion_unitary_refuses_a_column_off_the_unit_sphere(column):
+    """A NaN norm fails the check too, rather than giving a NaN unitary."""
+    with pytest.raises(SimError, match="unit norm"):
+        completion_unitary(column)
+
+
 def test_single_coefficient_gives_basis_state():
     assert np.allclose(coefficient_unitary([1.0], 2)[:, 0], [1.0, 0.0])
 
