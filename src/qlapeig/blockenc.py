@@ -5,16 +5,16 @@ sandwiched negative-power construction for the symmetric normalized Laplacian.
 Encodings carry one of three backends:
 
 * ``dense``     -- the full unitary matrix is materialized; the block is
-  literally its top-left corner.  Dilations and the small materialized LCU
-  use it.
+  literally its top-left corner.  Dilations use it.
 * ``purified``  -- defined by a purification vector; the encoded block is the
   reduced density operator, and ``BlockEncoding.apply`` runs the SWAP
   sandwich (Gilyen, Su, Low and Wiebe, arXiv:1806.01838) in O(dim) without
   materializing it.  Every density encoding the pipelines build (rho0 or
   rho1, rho2, and I/n) takes this form; its ancillas are the purification's.
 * ``composite`` -- produced by combination rules whose encoded block follows
-  exactly from the component blocks; the equivalence of this shortcut with
-  the materialized circuit is itself unit-tested on dense instances.
+  exactly from the component blocks.  An LCU's block is its pair's column
+  contraction; ``tests/encoding_reference.dense_select`` materializes the
+  circuit that contraction is tested against.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ import numpy as np
 from .graph import GraphError, KernelParams, VertexSet, build_taylor_weight_matrix
 from .sim import SimError, operator_norm_distance
 from .stateprep import (EstimatorConfig, PhiBuild, PrepConfig, _householder,
-                        build_degree_state, build_weight_state,
-                        completion_unitary)
+                        build_degree_state, build_weight_state)
 
 __all__ = [
     "BlockEncoding",
@@ -123,17 +122,19 @@ class BlockEncoding:
 
 @dataclass
 class StatePreparationPair:
-    """(P_L, P_R) with first columns c, d realizing beta * c_j^* d_j = y_j."""
+    """The first columns c, d of the preparations (P_L, P_R), realizing
+    beta * c_j^* d_j = y_j.  The combination reads only the columns; any
+    unitary completions of them realize the same circuit block."""
 
-    P_L: np.ndarray
-    P_R: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
     beta: float
     b: int
     epsilon_y: float
     y: np.ndarray
 
     def columns(self):
-        return self.P_L[:, 0], self.P_R[:, 0]
+        return self.c, self.d
 
     def measured_epsilon_y(self) -> float:
         c, d = self.columns()
@@ -155,7 +156,6 @@ class CombinationSpec:
     c: float
     d_coef: float = 0.0
     e_coef: float = 0.0
-    l: int = 0
     in_unit_range: bool = field(init=False)
 
     def __post_init__(self):
@@ -306,20 +306,21 @@ def make_signed_pair(y, beta: float | None = None, inject_eps_y: float = 0.0,
         bump /= np.linalg.norm(bump)
         d = d + bump * (inject_eps_y / (2.0 * beta * max(1.0, np.max(np.abs(c)))))
         d /= np.linalg.norm(d)
-    pl = completion_unitary(c.astype(complex))
-    pr = completion_unitary(d.astype(complex))
-    pair = StatePreparationPair(pl, pr, beta, b, 0.0, y)
+    for col in (c, d):
+        _householder(col)  # refuses a column off the unit sphere, NaN included
+    pair = StatePreparationPair(c, d, beta, b, 0.0, y)
     pair.epsilon_y = pair.measured_epsilon_y()
     return pair
 
 
 def lcu_combine(pair: StatePreparationPair, encodings) -> BlockEncoding:
     """(P_L^dag (x) I) SELECT (P_R (x) I): an (alpha beta, b + l, alpha eps_y +
-    alpha beta eps_A)-encoding of sum_j y_j A_j.
+    alpha beta eps_A)-encoding of sum_j y_j A_j, l the widest component's
+    ancillas.
 
-    The circuit is materialized when every component is dense and small;
-    otherwise the encoding is composite, its block given by the pair-column /
-    component-block contraction that the materialized circuit realizes.
+    The encoding is composite: SELECT runs U_j on slot j < terms and the
+    identity on the idle slots, so the circuit's block is the contraction
+    sum_j c_j^* d_j block_j + sum_idle c_j^* d_j I of the pair's columns.
     """
     encodings = list(encodings)
     if len(encodings) != len(pair.y):
@@ -334,25 +335,6 @@ def lcu_combine(pair: StatePreparationPair, encodings) -> BlockEncoding:
     l = max(e.ancillas for e in encodings)
     eps_a = max(e.epsilon for e in encodings)
     claimed = alpha * pair.epsilon_y + alpha * pair.beta * eps_a
-
-    dense_ok = (all(e.backend == "dense" for e in encodings)
-                and (1 << (pair.b + l)) * s <= (1 << 12))
-    if dense_ok:
-        dim_anc = 1 << l
-        sel = np.zeros(((1 << pair.b) * dim_anc * s,) * 2, dtype=complex)
-        for j in range(1 << pair.b):
-            if j < len(encodings):
-                u = encodings[j].unitary
-                uj = np.kron(np.eye(dim_anc * s // u.shape[0], dtype=complex), u)
-            else:
-                uj = np.eye(dim_anc * s, dtype=complex)
-            sel[j * dim_anc * s:(j + 1) * dim_anc * s,
-                j * dim_anc * s:(j + 1) * dim_anc * s] = uj
-        big = np.kron(pair.P_L.conj().T, np.eye(dim_anc * s)) @ sel \
-            @ np.kron(pair.P_R, np.eye(dim_anc * s))
-        return BlockEncoding(alpha * pair.beta, pair.b + l, claimed, s,
-                             backend="dense", unitary=big,
-                             meta={"terms": len(encodings)})
     c, d = pair.columns()
     blk = np.zeros((s, s), dtype=complex)
     for j, enc in enumerate(encodings):
@@ -360,7 +342,7 @@ def lcu_combine(pair: StatePreparationPair, encodings) -> BlockEncoding:
     for j in range(len(encodings), len(c)):
         blk += pair.beta * np.conj(c[j]) * d[j] * np.eye(s)
     return BlockEncoding(alpha * pair.beta, pair.b + l, claimed, s,
-                         backend="composite", _block=blk / (alpha * pair.beta),
+                         backend="composite", _block=blk / pair.beta,
                          meta={"terms": len(encodings)})
 
 
@@ -421,8 +403,7 @@ def encode_calL(vs: VertexSet, kp: KernelParams, trace_D_estimate: float | None 
         vs, kp, prep, est, norm_case)
     trace_d = degree.trace_estimate if trace_D_estimate is None else trace_D_estimate
     c = vs.n / trace_d
-    combo = CombinationSpec(c=c, l=max(weight_enc.ancillas, rho2_enc.ancillas,
-                                       rho3_enc.ancillas))
+    combo = CombinationSpec(c=c)
     y = np.array([-c, 1.0, c])
     beta = 3.0 if combo.in_unit_range else 1.0 + 2.0 * c
     pair = make_signed_pair(y, beta=beta)
@@ -445,9 +426,7 @@ def encode_barL_unit_norm(vs: VertexSet, kp: KernelParams) -> LaplacianEncodingR
     a_t = kp.a_tilde_sum
     d_coef = vs.n * a_t / trace_d
     e_coef = a_t * vs.n / trace_d
-    combo = CombinationSpec(c=vs.n / trace_d, d_coef=d_coef, e_coef=e_coef,
-                            l=max(rho0_enc.ancillas, rho2_enc.ancillas,
-                                  rho3_enc.ancillas))
+    combo = CombinationSpec(c=vs.n / trace_d, d_coef=d_coef, e_coef=e_coef)
     y = np.array([1.0, -d_coef, e_coef])
     pair = make_signed_pair(y, beta=1.0 + d_coef + e_coef)
     enc = lcu_combine(pair, [rho2_enc, rho0_enc, rho3_enc])
@@ -469,7 +448,7 @@ def encode_W_over_n(vs: VertexSet, kp: KernelParams, norm_case: str = "auto",
     else:
         pair = make_signed_pair(np.array([1.0, -1.0]), beta=2.0)
     enc = lcu_combine(pair, [weight_enc, rho3_enc])
-    combo = CombinationSpec(c=0.5, l=max(weight_enc.ancillas, rho3_enc.ancillas))
+    combo = CombinationSpec(c=0.5)
     comps = {"rho_weight": weight_enc, "rho3": rho3_enc, "weight_build": build}
     return LaplacianEncodingResult(enc, combo, pair, comps, None)
 

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .arith import exp_neg_lambda_bound, exp_neg_lambda_label
-from .blockenc import (BlockEncoding, _purified, dilate, encode_barL_unit_norm,
+from .blockenc import (BlockEncoding, _purified, encode_barL_unit_norm,
                        encode_calL, fixed_point_gram, lcu_combine,
                        make_signed_pair)
 from .graph import (KernelParams, VertexSet, build_graph,
@@ -246,7 +246,8 @@ def check_purified_encoding_exactness(seed=8, n=4, m=2, p=2, lam=0.5):
 
 def check_lcu_parameter_law(trials=50, seed=9, s=4):
     """Combined-block error stays within alpha eps_y + alpha beta eps_A under
-    injected pair and component errors."""
+    injected pair and component errors; each component encodes
+    (A_j + bump)/alpha at its claimed eps_A."""
     rng = np.random.default_rng(seed)
     bad, worst = 0, 0.0
     for trial in range(trials):
@@ -260,8 +261,8 @@ def check_lcu_parameter_law(trials=50, seed=9, s=4):
         for a in mats:
             bump = rng.standard_normal((s, s))
             bump *= eps_a / np.linalg.norm(bump, 2)
-            encs.append(BlockEncoding(alpha, 1, eps_a, s, backend="dense",
-                                      unitary=dilate(a + bump, alpha).unitary))
+            encs.append(BlockEncoding(alpha, 1, eps_a, s, backend="composite",
+                                      _block=(a + bump) / alpha))
         eps_y = 10.0 ** rng.uniform(-6, -3)
         beta = float(np.sum(np.abs(y)) * rng.uniform(1.0, 1.5))
         pair = make_signed_pair(y, beta=beta, inject_eps_y=eps_y,

@@ -700,20 +700,16 @@ def extract_d_smallest(samples: QpeSamples, d: int,
 
 
 def recover_Lr_eigenvectors(result: SpectralResult, rho2_block: np.ndarray,
-                            lr_matrix: np.ndarray | None = None,
-                            calL_block: np.ndarray | None = None):
+                            calL_block: np.ndarray):
     """Map eigenvectors of the symmetric normalization to the random-walk one
     through the inverse square root of the degree state, verifying that each
-    eigenvector residual is at most 1e-6."""
+    eigenvector residual against rho2^-1 calL is at most 1e-6."""
     rho2 = (rho2_block + rho2_block.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(rho2)
     if np.min(vals) <= 1e-14:
         raise GraphError("degree state is singular")
     inv_sqrt = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
-    if lr_matrix is None:
-        if calL_block is None:
-            raise GraphError("need either L_r or the Laplacian block")
-        lr_matrix = np.linalg.solve(rho2, calL_block)
+    lr_matrix = np.linalg.solve(rho2, calL_block)
     recovered = []
     residuals = []
     for cl in result.clusters:

@@ -1,6 +1,6 @@
 """Block-encoding algebra tests: the defining inequality, purified
-encodings, signed pairs, LCU combination (dense machinery against the
-composite shortcut), the Laplacian combinations, and the negative-power
+encodings, signed pairs, LCU combination (the column contraction against the
+materialized circuit), the Laplacian combinations, and the negative-power
 sandwich."""
 
 import math
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlapeig.blockenc import (BlockEncoding,
+from qlapeig.blockenc import (BlockEncoding, StatePreparationPair,
                               dilate, encode_barL_unit_norm, encode_calL,
                               encode_W_over_n, identity_mixture_encoding, lcu_combine,
                               make_signed_pair, purified_density_encoding,
@@ -21,7 +21,7 @@ from qlapeig.sim import SimError, operator_norm_distance, partial_trace
 from qlapeig.stateprep import (build_degree_state, build_phi_state,
                                build_psi_state, completion_unitary, hadamard_all)
 
-from encoding_reference import dense_sandwich, zero_ancilla_corner
+from encoding_reference import dense_sandwich, dense_select, zero_ancilla_corner
 
 
 def unit_vs(rng, n, m):
@@ -256,8 +256,9 @@ def test_pair_signed_recovery_and_padding():
     assert abs(np.conj(c[3]) * d[3]) < 1e-15  # unused slot carries no weight
     assert abs(np.linalg.norm(c) - 1) < 1e-12 and abs(np.linalg.norm(d) - 1) < 1e-12
     # unitarity of the completions
-    assert np.max(np.abs(pair.P_L.conj().T @ pair.P_L - np.eye(4))) < 1e-12
-    assert np.max(np.abs(pair.P_R.conj().T @ pair.P_R - np.eye(4))) < 1e-12
+    for col in (pair.c, pair.d):
+        p = completion_unitary(col)
+        assert np.max(np.abs(p.conj().T @ p - np.eye(4))) < 1e-12
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -275,7 +276,7 @@ def test_pair_columns_realize_the_weights(y, excess):
     assert np.max(np.abs(beta * np.conj(c[: len(y)]) * d[: len(y)] - y)) < 1e-12
     assert np.max(np.abs(beta * np.conj(c[len(y):]) * d[len(y):]), initial=0.0) < 1e-12
     dim = 1 << pair.b
-    for p in (pair.P_L, pair.P_R):
+    for p in map(completion_unitary, (pair.c, pair.d)):
         assert np.max(np.abs(p.conj().T @ p - np.eye(dim))) < 1e-12
 
 
@@ -315,15 +316,63 @@ def test_lcu_dense_machinery_vs_composite_block():
     mats = [rng.standard_normal((2, 2)) * 0.3 for _ in range(3)]
     encs = [dilate(a, 1.0) for a in mats]
     pair = make_signed_pair(y, beta=2.5)
-    dense = lcu_combine(pair, encs)
-    assert dense.backend == "dense"
+    corner = dense_select(pair, encs)[:2, :2]
     forced = [BlockEncoding(1.0, e.ancillas, e.epsilon, e.subject_dim,
                             backend="composite", _block=e.block()) for e in encs]
     comp = lcu_combine(pair, forced)
     assert comp.backend == "composite"
-    assert np.max(np.abs(dense.block() - comp.block())) < 1e-12
+    assert np.max(np.abs(corner - comp.block())) < 1e-12
     target = sum(w * a for w, a in zip(y, mats))
-    assert operator_norm_distance(dense.alpha * dense.block(), target) < 1e-12
+    assert operator_norm_distance(comp.alpha * corner, target) < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2 ** 32 - 1), terms=st.integers(1, 3),
+       s=st.sampled_from([2, 4, 8]), alpha=st.sampled_from([1.0, 2.0]))
+def test_lcu_contraction_is_the_circuit_corner(seed, terms, s, alpha):
+    """Random complex unit columns c, d (idle slots weighted too) and dense
+    components of one or two ancillas each: lcu_combine's block is the
+    top-left corner of the materialized circuit, which is unitary, at any
+    component scale."""
+    rng = np.random.default_rng(seed)
+    b = max(1, (terms - 1).bit_length())
+    c, d = (v / np.linalg.norm(v) for v in
+            rng.standard_normal((2, 1 << b)) + 1j * rng.standard_normal((2, 1 << b)))
+    pair = StatePreparationPair(c, d, 1.0, b, 0.0, np.conj(c[:terms]) * d[:terms])
+    encs = []
+    for _ in range(terms):
+        dim = s << int(rng.integers(1, 3))  # one or two ancillas
+        u = np.linalg.qr(rng.standard_normal((dim, dim))
+                         + 1j * rng.standard_normal((dim, dim)))[0]
+        encs.append(BlockEncoding(alpha, dim.bit_length() - s.bit_length(), 0.0, s,
+                                  unitary=u))
+    circuit = dense_select(pair, encs)
+    assert np.max(np.abs(circuit.conj().T @ circuit - np.eye(len(circuit)))) < 1e-10
+    out = lcu_combine(pair, encs)
+    assert len(circuit) == (1 << out.ancillas) * s and out.alpha == alpha
+    assert np.max(np.abs(circuit[:s, :s] - out.block())) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.5])
+def test_lcu_of_composite_components_at_a_wide_scale(alpha):
+    """Components encoding A_j / alpha, alpha != 1, each off by eps_A: the
+    combination's alpha beta block is within its claimed error of
+    sum_j y_j A_j (the scale enters once, through alpha beta)."""
+    rng = np.random.default_rng(23)
+    eps_a, s = 1e-5, 4
+    y = np.array([0.8, -0.5, 0.4])
+    mats = [rng.standard_normal((s, s)) for _ in y]
+    mats = [a * (0.9 * alpha / np.linalg.norm(a, 2)) for a in mats]  # blocks of norm 0.9
+    encs = []
+    for a in mats:
+        bump = rng.standard_normal((s, s))
+        bump *= eps_a / np.linalg.norm(bump, 2)
+        encs.append(BlockEncoding(alpha, 1, eps_a, s, backend="composite",
+                                  _block=(a + bump) / alpha))
+    pair = make_signed_pair(y, beta=2.0)
+    out = lcu_combine(pair, encs)
+    target = sum(w * a for w, a in zip(y, mats))
+    assert operator_norm_distance(out.alpha * out.block(), target) <= out.epsilon
 
 
 def test_lcu_parameter_law_under_injected_errors():
@@ -348,7 +397,6 @@ def test_lcu_claimed_error_composes_pair_and_component_errors():
     pair = make_signed_pair(y, beta=2.2, inject_eps_y=1e-4, seed=5)
     assert pair.epsilon_y > 1e-6
     out = lcu_combine(pair, encs)
-    assert out.backend == "dense"
     assert out.epsilon == pytest.approx(
         alpha * pair.epsilon_y + alpha * pair.beta * eps_a, rel=1e-12)
     target = sum(w * a for w, a in zip(y, mats))
@@ -404,7 +452,8 @@ def test_calL_matches_truncated_laplacian():
     blk = res.encoding.alpha * res.encoding.block()
     assert operator_norm_distance(blk, gm.L / gm.trace_D) <= 1e-5
     assert np.max(np.abs(blk @ np.ones(4))) <= 1e-5
-    assert res.encoding.ancillas == res.combo.l + 2
+    widest = max(res.components[k].ancillas for k in ("rho_weight", "rho2", "rho3"))
+    assert res.encoding.ancillas == res.pair.b + widest
 
 
 def test_calL_classical_trace_mode():

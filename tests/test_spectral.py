@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg as sla
 
 from qlapeig import spectral
-from qlapeig.blockenc import BlockEncoding, dilate, lcu_combine, make_signed_pair
+from qlapeig.blockenc import BlockEncoding, dilate, make_signed_pair
 from qlapeig.graph import (GraphError, KernelParams, VertexSet, build_graph,
                            classical_eigensolve)
 from qlapeig.spectral import (LCU_MAX_AMPLITUDES, PipelineConfig, QpeConfig,
@@ -17,6 +17,8 @@ from qlapeig.spectral import (LCU_MAX_AMPLITUDES, PipelineConfig, QpeConfig,
                               recover_Lr_eigenvectors, run_qpe,
                               simulate_hamiltonian)
 from qlapeig.stateprep import completion_unitary
+
+from encoding_reference import dense_select
 
 
 def random_hermitian(rng, n, norm=0.8):
@@ -67,6 +69,15 @@ def test_lcu_taylor_error_contract(n, t, eps):
     exact = sla.expm(-1j * h * t)
     assert np.linalg.norm(out.block() - exact, 2) <= eps
     assert out.meta["query_count"] == out.meta["segments"] * 3 * out.meta["order"]
+
+
+def two_term_lcu(rng):
+    """The materialized two-term LCU of two complex dilations at s = 2, its
+    queries carrying a_dim = 4: a pair qubit and a dilation ancilla."""
+    encs = [dilate(random_complex_hermitian(rng, 2), 1.0) for _ in range(2)]
+    pair = make_signed_pair([0.7, -0.3])
+    return BlockEncoding(pair.beta, pair.b + 1, pair.epsilon_y, 2,
+                         unitary=dense_select(pair, encs))
 
 
 def three_pass_taylor(be, t, order, r):
@@ -178,10 +189,8 @@ def test_lcu_taylor_matches_three_pass_circuit_real_block(n, t, eps, order):
 def test_lcu_taylor_matches_three_pass_circuit_wide_ancilla():
     """A two-term combination has a 4-dimensional ancilla per query, so the
     compact rows of E are strided by a_dim = 4."""
-    rng = np.random.default_rng(31)
-    encs = [dilate(random_complex_hermitian(rng, 2), 1.0) for _ in range(2)]
-    enc = lcu_combine(make_signed_pair([0.7, -0.3]), encs)
-    assert enc.backend == "dense" and enc.unitary.shape[0] == 4 * 2
+    enc = two_term_lcu(np.random.default_rng(31))
+    assert enc.unitary.shape[0] == 4 * 2
     assert_matches_three_pass(enc, 2.0, 1e-2)
 
 
@@ -203,8 +212,7 @@ def test_lcu_taylor_matches_three_pass_circuit_with_no_idle_slot(wide, t, eps,
     register (cdim = 4 and 8), so no slot is left idle."""
     rng = np.random.default_rng(order * 10 + wide)
     if wide:
-        encs = [dilate(random_complex_hermitian(rng, 2), 1.0) for _ in range(2)]
-        enc = lcu_combine(make_signed_pair([0.7, -0.3]), encs)
+        enc = two_term_lcu(rng)
     else:
         enc = dilate(random_complex_hermitian(rng, 4), 1.0)
     assert 1 << max(1, (order + 1).bit_length()) == order + 2
@@ -239,9 +247,7 @@ def test_lcu_taylor_matches_three_pass_circuit_with_noncommuting_blocks(n, t, ep
 
 def test_lcu_taylor_matches_three_pass_circuit_wide_ancilla_at_the_guard():
     """a_dim = 4 at the largest order the size guard admits."""
-    rng = np.random.default_rng(31)
-    encs = [dilate(random_complex_hermitian(rng, 2), 1.0) for _ in range(2)]
-    enc = lcu_combine(make_signed_pair([0.7, -0.3]), encs)
+    enc = two_term_lcu(np.random.default_rng(31))
     order = assert_matches_three_pass(enc, 2.0, 1e-4).meta["order"]
     # cdim = 16 coefficient slots, a_dim = 4 per rung, the flag, s = 2
     assert 16 * 4 ** order * 2 * 2 <= LCU_MAX_AMPLITUDES < 16 * 4 ** (order + 1) * 2 * 2
@@ -334,9 +340,7 @@ def test_lcu_taylor_unreachable_order_names_sim_eps():
 def test_lcu_taylor_amplitude_cap_names_the_cap():
     """An order whose live rows exceed LCU_MAX_AMPLITUDES is refused before
     any state is allocated, naming the cap."""
-    rng = np.random.default_rng(31)
-    encs = [dilate(random_complex_hermitian(rng, 2), 1.0) for _ in range(2)]
-    enc = lcu_combine(make_signed_pair([0.7, -0.3]), encs)
+    enc = two_term_lcu(np.random.default_rng(31))
     with pytest.raises(GraphError, match=f"LCU_MAX_AMPLITUDES = {LCU_MAX_AMPLITUDES}"):
         simulate_hamiltonian(enc, SimulationConfig(t=2.0, eps=1e-6,
                                                    path="lcu_taylor"))
@@ -660,7 +664,7 @@ def test_recover_Lr_regular_graph_unchanged():
     result, report = full_pipeline(vs, kp, cfg)
     gm = build_graph(vs, kp, truncated=True)
     rho2 = np.eye(4) / 4
-    recovered, residuals = recover_Lr_eigenvectors(result, rho2, gm.L_r)
+    recovered, residuals = recover_Lr_eigenvectors(result, rho2, gm.L / gm.trace_D)
     for cl, rec in zip(result.clusters, recovered):
         overlap = abs(np.vdot(rec[:, 0], cl.vectors[:, 0]))
         assert overlap == pytest.approx(1.0, abs=1e-9)

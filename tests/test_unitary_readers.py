@@ -1,0 +1,52 @@
+"""Only an encoding's own methods and the metered path read its unitary.
+
+A dense ``BlockEncoding`` carries its unitary matrix, but a consumer of an
+encoding reads ``block()`` or runs ``apply``, which every backend answers.
+Inside ``src/qlapeig`` the ``unitary`` attribute is read only by the methods
+of ``BlockEncoding`` itself and by ``spectral._lcu_taylor``, whose SELECT
+multiplies by the query's matrix.  A read anywhere else would tie that code
+to the dense backend (a combination materializing its circuit, say), so this
+scan fails on one, as an attribute or through ``getattr``.  The tests and
+``tests/encoding_reference.py`` read unitaries as the dense references.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qlapeig"
+FILES = sorted(SRC.glob("*.py"))
+ALLOWED = {"blockenc": "BlockEncoding", "spectral": "_lcu_taylor"}
+
+
+def unitary_reads(tree):
+    """(line, enclosing definition) of every read of ``.unitary`` or
+    ``getattr(..., "unitary")``; the definition is the top-level class or
+    function it sits in, "<module>" outside one."""
+    reads = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Attribute) and node.attr == "unitary")
+                    or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "getattr" and len(node.args) > 1
+                        and isinstance(node.args[1], ast.Constant)
+                        and node.args[1].value == "unitary")):
+                reads.append((node.lineno, owner))
+    return sorted(reads)
+
+
+def test_the_scan_finds_every_spelling():
+    source = ("u = enc.unitary\nclass E:\n    def f(self):\n        return self.unitary\n"
+              "def g(e):\n    def h():\n        return getattr(e, 'unitary')\n"
+              "    return h() @ e.unitary[:2]\nv = BlockEncoding(1.0, 1, 0.0, 2, unitary=u)\n")
+    assert unitary_reads(ast.parse(source)) == [(1, "<module>"), (4, "E"), (7, "g"),
+                                                (8, "g")]
+
+
+@pytest.mark.parametrize("path", FILES, ids=[path.stem for path in FILES])
+def test_only_the_encoding_and_the_metered_path_read_a_unitary(path):
+    reads = [(line, owner) for line, owner in unitary_reads(ast.parse(path.read_text()))
+             if owner != ALLOWED.get(path.stem)]
+    assert reads == [], f"qlapeig.{path.stem} reads an encoding's unitary at {reads}"
