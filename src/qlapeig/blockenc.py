@@ -165,20 +165,18 @@ class CombinationSpec:
 
 
 NEG_POWER = 0.5  # the exponent c of A^-c: D^-1/2 for the symmetric Laplacian
+VARSIGMA1 = 1e-3  # the negative-power oracle's polynomial-approximation budget
 
 
 @dataclass
 class NegativePowerParams:
     kappa: float
-    varsigma1: float
     zeta1: float = field(init=False)
 
     def __post_init__(self):
         if self.kappa < 2:
             raise GraphError("condition bound must be at least 2")
-        if not (0 < self.varsigma1 <= 0.5):
-            raise GraphError("varsigma1 must lie in (0, 1/2]")
-        k, c, s = self.kappa, NEG_POWER, self.varsigma1
+        k, c, s = self.kappa, NEG_POWER, VARSIGMA1
         # big-O constant set to 1
         self.zeta1 = s / (k ** (1 + c) * max(1.0, c)
                           * math.log2(k ** c / s + 2.0)
@@ -393,15 +391,16 @@ def _component_encodings(vs: VertexSet, kp: KernelParams, prep, est,
     return degree, rho2_enc, rho3_enc, _purified(weight_build), weight_build
 
 
-def encode_calL(vs: VertexSet, kp: KernelParams, trace_D_estimate: float | None = None,
-                prep: PrepConfig | None = None, est: EstimatorConfig | None = None,
+def encode_calL(vs: VertexSet, kp: KernelParams, prep: PrepConfig | None = None,
+                est: EstimatorConfig | None = None,
                 norm_case: str = "general") -> LaplacianEncodingResult:
-    """Combination -c rho1 + rho2 + c rho3 encoding L/Tr(L), c = n/Tr(D)."""
+    """Combination -c rho1 + rho2 + c rho3 encoding L/Tr(L), c = n/Tr(D),
+    Tr(D) the degree pipeline's estimate."""
     prep = prep or PrepConfig()
     est = est or EstimatorConfig()
     degree, rho2_enc, rho3_enc, weight_enc, weight_build = _component_encodings(
         vs, kp, prep, est, norm_case)
-    trace_d = degree.trace_estimate if trace_D_estimate is None else trace_D_estimate
+    trace_d = degree.trace_estimate
     c = vs.n / trace_d
     combo = CombinationSpec(c=c)
     y = np.array([-c, 1.0, c])
@@ -454,8 +453,7 @@ def encode_W_over_n(vs: VertexSet, kp: KernelParams, norm_case: str = "auto",
 
 
 def sandwich_negative_power(be_a: BlockEncoding, be_b: BlockEncoding,
-                            kappa: float | None = None,
-                            varsigma1: float = 1e-3) -> tuple[BlockEncoding, NegativePowerParams]:
+                            kappa: float | None = None) -> tuple[BlockEncoding, NegativePowerParams]:
     """Encoding of A^-c B A^-c, c = ``NEG_POWER``, through an idealized
     negative-power oracle.
 
@@ -463,7 +461,7 @@ def sandwich_negative_power(be_a: BlockEncoding, be_b: BlockEncoding,
     verified classically); the A^-c factors come from its eigendecomposition,
     each dilated at scale 2 kappa^c, so the combined scale is the
     4 kappa^{2c} alpha_B of the parameter law.  The claimed error follows the
-    same law with the polynomial-approximation budget varsigma1.
+    same law with the polynomial-approximation budget ``VARSIGMA1``.
     """
     a_mat = be_a.alpha * be_a.block()
     a_mat = (a_mat + a_mat.conj().T) / 2.0
@@ -474,19 +472,19 @@ def sandwich_negative_power(be_a: BlockEncoding, be_b: BlockEncoding,
         kappa = max(2.0, float(np.ceil(1.0 / np.min(vals))))
     if np.min(vals) < 1.0 / kappa - 1e-9 or np.max(vals) > 1.0 + 1e-9:
         raise GraphError("spectral window I/kappa <= A <= I violated")
-    params = NegativePowerParams(kappa=kappa, varsigma1=varsigma1)
+    params = NegativePowerParams(kappa=kappa)
     if be_a.epsilon > params.zeta1 + 1e-15:
         raise GraphError("base encoding error exceeds the negative-power budget")
     neg = vecs @ np.diag(vals ** (-NEG_POWER)) @ vecs.conj().T
     scale_m = 2.0 * kappa ** NEG_POWER
     m_block = neg / scale_m
     alpha_f = 4.0 * kappa ** (2.0 * NEG_POWER) * be_b.alpha
-    claimed = (4.0 * kappa ** NEG_POWER * be_b.alpha * varsigma1
+    claimed = (4.0 * kappa ** NEG_POWER * be_b.alpha * VARSIGMA1
                + 4.0 * kappa ** (2.0 * NEG_POWER) * be_b.epsilon)
     blk = m_block @ be_b.block() @ m_block
     enc = BlockEncoding(alpha_f, be_b.ancillas + 2, claimed, be_b.subject_dim,
                         backend="composite", _block=blk,
-                        meta={"kappa": kappa, "varsigma1": varsigma1})
+                        meta={"kappa": kappa})
     return enc, params
 
 

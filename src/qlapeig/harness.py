@@ -48,7 +48,6 @@ class RunConfig:
     fixed_point_bits, exp_gate_order: arithmetic widths
     sim_path:         oracle_exponential | lcu_taylor
     sim_eps:          simulation error budget, in (0, 1)
-    trace_mode:       quantum | classical (source of Tr(D) for the weights)
     output:           report path
     """
 
@@ -68,7 +67,6 @@ class RunConfig:
     exp_gate_order: int = 24
     sim_path: str = "oracle_exponential"
     sim_eps: float = 1e-6
-    trace_mode: str = "quantum"
     output: str = "report.json"
 
     _ALIASES = {"lambda": "lambda_"}
@@ -110,8 +108,7 @@ class RunConfig:
             target=self.target, d=self.d, norm_case=self.norm_case,
             estimator=est, prep=prep, sim_path=self.sim_path,
             sim_eps=self.sim_eps, qpe_bits=self.qpe_bits,
-            qpe_shots=self.qpe_shots, seed=self.seed,
-            trace_mode=self.trace_mode)
+            qpe_shots=self.qpe_shots, seed=self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +158,16 @@ def dump_json(obj) -> str:
 
 
 def write_atomic(path: str, text: str):
+    """Write ``text`` to ``path`` through a temporary file and a rename, at
+    the mode ``open(path, "w")`` would give a new file (0o666 less the
+    umask), not the 0o600 of ``mkstemp``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
     try:
         with os.fdopen(fd, "w") as fh:
+            mask = os.umask(0o022)  # the umask is read by setting it
+            os.umask(mask)
+            os.fchmod(fd, 0o666 & ~mask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -73,8 +73,8 @@ sum_y (w^z U)^y = prod_k (I + (w^z U)^(2^k)) times the slot scale,
 w = e^(-2 pi i / 2^bits) (Cleve, Ekert, Macchiavello and Mosca 1998):
 ``QpeSamples.post_state`` builds a bin's unnormalized post-measurement state
 from the powers on each read, one n x n GEMM per phase bit, and extraction
-reads it only for the bins of the clusters it reports, one chunk of bins at
-a time.
+reads it only for the bins of the clusters it reports, one bin at a time,
+each adding its normalized m m^dag to its cluster's one mixture.
 """
 
 from __future__ import annotations
@@ -131,9 +131,6 @@ LCU_MAX_AMPLITUDES = 1 << 21  # lcu path: the largest state it simulates
 # on a contended machine such calls stall for milliseconds while the threads
 # wait on each other
 QPE_GEMM_MACS = 1 << 15
-# extraction: the most post-state amplitudes one chunk of bins holds, unless
-# one bin (n^2 amplitudes) is more
-EXTRACT_CHUNK_AMPLITUDES = 1 << 20
 # the least error a simulated evolution claims: its round-off
 _EPS_FLOOR = 1e-12
 
@@ -155,8 +152,8 @@ class SimulationConfig:
     truncation_order: int | None = None   # lcu path; chosen from eps when absent
 
     def __post_init__(self):
-        if self.t < 0:
-            raise SimulationError("evolution time must be nonnegative")
+        if not self.t > 0:  # NaN included
+            raise SimulationError("evolution time must be positive")
         problem = _sim_setting_error(self.path, self.eps)
         if problem:
             raise SimulationError(problem)
@@ -168,10 +165,6 @@ class QpeConfig:
     shots: int
     seed: int | None = None
     time_scale: float = 1.0
-
-    @property
-    def resolution(self) -> float:
-        return 2.0 ** (-self.phase_bits)
 
 
 @dataclass
@@ -230,19 +223,20 @@ def simulate_hamiltonian(be: BlockEncoding, cfg: SimulationConfig) -> BlockEncod
     if np.max(np.abs(h - h.conj().T)) > 1e-8:
         raise SimulationError("encoded block is not Hermitian")
     h = (h + h.conj().T) / 2.0
-    if cfg.t == 0:
-        return BlockEncoding(1.0, be.ancillas + 2, 0.0, be.subject_dim,
-                             backend="composite", _block=np.eye(be.subject_dim),
-                             meta={"path": cfg.path, "query_count": 0, "t": 0.0})
     if cfg.path == "oracle_exponential":
-        vals, vecs = np.linalg.eigh(h)
-        u = vecs @ np.diag(np.exp(-1j * vals * cfg.t)) @ vecs.conj().T
+        u = _evolution(h, cfg.t)
         eps = 2.0 * cfg.t * be.epsilon
         return BlockEncoding(1.0, be.ancillas + 2, max(eps, _EPS_FLOOR), be.subject_dim,
                              backend="composite", _block=u,
                              meta={"path": cfg.path, "query_count": None,
                                    "t": cfg.t})
     return _lcu_taylor(be, h, cfg)
+
+
+def _evolution(h: np.ndarray, t: float) -> np.ndarray:
+    """e^(-i h t) for Hermitian h, from its eigendecomposition."""
+    vals, vecs = np.linalg.eigh(h)
+    return vecs @ np.diag(np.exp(-1j * vals * t)) @ vecs.conj().T
 
 
 def _series_tail(x: float, k: int) -> float:
@@ -480,9 +474,7 @@ def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig,
                 on_segment(col, psi)
         block[:, col] = psi[0, :s]
 
-    vals, vecs = np.linalg.eigh(h)
-    exact = vecs @ np.diag(np.exp(-1j * vals * cfg.t)) @ vecs.conj().T
-    measured = operator_norm_distance(exact, block)
+    measured = operator_norm_distance(_evolution(h, cfg.t), block)
     if measured > cfg.eps:
         raise SimulationError(
             f"lcu_taylor error {measured:.3e} exceeds the budget {cfg.eps:.3e}")
@@ -614,37 +606,19 @@ def _shot_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> dic
 
 
 def _cluster_vectors(samples: QpeSamples, bins: list, mult: int) -> np.ndarray:
-    """A cluster's eigenvectors, from the normalized post-states m of its
-    bins: the top ``mult`` eigenvectors of the count-weighted mixture of the
-    m m^dag when the cluster spans a subspace, else the count-weighted
-    average of their principal vectors, each phase-fixed on its largest
-    component.  The post-states are built, normalized and their m m^dag
-    stacked and decomposed one chunk of bins at a time, at most
-    ``EXTRACT_CHUNK_AMPLITUDES`` post-state amplitudes a chunk; the terms add
-    up in bin order either way."""
+    """A cluster's eigenvectors: the top ``mult`` eigenvectors of the
+    count-weighted mixture sum_z (c_z / w) m_z m_z^dag of its bins'
+    normalized post-states m_z.  For a normal U each m_z m_z^dag is a
+    function of U, so the mixture's top eigenvectors are U's whatever
+    ``mult`` is.  The bins are read one at a time, in bin order."""
     counts = [samples.counts[z] for z in bins]
     weight = sum(counts)
-    n = samples.n
-    chunk = max(1, EXTRACT_CHUNK_AMPLITUDES // (n * n))
-    rho = avg = 0
-    for lo in range(0, len(bins), chunk):
-        part = bins[lo:lo + chunk]
-        ms = np.empty((len(part), n, n), dtype=complex)
-        for m, z in zip(ms, part):
-            post = samples.post_state(z)
-            np.divide(post, np.linalg.norm(post), out=m)
-        rhos = ms @ ms.conj().transpose(0, 2, 1)
-        del ms
-        if mult > 1:
-            for c, r in zip(counts[lo:lo + chunk], rhos):
-                rho = rho + c / weight * r
-        else:
-            for c, v in zip(counts[lo:lo + chunk], np.linalg.eigh(rhos)[1][:, :, -1]):
-                k = int(np.argmax(np.abs(v)))
-                avg = avg + c / weight * (v * np.conj(v[k] / abs(v[k])))
-    if mult > 1:
-        return np.linalg.eigh(rho)[1][:, -mult:]
-    return (avg / np.linalg.norm(avg)).reshape(-1, 1)
+    rho = 0
+    for c, z in zip(counts, bins):
+        m = samples.post_state(z)
+        m /= np.linalg.norm(m)
+        rho += c / weight * (m @ m.conj().T)
+    return np.linalg.eigh(rho)[1][:, -mult:]
 
 
 def extract_d_smallest(samples: QpeSamples, d: int,
@@ -657,7 +631,8 @@ def extract_d_smallest(samples: QpeSamples, d: int,
     circle is positive except a thin wrap margin next to 1 that absorbs the
     numerically-negative tail of the zero mode.  A cluster whose Born weight
     spans several eigenvectors is reported as a subspace.  Eigenvectors are
-    computed for the d reported clusters only (``_cluster_vectors``).
+    computed for the d reported clusters only, each from one mixture of its
+    bins' post-states (``_cluster_vectors``).
     """
     pdim = 1 << samples.phase_bits
     t = samples.time_scale
@@ -745,13 +720,10 @@ class PipelineConfig:
     qpe_bits: int = 8
     qpe_shots: int = 4096
     seed: int | None = 7
-    trace_mode: str = "quantum"  # quantum | classical
 
     def __post_init__(self):
         if self.target not in ("L", "Ls", "Lr", "W"):
             raise GraphError(f"unknown target {self.target!r}")
-        if self.trace_mode not in ("quantum", "classical"):
-            raise GraphError(f"unknown trace mode {self.trace_mode!r}")
         problem = _sim_setting_error(self.sim_path, self.sim_eps)
         if problem:
             raise GraphError(problem)
@@ -818,8 +790,7 @@ def encode_target(vs: VertexSet, kp: KernelParams,
             reports.append(encoding_report("W_vs_truncated_exact", target_enc,
                                            consistent_w, tol=1e-9))
         else:
-            trace_d = float(np.trace(gm.D)) if cfg.trace_mode == "classical" else None
-            res = encode_calL(vs, kp, trace_d, cfg.prep, cfg.estimator, norm_case)
+            res = encode_calL(vs, kp, cfg.prep, cfg.estimator, norm_case)
             consistent = taylor_consistent_reference(
                 vs, kp, res.components["weight_build"],
                 res.components["degree_build"], res.trace_D)

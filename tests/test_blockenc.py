@@ -456,16 +456,6 @@ def test_calL_matches_truncated_laplacian():
     assert res.encoding.ancillas == res.pair.b + widest
 
 
-def test_calL_classical_trace_mode():
-    rng = np.random.default_rng(7)
-    vs = general_vs(rng, 4, 2, 0.3, 0.5)
-    kp = KernelParams(0.5, 6)
-    gm = build_graph(vs, kp)
-    res = encode_calL(vs, kp, trace_D_estimate=float(np.trace(gm.D)))
-    blk = res.encoding.alpha * res.encoding.block()
-    assert operator_norm_distance(blk, gm.L / gm.trace_D) <= 1e-5
-
-
 # ---------------------------------------------------------------------------
 # the unit-norm combination
 
@@ -593,8 +583,7 @@ def test_sandwich_alpha_law_and_verification():
     vs = general_vs(rng, 4, 2, 0.3, 0.5)
     kp = KernelParams(0.5, 6)
     res = encode_calL(vs, kp)
-    enc, params = sandwich_negative_power(res.components["rho2"], res.encoding,
-                                          varsigma1=1e-3)
+    enc, params = sandwich_negative_power(res.components["rho2"], res.encoding)
     assert enc.alpha == pytest.approx(
         4.0 * params.kappa * res.encoding.alpha)  # kappa^{2c} with c = 1/2
     gm = build_graph(vs, kp, truncated=True)
@@ -606,7 +595,7 @@ def test_sandwich_alpha_law_and_verification():
 
 def test_sandwich_claimed_error_composes_the_base_error():
     """A base B with eps_B > 0: the claimed error is 4 kappa^c alpha_B
-    varsigma1 + 4 kappa^{2c} eps_B, c = 1/2."""
+    varsigma1 + 4 kappa^{2c} eps_B, c = 1/2, varsigma1 = 1e-3 (``VARSIGMA1``)."""
     rng = np.random.default_rng(22)
     q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     be_a = BlockEncoding(1.0, 1, 0.0, 4, backend="composite",
@@ -614,7 +603,7 @@ def test_sandwich_claimed_error_composes_the_base_error():
     b = rng.standard_normal((4, 4))
     be_b = BlockEncoding(3.0, 1, 2e-5, 4, backend="composite",
                          _block=(b + b.T) / (2.0 * np.linalg.norm(b + b.T, 2)))
-    enc, params = sandwich_negative_power(be_a, be_b, kappa=4.0, varsigma1=1e-3)
+    enc, params = sandwich_negative_power(be_a, be_b, kappa=4.0)
     assert enc.epsilon == pytest.approx(
         4.0 * 4.0 ** 0.5 * 3.0 * 1e-3 + 4.0 * 4.0 * 2e-5, rel=1e-12)
 

@@ -105,14 +105,16 @@ def test_config_unknown_key_rejected(tmp_path):
 MATTERS = {"target": "W", "lambda_": 0.6, "p": 5, "d": 2, "norm_case": "general",
            "estimator_mode": "exact", "eps_d": 1e-3, "delta1": 0.9,
            "qpe_bits": 7, "qpe_shots": 512, "seed": 8, "fixed_point_bits": 40,
-           "exp_gate_order": 4, "sim_path": "lcu_taylor", "sim_eps": 1e-3,
-           "trace_mode": "classical"}
+           "exp_gate_order": 4, "sim_path": "lcu_taylor", "sim_eps": 1e-3}
 
 
 def test_every_config_key_reaches_the_pipeline(tmp_path):
     """A settable key no run reads would be accepted and then silently
     ignored.  Set to a value that matters, each key must change the exit code
-    or the report bytes of a small noisy-mode run."""
+    or the report bytes of a small noisy-mode run, and ``MATTERS`` names
+    exactly the keys there are."""
+    keys = {f.name for f in fields(RunConfig)} - {"input", "output"}
+    assert set(MATTERS) == keys
     csv = tmp_path / "v.csv"
     csv.write_text("1,0\n0.6,0.8\n0,1\n-0.8,0.6\n")  # unit norms
     out = tmp_path / "report.json"
@@ -131,10 +133,10 @@ def test_every_config_key_reaches_the_pipeline(tmp_path):
             assert outcome(replace(base, **{f.name: MATTERS[f.name]})) != want, f.name
 
 
-@pytest.mark.parametrize("key", ["eps_x", "delta2"])
+@pytest.mark.parametrize("key", ["eps_x", "delta2", "trace_mode"])
 def test_config_removed_key_exits_2(tmp_path, key):
     """Keys no run read (the oracle perturbation, the inner-product failure
-    probability) are not keys."""
+    probability) or only tests set (a classical Tr(D)) are not keys."""
     csv = toy_csv(tmp_path / "v.csv")
     out = tmp_path / "report.json"
     cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), output=str(out),
@@ -448,18 +450,15 @@ def test_cli_dump_state_verify_only(tmp_path, monkeypatch):
     assert dumps[0].read_bytes() == dumps[1].read_bytes()
 
 
-@pytest.mark.parametrize("target,trace_mode", [
-    ("L", "quantum"), ("Ls", "quantum"), ("Lr", "quantum"), ("W", "quantum"),
-    ("L", "classical")], ids=["L", "Ls", "Lr", "W", "L-classical"])
+@pytest.mark.parametrize("target", ["L", "Ls", "Lr", "W"])
 def test_verify_only_checks_the_encoding_the_run_simulates(tmp_path, monkeypatch,
-                                                          target, trace_mode):
+                                                          target):
     """--verify-only writes the run's graph-model and encoding records
     byte for byte: the same encoding verifications, graph matrices and
     report header."""
     monkeypatch.setattr(harness, "run_checks", lambda size: [])
     csv = toy4_csv(tmp_path / "v.csv")
-    cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), target=target,
-                            trace_mode=trace_mode)
+    cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), target=target)
     outs = [tmp_path / "run.json", tmp_path / "verify.json"]
     assert main(["run", "--config", str(cfg_file), "--out", str(outs[0])]) == 0
     assert main(["run", "--config", str(cfg_file), "--verify-only",
@@ -568,6 +567,25 @@ def test_report_written_atomically(tmp_path):
     main(["run", "--config", str(cfg_file)])
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".report-")]
     assert leftovers == []
+
+
+def test_written_files_take_the_umask_mode(tmp_path):
+    """A report and a check file are written at 0o666 less the umask, as
+    ``open(path, "w")`` writes them, an overwritten file included."""
+    csv = toy_csv(tmp_path / "v.csv")
+    report, lines = tmp_path / "report.json", tmp_path / "checks.jsonl"
+    cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), output=str(report))
+    mask = os.umask(0o022)
+    try:
+        for _ in range(2):
+            assert main(["run", "--config", str(cfg_file)]) == 0
+            assert main(["verify", "--sizes", "small", "--out", str(lines)]) == 0
+            assert {report.stat().st_mode & 0o777, lines.stat().st_mode & 0o777} \
+                == {0o644}
+            report.chmod(0o600)
+            lines.chmod(0o600)
+    finally:
+        os.umask(mask)
 
 
 def test_cold_run_leaves_scipy_unimported(tmp_path):

@@ -43,12 +43,11 @@ def general_vs(rng, n, m, lo, hi):
 # ---------------------------------------------------------------------------
 # simulation paths
 
-def test_simulation_t_zero_identity():
-    enc = dilate(np.diag([0.3, -0.2]), 1.0)
-    out = simulate_hamiltonian(enc, SimulationConfig(t=0.0))
-    assert np.allclose(out.block(), np.eye(2))
-    out = simulate_hamiltonian(enc, SimulationConfig(t=0.0, path="lcu_taylor"))
-    assert out.meta["query_count"] == 0
+def test_simulation_config_refuses_a_time_not_positive():
+    """An evolution time must be > 0; NaN is not."""
+    for t in (0.0, -1.0, math.nan):
+        with pytest.raises(SimulationError, match="must be positive"):
+            SimulationConfig(t=t)
 
 
 def test_simulation_pauli_z_closed_form():

@@ -15,9 +15,9 @@ references.
   builds as products over the powers, against ``sequential_qpe``'s
   register, for unitary and contracting U alike.
 - Extraction: ``extract_d_smallest`` (eigenvectors of the reported clusters
-  only, decomposed one chunk of bins at a time) against
-  ``extract_reference``, which decomposes every kept bin of every cluster on
-  its own, bit for bit.
+  only, one mixture of the bins' post-states per cluster, read one bin at a
+  time) against ``extract_reference``, which forms every kept bin's m m^dag
+  in a list and decomposes every cluster's mixture, bit for bit.
 """
 
 import math
@@ -27,7 +27,6 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from qlapeig import spectral
 from qlapeig.blockenc import BlockEncoding
 from qlapeig.spectral import (LCU_MAX_AMPLITUDES, MAX_TAYLOR_ORDER, QpeConfig,
                               QpeSamples, ResolutionError, SimulationError,
@@ -210,9 +209,9 @@ def test_run_qpe_matches_the_row_block_register(n, bits, seed):
 
 
 def extract_reference(samples, d, signed):
-    """Every cluster's phase and vectors, each kept bin's m m^dag formed and
-    decomposed on its own; then the d smallest, as (eigenvalue, phase,
-    weight, vectors, bins)."""
+    """Every cluster's phase and vectors, each kept bin's m m^dag formed on
+    its own and the top eigenvectors of their count-weighted sum taken; then
+    the d smallest, as (eigenvalue, phase, weight, vectors, bins)."""
     pdim = 1 << samples.phase_bits
     n = samples.n
     zero_threshold = 1.5 / pdim
@@ -236,16 +235,7 @@ def extract_reference(samples, d, signed):
         for _, z, c in group:
             m = samples.post_state(z) / np.linalg.norm(samples.post_state(z))
             rhos.append((c / weight, m @ m.conj().T))
-        if mult == 1:
-            vecs = []
-            for _, rho in rhos:
-                v = np.linalg.eigh(rho)[1][:, -1]
-                k = int(np.argmax(np.abs(v)))
-                vecs.append(v * np.conj(v[k] / abs(v[k])))
-            avg = sum(w * v for (w, _), v in zip(rhos, vecs))
-            vectors = (avg / np.linalg.norm(avg)).reshape(n, 1)
-        else:
-            vectors = np.linalg.eigh(sum(w * r for w, r in rhos))[1][:, -mult:]
+        vectors = np.linalg.eigh(sum(w * r for w, r in rhos))[1][:, -mult:]
         out.append((2.0 * math.pi * phase / samples.time_scale, phase, frac, vectors,
                     [z for _, z, _ in group]))
     if not signed:
@@ -266,10 +256,10 @@ def extraction_instances(draw):
 
 
 @PROPERTY
-@given(extraction_instances(), st.sampled_from([None, 1, 2, 3]))
-def test_extraction_matches_per_bin_reference(instance, chunk_bins):
-    """Bit for bit, whether a cluster's bins are decomposed in one stack or
-    ``chunk_bins`` at a time."""
+@given(extraction_instances())
+def test_extraction_matches_per_bin_reference(instance):
+    """Bit for bit, each cluster's vectors the top eigenvectors of its bins'
+    count-weighted mixture, whatever its multiplicity."""
     n, bits, pattern, d, signed, seed = instance
     rng = np.random.default_rng(seed)
     t = 2.0
@@ -284,14 +274,11 @@ def test_extraction_matches_per_bin_reference(instance, chunk_bins):
     samples = run_qpe(enc, QpeConfig(phase_bits=bits, shots=4096, seed=seed,
                                      time_scale=t))
     want = extract_reference(samples, d, signed)
-    with pytest.MonkeyPatch.context() as patch:
-        if chunk_bins is not None:
-            patch.setattr(spectral, "EXTRACT_CHUNK_AMPLITUDES", chunk_bins * n * n)
-        if want is None:
-            with pytest.raises(ResolutionError):
-                extract_d_smallest(samples, d, signed)
-            return
-        got = extract_d_smallest(samples, d, signed)
+    if want is None:
+        with pytest.raises(ResolutionError):
+            extract_d_smallest(samples, d, signed)
+        return
+    got = extract_d_smallest(samples, d, signed)
     assert len(got.clusters) == len(want)
     for c, (gamma, phase, frac, vectors, bins) in zip(got.clusters, want):
         assert (c.eigenvalue, c.phase, c.weight, c.bins) == (gamma, phase, frac, bins)
