@@ -139,7 +139,7 @@ def _format(value, out):
                 out.append(",")
             _format(item, out)
         out.append("]")
-    elif isinstance(value, bool) or value is None:
+    elif isinstance(value, (bool, np.bool_)) or value is None:
         out.append("true" if value else ("null" if value is None else "false"))
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))

@@ -48,6 +48,26 @@ dilations of real symmetric blocks, whose U is exactly real, so only P_R
 (the phases (-i)^k) stays a complex GEMM.  The meter counts the circuit's
 rungs, not these GEMMs.
 
+The circuit runs one invariant subject channel at a time.  A dilation
+U = [[A, B], [B, -A]], B = sqrt(I - A^2), A Hermitian, has every block a
+function of A, so in A's eigenbasis Q, (I (x) Q^dag) U (I (x) Q) is the
+direct sum over the eigenvectors of ancilla-only rungs u_mu, and P_R, P_L
+and R never touch the subject: the segment circuit is s independent
+circuits, each on one eigenvector with a one-dimensional subject, and the
+block is Q diag(beta_mu) Q^dag.  ``_lcu_taylor`` rotates U into the
+eigenbasis of the h it receives and splits when no cross-channel entry
+exceeds ``_CHANNEL_FLOOR``, the rotation's round-off; otherwise it runs the
+whole subject in the original basis as one channel, the unsplit circuit.
+All or nothing suffices: every dilation the pipeline meters splits (its
+largest dropped entry is below 1e-15), while an encoding whose blocks are
+not functions of A (a combination's SELECT) leaves cross-channel entries of
+order one, and a partial split would need a search for invariant subspaces
+that no metered encoding has.  A channel's state is 1/s of a whole-subject
+column's, and its rungs take a_dim, not a_dim s, multiply-adds per
+amplitude: the s channels do s^2 times less arithmetic than the s columns,
+over as many segments.  The meter, the series order and the size guard are
+the s-dimensional circuit's, counted once.
+
 Phase estimation (``run_qpe``) never holds the register of 2^bits slots,
 each an n x n matrix: slot y is U^y |Phi>, |Phi> the purified
 maximally-mixed input, whose matrix is the identity over sqrt(n 2^bits).
@@ -124,7 +144,7 @@ class ResolutionError(SimError):
 
 
 MAX_TAYLOR_ORDER = 12  # lcu path: the highest truncation order chosen from eps
-LCU_MAX_AMPLITUDES = 1 << 21  # lcu path: the largest state it simulates
+LCU_MAX_AMPLITUDES = 1 << 21  # lcu path: the largest whole-subject state
 # QPE: the most complex multiply-adds in one trace-moment GEMM, unless one
 # n x n product (n^3, n > 32) is more.  OpenBLAS 0.3.31 splits a call of 2^16
 # or more across its threads, whose packing buffers raise the peak RSS, and
@@ -133,6 +153,11 @@ LCU_MAX_AMPLITUDES = 1 << 21  # lcu path: the largest state it simulates
 QPE_GEMM_MACS = 1 << 15
 # the least error a simulated evolution claims: its round-off
 _EPS_FLOOR = 1e-12
+# lcu path: the largest cross-channel entry of U in h's eigenbasis that the
+# channel split drops, as round-off.  The rotation leaves 1e-16 to 1e-13 on
+# dilations up to s = 8, an eigenvalue at the scale included; a repeated
+# one there leaves sqrt(round-off), about 5e-9
+_CHANNEL_FLOOR = 1e-12
 
 
 def _sim_setting_error(path: str, eps: float) -> str | None:
@@ -367,14 +392,19 @@ def _taylor_select(psi: np.ndarray, factors: tuple, order: int,
 def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig,
                 on_segment=None) -> BlockEncoding:
     """Segmented truncated-Taylor series over controlled encoding queries,
-    A = (P_L^dag (x) I) SELECT (P_R (x) I).  Each segment passes A once (the
-    identities are in the module docstring), in place on one state buffer:
-    X = SELECT P_R psi, then psi <- R A psi - E (2 E^dag R A psi) as
-    -P_L^dag (X + Y), with 2 y0 added back on the all-zero cell, y0 that
-    cell of P_L^dag X; Y holds E's rank-s update before P_L^dag.
-    ``on_segment(col, psi)``, when given, reads input column col's state
-    after each segment, as live rows of shape (order + 2,
-    2 a_dim^order s); it must not write to psi, which is reused."""
+    A = (P_L^dag (x) I) SELECT (P_R (x) I), for the Hermitian h = alpha
+    block(be).  The circuit runs one subject channel at a time
+    (``_taylor_channel``): one channel per eigenvector of h when U has no
+    cross-channel entry above ``_CHANNEL_FLOOR`` in h's eigenbasis, else
+    the whole subject in the original basis (the split is in the module
+    docstring).  The series order, the size guard and the query count are
+    the s-dimensional circuit's, counted once; the error against
+    exp(-i h t) is measured on the assembled block.
+    ``on_segment(basis, col, psi)``, when given, reads a channel's state
+    after each segment: the state of input basis[:, col], basis the
+    channel's (s, sub) orthonormal columns, as live rows of shape
+    (order + 2, 2 a_dim^order sub) whose subject axis runs along basis's
+    columns; it must not write to psi, which is reused."""
     if be.backend != "dense":
         raise SimulationError("the metered path needs an explicit encoding unitary")
     s = be.subject_dim
@@ -417,62 +447,29 @@ def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig,
     # being real with a positive leading entry, so it runs as real GEMMs
     neg_p_l_dag = np.ascontiguousarray(-p_l_dag.real)
     p_r = completion_unitary(d_col)[:live, :live]
-
-    u_mat = be.unitary
-    factors = _select_factors(u_mat, s)
+    maps = (p_r, p_l_dag, neg_p_l_dag, d_col)
     queries = 3 * order * r  # A, A^dag, A per segment, one query per rung
 
-    # E (|0>|c>) before P_L^dag: SELECT on |0..0>|c> leaves row k <= order as
-    # d_k V_k (|0^k> (x) c), V_k = U_k ... U_1, on the cell where the later
-    # ancillas and the flag are zero, the row's prefix of a_dim^k s
-    # amplitudes laid out (ancilla k .. 1, subject).  Built rung by rung:
-    # term k + 1 is rungs[k] applied to term k, the columns U (|0> (x) I_s)
-    # scaled by d_{k+1} / d_k, as (a_dim, s, s) blocks of right factors.  The
-    # padding row sets the flag instead: d_{order+1} c past the flag.
-    # W^dag needs only the zero-ancilla cells: <0^k| V_k |0^k> = B^k, B the
-    # top-left block of U.
-    flagged = a_dim ** order * s  # where a row's flag-set half starts
-    first = u_mat[:, :s].reshape(a_dim, s, s).transpose(0, 2, 1)
-    rungs = [math.sqrt(x / (k + 1)) * -1j * first for k in range(order)]
-    w = np.zeros((s, s), dtype=complex)
-    b_k = np.eye(s, dtype=complex)
-    for k in range(order + 1):
-        w += p_l_dag[0, k] * d_col[k] * b_k
-        b_k = u_mat[:s, :s] @ b_k
-    w_dag = w.conj().T
-
+    u_mat = be.unitary
+    q = np.linalg.eigh(h)[1]
+    # U in h's eigenbasis as (ancilla, ancilla, subject, subject) blocks
+    rotated = q.conj().T @ u_mat.reshape(a_dim, s, a_dim, s).transpose(0, 2, 1, 3) @ q
+    split = np.abs(rotated * (1.0 - np.eye(s))).max() <= _CHANNEL_FLOOR
+    if split:
+        channels = [(q[:, mu:mu + 1], np.ascontiguousarray(rotated[:, :, mu, mu]))
+                    for mu in range(s)]
+    else:
+        channels = [(np.eye(s), u_mat)]
+    sub = channels[0][0].shape[1]
+    flagged = a_dim ** order * sub  # where a row's flag-set half starts
     psi = np.empty((live, 2 * flagged), dtype=complex)
-    complex_u = any(im is not None for _, im in factors)
+    complex_u = any(u_ch.imag.any() for _, u_ch in channels)
     slabs = np.empty((3 if complex_u else 2, 2 * flagged), dtype=complex)
-    selected = psi.reshape((live, 2) + (a_dim,) * order + (s,))
-
-    def segment():
-        zero_in = psi[0, :s].copy()
-        _map_rows(p_r, psi, slabs[0])
-        _taylor_select(selected, factors, order, slabs)
-        y0 = p_l_dag[0] @ psi[:, :s]  # R A psi on the all-zero cell
-        coef = 2.0 * (2.0 * (w_dag @ y0) - zero_in)  # 2 E^dag R A psi
-        term = slabs[0][:s]
-        np.multiply(d_col[0], coef, out=term)
-        psi[0, :s] += term
-        for k, rung in enumerate(rungs):  # X + Y, one cell at a time
-            cell = slabs[(k + 1) % 2][:a_dim * term.size].reshape(a_dim, -1, s)
-            np.matmul(term.reshape(-1, s), rung, out=cell)
-            term = cell.reshape(-1)
-            psi[k + 1, :term.size] += term
-        psi[order + 1, flagged:flagged + s] += d_col[order + 1] * coef
-        _map_rows(neg_p_l_dag, psi, slabs[0])
-        psi[0, :s] += 2.0 * y0
-
-    block = np.zeros((s, s), dtype=complex)
-    for col in range(s):
-        psi.fill(0.0)
-        psi[0, col] = 1.0
-        for _ in range(r):
-            segment()
-            if on_segment is not None:
-                on_segment(col, psi)
-        block[:, col] = psi[0, :s]
+    blocks = [_taylor_channel(u_ch, sub, x, r, maps, psi, slabs,
+                              functools.partial(on_segment, basis) if on_segment
+                              else None)
+              for basis, u_ch in channels]
+    block = (q * np.ravel(blocks)) @ q.conj().T if split else blocks[0]
 
     measured = operator_norm_distance(_evolution(h, cfg.t), block)
     if measured > cfg.eps:
@@ -482,7 +479,77 @@ def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig,
     return BlockEncoding(1.0, anc, cfg.eps, s, backend="composite", _block=block,
                          meta={"path": "lcu_taylor", "query_count": queries,
                                "segments": r, "order": order, "t": cfg.t,
+                               "channels": len(channels),
                                "measured_error": measured})
+
+
+def _taylor_channel(u_mat: np.ndarray, sub: int, x: float, r: int, maps: tuple,
+                    psi: np.ndarray, slabs: np.ndarray, on_segment) -> np.ndarray:
+    """r segments of the circuit on one subject channel of dimension sub,
+    whose rung is ``u_mat`` on (ancilla, subject): the channel's (sub, sub)
+    block.  Each segment passes A once (the identities are in the module
+    docstring), in place on the state buffer psi of shape (order + 2,
+    2 a_dim^order sub): X = SELECT P_R psi, then psi <- R A psi
+    - E (2 E^dag R A psi) as -P_L^dag (X + Y), with 2 y0 added back on the
+    all-zero cell, y0 that cell of P_L^dag X; Y holds E's rank-sub update
+    before P_L^dag.  ``maps`` is (P_R, P_L^dag, -P_L^dag, d) on the live
+    rows; ``slabs`` holds two row slabs, three when some channel's rung is
+    complex.  ``on_segment(col, psi)`` reads input column col's state after
+    each segment."""
+    live = psi.shape[0]
+    order = live - 2
+    p_r, p_l_dag, neg_p_l_dag, d_col = maps
+    a_dim = u_mat.shape[0] // sub
+    factors = _select_factors(u_mat, sub)
+
+    # E (|0>|c>) before P_L^dag: SELECT on |0..0>|c> leaves row k <= order as
+    # d_k V_k (|0^k> (x) c), V_k = U_k ... U_1, on the cell where the later
+    # ancillas and the flag are zero, the row's prefix of a_dim^k sub
+    # amplitudes laid out (ancilla k .. 1, subject).  Built rung by rung:
+    # term k + 1 is rungs[k] applied to term k, the columns U (|0> (x) I_sub)
+    # scaled by d_{k+1} / d_k, as (a_dim, sub, sub) blocks of right factors.
+    # The padding row sets the flag instead: d_{order+1} c past the flag.
+    # W^dag needs only the zero-ancilla cells: <0^k| V_k |0^k> = B^k, B the
+    # top-left block of U.
+    flagged = psi.shape[1] // 2  # where a row's flag-set half starts
+    first = u_mat[:, :sub].reshape(a_dim, sub, sub).transpose(0, 2, 1)
+    rungs = [math.sqrt(x / (k + 1)) * -1j * first for k in range(order)]
+    w = np.zeros((sub, sub), dtype=complex)
+    b_k = np.eye(sub, dtype=complex)
+    for k in range(order + 1):
+        w += p_l_dag[0, k] * d_col[k] * b_k
+        b_k = u_mat[:sub, :sub] @ b_k
+    w_dag = w.conj().T
+    selected = psi.reshape((live, 2) + (a_dim,) * order + (sub,))
+
+    def segment():
+        zero_in = psi[0, :sub].copy()
+        _map_rows(p_r, psi, slabs[0])
+        _taylor_select(selected, factors, order, slabs)
+        y0 = p_l_dag[0] @ psi[:, :sub]  # R A psi on the all-zero cell
+        coef = 2.0 * (2.0 * (w_dag @ y0) - zero_in)  # 2 E^dag R A psi
+        term = slabs[0][:sub]
+        np.multiply(d_col[0], coef, out=term)
+        psi[0, :sub] += term
+        for k, rung in enumerate(rungs):  # X + Y, one cell at a time
+            cell = slabs[(k + 1) % 2][:a_dim * term.size].reshape(a_dim, -1, sub)
+            np.matmul(term.reshape(-1, sub), rung, out=cell)
+            term = cell.reshape(-1)
+            psi[k + 1, :term.size] += term
+        psi[order + 1, flagged:flagged + sub] += d_col[order + 1] * coef
+        _map_rows(neg_p_l_dag, psi, slabs[0])
+        psi[0, :sub] += 2.0 * y0
+
+    block = np.zeros((sub, sub), dtype=complex)
+    for col in range(sub):
+        psi.fill(0.0)
+        psi[0, col] = 1.0
+        for _ in range(r):
+            segment()
+            if on_segment is not None:
+                on_segment(col, psi)
+        block[:, col] = psi[0, :sub]
+    return block
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ def reference_format(value, out):
                 out.append(",")
             reference_format(item, out)
         out.append("]")
-    elif isinstance(value, bool) or value is None:
+    elif isinstance(value, (bool, np.bool_)) or value is None:
         out.append("true" if value else ("null" if value is None else "false"))
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
@@ -73,3 +73,9 @@ def test_non_finite_floats_stay_quoted_in_flat_lists():
     values = [1.5, float("nan"), float("inf"), -float("inf"), -0.0]
     assert dump_json(values) == '[1.5,"nan","inf","-inf",-0]'
     assert dump_json([True, 1, False]) == "[true,1,false]"
+
+
+def test_numpy_bools_print_as_json_bools():
+    """``np.bool_`` is not a ``bool``: it must still print unquoted."""
+    assert dump_json({"a": np.bool_(True), "b": [np.bool_(False), 1.5]}) == (
+        '{"a":true,"b":[false,1.5]}')

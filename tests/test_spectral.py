@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -142,23 +143,34 @@ def assert_matches_three_pass(enc, t, eps, order=None):
     """The metered path against ``three_pass_taylor``: the block, the query
     count, and each column's full state after every segment.  The metered
     path holds the live coefficient rows 0 .. order + 1, each laid out as
-    flag, ancilla order .. 1, subject; the reference's other rows are zero."""
+    flag, ancilla order .. 1, subject; the reference's other rows are zero.
+    It runs one subject channel at a time and reports the state of input
+    basis[:, col] along the channel's basis columns; mapped back to the
+    subject, the inputs' states combine into column c's as
+    sum conj(basis[c, col]) state, the inputs being an orthonormal basis."""
     cfg = SimulationConfig(t=t, eps=eps, path="lcu_taylor", truncation_order=order)
     h = enc.alpha * enc.block()
-    states = []
-    out = spectral._lcu_taylor(enc, (h + h.conj().T) / 2.0, cfg,
-                               on_segment=lambda col, psi: states.append(psi.copy()))
-    order = out.meta["order"]
-    ref, queries, ref_states = three_pass_taylor(enc, t, order, out.meta["segments"])
+    calls = []
+    out = spectral._lcu_taylor(
+        enc, (h + h.conj().T) / 2.0, cfg,
+        on_segment=lambda basis, col, psi: calls.append((basis, col, psi.copy())))
+    order, r, s = out.meta["order"], out.meta["segments"], enc.subject_dim
+    ref, queries, ref_states = three_pass_taylor(enc, t, order, r)
     assert np.max(np.abs(out.block() - ref)) <= 1e-12
     assert out.meta["query_count"] == queries
-    assert len(states) == len(ref_states) == enc.subject_dim * out.meta["segments"]
+    assert len(calls) == len(ref_states) == s * r
+    assert out.meta["channels"] in (1, s)
     live = order + 2
     rows = (0, order + 1) + tuple(range(order, 0, -1)) + (order + 2,)
-    for got, want in zip(states, ref_states):
-        assert not want[live:].any()
-        want = want[:live].transpose(rows).reshape(got.shape)
-        assert np.max(np.abs(got - want)) <= 1e-12
+    for j in range(r):  # the j-th segment of each input's run of r
+        mapped = [(basis, col, psi.reshape(live, -1, basis.shape[1]) @ basis.T)
+                  for basis, col, psi in calls[j::r]]
+        for c in range(s):
+            got = sum(np.conj(basis[c, col]) * state for basis, col, state in mapped)
+            want = ref_states[c * r + j]
+            assert not want[live:].any()
+            want = want[:live].transpose(rows).reshape(got.shape)
+            assert np.max(np.abs(got - want)) <= 1e-12
     return out
 
 
@@ -265,11 +277,51 @@ def test_lcu_taylor_matches_three_pass_circuit_with_more_columns_than_rows(
     assert out.meta["order"] + 2 < enc.subject_dim
 
 
+def whole_subject(enc, h, cfg):
+    """``_lcu_taylor`` with the channel split refused: the circuit over the
+    whole subject in the original basis."""
+    with mock.patch.object(spectral, "_CHANNEL_FLOOR", -1.0):
+        out = spectral._lcu_taylor(enc, h, cfg)
+    assert out.meta["channels"] == 1
+    return out
+
+
+@pytest.mark.parametrize("make", [two_term_lcu, lambda rng: rotated_dilation(rng, 4)],
+                         ids=["two_term_lcu", "rotated_dilation"])
+def test_lcu_taylor_encoding_that_does_not_split_runs_whole(make):
+    """Blocks of U that are not functions of the encoded block leave
+    cross-channel entries of order one in its eigenbasis: the circuit runs
+    as one channel over the whole subject, unrotated, bit for bit."""
+    enc = make(np.random.default_rng(41))
+    h = enc.alpha * enc.block()
+    h = (h + h.conj().T) / 2.0
+    cfg = SimulationConfig(t=1.0, eps=1e-4, path="lcu_taylor")
+    out = spectral._lcu_taylor(enc, h, cfg)
+    assert out.meta["channels"] == 1
+    assert out.block().tobytes() == whole_subject(enc, h, cfg).block().tobytes()
+
+
+def test_lcu_taylor_regular_graph_at_the_scale_runs_whole():
+    """The complete graph K_4's Laplacian 4 I - J, dilated at alpha = ||L||
+    = 4, has its eigenvalue 4 three times at the scale, where sqrt(I - A^2)
+    is ill-conditioned: ``dilate``'s SVD leaves cross-channel entries of
+    about 4e-9, above the floor, so the circuit runs as one channel, and it
+    still meets eps."""
+    lap = 4.0 * np.eye(4) - np.ones((4, 4))
+    enc = dilate(lap, np.linalg.norm(lap, 2))
+    assert enc.alpha == pytest.approx(4.0)
+    eps = 1e-6
+    out = simulate_hamiltonian(enc, SimulationConfig(t=1.0, eps=eps, path="lcu_taylor"))
+    assert out.meta["channels"] == 1
+    assert np.linalg.norm(out.block() - sla.expm(-1j * lap), 2) <= eps
+
+
 def test_lcu_taylor_peak_memory_on_the_benchmark_instance(monkeypatch):
     """The segment runs in place on one state buffer with two row slabs of
     scratch: on the metered-taylor benchmark's n=4 L job (seed 301; order
     10, s = 4) the traced peak of the simulation stays under 1.5 live-row
-    states."""
+    states of the whole subject.  The job's dilation splits into s = 4
+    channels."""
     rng = np.random.default_rng([301, 0])
     x = rng.standard_normal((4, 2))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -294,6 +346,7 @@ def test_lcu_taylor_peak_memory_on_the_benchmark_instance(monkeypatch):
     order, s = out.meta["order"], be.subject_dim
     a_dim = be.unitary.shape[0] // s
     assert (order, s, a_dim) == (10, 4, 2)
+    assert out.meta["channels"] == s
     state_bytes = (order + 2) * 2 * a_dim ** order * s * 16
     assert peak <= 1.5 * state_bytes
 
@@ -302,14 +355,14 @@ def test_lcu_taylor_peak_memory_on_the_benchmark_instance(monkeypatch):
 def test_lcu_taylor_segment_loop_allocates_no_slab(complex_block):
     """After the first segment nothing of a row slab or more is allocated:
     the traced peak between two ``on_segment`` calls stays below one slab
-    over what was held at the first."""
+    over what was held at the first, from one channel to the next too."""
     rng = np.random.default_rng(61 + complex_block)
     h = (random_complex_hermitian if complex_block else random_hermitian)(rng, 4)
     enc = dilate(h, 1.0)
     cfg = SimulationConfig(t=6.0, eps=1e-9, path="lcu_taylor")
     held, extra = [], []
 
-    def watch(col, psi):
+    def watch(basis, col, psi):
         current, peak = tracemalloc.get_traced_memory()
         if held:
             extra.append(peak - held[-1])
@@ -323,6 +376,7 @@ def test_lcu_taylor_segment_loop_allocates_no_slab(complex_block):
         tracemalloc.stop()
     order, s = out.meta["order"], enc.subject_dim
     slab_bytes = 2 * 2 ** order * s * 16
+    assert out.meta["channels"] == s  # the channel changes are watched too
     assert len(extra) == s * out.meta["segments"] - 1 > 0
     assert max(extra) < slab_bytes
 

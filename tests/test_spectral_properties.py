@@ -6,6 +6,11 @@ references.
   the live rows with the ancillas reversed) against the per-(row, rung)
   complex ``moveaxis`` round trip on the full register in circuit order,
   within round-off, for real and complex U.
+- The channel split of the metered path: ``_lcu_taylor`` on the dilation of
+  a random real or complex Hermitian block, s in {2, 4, 8}, its spectrum
+  generic, degenerate, or with an eigenvalue at the scale, one channel per
+  eigenvector, against the same circuit over the whole subject (the split
+  refused): the block within 1e-12 and the same query count.
 - Phase estimation: ``run_qpe`` (Born probabilities from the trace moments
   Tr(U^d), by baby-step giant-step) against ``sequential_qpe``, the circuit
   that builds U^y one power at a time on the whole register, and against
@@ -21,16 +26,18 @@ references.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from qlapeig.blockenc import BlockEncoding
+from qlapeig import spectral
+from qlapeig.blockenc import BlockEncoding, dilate
 from qlapeig.spectral import (LCU_MAX_AMPLITUDES, MAX_TAYLOR_ORDER, QpeConfig,
-                              QpeSamples, ResolutionError, SimulationError,
-                              _select_factors, _taylor_select,
+                              QpeSamples, ResolutionError, SimulationConfig,
+                              SimulationError, _select_factors, _taylor_select,
                               extract_d_smallest, run_qpe)
 from qpe_reference import row_block_probs
 
@@ -103,6 +110,44 @@ def test_taylor_select_matches_per_row_moveaxis(instance):
     # the fused pairs and real GEMMs round differently from one complex
     # GEMM per rung
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@st.composite
+def split_instances(draw):
+    """(s, complex, spectrum, t, eps, seed): a spectrum is "generic" (s
+    values in (-0.95, 0.95)), "degenerate" (s values drawn from two) or
+    "scale" (generic with one value at +-1, or two when s > 2)."""
+    return (draw(st.sampled_from([2, 4, 8])), draw(st.booleans()),
+            draw(st.sampled_from(["generic", "degenerate", "scale"])),
+            draw(st.floats(0.5, 3.0)), draw(st.sampled_from([1e-2, 1e-4, 1e-6])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@PROPERTY
+@given(split_instances())
+def test_lcu_taylor_channels_match_the_whole_subject(instance):
+    s, complex_block, spectrum, t, eps, seed = instance
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((s, s))
+    if complex_block:
+        m = m + 1j * rng.standard_normal((s, s))
+    q = np.linalg.qr(m)[0]
+    vals = rng.uniform(-0.95, 0.95, s)
+    if spectrum == "degenerate":
+        vals = rng.choice(vals[:2], s)
+    elif spectrum == "scale":
+        vals[: 1 + (s > 2)] = 1.0 if rng.random() < 0.5 else -1.0
+    enc = dilate((q * vals) @ q.conj().T, 1.0)
+    h = enc.block()
+    h = (h + h.conj().T) / 2.0
+    cfg = SimulationConfig(t=t, eps=eps, path="lcu_taylor")
+    out = spectral._lcu_taylor(enc, h, cfg)
+    with mock.patch.object(spectral, "_CHANNEL_FLOOR", -1.0):
+        whole = spectral._lcu_taylor(enc, h, cfg)
+    assert whole.meta["channels"] == 1
+    assert out.meta["channels"] == s or spectrum == "scale"
+    assert np.max(np.abs(out.block() - whole.block())) <= 1e-12
+    assert out.meta["query_count"] == whole.meta["query_count"]
 
 
 def sequential_qpe(u_enc, qcfg):
