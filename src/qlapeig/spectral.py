@@ -25,7 +25,7 @@ P_L^dag: E c = P_L^dag Y(c), where Y(c) holds d_k V_k (|0^k> (x) c) in row
 k's cell, V_k = U_k ... U_1, so the new state R A psi - E (2 E^dag R A psi)
 is -P_L^dag (X + Y(coef)) with 2 y0 added back on the all-zero cell, y0
 = (P_L^dag X) there and coef = 2 (2 W^dag y0 - Pi psi).  Y's cells are built
-rung by rung from coef each segment; W^dag needs only the powers B^k of B,
+rung by rung from coef each segment; W^dag needs only B^k, k <= order, B being
 U's top-left block.  The update thus costs no pass over the state of its
 own.
 
@@ -68,6 +68,12 @@ amplitude: the s channels do s^2 times less arithmetic than the s columns,
 over as many segments.  The meter, the series order and the size guard are
 the s-dimensional circuit's, counted once.
 
+Simulation returns an ``Evolution``: U = Q diag(u) Q^dag in the eigenbasis
+Q of h = alpha block, from the one ``eigh`` of h.  The oracle path has
+u = e^(-i lambda t), a split ``_lcu_taylor`` the channel values beta_mu, and
+a whole-subject run the pinching diag(Q^dag B Q) of its block B, which keeps
+the contract: |u_mu - e^(-i lambda_mu t)| <= ||B - e^(-iht)||.
+
 Phase estimation (``run_qpe``) never holds the register of 2^bits slots,
 each an n x n matrix: slot y is U^y |Phi>, |Phi> the purified
 maximally-mixed input, whose matrix is the identity over sqrt(n 2^bits).
@@ -76,25 +82,16 @@ the traces Tr(U^d), the quantities one clean qubit estimates (DQC1: Knill
 and Laflamme 1998).  For unitary U and P = 2^bits,
 p(z) = (1 / (n P^2)) sum_{|d| < P} (P - |d|) e^(-2 pi i z d / P) Tr(U^d),
 and Tr(U^-d) is the conjugate of Tr(U^d), so p is one length-P FFT of the
-folded sequence (P - d) Tr(U^d) + d conj(Tr(U^(P - d))), d < P.  The traces
-come by baby-step giant-step (Paterson and Stockmeyer 1973,
-``_trace_moments``): Tr(U^(a + c s)) = <(U^a)^T, (U^s)^c>, the elementwise
-product summed, with the ladder (U^a)^T, a < s = 2^floor(bits/2), filled by
-doubling from the powers U^(2^k) and the giant steps (U^s)^c streamed two
-at a time, one GEMM each; s halves while (s + 2) n^2 and the P moments
-would exceed the desk-scale guard.  That is about 2 sqrt(P) n x n GEMMs,
-against P n^3 multiply-adds for the register, and every GEMM is at most
-max(``QPE_GEMM_MACS``, n^3) multiply-adds.  The shots are the draws
-``Generator.choice`` makes, the same uniforms compared with the same CDF,
-but counted per bin from the sorted uniforms (``_shot_counts``) rather than
-located one by one.  The phase register is read out in the Fourier basis, a
-product state, so the transformed slot z is
-sum_y (w^z U)^y = prod_k (I + (w^z U)^(2^k)) times the slot scale,
-w = e^(-2 pi i / 2^bits) (Cleve, Ekert, Macchiavello and Mosca 1998):
-``QpeSamples.post_state`` builds a bin's unnormalized post-measurement state
-from the powers on each read, one n x n GEMM per phase bit, and extraction
-reads it only for the bins of the clusters it reports, one bin at a time,
-each adding its normalized m m^dag to its cluster's one mixture.
+folded sequence (P - d) Tr(U^d) + d conj(Tr(U^(P - d))), d < P.  With v
+U's eigenvalues, Tr(U^(a + c s)) = sum_mu v_mu^a (v_mu^s)^c, s =
+2^floor(bits/2): one GEMM of running products, n (s + P/s) amplitudes and
+n P multiply-adds, against P n^3 for the register.  The phase register is
+read out in the Fourier basis, a product state, so the transformed slot z
+is sum_y (w^z U)^y = prod_k (I + (w^z U)^(2^k)) times the slot scale,
+w = e^(-2 pi i / 2^bits) (Cleve, Ekert, Macchiavello and Mosca 1998), that
+is Q diag(g_z(v)) Q^dag (``_bin_filter``).  A cluster's mixture of its
+bins' normalized post-states is then Q diag(weights) Q^dag, and extraction
+returns columns of Q (``_cluster_vectors``).
 """
 
 from __future__ import annotations
@@ -112,14 +109,15 @@ from .blockenc import (BlockEncoding, LaplacianEncodingResult, dilate,
 from .graph import (GraphError, GraphMatrices, KernelParams, VertexSet,
                     build_graph, classical_eigensolve, graph_matrices_to_json,
                     resolve_norm_case)
-from .sim import SimError, operator_norm_distance
-from .stateprep import (DESK_SCALE_AMPLITUDES, EstimatorConfig, PrepConfig,
-                        _desk_scale_guard, completion_unitary)
+from .sim import SimError
+from .stateprep import (EstimatorConfig, PrepConfig, _desk_scale_guard,
+                        completion_unitary)
 
 __all__ = [
     "SimulationError",
     "ResolutionError",
     "SimulationConfig",
+    "Evolution",
     "QpeConfig",
     "QpeSamples",
     "SpectralCluster",
@@ -145,12 +143,6 @@ class ResolutionError(SimError):
 
 MAX_TAYLOR_ORDER = 12  # lcu path: the highest truncation order chosen from eps
 LCU_MAX_AMPLITUDES = 1 << 21  # lcu path: the largest whole-subject state
-# QPE: the most complex multiply-adds in one trace-moment GEMM, unless one
-# n x n product (n^3, n > 32) is more.  OpenBLAS 0.3.31 splits a call of 2^16
-# or more across its threads, whose packing buffers raise the peak RSS, and
-# on a contended machine such calls stall for milliseconds while the threads
-# wait on each other
-QPE_GEMM_MACS = 1 << 15
 # the least error a simulated evolution claims: its round-off
 _EPS_FLOOR = 1e-12
 # lcu path: the largest cross-channel entry of U in h's eigenbasis that the
@@ -185,6 +177,21 @@ class SimulationConfig:
 
 
 @dataclass
+class Evolution:
+    """A simulated evolution U = basis diag(phases) basis^dag in the
+    eigenbasis of h, claiming ||U - e^(-iht)|| <= epsilon; ``meta`` holds
+    the path, its query count and the metered path's counters."""
+    basis: np.ndarray            # (n, n) unitary, the eigenvectors of h
+    phases: np.ndarray           # (n,), U's eigenvalue on each column
+    epsilon: float
+    meta: dict
+
+    def block(self) -> np.ndarray:
+        """U as a dense n x n matrix."""
+        return (self.basis * self.phases) @ self.basis.conj().T
+
+
+@dataclass
 class QpeConfig:
     phase_bits: int
     shots: int
@@ -199,22 +206,8 @@ class QpeSamples:
     phase_bits: int
     time_scale: float
     shots: int
-    n: int                       # system dimension
-    powers: list                 # U^(2^k), k = 0 .. phase_bits - 1, each n x n
-
-    def post_state(self, z: int) -> np.ndarray:
-        """Outcome z's unnormalized post-measurement state, the (n_sys,
-        n_purifier) matrix sum_y w^(yz) U^y / (2^bits sqrt n), w =
-        e^(-2 pi i / 2^bits): the register's slot z after the Fourier
-        transform.  Built on each read, as the product
-        prod_k (I + w^(z 2^k) U^(2^k)) over the powers."""
-        pdim = 1 << self.phase_bits
-        post = np.eye(self.n, dtype=complex)
-        for k, power in enumerate(self.powers):
-            phase = np.exp(-2j * math.pi * ((z << k) % pdim) / pdim)
-            post = post + phase * (post @ power)
-        post /= pdim * math.sqrt(self.n)
-        return post
+    basis: np.ndarray            # the evolution's eigenbasis Q
+    phases: np.ndarray           # the evolution's eigenvalues u on Q's columns
 
 
 @dataclass
@@ -242,26 +235,19 @@ class SpectralResult:
 # ---------------------------------------------------------------------------
 # Hamiltonian simulation
 
-def simulate_hamiltonian(be: BlockEncoding, cfg: SimulationConfig) -> BlockEncoding:
-    """Encoding of exp(-i H t) for H = alpha * block(be)."""
+def simulate_hamiltonian(be: BlockEncoding, cfg: SimulationConfig) -> Evolution:
+    """exp(-i H t) for H = alpha * block(be), in H's eigenbasis (module
+    docstring); H is decomposed once, here."""
     h = be.alpha * be.block()
     if np.max(np.abs(h - h.conj().T)) > 1e-8:
         raise SimulationError("encoded block is not Hermitian")
-    h = (h + h.conj().T) / 2.0
+    spectrum = np.linalg.eigh((h + h.conj().T) / 2.0)
     if cfg.path == "oracle_exponential":
-        u = _evolution(h, cfg.t)
+        vals, q = spectrum
         eps = 2.0 * cfg.t * be.epsilon
-        return BlockEncoding(1.0, be.ancillas + 2, max(eps, _EPS_FLOOR), be.subject_dim,
-                             backend="composite", _block=u,
-                             meta={"path": cfg.path, "query_count": None,
-                                   "t": cfg.t})
-    return _lcu_taylor(be, h, cfg)
-
-
-def _evolution(h: np.ndarray, t: float) -> np.ndarray:
-    """e^(-i h t) for Hermitian h, from its eigendecomposition."""
-    vals, vecs = np.linalg.eigh(h)
-    return vecs @ np.diag(np.exp(-1j * vals * t)) @ vecs.conj().T
+        return Evolution(q, np.exp(-1j * vals * cfg.t), max(eps, _EPS_FLOOR),
+                         {"path": cfg.path, "query_count": None, "t": cfg.t})
+    return _lcu_taylor(be, spectrum, cfg)
 
 
 def _series_tail(x: float, k: int) -> float:
@@ -389,17 +375,21 @@ def _taylor_select(psi: np.ndarray, factors: tuple, order: int,
     return psi
 
 
-def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig,
-                on_segment=None) -> BlockEncoding:
+def _lcu_taylor(be: BlockEncoding, spectrum: tuple, cfg: SimulationConfig,
+                on_segment=None) -> Evolution:
     """Segmented truncated-Taylor series over controlled encoding queries,
     A = (P_L^dag (x) I) SELECT (P_R (x) I), for the Hermitian h = alpha
-    block(be).  The circuit runs one subject channel at a time
-    (``_taylor_channel``): one channel per eigenvector of h when U has no
-    cross-channel entry above ``_CHANNEL_FLOOR`` in h's eigenbasis, else
-    the whole subject in the original basis (the split is in the module
-    docstring).  The series order, the size guard and the query count are
-    the s-dimensional circuit's, counted once; the error against
-    exp(-i h t) is measured on the assembled block.
+    block(be) whose ``eigh`` is ``spectrum`` = (lambda, Q).  The circuit
+    runs one subject channel at a time (``_taylor_channel``): one channel
+    per eigenvector of h when U has no cross-channel entry above
+    ``_CHANNEL_FLOOR`` in h's eigenbasis, else the whole subject in the
+    original basis (the split is in the module docstring).  The series
+    order, the size guard and the query count are the s-dimensional
+    circuit's, counted once.  The evolution's eigenvalues are the channel
+    values, or a whole-subject block's pinching to Q, whose dropped
+    off-diagonal part, in the spectral norm, is ``meta["off_diagonal"]``
+    (0 for a split run); the error max_mu |u_mu - e^(-i lambda_mu t)|
+    against exp(-i h t) is measured on them.
     ``on_segment(basis, col, psi)``, when given, reads a channel's state
     after each segment: the state of input basis[:, col], basis the
     channel's (s, sub) orthonormal columns, as live rows of shape
@@ -451,7 +441,7 @@ def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig,
     queries = 3 * order * r  # A, A^dag, A per segment, one query per rung
 
     u_mat = be.unitary
-    q = np.linalg.eigh(h)[1]
+    vals, q = spectrum
     # U in h's eigenbasis as (ancilla, ancilla, subject, subject) blocks
     rotated = q.conj().T @ u_mat.reshape(a_dim, s, a_dim, s).transpose(0, 2, 1, 3) @ q
     split = np.abs(rotated * (1.0 - np.eye(s))).max() <= _CHANNEL_FLOOR
@@ -469,18 +459,22 @@ def _lcu_taylor(be: BlockEncoding, h: np.ndarray, cfg: SimulationConfig,
                               functools.partial(on_segment, basis) if on_segment
                               else None)
               for basis, u_ch in channels]
-    block = (q * np.ravel(blocks)) @ q.conj().T if split else blocks[0]
+    if split:
+        phases, off_diagonal = np.ravel(blocks), 0.0
+    else:
+        pinched = q.conj().T @ blocks[0] @ q
+        phases = pinched.diagonal().copy()
+        off_diagonal = float(np.linalg.norm(pinched - np.diag(phases), 2))
 
-    measured = operator_norm_distance(_evolution(h, cfg.t), block)
+    measured = float(np.max(np.abs(phases - np.exp(-1j * vals * cfg.t))))
     if measured > cfg.eps:
         raise SimulationError(
             f"lcu_taylor error {measured:.3e} exceeds the budget {cfg.eps:.3e}")
-    anc = int(round(math.log2(cdim * a_dim ** order * 2)))
-    return BlockEncoding(1.0, anc, cfg.eps, s, backend="composite", _block=block,
-                         meta={"path": "lcu_taylor", "query_count": queries,
-                               "segments": r, "order": order, "t": cfg.t,
-                               "channels": len(channels),
-                               "measured_error": measured})
+    return Evolution(q, phases, cfg.eps,
+                     {"path": "lcu_taylor", "query_count": queries,
+                      "segments": r, "order": order, "t": cfg.t,
+                      "channels": len(channels), "measured_error": measured,
+                      "off_diagonal": off_diagonal})
 
 
 def _taylor_channel(u_mat: np.ndarray, sub: int, x: float, r: int, maps: tuple,
@@ -555,46 +549,44 @@ def _taylor_channel(u_mat: np.ndarray, sub: int, x: float, r: int, maps: tuple,
 # ---------------------------------------------------------------------------
 # phase estimation on the maximally mixed input
 
-def run_qpe(u_enc: BlockEncoding, qcfg: QpeConfig,
+def run_qpe(evolution: Evolution, qcfg: QpeConfig,
             lambda_max_bound: float | None = None) -> QpeSamples:
     """Textbook QPE with the purified maximally-mixed input.
 
-    Controlled powers use the adjoint of the encoded evolution so that
-    eigenphases come out as +gamma t / 2 pi.  The phase register's Born
-    weights are read from the trace moments Tr(U^d) (module docstring),
-    an identity of the circuit's output for unitary U.  Precondition: the
-    simulation contract ||U - e^(-iHt)|| <= eps, eps = ``u_enc.epsilon`` (read
-    as at least the round-off floor 1e-12 the oracle path claims), gives
-    ||U^dag U - I|| <= 2 eps + eps^2; a U beyond that raises
-    ``SimulationError``.  Within it, the trace-moment marginal and the
-    register's own both stay within about 4 2^bits eps of the exact
-    evolution's.  The shots are the draws of ``Generator.choice``
-    (``_shot_counts``).
+    The controlled U^y use the adjoint U of the evolution, eigenvalues
+    conj(u), so that eigenphases come out as +gamma t / 2 pi.  The phase
+    register's Born weights are read from the trace moments Tr(U^d) (module
+    docstring), an identity of the circuit's output for unitary U.
+    Precondition: the simulation contract ||U - e^(-iHt)|| <= eps, eps =
+    ``evolution.epsilon`` (read as at least the round-off floor 1e-12 the
+    oracle path claims), gives max_mu ||u_mu|^2 - 1| <= 2 eps + eps^2; an
+    evolution beyond that raises ``SimulationError``.  Within it, the
+    trace-moment marginal and the register's own both stay within about
+    4 2^bits eps of the exact evolution's.  The desk-scale guard counts Q,
+    the n (s + 2^bits / s) running products and the 2^bits moments.  The
+    shots are the draws of ``Generator.choice`` (``_shot_counts``).
     """
     t = qcfg.time_scale
     if lambda_max_bound is not None and t * lambda_max_bound >= 2.0 * math.pi:
         raise SimulationError("phase wraparound: t * lambda_max >= 2 pi")
-    u = u_enc.block().conj().T
-    n = u.shape[0]
-    eps = max(u_enc.epsilon, _EPS_FLOOR)
+    eigs = evolution.phases.conj()
+    n = len(eigs)
+    eps = max(evolution.epsilon, _EPS_FLOOR)
     bound = 2.0 * eps + eps * eps
-    defect = _unitarity_defect(u, bound)
+    defect = float(np.max(np.abs(np.abs(eigs) ** 2 - 1.0)))
     if defect > bound:
         raise SimulationError(
-            f"phase estimation needs a unitary evolution: ||U^dag U - I|| = "
+            f"phase estimation needs a unitary evolution: max ||u|^2 - 1| = "
             f"{defect:.3e} exceeds 2 eps + eps^2 for the claimed eps = {eps:.3e}")
     bits = qcfg.phase_bits
     pdim = 1 << bits
-    baby = 1 << (bits // 2)  # the ladder U^0 .. U^(baby - 1)
-    while baby > 1 and (baby + 2) * n * n + pdim > DESK_SCALE_AMPLITUDES:
-        baby //= 2
-    _desk_scale_guard((baby + 2) * n * n + pdim,
-                      f"{bits}-bit phase estimation's trace ladder and moments",
+    baby = 1 << (bits // 2)
+    _desk_scale_guard(n * n + n * (baby + pdim // baby) + pdim,
+                      f"{bits}-bit phase estimation's eigenbasis and moments",
                       "use fewer qpe_bits or fewer vertices")
-    powers = [u]  # U^(2^k): ladder steps, giant step, post-states
-    for _ in range(bits - 1):
-        powers.append(powers[-1] @ powers[-1])
-    traces = _trace_moments(powers, baby, pdim)
+    steps = np.vander(eigs, baby, increasing=True)  # v^a, a < s
+    giant = np.vander(steps[:, -1] * eigs, pdim // baby, increasing=True)
+    traces = (giant.T @ steps).reshape(-1)  # Tr(U^(a + c s)) at a + c s
     k = np.arange(pdim)
     folded = (pdim - k) * traces  # d and d - pdim share bin d of the FFT
     folded[1:] += k[1:] * traces[:0:-1].conj()
@@ -602,56 +594,8 @@ def run_qpe(u_enc: BlockEncoding, qcfg: QpeConfig,
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
     counts = _shot_counts(probs, qcfg.shots, np.random.default_rng(qcfg.seed))
-    return QpeSamples(counts, probs, bits, t, qcfg.shots, n, powers)
-
-
-def _unitarity_defect(u: np.ndarray, bound: float) -> float:
-    """||U^dag U - I|| in the spectral norm, or the largest absolute row sum
-    of U^dag U - I when that is at most ``bound``: for a Hermitian matrix it
-    bounds the spectral norm from above, and costs no decomposition."""
-    gram = u.conj().T @ u
-    gram[np.diag_indices_from(gram)] -= 1.0
-    rows = float(np.max(np.abs(gram).sum(axis=1)))
-    if rows <= bound:
-        return rows
-    return float(np.max(np.abs(np.linalg.eigvalsh(gram))))
-
-
-def _trace_moments(powers: list, baby: int, pdim: int) -> np.ndarray:
-    """Tr(U^d), d = 0 .. pdim - 1, as Tr(U^(a + c s)) = <(U^a)^T, (U^s)^c>,
-    s = ``baby`` (module docstring).  The ladder's rungs f .. 2f - 1 are
-    rungs 0 .. f - 1 right-multiplied by (U^f)^T, stacked row-wise.  The
-    giant steps are streamed two at a time, each pair read against the
-    ladder by GEMMs: a single giant step would make them matrix-vector
-    products, which OpenBLAS 0.3.31 splits across its threads from 2^13
-    multiply-adds on, well below its GEMM threshold.  Besides the powers,
-    the ladder and the pair are held."""
-    n = powers[0].shape[0]
-    cap = max(QPE_GEMM_MACS, n ** 3)
-    ladder = np.empty((baby, n, n), dtype=complex)
-    ladder[0] = np.eye(n)
-    run = cap // n ** 3  # rungs per ladder GEMM, >= 1
-    for k in range(baby.bit_length() - 1):
-        f, step = 1 << k, powers[k].T
-        for a in range(0, f, run):
-            b = min(f, a + run)
-            np.matmul(ladder[a:b].reshape(-1, n), step,
-                      out=ladder[f + a:f + b].reshape(-1, n))
-    flat = ladder.reshape(baby, -1)
-    rows = max(1, cap // (2 * n * n))  # rungs per trace GEMM
-    jump = powers[baby.bit_length() - 1]  # U^s
-    moments = np.empty((pdim // baby, baby), dtype=complex)  # row c: giant step c
-    pair = np.zeros((2, n, n), dtype=complex)
-    np.fill_diagonal(pair[0], 1.0)
-    pair[1] = jump
-    for c in range(0, pdim // baby, 2):  # an even count: pdim / s >= 2
-        if c:
-            np.matmul(pair[1], jump, out=pair[0])
-            np.matmul(pair[0], jump, out=pair[1])
-        for a in range(0, baby, rows):
-            b = min(baby, a + rows)
-            np.matmul(pair.reshape(2, -1), flat[a:b].T, out=moments[c:c + 2, a:b])
-    return moments.reshape(-1)
+    return QpeSamples(counts, probs, bits, t, qcfg.shots, evolution.basis,
+                      evolution.phases)
 
 
 def _shot_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> dict:
@@ -672,20 +616,38 @@ def _shot_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> dic
     return dict(zip(outcomes.tolist(), hits[outcomes].tolist()))
 
 
+def _bin_filter(eigs: np.ndarray, z: int, bits: int) -> np.ndarray:
+    """g_z(v) = prod_k (1 + (w^z v)^(2^k)) = sum_{y < 2^bits} (w^z v)^y,
+    w = e^(-2 pi i / 2^bits), for each eigenvalue v of the register's U:
+    outcome z's unnormalized post-measurement state, the register's slot z
+    after the Fourier transform, is Q diag(g_z) Q^dag / (2^bits sqrt n)."""
+    x = np.exp(-2j * math.pi * z / (1 << bits)) * eigs
+    g = 1.0 + x
+    for _ in range(bits - 1):
+        x = x * x
+        g *= 1.0 + x
+    return g
+
+
 def _cluster_vectors(samples: QpeSamples, bins: list, mult: int) -> np.ndarray:
     """A cluster's eigenvectors: the top ``mult`` eigenvectors of the
-    count-weighted mixture sum_z (c_z / w) m_z m_z^dag of its bins'
-    normalized post-states m_z.  For a normal U each m_z m_z^dag is a
-    function of U, so the mixture's top eigenvectors are U's whatever
-    ``mult`` is.  The bins are read one at a time, in bin order."""
+    count-weighted mixture sum_z (c_z / c) m_z m_z^dag of its bins'
+    normalized post-states m_z, c the cluster's count.  In the evolution's
+    eigenbasis Q the mixture is Q diag(w) Q^dag, w_mu = sum_z (c_z / c)
+    |g_z(v_mu)|^2 / sum_nu |g_z(v_nu)|^2 (``_bin_filter``), so they are the
+    ``mult`` columns of Q of largest w, returned in ascending w.  A tie in w
+    goes to the later column of Q (a stable sort).  When ``mult`` cuts
+    through a tie, each returned column is still an eigenvector of U of the
+    tied weight; exactly degenerate eigenvalues always tie, and the column
+    returned lies in their common eigenspace."""
+    eigs = samples.phases.conj()
     counts = [samples.counts[z] for z in bins]
     weight = sum(counts)
-    rho = 0
+    w = 0.0
     for c, z in zip(counts, bins):
-        m = samples.post_state(z)
-        m /= np.linalg.norm(m)
-        rho += c / weight * (m @ m.conj().T)
-    return np.linalg.eigh(rho)[1][:, -mult:]
+        g2 = np.abs(_bin_filter(eigs, z, samples.phase_bits)) ** 2
+        w = w + c / weight * (g2 / g2.sum())
+    return samples.basis[:, np.argsort(w, kind="stable")[-mult:]]
 
 
 def extract_d_smallest(samples: QpeSamples, d: int,
@@ -703,7 +665,7 @@ def extract_d_smallest(samples: QpeSamples, d: int,
     """
     pdim = 1 << samples.phase_bits
     t = samples.time_scale
-    n = samples.n
+    n = len(samples.phases)
     zero_threshold = 1.5 / pdim
     min_count = max(3, int(0.05 * samples.shots / n))
     wrap = 0.5 if signed else 1.0 - max(3.0 / pdim, 2.0 * zero_threshold)
@@ -910,14 +872,14 @@ def full_pipeline(vs: VertexSet, kp: KernelParams, cfg: PipelineConfig):
             # the metered path needs an explicit unitary; rebuild the verified
             # block as a compact one-ancilla encoding at the same scale
             sim_enc = dilate(sim_enc.alpha * sim_enc.block(), sim_enc.alpha)
-        u_enc = simulate_hamiltonian(sim_enc, sim_cfg)
+        evolution = simulate_hamiltonian(sim_enc, sim_cfg)
     report["simulation"] = {"path": sim_cfg.path, "eps": sim_cfg.eps,
                             "t": sim_cfg.t,
-                            "query_count": u_enc.meta.get("query_count")}
+                            "query_count": evolution.meta.get("query_count")}
 
     with _Stage("phase-estimation"):
         qcfg = QpeConfig(cfg.qpe_bits, cfg.qpe_shots, cfg.seed, sim_cfg.t)
-        samples = run_qpe(u_enc, qcfg, lambda_max_bound=bound)
+        samples = run_qpe(evolution, qcfg, lambda_max_bound=bound)
     with _Stage("extraction"):
         result = extract_d_smallest(samples, cfg.d, signed=(cfg.target == "W"))
     result.weight_build = res.components["weight_build"]

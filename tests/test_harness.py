@@ -292,15 +292,15 @@ def test_cli_oversized_qpe_register_exits_2_no_report(tmp_path, capsys):
 
 def test_cli_oversized_qpe_register_names_qpe_bits(tmp_path, capsys):
     """Phase estimation's refusal names its own knobs and counts what it
-    would hold: 2^40 trace moments, and a ladder of one n x n matrix plus
-    two giant steps at n = 4."""
+    would hold at n = 4: the basis Q, n x n, the running products of the
+    eigenvalues, n (2^20 + 2^20), and 2^40 trace moments."""
     csv = toy4_csv(tmp_path / "v.csv")
     cfg_file = write_config(tmp_path / "run.cfg", input=str(csv),
                             output=str(tmp_path / "report.json"), qpe_bits=40)
     assert main(["run", "--config", str(cfg_file)]) == 2
     assert capsys.readouterr().out == (
-        "error: [stage:phase-estimation] 40-bit phase estimation's trace "
-        "ladder and moments: instance needs 1099511627824 dense amplitudes, "
+        "error: [stage:phase-estimation] 40-bit phase estimation's "
+        "eigenbasis and moments: instance needs 1099520016400 dense amplitudes, "
         "beyond the desk-scale budget of 33554432; use fewer qpe_bits or "
         "fewer vertices\n")
 
