@@ -17,22 +17,24 @@ simulation: 3 * order queries per segment.
 The state holds only the live rows 0 .. order + 1 of the coefficient
 register; the others stay exactly zero.  A row is laid out as flag, ancilla
 order .. 1, subject, so the cell where ancillas k+1 .. order and the flag are
-zero is the row's first a_dim^k s amplitudes.  Each input column's state is
-one buffer, updated in place.  P_R, and at the end -P_L^dag, act on it one
-chunk of columns at a time through a scratch slab.  Between them SELECT
-leaves X = SELECT P_R psi, and the rank-s update is folded into X before
-P_L^dag: E c = P_L^dag Y(c), where Y(c) holds d_k V_k (|0^k> (x) c) in row
-k's cell, V_k = U_k ... U_1, so the new state R A psi - E (2 E^dag R A psi)
-is -P_L^dag (X + Y(coef)) with 2 y0 added back on the all-zero cell, y0
-= (P_L^dag X) there and coef = 2 (2 W^dag y0 - Pi psi).  Y's cells are built
-rung by rung from coef each segment; W^dag needs only B^k, k <= order, B being
-U's top-left block.  The update thus costs no pass over the state of its
-own.
+zero is the row's first a_dim^k s amplitudes.  The state is one buffer of
+shape (live, B, 2 a_dim^order sub), a stack of B channels (below) that run
+the same circuit side by side, updated in place.  P_R, and at the end
+-P_L^dag, act on all B at once, one chunk of columns at a time through a
+scratch slab.  Between them SELECT leaves X = SELECT P_R psi, and the
+rank-s update is folded into X before P_L^dag: E c = P_L^dag Y(c), where
+Y(c) holds d_k V_k (|0^k> (x) c) in row k's cell, V_k = U_k ... U_1, so the
+new state R A psi - E (2 E^dag R A psi) is -P_L^dag (X + Y(coef)) with
+2 y0 added back on the all-zero cell, y0 = (P_L^dag X) there and
+coef = 2 (2 W^dag y0 - Pi psi).  Y's cells are built rung by rung from coef
+each segment; W^dag needs only B^k, k <= order, B being U's top-left block.
+The update thus costs no pass over the state of its own.
 
-SELECT (``_taylor_select``) runs one row at a time.  Every rung queries the
-same U, so two rungs fuse into one matrix F = U_{j+1} U_j on (ancilla j+1,
-ancilla j, subject), built once per call: row k runs floor(k/2) GEMMs with
-F, then U_k alone when k is odd.  A step copies the row into one row slab,
+SELECT (``_taylor_select``) runs one row of the stack at a time.  Every
+rung of a channel queries the same U, so two rungs fuse into one matrix
+F = U_{j+1} U_j on (ancilla j+1, ancilla j, subject), built once per call:
+row k runs floor(k/2) steps with F, then U_k alone when k is odd, each step
+one batched GEMM over the stack.  A step copies the row into one row slab,
 transposed so that the step's ancillas and the subject come first, and
 writes its GEMM into a second; the next step's transpose rotates them
 behind the subject and brings the next ancillas forward, so a row is written
@@ -48,7 +50,7 @@ dilations of real symmetric blocks, whose U is exactly real, so only P_R
 (the phases (-i)^k) stays a complex GEMM.  The meter counts the circuit's
 rungs, not these GEMMs.
 
-The circuit runs one invariant subject channel at a time.  A dilation
+The circuit runs on invariant subject channels.  A dilation
 U = [[A, B], [B, -A]], B = sqrt(I - A^2), A Hermitian, has every block a
 function of A, so in A's eigenbasis Q, (I (x) Q^dag) U (I (x) Q) is the
 direct sum over the eigenvectors of ancilla-only rungs u_mu, and P_R, P_L
@@ -56,8 +58,10 @@ and R never touch the subject: the segment circuit is s independent
 circuits, each on one eigenvector with a one-dimensional subject, and the
 block is Q diag(beta_mu) Q^dag.  ``_lcu_taylor`` rotates U into the
 eigenbasis of the h it receives and splits when no cross-channel entry
-exceeds ``_CHANNEL_FLOOR``, the rotation's round-off; otherwise it runs the
-whole subject in the original basis as one channel, the unsplit circuit.
+exceeds ``_CHANNEL_FLOOR``, the rotation's round-off, into a stack of s
+channels of sub = 1, run in one pass of the r segments; otherwise it runs
+the whole subject in the original basis as a stack of one, sub = s, the
+unsplit circuit, one input column after another.
 All or nothing suffices: every dilation the pipeline meters splits (its
 largest dropped entry is below 1e-15), while an encoding whose blocks are
 not functions of A (a combination's SELECT) leaves cross-channel entries of
@@ -65,8 +69,9 @@ order one, and a partial split would need a search for invariant subspaces
 that no metered encoding has.  A channel's state is 1/s of a whole-subject
 column's, and its rungs take a_dim, not a_dim s, multiply-adds per
 amplitude: the s channels do s^2 times less arithmetic than the s columns,
-over as many segments.  The meter, the series order and the size guard are
-the s-dimensional circuit's, counted once.
+stacked into r segments instead of s r, and the stack is the size of one
+column's state.  The meter, the series order and the size guard are the
+s-dimensional circuit's, counted once.
 
 Simulation returns an ``Evolution``: U = Q diag(u) Q^dag in the eigenbasis
 Q of h = alpha block, from the one ``eigh`` of h.  The oracle path has
@@ -142,7 +147,7 @@ class ResolutionError(SimError):
 
 
 MAX_TAYLOR_ORDER = 12  # lcu path: the highest truncation order chosen from eps
-LCU_MAX_AMPLITUDES = 1 << 21  # lcu path: the largest whole-subject state
+LCU_MAX_AMPLITUDES = 1 << 21  # lcu path: the largest state, its channels stacked
 # the least error a simulated evolution claims: its round-off
 _EPS_FLOOR = 1e-12
 # lcu path: the largest cross-channel entry of U in h's eigenbasis that the
@@ -174,6 +179,11 @@ class SimulationConfig:
         problem = _sim_setting_error(self.path, self.eps)
         if problem:
             raise SimulationError(problem)
+        order = self.truncation_order
+        if order is not None and not (isinstance(order, (int, np.integer))
+                                      and 1 <= order <= MAX_TAYLOR_ORDER):
+            raise SimulationError(
+                f"truncation order must be an int in 1 .. {MAX_TAYLOR_ORDER}")
 
 
 @dataclass
@@ -267,19 +277,19 @@ def _choose_order(segment_x: float, budget: float, eps: float) -> int:
 
 
 def _real_split(mat: np.ndarray) -> tuple:
-    """A matrix as (real part, imaginary part), the second None when it is
-    exactly zero, for ``_gemm_into``."""
+    """A stack of matrices as (real parts, imaginary parts), the second None
+    when it is exactly zero, for ``_gemm_into``."""
     im = mat.imag
     return (np.ascontiguousarray(mat.real),
             np.ascontiguousarray(im) if im.any() else None)
 
 
 def _gemm_into(factor: tuple, x: np.ndarray, out: np.ndarray, spare) -> None:
-    """out = factor @ x for C-contiguous complex x and out of shape (lead,
-    cols) and a ``_real_split`` factor: real GEMMs on their float64 views,
-    whose columns are interleaved real and imaginary parts.  The imaginary
-    part's GEMM runs only when it is nonzero, into ``spare``, a flat complex
-    buffer of at least x's size."""
+    """out = factor @ x for C-contiguous complex x and out of shape (B, lead,
+    cols) and a ``_real_split`` stack of B factors: batched real GEMMs on
+    their float64 views, whose columns are interleaved real and imaginary
+    parts.  The imaginary part's GEMM runs only when it is nonzero, into
+    ``spare``, a flat complex buffer of at least x's size."""
     re, im = factor
     xf = x.view(np.float64)
     np.matmul(re, xf, out=out.view(np.float64))
@@ -304,58 +314,66 @@ def _map_rows(mat: np.ndarray, psi: np.ndarray, scratch: np.ndarray) -> None:
         cols[...] = out
 
 
-def _select_factors(u_mat: np.ndarray, s: int) -> tuple:
-    """SELECT's two factors, split by ``_real_split``: the rung U on
-    (ancilla, subject), and the fused pair F = U_{j+1} U_j on (ancilla j+1,
-    ancilla j, subject), the same matrix for every j."""
-    a_dim = u_mat.shape[0] // s
-    low = np.kron(np.eye(a_dim), u_mat)  # U_j, ancilla j+1 idle
-    high = (low.reshape((a_dim, a_dim, s) * 2).transpose(1, 0, 2, 4, 3, 5)
-            .reshape(low.shape))  # U_{j+1}, ancilla j idle
-    return _real_split(u_mat), _real_split(high @ low)
+def _select_factors(u_mats: np.ndarray, sub: int) -> tuple:
+    """SELECT's two factors for a stack of B rungs U of shape (B, a_dim sub,
+    a_dim sub), split by ``_real_split``: the rungs on (ancilla, subject),
+    and the fused pairs F = U_{j+1} U_j on (ancilla j+1, ancilla j,
+    subject), the same matrix for every j."""
+    batch, a_dim = len(u_mats), u_mats.shape[1] // sub
+    # U_j, ancilla j+1 idle: I (x) U, each product formed as np.kron forms it
+    low = (np.eye(a_dim)[:, None, :, None] * u_mats[:, None, :, None, :]).reshape(
+        batch, a_dim * a_dim * sub, -1)
+    high = (low.reshape((batch,) + (a_dim, a_dim, sub) * 2)
+            .transpose(0, 2, 1, 3, 5, 4, 6).reshape(low.shape))  # U_{j+1}
+    return _real_split(u_mats), _real_split(high @ low)
 
 
 @functools.lru_cache(maxsize=None)
 def _select_plan(order: int) -> tuple:
-    """``_taylor_select``'s axis permutations: for each row k = 1 .. order,
-    its steps as (transpose, rungs in the step), then the transpose that
-    restores the row's layout."""
-    sub = order + 1  # a row's axes: flag, order ancillas, subject
+    """``_taylor_select``'s axis permutations of a stacked row, axes batch,
+    flag, order ancillas, subject: for each row k = 1 .. order, its steps as
+    (transpose, rungs in the step), then the transpose that restores the
+    row's layout.  The batch axis stays first."""
+    subject = order + 2  # the subject's axis
     rows = []
     for k in range(1, order + 1):
-        axes, steps, done = list(range(sub + 1)), [], 0
+        axes, steps, done = list(range(1, subject + 1)), [], 0
         while done < k:
             step = min(2, k - done)
-            group = list(range(order - done - step + 1, order - done + 1))
-            group.append(sub)
+            group = list(range(order - done - step + 2, order - done + 2))
+            group.append(subject)
             rest = [a for a in axes if a not in group]
-            steps.append((tuple(axes.index(a) for a in group + rest), step))
+            steps.append(((0,) + tuple(axes.index(a) + 1 for a in group + rest),
+                          step))
             axes = group + rest
             done += step
-        rows.append((tuple(steps), tuple(np.argsort(axes).tolist())))
+        rows.append((tuple(steps), (0,) + tuple((np.argsort(axes) + 1).tolist())))
     return tuple(rows)
 
 
 def _taylor_select(psi: np.ndarray, factors: tuple, order: int,
                    slabs: np.ndarray) -> np.ndarray:
-    """SELECT of the truncated-Taylor LCU, in place on psi of shape
-    (live, 2) + (a_dim,) * order + (s,), a row's axes running flag, ancilla
-    order .. 1, subject: row k <= order takes U_1 ... U_k, U_j = U on
-    (ancilla j, subject); the padding row sets the spare flag.  ``factors``
-    is ``_select_factors(U, s)``; ``slabs`` holds two flat complex buffers
-    of one row each, three when U is complex.
+    """SELECT of the truncated-Taylor LCU, in place on a stack psi of shape
+    (live, B, 2) + (a_dim,) * order + (sub,), a row's axes running batch,
+    flag, ancilla order .. 1, subject: entry b's row k <= order takes
+    U_1 ... U_k, U_j = U_b on (ancilla j, subject); the padding row sets
+    the spare flag.  ``factors`` is ``_select_factors`` of the B rungs;
+    ``slabs`` holds two flat complex buffers of one stacked row each, three
+    when some U_b is complex.
 
-    Row k runs floor(k/2) GEMMs with the fused pair F = U_{j+1} U_j, then U_k
-    alone when k is odd, each a real GEMM on the float64 views
-    (``_gemm_into``).  A step copies the row, transposed, into slab 0 and
-    writes its GEMM into slab 1.  The row is rotated rather than moved back
-    after each step: the step's (ancilla .., subject) axes come to the front
-    and the others keep their order behind them, so the ancillas done move
-    behind the subject and the next ones are always the last axes.  The row
-    is written back once, after its last step.  The meter counts the
-    circuit's k rungs, not these GEMMs."""
+    Row k runs floor(k/2) steps with the fused pair F = U_{j+1} U_j, then
+    U_k alone when k is odd, each one batched real GEMM over the stack on
+    the float64 views (``_gemm_into``).  A step copies the row, transposed,
+    into slab 0 and writes its GEMM into slab 1.  The row is rotated rather
+    than moved back after each step: the step's (ancilla .., subject) axes
+    come to the front, behind the batch axis, and the others keep their
+    order behind them, so the ancillas done move behind the subject and the
+    next ones are always the last axes.  The row is written back once,
+    after its last step.  The meter counts the circuit's k rungs, not these
+    GEMMs."""
     one, pair = factors
     spare = slabs[2] if len(slabs) > 2 else None
+    batch = psi.shape[1]
     for k, (steps, back) in enumerate(_select_plan(order), start=1):
         x = psi[k]
         for perm, step in steps:
@@ -363,15 +381,14 @@ def _taylor_select(psi: np.ndarray, factors: tuple, order: int,
             src = slabs[0].reshape(moved.shape)
             np.copyto(src, moved)
             x = slabs[1].reshape(moved.shape)
-            lead = math.prod(moved.shape[:step + 1])
-            _gemm_into(pair if step == 2 else one, src.reshape(lead, -1),
-                       x.reshape(lead, -1), spare)
+            lead = math.prod(moved.shape[1:step + 2])
+            _gemm_into(pair if step == 2 else one, src.reshape(batch, lead, -1),
+                       x.reshape(batch, lead, -1), spare)
         psi[k] = x.transpose(back)
-    pad = psi[order + 1]  # swap its flag halves
-    held = slabs[0][:pad[0].size].reshape(pad[0].shape)
-    np.copyto(held, pad[0])
-    pad[0] = pad[1]
-    pad[1] = held
+    pad = psi[order + 1]  # swap its flag halves through slab 0; numpy would
+    held = slabs[0].reshape(pad.shape)  # buffer pad[:, 0] = pad[:, 1]
+    np.copyto(held, pad)
+    pad[...] = held[:, ::-1]
     return psi
 
 
@@ -380,21 +397,23 @@ def _lcu_taylor(be: BlockEncoding, spectrum: tuple, cfg: SimulationConfig,
     """Segmented truncated-Taylor series over controlled encoding queries,
     A = (P_L^dag (x) I) SELECT (P_R (x) I), for the Hermitian h = alpha
     block(be) whose ``eigh`` is ``spectrum`` = (lambda, Q).  The circuit
-    runs one subject channel at a time (``_taylor_channel``): one channel
-    per eigenvector of h when U has no cross-channel entry above
-    ``_CHANNEL_FLOOR`` in h's eigenbasis, else the whole subject in the
-    original basis (the split is in the module docstring).  The series
-    order, the size guard and the query count are the s-dimensional
-    circuit's, counted once.  The evolution's eigenvalues are the channel
-    values, or a whole-subject block's pinching to Q, whose dropped
-    off-diagonal part, in the spectral norm, is ``meta["off_diagonal"]``
-    (0 for a split run); the error max_mu |u_mu - e^(-i lambda_mu t)|
-    against exp(-i h t) is measured on them.
-    ``on_segment(basis, col, psi)``, when given, reads a channel's state
-    after each segment: the state of input basis[:, col], basis the
-    channel's (s, sub) orthonormal columns, as live rows of shape
-    (order + 2, 2 a_dim^order sub) whose subject axis runs along basis's
-    columns; it must not write to psi, which is reused."""
+    runs on a stack of subject channels (``_taylor_channels``): one channel
+    per eigenvector of h, all s stacked, when U has no cross-channel entry
+    above ``_CHANNEL_FLOOR`` in h's eigenbasis, else a stack of one, the
+    whole subject in the original basis (the split is in the module
+    docstring).  The series order, the size guard and the query count are
+    the s-dimensional circuit's, counted once.  The evolution's eigenvalues
+    are the channel values, or a whole-subject block's pinching to Q, whose
+    dropped off-diagonal part, in the spectral norm, is
+    ``meta["off_diagonal"]`` (0 for a split run); the error
+    max_mu |u_mu - e^(-i lambda_mu t)| against exp(-i h t) is measured on
+    them.
+    ``on_segment(bases, psi)``, when given, reads the stacked state after
+    each segment: psi of shape (order + 2, B, 2 a_dim^order sub), entry b's
+    subject axis running along the columns of bases[b], bases of shape
+    (B, s, sub).  It is called r times for input column 0, then r times for
+    column 1, up to sub - 1, the stack's input being bases[b][:, col] for
+    every b; it must not write to psi, which is reused."""
     if be.backend != "dense":
         raise SimulationError("the metered path needs an explicit encoding unitary")
     s = be.subject_dim
@@ -445,22 +464,19 @@ def _lcu_taylor(be: BlockEncoding, spectrum: tuple, cfg: SimulationConfig,
     # U in h's eigenbasis as (ancilla, ancilla, subject, subject) blocks
     rotated = q.conj().T @ u_mat.reshape(a_dim, s, a_dim, s).transpose(0, 2, 1, 3) @ q
     split = np.abs(rotated * (1.0 - np.eye(s))).max() <= _CHANNEL_FLOOR
-    if split:
-        channels = [(q[:, mu:mu + 1], np.ascontiguousarray(rotated[:, :, mu, mu]))
-                    for mu in range(s)]
+    if split:  # channel mu: the column q[:, mu], its rung the (mu, mu) block
+        bases = q.T[:, :, None]
+        u_mats = np.ascontiguousarray(np.diagonal(rotated, 0, 2, 3).transpose(2, 0, 1))
     else:
-        channels = [(np.eye(s), u_mat)]
-    sub = channels[0][0].shape[1]
-    flagged = a_dim ** order * sub  # where a row's flag-set half starts
-    psi = np.empty((live, 2 * flagged), dtype=complex)
-    complex_u = any(u_ch.imag.any() for _, u_ch in channels)
-    slabs = np.empty((3 if complex_u else 2, 2 * flagged), dtype=complex)
-    blocks = [_taylor_channel(u_ch, sub, x, r, maps, psi, slabs,
-                              functools.partial(on_segment, basis) if on_segment
+        bases, u_mats = np.eye(s)[None], u_mat[None]
+    batch, _, sub = bases.shape
+    psi = np.empty((live, batch, 2 * a_dim ** order * sub), dtype=complex)
+    slabs = np.empty((3 if u_mats.imag.any() else 2, psi[0].size), dtype=complex)
+    blocks = _taylor_channels(u_mats, sub, x, r, maps, psi, slabs,
+                              functools.partial(on_segment, bases) if on_segment
                               else None)
-              for basis, u_ch in channels]
     if split:
-        phases, off_diagonal = np.ravel(blocks), 0.0
+        phases, off_diagonal = blocks.ravel(), 0.0
     else:
         pinched = q.conj().T @ blocks[0] @ q
         phases = pinched.diagonal().copy()
@@ -473,77 +489,80 @@ def _lcu_taylor(be: BlockEncoding, spectrum: tuple, cfg: SimulationConfig,
     return Evolution(q, phases, cfg.eps,
                      {"path": "lcu_taylor", "query_count": queries,
                       "segments": r, "order": order, "t": cfg.t,
-                      "channels": len(channels), "measured_error": measured,
+                      "channels": batch, "measured_error": measured,
                       "off_diagonal": off_diagonal})
 
 
-def _taylor_channel(u_mat: np.ndarray, sub: int, x: float, r: int, maps: tuple,
-                    psi: np.ndarray, slabs: np.ndarray, on_segment) -> np.ndarray:
-    """r segments of the circuit on one subject channel of dimension sub,
-    whose rung is ``u_mat`` on (ancilla, subject): the channel's (sub, sub)
-    block.  Each segment passes A once (the identities are in the module
-    docstring), in place on the state buffer psi of shape (order + 2,
-    2 a_dim^order sub): X = SELECT P_R psi, then psi <- R A psi
-    - E (2 E^dag R A psi) as -P_L^dag (X + Y), with 2 y0 added back on the
-    all-zero cell, y0 that cell of P_L^dag X; Y holds E's rank-sub update
-    before P_L^dag.  ``maps`` is (P_R, P_L^dag, -P_L^dag, d) on the live
-    rows; ``slabs`` holds two row slabs, three when some channel's rung is
-    complex.  ``on_segment(col, psi)`` reads input column col's state after
-    each segment."""
-    live = psi.shape[0]
+def _taylor_channels(u_mats: np.ndarray, sub: int, x: float, r: int, maps: tuple,
+                     psi: np.ndarray, slabs: np.ndarray, on_segment) -> np.ndarray:
+    """r segments of the circuit on a stack of B subject channels of
+    dimension sub, entry b's rung ``u_mats[b]`` on (ancilla, subject): the
+    channel's (sub, sub) block.  Each segment passes A once (the identities
+    are in the module docstring), in place on the stacked state psi of shape
+    (order + 2, B, 2 a_dim^order sub): X = SELECT P_R psi, then psi <- R A
+    psi - E (2 E^dag R A psi) as -P_L^dag (X + Y), with 2 y0 added back on
+    the all-zero cell, y0 that cell of P_L^dag X; Y holds E's rank-sub
+    update before P_L^dag.  ``maps`` is (P_R, P_L^dag, -P_L^dag, d) on the
+    live rows; ``slabs`` holds two stacked row slabs, three when some rung
+    is complex.  ``on_segment(psi)`` reads the state after each segment,
+    input column by input column.  Returns the (B, sub, sub) blocks."""
+    live, batch = psi.shape[:2]
     order = live - 2
     p_r, p_l_dag, neg_p_l_dag, d_col = maps
-    a_dim = u_mat.shape[0] // sub
-    factors = _select_factors(u_mat, sub)
+    a_dim = u_mats.shape[1] // sub
+    factors = _select_factors(u_mats, sub)
 
     # E (|0>|c>) before P_L^dag: SELECT on |0..0>|c> leaves row k <= order as
     # d_k V_k (|0^k> (x) c), V_k = U_k ... U_1, on the cell where the later
     # ancillas and the flag are zero, the row's prefix of a_dim^k sub
     # amplitudes laid out (ancilla k .. 1, subject).  Built rung by rung:
     # term k + 1 is rungs[k] applied to term k, the columns U (|0> (x) I_sub)
-    # scaled by d_{k+1} / d_k, as (a_dim, sub, sub) blocks of right factors.
-    # The padding row sets the flag instead: d_{order+1} c past the flag.
-    # W^dag needs only the zero-ancilla cells: <0^k| V_k |0^k> = B^k, B the
-    # top-left block of U.
-    flagged = psi.shape[1] // 2  # where a row's flag-set half starts
-    first = u_mat[:, :sub].reshape(a_dim, sub, sub).transpose(0, 2, 1)
+    # scaled by d_{k+1} / d_k, as (B, a_dim, sub, sub) blocks of right
+    # factors.  The padding row sets the flag instead: d_{order+1} c past the
+    # flag.  W^dag needs only the zero-ancilla cells: <0^k| V_k |0^k> = B^k,
+    # B the top-left block of U.
+    flagged = psi.shape[2] // 2  # where a row's flag-set half starts
+    first = u_mats[:, :, :sub].reshape(batch, a_dim, sub, sub).transpose(0, 1, 3, 2)
     rungs = [math.sqrt(x / (k + 1)) * -1j * first for k in range(order)]
-    w = np.zeros((sub, sub), dtype=complex)
+    w = np.zeros((batch, sub, sub), dtype=complex)
     b_k = np.eye(sub, dtype=complex)
     for k in range(order + 1):
         w += p_l_dag[0, k] * d_col[k] * b_k
-        b_k = u_mat[:sub, :sub] @ b_k
-    w_dag = w.conj().T
-    selected = psi.reshape((live, 2) + (a_dim,) * order + (sub,))
+        b_k = u_mats[:, :sub, :sub] @ b_k
+    w_dag = w.conj().transpose(0, 2, 1)
+    rows = psi.reshape(live, -1)
+    flat = psi.view(np.float64)  # Y is added here: numpy buffers a strided complex add
+    selected = psi.reshape((live, batch, 2) + (a_dim,) * order + (sub,))
+    zero_cells = psi[:, :, :sub].transpose(1, 0, 2)  # (B, live, sub)
 
     def segment():
-        zero_in = psi[0, :sub].copy()
-        _map_rows(p_r, psi, slabs[0])
+        zero_in = psi[0, :, :sub].copy()
+        _map_rows(p_r, rows, slabs[0])
         _taylor_select(selected, factors, order, slabs)
-        y0 = p_l_dag[0] @ psi[:, :sub]  # R A psi on the all-zero cell
-        coef = 2.0 * (2.0 * (w_dag @ y0) - zero_in)  # 2 E^dag R A psi
-        term = slabs[0][:sub]
+        y0 = p_l_dag[0] @ zero_cells  # R A psi on the all-zero cell
+        coef = 2.0 * (2.0 * (w_dag @ y0[..., None])[..., 0] - zero_in)  # 2 E^dag R A psi
+        term = slabs[0][:batch * sub].reshape(batch, sub)
         np.multiply(d_col[0], coef, out=term)
-        psi[0, :sub] += term
+        psi[0, :, :sub] += term
         for k, rung in enumerate(rungs):  # X + Y, one cell at a time
-            cell = slabs[(k + 1) % 2][:a_dim * term.size].reshape(a_dim, -1, sub)
-            np.matmul(term.reshape(-1, sub), rung, out=cell)
-            term = cell.reshape(-1)
-            psi[k + 1, :term.size] += term
-        psi[order + 1, flagged:flagged + sub] += d_col[order + 1] * coef
-        _map_rows(neg_p_l_dag, psi, slabs[0])
-        psi[0, :sub] += 2.0 * y0
+            cell = slabs[(k + 1) % 2][:a_dim * term.size].reshape(batch, a_dim, -1, sub)
+            np.matmul(term.reshape(batch, 1, -1, sub), rung, out=cell)
+            term = cell.reshape(batch, -1)
+            flat[k + 1, :, :2 * term.shape[1]] += term.view(np.float64)
+        psi[order + 1, :, flagged:flagged + sub] += d_col[order + 1] * coef
+        _map_rows(neg_p_l_dag, rows, slabs[0])
+        psi[0, :, :sub] += 2.0 * y0
 
-    block = np.zeros((sub, sub), dtype=complex)
+    blocks = np.zeros((batch, sub, sub), dtype=complex)
     for col in range(sub):
         psi.fill(0.0)
-        psi[0, col] = 1.0
+        psi[0, :, col] = 1.0
         for _ in range(r):
             segment()
             if on_segment is not None:
-                on_segment(col, psi)
-        block[:, col] = psi[0, :sub]
-    return block
+                on_segment(psi)
+        blocks[:, :, col] = psi[0, :, :sub]
+    return blocks
 
 
 # ---------------------------------------------------------------------------

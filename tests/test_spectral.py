@@ -64,6 +64,13 @@ def test_simulation_config_refuses_a_time_not_positive():
             SimulationConfig(t=t)
 
 
+@pytest.mark.parametrize("order", [0, -3, 2.5, 13])
+def test_simulation_config_refuses_a_truncation_order_out_of_range(order):
+    """A series order is an int in 1 .. MAX_TAYLOR_ORDER, or None."""
+    with pytest.raises(SimulationError, match="truncation order"):
+        SimulationConfig(t=1e-9, eps=0.5, path="lcu_taylor", truncation_order=order)
+
+
 def test_simulation_pauli_z_closed_form():
     z = np.diag([1.0, -1.0])
     enc = dilate(z / 2, 1.0)
@@ -157,20 +164,22 @@ def assert_matches_three_pass(enc, t, eps, order=None):
     count, and each column's full state after every segment.  The metered
     path holds the live coefficient rows 0 .. order + 1, each laid out as
     flag, ancilla order .. 1, subject; the reference's other rows are zero.
-    It runs one subject channel at a time and reports the state of input
-    basis[:, col] along the channel's basis columns; mapped back to the
-    subject, the inputs' states combine into column c's as
-    sum conj(basis[c, col]) state, the inputs being an orthonormal basis.
-    The evolution's eigenvalues are the reference block's pinching to h's
-    eigenbasis Q, and the off-diagonal part of Q^dag block Q is the one
-    reported (zero for a split run, which leaves only round-off there)."""
+    It runs a stack of subject channels and reports the stacked state after
+    each segment, input column by input column: entry b's state is that of
+    input bases[b][:, col], along the columns of bases[b].  Split back into
+    entries and mapped back to the subject, the inputs' states combine into
+    column c's as sum conj(input[c]) state, the inputs being an orthonormal
+    basis.  The evolution's eigenvalues are the reference block's pinching
+    to h's eigenbasis Q, and the off-diagonal part of Q^dag block Q is the
+    one reported (zero for a split run, which leaves only round-off
+    there)."""
     cfg = SimulationConfig(t=t, eps=eps, path="lcu_taylor", truncation_order=order)
     h = enc.alpha * enc.block()
     spectrum = np.linalg.eigh((h + h.conj().T) / 2.0)
     calls = []
     out = spectral._lcu_taylor(
         enc, spectrum, cfg,
-        on_segment=lambda basis, col, psi: calls.append((basis, col, psi.copy())))
+        on_segment=lambda bases, psi: calls.append((bases, psi.copy())))
     order, r, s = out.meta["order"], out.meta["segments"], enc.subject_dim
     ref, queries, ref_states = three_pass_taylor(enc, t, order, r)
     pinched = spectrum[1].conj().T @ ref @ spectrum[1]
@@ -178,15 +187,18 @@ def assert_matches_three_pass(enc, t, eps, order=None):
     np.fill_diagonal(pinched, 0.0)
     assert abs(out.meta["off_diagonal"] - np.linalg.norm(pinched, 2)) <= 1e-12
     assert out.meta["query_count"] == queries
-    assert len(calls) == len(ref_states) == s * r
     assert out.meta["channels"] in (1, s)
+    sub = s // out.meta["channels"]
+    assert len(calls) == sub * r and len(ref_states) == s * r
     live = order + 2
     rows = (0, order + 1) + tuple(range(order, 0, -1)) + (order + 2,)
     for j in range(r):  # the j-th segment of each input's run of r
-        mapped = [(basis, col, psi.reshape(live, -1, basis.shape[1]) @ basis.T)
-                  for basis, col, psi in calls[j::r]]
+        mapped = [(bases[b][:, i // r], psi[:, b].reshape(live, -1, sub) @ bases[b].T)
+                  for i, (bases, psi) in enumerate(calls) if i % r == j
+                  for b in range(len(bases))]
+        assert len(mapped) == s
         for c in range(s):
-            got = sum(np.conj(basis[c, col]) * state for basis, col, state in mapped)
+            got = sum(np.conj(inp[c]) * state for inp, state in mapped)
             want = ref_states[c * r + j]
             assert not want[live:].any()
             want = want[:live].transpose(rows).reshape(got.shape)
@@ -356,7 +368,7 @@ def test_lcu_taylor_peak_memory_on_the_benchmark_instance(monkeypatch):
     scratch: on the metered-taylor benchmark's n=4 L job (seed 301; order
     10, s = 4) the traced peak of the simulation stays under 1.5 live-row
     states of the whole subject.  The job's dilation splits into s = 4
-    channels."""
+    channels, whose stacked state is one whole-subject state."""
     rng = np.random.default_rng([301, 0])
     x = rng.standard_normal((4, 2))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -390,14 +402,15 @@ def test_lcu_taylor_peak_memory_on_the_benchmark_instance(monkeypatch):
 def test_lcu_taylor_segment_loop_allocates_no_slab(complex_block):
     """After the first segment nothing of a row slab or more is allocated:
     the traced peak between two ``on_segment`` calls stays below one slab
-    over what was held at the first, from one channel to the next too."""
+    over what was held at the first.  The s channels run stacked, so there
+    is one call per segment."""
     rng = np.random.default_rng(61 + complex_block)
     h = (random_complex_hermitian if complex_block else random_hermitian)(rng, 4)
     enc = dilate(h, 1.0)
     cfg = SimulationConfig(t=6.0, eps=1e-9, path="lcu_taylor")
     held, extra = [], []
 
-    def watch(basis, col, psi):
+    def watch(bases, psi):
         current, peak = tracemalloc.get_traced_memory()
         if held:
             extra.append(peak - held[-1])
@@ -411,8 +424,8 @@ def test_lcu_taylor_segment_loop_allocates_no_slab(complex_block):
         tracemalloc.stop()
     order, s = out.meta["order"], enc.subject_dim
     slab_bytes = 2 * 2 ** order * s * 16
-    assert out.meta["channels"] == s  # the channel changes are watched too
-    assert len(extra) == s * out.meta["segments"] - 1 > 0
+    assert out.meta["channels"] == s  # stacked: one call per segment
+    assert len(extra) == out.meta["segments"] - 1 > 0
     assert max(extra) < slab_bytes
 
 

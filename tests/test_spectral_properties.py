@@ -1,16 +1,19 @@
 """Differential property tests of the spectral stage against slow
 references.
 
-- SELECT of the metered ``lcu_taylor`` path: ``_taylor_select`` (real GEMMs
-  with fused rung pairs between two preallocated row slabs, in place over
-  the live rows with the ancillas reversed) against the per-(row, rung)
-  complex ``moveaxis`` round trip on the full register in circuit order,
-  within round-off, for real and complex U.
+- SELECT of the metered ``lcu_taylor`` path: ``_taylor_select`` (batched
+  real GEMMs with fused rung pairs between two preallocated row slabs, in
+  place over the live rows of a stack of B in {1, 2, 4} entries with the
+  ancillas reversed) against the per-(row, rung) complex ``moveaxis`` round
+  trip on each entry's full register in circuit order with its own rung,
+  within round-off, real and complex U mixed in one stack.
 - The channel split of the metered path: ``_lcu_taylor`` on the dilation of
   a random real or complex Hermitian block, s in {2, 4, 8}, its spectrum
   generic, degenerate, or with an eigenvalue at the scale, one channel per
   eigenvector, against the same circuit over the whole subject (the split
-  refused): the evolution within 1e-12 and the same query count.
+  refused): the evolution within 1e-12 and the same query count.  The
+  split's channels, stacked, against the same kernel run on one channel at
+  a time (``taylor_reference``), for generic and degenerate spectra.
 - Phase estimation on an evolution Q diag(u) Q^dag, the oracle path's for a
   random complex Hermitian h, its spectrum generic or degenerate:
   ``run_qpe`` (Born probabilities from the trace moments
@@ -45,6 +48,7 @@ from qlapeig.spectral import (LCU_MAX_AMPLITUDES, MAX_TAYLOR_ORDER, Evolution,
                               SimulationError, _select_factors, _taylor_select,
                               extract_d_smallest, run_qpe, simulate_hamiltonian)
 from qpe_reference import post_state, row_block_probs
+from taylor_reference import channel_by_channel
 
 # no shrink phase: a failing draw is four small integers that already name a
 # reproducible instance, and shrinking would rerun order-12 states for minutes
@@ -83,38 +87,47 @@ def select_reference(psi, u_mat, order):
 
 @st.composite
 def instances(draw):
-    """(a_dim, s, order, real U?, seed), with order up to the lcu size
-    guard."""
+    """(a_dim, s, order, real U? per stack entry, seed): a stack of B in
+    {1, 2, 4} rungs, real and complex mixed, with order up to the lcu size
+    guard over the whole stack."""
     a_dim = draw(st.sampled_from([2, 4]))
     s = draw(st.sampled_from([1, 2, 4]))
+    batch = draw(st.sampled_from([1, 2, 4]))
+    reals = tuple(draw(st.lists(st.booleans(), min_size=batch, max_size=batch)))
     top = max(o for o in range(1, MAX_TAYLOR_ORDER + 1)
-              if np.prod(state_shape(a_dim, s, o)) <= LCU_MAX_AMPLITUDES)
-    return (a_dim, s, draw(st.integers(1, top)), draw(st.booleans()),
+              if batch * np.prod(state_shape(a_dim, s, o)) <= LCU_MAX_AMPLITUDES)
+    return (a_dim, s, draw(st.integers(1, top)), reals,
             draw(st.integers(0, 2**32 - 1)))
 
 
 @PROPERTY
 @given(instances())
 def test_taylor_select_matches_per_row_moveaxis(instance):
-    a_dim, s, order, real, seed = instance
+    """Each entry of a stack against the reference on its own rung."""
+    a_dim, s, order, reals, seed = instance
     rng = np.random.default_rng(seed)
     dim = a_dim * s
-    m = rng.standard_normal((dim, dim))
-    if not real:
-        m = m + 1j * rng.standard_normal((dim, dim))
-    u_mat = np.linalg.qr(m)[0].astype(complex)
-    factors = _select_factors(u_mat, s)
-    assert (factors[0][1] is None) == real and (factors[1][1] is None) == real
     shape = state_shape(a_dim, s, order)
-    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    want = live_layout(select_reference(psi.copy(), u_mat, order), order)
-    got = np.ascontiguousarray(live_layout(psi, order))
-    slabs = np.empty((2 if real else 3, got[0].size), dtype=complex)
+    u_mats, want, got = [], [], []
+    for real in reals:
+        m = rng.standard_normal((dim, dim))
+        if not real:
+            m = m + 1j * rng.standard_normal((dim, dim))
+        u_mats.append(np.linalg.qr(m)[0].astype(complex))
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want.append(live_layout(select_reference(psi.copy(), u_mats[-1], order),
+                                order))
+        got.append(live_layout(psi, order))
+    factors = _select_factors(np.stack(u_mats), s)
+    assert (factors[0][1] is None) == all(reals) == (factors[1][1] is None)
+    want, got = np.stack(want, axis=1), np.ascontiguousarray(np.stack(got, axis=1))
+    slabs = np.empty((2 if all(reals) else 3, got[0].size), dtype=complex)
     assert _taylor_select(got, factors, order, slabs) is got
     assert got.shape == want.shape
     # the fused pairs and real GEMMs round differently from one complex
     # GEMM per rung
-    assert np.max(np.abs(got - want)) <= 1e-12
+    for b in range(len(reals)):
+        assert np.max(np.abs(got[:, b] - want[:, b])) <= 1e-12
 
 
 @st.composite
@@ -128,11 +141,9 @@ def split_instances(draw):
             draw(st.integers(0, 2**32 - 1)))
 
 
-@PROPERTY
-@given(split_instances())
-def test_lcu_taylor_channels_match_the_whole_subject(instance):
-    s, complex_block, spectrum, t, eps, seed = instance
-    rng = np.random.default_rng(seed)
+def split_dilation(rng, s, complex_block, spectrum):
+    """The dilation of a random real or complex Hermitian block whose
+    spectrum is of the given kind (``split_instances``), and its ``eigh``."""
     m = rng.standard_normal((s, s))
     if complex_block:
         m = m + 1j * rng.standard_normal((s, s))
@@ -144,7 +155,14 @@ def test_lcu_taylor_channels_match_the_whole_subject(instance):
         vals[: 1 + (s > 2)] = 1.0 if rng.random() < 0.5 else -1.0
     enc = dilate((q * vals) @ q.conj().T, 1.0)
     h = enc.block()
-    eig = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return enc, np.linalg.eigh((h + h.conj().T) / 2.0)
+
+
+@PROPERTY
+@given(split_instances())
+def test_lcu_taylor_channels_match_the_whole_subject(instance):
+    s, complex_block, spectrum, t, eps, seed = instance
+    enc, eig = split_dilation(np.random.default_rng(seed), s, complex_block, spectrum)
     cfg = SimulationConfig(t=t, eps=eps, path="lcu_taylor")
     out = spectral._lcu_taylor(enc, eig, cfg)
     with mock.patch.object(spectral, "_CHANNEL_FLOOR", -1.0):
@@ -154,6 +172,23 @@ def test_lcu_taylor_channels_match_the_whole_subject(instance):
     assert np.max(np.abs(out.phases - whole.phases)) <= 1e-12
     assert np.max(np.abs(out.block() - whole.block())) <= 1e-12
     assert out.meta["query_count"] == whole.meta["query_count"]
+
+
+@PROPERTY
+@given(split_instances().filter(lambda inst: inst[2] != "scale"))
+def test_lcu_taylor_stack_matches_one_channel_at_a_time(instance):
+    """The s channels of a split run, stacked, against the same kernel run
+    on each channel alone (``taylor_reference``): the evolution within
+    1e-12 and the same query count."""
+    s, complex_block, spectrum, t, eps, seed = instance
+    enc, eig = split_dilation(np.random.default_rng(seed), s, complex_block, spectrum)
+    cfg = SimulationConfig(t=t, eps=eps, path="lcu_taylor")
+    out = spectral._lcu_taylor(enc, eig, cfg)
+    with mock.patch.object(spectral, "_taylor_channels", channel_by_channel):
+        ref = spectral._lcu_taylor(enc, eig, cfg)
+    assert out.meta["channels"] == ref.meta["channels"] == s
+    assert np.max(np.abs(out.phases - ref.phases)) <= 1e-12
+    assert out.meta["query_count"] == ref.meta["query_count"]
 
 
 def sequential_qpe(evolution, qcfg):
