@@ -22,9 +22,10 @@ from .harness import RunConfig, run, verify_suite
 from .sim import (DensityOperator, FixedPointSpec, Register, RegisterLayout,
                   SimState, operator_norm_distance, partial_trace,
                   sample_measurement)
-from .spectral import (PipelineConfig, QpeConfig, SimulationConfig,
-                       SpectralResult, extract_d_smallest, full_pipeline,
-                       recover_Lr_eigenvectors, run_qpe, simulate_hamiltonian)
+from .simulation import SimulationConfig, simulate_hamiltonian
+from .spectral import (PipelineConfig, QpeConfig, SpectralResult,
+                       extract_d_smallest, full_pipeline,
+                       recover_Lr_eigenvectors, run_qpe)
 from .stateprep import (AmplificationStats, EstimatorConfig, ErrorBudget,
                         PrepConfig, QramOracle, amplitude_amplification,
                         apply_R_U, build_degree_state, build_phi_state,

@@ -1,83 +1,6 @@
-"""Block-Hamiltonian simulation, phase estimation on the maximally mixed
-input, eigenpair extraction, and the end-to-end pipeline.
-
-Two simulation paths: ``oracle_exponential`` exponentiates the verified
-encoded block exactly (the contract of optimal block-Hamiltonian simulation,
-taken as an oracle), while ``lcu_taylor`` builds the truncated-Taylor linear
-combination over controlled queries to the encoding unitary, segmented so one
-exact oblivious-amplification round per segment restores unit scale.  The
-second path is the one whose query counts are metered.
-
-A segment is the circuit S = -A R A^dag R A, R = 2 Pi - I.  It is simulated
-with one pass of A by two identities that hold because A is unitary:
-A R A^dag = 2 E E^dag - I with E = A Pi, and E^dag (R A psi) = 2 W^dag w - Pi psi
-with W = Pi A Pi and w = Pi A psi.  The meter counts the circuit, not the
-simulation: 3 * order queries per segment.
-
-The state holds only the live rows 0 .. order + 1 of the coefficient
-register; the others stay exactly zero.  A row is laid out as flag, ancilla
-order .. 1, subject, so the cell where ancillas k+1 .. order and the flag are
-zero is the row's first a_dim^k s amplitudes.  The state is one buffer of
-shape (live, B, 2 a_dim^order sub), a stack of B channels (below) that run
-the same circuit side by side, updated in place.  P_R, and at the end
--P_L^dag, act on all B at once, one chunk of columns at a time through a
-scratch slab.  Between them SELECT leaves X = SELECT P_R psi, and the
-rank-s update is folded into X before P_L^dag: E c = P_L^dag Y(c), where
-Y(c) holds d_k V_k (|0^k> (x) c) in row k's cell, V_k = U_k ... U_1, so the
-new state R A psi - E (2 E^dag R A psi) is -P_L^dag (X + Y(coef)) with
-2 y0 added back on the all-zero cell, y0 = (P_L^dag X) there and
-coef = 2 (2 W^dag y0 - Pi psi).  Y's cells are built rung by rung from coef
-each segment; W^dag needs only B^k, k <= order, B being U's top-left block.
-The update thus costs no pass over the state of its own.
-
-SELECT (``_taylor_select``) runs one row of the stack at a time.  Every
-rung of a channel queries the same U, so two rungs fuse into one matrix
-F = U_{j+1} U_j on (ancilla j+1, ancilla j, subject), built once per call:
-row k runs floor(k/2) steps with F, then U_k alone when k is odd, each step
-one batched GEMM over the stack.  A step copies the row into one row slab,
-transposed so that the step's ancillas and the subject come first, and
-writes its GEMM into a second; the next step's transpose rotates them
-behind the subject and brings the next ancillas forward, so a row is written
-back once, after its last step.  The two slabs, and a third for a complex
-U, are allocated once per call with the state, 2/(order + 2) of it, and the
-first also serves the P maps and the rungs of Y: nothing of a slab's size
-is allocated in the segment loop.  The arithmetic is real where the circuit
-is: U and F are split into real and imaginary parts once per call, and each
-is applied as real GEMMs on the float64 view of the complex slab, whose
-columns are interleaved real and imaginary parts; the imaginary GEMM runs
-only when that part is nonzero.  -P_L^dag is real.  The pipeline meters
-dilations of real symmetric blocks, whose U is exactly real, so only P_R
-(the phases (-i)^k) stays a complex GEMM.  The meter counts the circuit's
-rungs, not these GEMMs.
-
-The circuit runs on invariant subject channels.  A dilation
-U = [[A, B], [B, -A]], B = sqrt(I - A^2), A Hermitian, has every block a
-function of A, so in A's eigenbasis Q, (I (x) Q^dag) U (I (x) Q) is the
-direct sum over the eigenvectors of ancilla-only rungs u_mu, and P_R, P_L
-and R never touch the subject: the segment circuit is s independent
-circuits, each on one eigenvector with a one-dimensional subject, and the
-block is Q diag(beta_mu) Q^dag.  ``_lcu_taylor`` rotates U into the
-eigenbasis of the h it receives and splits when no cross-channel entry
-exceeds ``_CHANNEL_FLOOR``, the rotation's round-off, into a stack of s
-channels of sub = 1, run in one pass of the r segments; otherwise it runs
-the whole subject in the original basis as a stack of one, sub = s, the
-unsplit circuit, one input column after another.
-All or nothing suffices: every dilation the pipeline meters splits (its
-largest dropped entry is below 1e-15), while an encoding whose blocks are
-not functions of A (a combination's SELECT) leaves cross-channel entries of
-order one, and a partial split would need a search for invariant subspaces
-that no metered encoding has.  A channel's state is 1/s of a whole-subject
-column's, and its rungs take a_dim, not a_dim s, multiply-adds per
-amplitude: the s channels do s^2 times less arithmetic than the s columns,
-stacked into r segments instead of s r, and the stack is the size of one
-column's state.  The meter, the series order and the size guard are the
-s-dimensional circuit's, counted once.
-
-Simulation returns an ``Evolution``: U = Q diag(u) Q^dag in the eigenbasis
-Q of h = alpha block, from the one ``eigh`` of h.  The oracle path has
-u = e^(-i lambda t), a split ``_lcu_taylor`` the channel values beta_mu, and
-a whole-subject run the pinching diag(Q^dag B Q) of its block B, which keeps
-the contract: |u_mu - e^(-i lambda_mu t)| <= ||B - e^(-iht)||.
+"""Phase estimation on the maximally mixed input, eigenpair extraction, and
+the end-to-end pipeline, which runs Hamiltonian simulation
+(``qlapeig.simulation``) between the block-encoding and phase estimation.
 
 Phase estimation (``run_qpe``) never holds the register of 2^bits slots,
 each an n x n matrix: slot y is U^y |Phi>, |Phi> the purified
@@ -101,7 +24,6 @@ returns columns of Q (``_cluster_vectors``).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -115,21 +37,18 @@ from .graph import (GraphError, GraphMatrices, KernelParams, VertexSet,
                     build_graph, classical_eigensolve, graph_matrices_to_json,
                     resolve_norm_case)
 from .sim import SimError
-from .stateprep import (EstimatorConfig, PrepConfig, _desk_scale_guard,
-                        completion_unitary)
+from .simulation import (_EPS_FLOOR, Evolution, SimulationConfig, SimulationError,
+                         _sim_setting_error, simulate_hamiltonian)
+from .stateprep import EstimatorConfig, PrepConfig, _desk_scale_guard
 
 __all__ = [
-    "SimulationError",
     "ResolutionError",
-    "SimulationConfig",
-    "Evolution",
     "QpeConfig",
     "QpeSamples",
     "SpectralCluster",
     "SpectralResult",
     "PipelineConfig",
     "EncodedTarget",
-    "simulate_hamiltonian",
     "run_qpe",
     "extract_d_smallest",
     "recover_Lr_eigenvectors",
@@ -138,67 +57,8 @@ __all__ = [
 ]
 
 
-class SimulationError(SimError):
-    """Hamiltonian-simulation contract violation."""
-
-
 class ResolutionError(SimError):
     """Requested more eigenpairs than the phase resolution can separate."""
-
-
-MAX_TAYLOR_ORDER = 12  # lcu path: the highest truncation order chosen from eps
-LCU_MAX_AMPLITUDES = 1 << 21  # lcu path: the largest state, its channels stacked
-# the least error a simulated evolution claims: its round-off
-_EPS_FLOOR = 1e-12
-# lcu path: the largest cross-channel entry of U in h's eigenbasis that the
-# channel split drops, as round-off.  The rotation leaves 1e-16 to 1e-13 on
-# dilations up to s = 8, an eigenvalue at the scale included; a repeated
-# one there leaves sqrt(round-off), about 5e-9
-_CHANNEL_FLOOR = 1e-12
-
-
-def _sim_setting_error(path: str, eps: float) -> str | None:
-    """Why a simulation path and error budget are out of range, or None."""
-    if path not in ("oracle_exponential", "lcu_taylor"):
-        return f"unknown simulation path {path!r}"
-    if not (0 < eps < 1):
-        return "target error must sit in (0, 1)"
-    return None
-
-
-@dataclass
-class SimulationConfig:
-    t: float
-    eps: float = 1e-6
-    path: str = "oracle_exponential"
-    truncation_order: int | None = None   # lcu path; chosen from eps when absent
-
-    def __post_init__(self):
-        if not self.t > 0:  # NaN included
-            raise SimulationError("evolution time must be positive")
-        problem = _sim_setting_error(self.path, self.eps)
-        if problem:
-            raise SimulationError(problem)
-        order = self.truncation_order
-        if order is not None and not (isinstance(order, (int, np.integer))
-                                      and 1 <= order <= MAX_TAYLOR_ORDER):
-            raise SimulationError(
-                f"truncation order must be an int in 1 .. {MAX_TAYLOR_ORDER}")
-
-
-@dataclass
-class Evolution:
-    """A simulated evolution U = basis diag(phases) basis^dag in the
-    eigenbasis of h, claiming ||U - e^(-iht)|| <= epsilon; ``meta`` holds
-    the path, its query count and the metered path's counters."""
-    basis: np.ndarray            # (n, n) unitary, the eigenvectors of h
-    phases: np.ndarray           # (n,), U's eigenvalue on each column
-    epsilon: float
-    meta: dict
-
-    def block(self) -> np.ndarray:
-        """U as a dense n x n matrix."""
-        return (self.basis * self.phases) @ self.basis.conj().T
 
 
 @dataclass
@@ -243,329 +103,6 @@ class SpectralResult:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian simulation
-
-def simulate_hamiltonian(be: BlockEncoding, cfg: SimulationConfig) -> Evolution:
-    """exp(-i H t) for H = alpha * block(be), in H's eigenbasis (module
-    docstring); H is decomposed once, here."""
-    h = be.alpha * be.block()
-    if np.max(np.abs(h - h.conj().T)) > 1e-8:
-        raise SimulationError("encoded block is not Hermitian")
-    spectrum = np.linalg.eigh((h + h.conj().T) / 2.0)
-    if cfg.path == "oracle_exponential":
-        vals, q = spectrum
-        eps = 2.0 * cfg.t * be.epsilon
-        return Evolution(q, np.exp(-1j * vals * cfg.t), max(eps, _EPS_FLOOR),
-                         {"path": cfg.path, "query_count": None, "t": cfg.t})
-    return _lcu_taylor(be, spectrum, cfg)
-
-
-def _series_tail(x: float, k: int) -> float:
-    """Bound on the tail sum_{j > k} x^j / j! of the order-k Taylor series
-    (geometric majorant, valid for x < k + 2)."""
-    tail = x ** (k + 1) / math.factorial(k + 1)
-    return tail / max(1e-12, 1.0 - x / (k + 2))
-
-
-def _choose_order(segment_x: float, budget: float, eps: float) -> int:
-    for k in range(1, MAX_TAYLOR_ORDER + 1):
-        if _series_tail(segment_x, k) <= budget:
-            return k
-    raise GraphError(
-        f"lcu_taylor: sim_eps = {eps:g} needs a series order above "
-        f"MAX_TAYLOR_ORDER = {MAX_TAYLOR_ORDER}; raise sim_eps")
-
-
-def _real_split(mat: np.ndarray) -> tuple:
-    """A stack of matrices as (real parts, imaginary parts), the second None
-    when it is exactly zero, for ``_gemm_into``."""
-    im = mat.imag
-    return (np.ascontiguousarray(mat.real),
-            np.ascontiguousarray(im) if im.any() else None)
-
-
-def _gemm_into(factor: tuple, x: np.ndarray, out: np.ndarray, spare) -> None:
-    """out = factor @ x for C-contiguous complex x and out of shape (B, lead,
-    cols) and a ``_real_split`` stack of B factors: batched real GEMMs on
-    their float64 views, whose columns are interleaved real and imaginary
-    parts.  The imaginary part's GEMM runs only when it is nonzero, into
-    ``spare``, a flat complex buffer of at least x's size."""
-    re, im = factor
-    xf = x.view(np.float64)
-    np.matmul(re, xf, out=out.view(np.float64))
-    if im is not None:  # out += 1j (im @ x), without a 1j-scaled temporary
-        part = spare[:x.size].reshape(x.shape)
-        np.matmul(im, xf, out=part.view(np.float64))
-        out.real -= part.imag
-        out.imag += part.real
-
-
-def _map_rows(mat: np.ndarray, psi: np.ndarray, scratch: np.ndarray) -> None:
-    """psi <- mat @ psi in place for psi of shape (rows, cols), one chunk of
-    columns at a time through the flat buffer ``scratch``.  A real mat runs
-    as real GEMMs on the float64 views."""
-    if not np.iscomplexobj(mat):
-        psi, scratch = psi.view(np.float64), scratch.view(np.float64)
-    width = scratch.size // psi.shape[0]
-    for c in range(0, psi.shape[1], width):
-        cols = psi[:, c:c + width]
-        out = scratch[:cols.size].reshape(cols.shape)
-        np.matmul(mat, cols, out=out)
-        cols[...] = out
-
-
-def _select_factors(u_mats: np.ndarray, sub: int) -> tuple:
-    """SELECT's two factors for a stack of B rungs U of shape (B, a_dim sub,
-    a_dim sub), split by ``_real_split``: the rungs on (ancilla, subject),
-    and the fused pairs F = U_{j+1} U_j on (ancilla j+1, ancilla j,
-    subject), the same matrix for every j."""
-    batch, a_dim = len(u_mats), u_mats.shape[1] // sub
-    # U_j, ancilla j+1 idle: I (x) U, each product formed as np.kron forms it
-    low = (np.eye(a_dim)[:, None, :, None] * u_mats[:, None, :, None, :]).reshape(
-        batch, a_dim * a_dim * sub, -1)
-    high = (low.reshape((batch,) + (a_dim, a_dim, sub) * 2)
-            .transpose(0, 2, 1, 3, 5, 4, 6).reshape(low.shape))  # U_{j+1}
-    return _real_split(u_mats), _real_split(high @ low)
-
-
-@functools.lru_cache(maxsize=None)
-def _select_plan(order: int) -> tuple:
-    """``_taylor_select``'s axis permutations of a stacked row, axes batch,
-    flag, order ancillas, subject: for each row k = 1 .. order, its steps as
-    (transpose, rungs in the step), then the transpose that restores the
-    row's layout.  The batch axis stays first."""
-    subject = order + 2  # the subject's axis
-    rows = []
-    for k in range(1, order + 1):
-        axes, steps, done = list(range(1, subject + 1)), [], 0
-        while done < k:
-            step = min(2, k - done)
-            group = list(range(order - done - step + 2, order - done + 2))
-            group.append(subject)
-            rest = [a for a in axes if a not in group]
-            steps.append(((0,) + tuple(axes.index(a) + 1 for a in group + rest),
-                          step))
-            axes = group + rest
-            done += step
-        rows.append((tuple(steps), (0,) + tuple((np.argsort(axes) + 1).tolist())))
-    return tuple(rows)
-
-
-def _taylor_select(psi: np.ndarray, factors: tuple, order: int,
-                   slabs: np.ndarray) -> np.ndarray:
-    """SELECT of the truncated-Taylor LCU, in place on a stack psi of shape
-    (live, B, 2) + (a_dim,) * order + (sub,), a row's axes running batch,
-    flag, ancilla order .. 1, subject: entry b's row k <= order takes
-    U_1 ... U_k, U_j = U_b on (ancilla j, subject); the padding row sets
-    the spare flag.  ``factors`` is ``_select_factors`` of the B rungs;
-    ``slabs`` holds two flat complex buffers of one stacked row each, three
-    when some U_b is complex.
-
-    Row k runs floor(k/2) steps with the fused pair F = U_{j+1} U_j, then
-    U_k alone when k is odd, each one batched real GEMM over the stack on
-    the float64 views (``_gemm_into``).  A step copies the row, transposed,
-    into slab 0 and writes its GEMM into slab 1.  The row is rotated rather
-    than moved back after each step: the step's (ancilla .., subject) axes
-    come to the front, behind the batch axis, and the others keep their
-    order behind them, so the ancillas done move behind the subject and the
-    next ones are always the last axes.  The row is written back once,
-    after its last step.  The meter counts the circuit's k rungs, not these
-    GEMMs."""
-    one, pair = factors
-    spare = slabs[2] if len(slabs) > 2 else None
-    batch = psi.shape[1]
-    for k, (steps, back) in enumerate(_select_plan(order), start=1):
-        x = psi[k]
-        for perm, step in steps:
-            moved = x.transpose(perm)
-            src = slabs[0].reshape(moved.shape)
-            np.copyto(src, moved)
-            x = slabs[1].reshape(moved.shape)
-            lead = math.prod(moved.shape[1:step + 2])
-            _gemm_into(pair if step == 2 else one, src.reshape(batch, lead, -1),
-                       x.reshape(batch, lead, -1), spare)
-        psi[k] = x.transpose(back)
-    pad = psi[order + 1]  # swap its flag halves through slab 0; numpy would
-    held = slabs[0].reshape(pad.shape)  # buffer pad[:, 0] = pad[:, 1]
-    np.copyto(held, pad)
-    pad[...] = held[:, ::-1]
-    return psi
-
-
-def _lcu_taylor(be: BlockEncoding, spectrum: tuple, cfg: SimulationConfig,
-                on_segment=None) -> Evolution:
-    """Segmented truncated-Taylor series over controlled encoding queries,
-    A = (P_L^dag (x) I) SELECT (P_R (x) I), for the Hermitian h = alpha
-    block(be) whose ``eigh`` is ``spectrum`` = (lambda, Q).  The circuit
-    runs on a stack of subject channels (``_taylor_channels``): one channel
-    per eigenvector of h, all s stacked, when U has no cross-channel entry
-    above ``_CHANNEL_FLOOR`` in h's eigenbasis, else a stack of one, the
-    whole subject in the original basis (the split is in the module
-    docstring).  The series order, the size guard and the query count are
-    the s-dimensional circuit's, counted once.  The evolution's eigenvalues
-    are the channel values, or a whole-subject block's pinching to Q, whose
-    dropped off-diagonal part, in the spectral norm, is
-    ``meta["off_diagonal"]`` (0 for a split run); the error
-    max_mu |u_mu - e^(-i lambda_mu t)| against exp(-i h t) is measured on
-    them.
-    ``on_segment(bases, psi)``, when given, reads the stacked state after
-    each segment: psi of shape (order + 2, B, 2 a_dim^order sub), entry b's
-    subject axis running along the columns of bases[b], bases of shape
-    (B, s, sub).  It is called r times for input column 0, then r times for
-    column 1, up to sub - 1, the stack's input being bases[b][:, col] for
-    every b; it must not write to psi, which is reused."""
-    if be.backend != "dense":
-        raise SimulationError("the metered path needs an explicit encoding unitary")
-    s = be.subject_dim
-    a_dim = be.unitary.shape[0] // s
-    alpha = be.alpha
-    x_total = alpha * cfg.t
-    r = max(1, int(math.ceil(x_total / math.log(2.0))))
-    tau = cfg.t / r
-    x = alpha * tau
-    budget = cfg.eps / (6.0 * r)
-    order = cfg.truncation_order
-    if order is None:
-        order = _choose_order(x, budget, cfg.eps)
-    elif _series_tail(x, order) > budget:
-        raise SimulationError("requested series order violates the error budget")
-    cdim = 1 << max(1, (order + 1).bit_length())
-    total_dim = cdim * a_dim ** order * 2 * s
-    if total_dim > LCU_MAX_AMPLITUDES:
-        raise GraphError(
-            f"lcu_taylor: series order {order} needs {total_dim} amplitudes, "
-            f"beyond LCU_MAX_AMPLITUDES = {LCU_MAX_AMPLITUDES}; raise sim_eps "
-            "or use fewer vertices")
-
-    ys = np.array([x ** k / math.factorial(k) for k in range(order + 1)])
-    pad = 2.0 - ys.sum()
-    if pad < -1e-12:
-        raise SimulationError("segment weight exceeded the amplification scale")
-    c_col = np.zeros(cdim, dtype=complex)
-    d_col = np.zeros(cdim, dtype=complex)
-    c_col[: order + 1] = np.sqrt(ys / 2.0)
-    d_col[: order + 1] = np.sqrt(ys / 2.0) * (-1j) ** np.arange(order + 1)
-    c_col[order + 1] = math.sqrt(max(pad, 0.0) / 2.0)
-    d_col[order + 1] = math.sqrt(max(pad, 0.0) / 2.0)
-    # rows past order + 1 stay zero: the Householder vectors of P_R and P_L
-    # vanish there (their phase is 1, the leading entries being positive),
-    # SELECT leaves them alone and Y has no cell there
-    live = order + 2
-    p_l_dag = completion_unitary(c_col).conj().T[:live, :live]
-    # -P_L^dag carries R's sign (IEEE negation is exact); it is real, c_col
-    # being real with a positive leading entry, so it runs as real GEMMs
-    neg_p_l_dag = np.ascontiguousarray(-p_l_dag.real)
-    p_r = completion_unitary(d_col)[:live, :live]
-    maps = (p_r, p_l_dag, neg_p_l_dag, d_col)
-    queries = 3 * order * r  # A, A^dag, A per segment, one query per rung
-
-    u_mat = be.unitary
-    vals, q = spectrum
-    # U in h's eigenbasis as (ancilla, ancilla, subject, subject) blocks
-    rotated = q.conj().T @ u_mat.reshape(a_dim, s, a_dim, s).transpose(0, 2, 1, 3) @ q
-    split = np.abs(rotated * (1.0 - np.eye(s))).max() <= _CHANNEL_FLOOR
-    if split:  # channel mu: the column q[:, mu], its rung the (mu, mu) block
-        bases = q.T[:, :, None]
-        u_mats = np.ascontiguousarray(np.diagonal(rotated, 0, 2, 3).transpose(2, 0, 1))
-    else:
-        bases, u_mats = np.eye(s)[None], u_mat[None]
-    batch, _, sub = bases.shape
-    psi = np.empty((live, batch, 2 * a_dim ** order * sub), dtype=complex)
-    slabs = np.empty((3 if u_mats.imag.any() else 2, psi[0].size), dtype=complex)
-    blocks = _taylor_channels(u_mats, sub, x, r, maps, psi, slabs,
-                              functools.partial(on_segment, bases) if on_segment
-                              else None)
-    if split:
-        phases, off_diagonal = blocks.ravel(), 0.0
-    else:
-        pinched = q.conj().T @ blocks[0] @ q
-        phases = pinched.diagonal().copy()
-        off_diagonal = float(np.linalg.norm(pinched - np.diag(phases), 2))
-
-    measured = float(np.max(np.abs(phases - np.exp(-1j * vals * cfg.t))))
-    if measured > cfg.eps:
-        raise SimulationError(
-            f"lcu_taylor error {measured:.3e} exceeds the budget {cfg.eps:.3e}")
-    return Evolution(q, phases, cfg.eps,
-                     {"path": "lcu_taylor", "query_count": queries,
-                      "segments": r, "order": order, "t": cfg.t,
-                      "channels": batch, "measured_error": measured,
-                      "off_diagonal": off_diagonal})
-
-
-def _taylor_channels(u_mats: np.ndarray, sub: int, x: float, r: int, maps: tuple,
-                     psi: np.ndarray, slabs: np.ndarray, on_segment) -> np.ndarray:
-    """r segments of the circuit on a stack of B subject channels of
-    dimension sub, entry b's rung ``u_mats[b]`` on (ancilla, subject): the
-    channel's (sub, sub) block.  Each segment passes A once (the identities
-    are in the module docstring), in place on the stacked state psi of shape
-    (order + 2, B, 2 a_dim^order sub): X = SELECT P_R psi, then psi <- R A
-    psi - E (2 E^dag R A psi) as -P_L^dag (X + Y), with 2 y0 added back on
-    the all-zero cell, y0 that cell of P_L^dag X; Y holds E's rank-sub
-    update before P_L^dag.  ``maps`` is (P_R, P_L^dag, -P_L^dag, d) on the
-    live rows; ``slabs`` holds two stacked row slabs, three when some rung
-    is complex.  ``on_segment(psi)`` reads the state after each segment,
-    input column by input column.  Returns the (B, sub, sub) blocks."""
-    live, batch = psi.shape[:2]
-    order = live - 2
-    p_r, p_l_dag, neg_p_l_dag, d_col = maps
-    a_dim = u_mats.shape[1] // sub
-    factors = _select_factors(u_mats, sub)
-
-    # E (|0>|c>) before P_L^dag: SELECT on |0..0>|c> leaves row k <= order as
-    # d_k V_k (|0^k> (x) c), V_k = U_k ... U_1, on the cell where the later
-    # ancillas and the flag are zero, the row's prefix of a_dim^k sub
-    # amplitudes laid out (ancilla k .. 1, subject).  Built rung by rung:
-    # term k + 1 is rungs[k] applied to term k, the columns U (|0> (x) I_sub)
-    # scaled by d_{k+1} / d_k, as (B, a_dim, sub, sub) blocks of right
-    # factors.  The padding row sets the flag instead: d_{order+1} c past the
-    # flag.  W^dag needs only the zero-ancilla cells: <0^k| V_k |0^k> = B^k,
-    # B the top-left block of U.
-    flagged = psi.shape[2] // 2  # where a row's flag-set half starts
-    first = u_mats[:, :, :sub].reshape(batch, a_dim, sub, sub).transpose(0, 1, 3, 2)
-    rungs = [math.sqrt(x / (k + 1)) * -1j * first for k in range(order)]
-    w = np.zeros((batch, sub, sub), dtype=complex)
-    b_k = np.eye(sub, dtype=complex)
-    for k in range(order + 1):
-        w += p_l_dag[0, k] * d_col[k] * b_k
-        b_k = u_mats[:, :sub, :sub] @ b_k
-    w_dag = w.conj().transpose(0, 2, 1)
-    rows = psi.reshape(live, -1)
-    flat = psi.view(np.float64)  # Y is added here: numpy buffers a strided complex add
-    selected = psi.reshape((live, batch, 2) + (a_dim,) * order + (sub,))
-    zero_cells = psi[:, :, :sub].transpose(1, 0, 2)  # (B, live, sub)
-
-    def segment():
-        zero_in = psi[0, :, :sub].copy()
-        _map_rows(p_r, rows, slabs[0])
-        _taylor_select(selected, factors, order, slabs)
-        y0 = p_l_dag[0] @ zero_cells  # R A psi on the all-zero cell
-        coef = 2.0 * (2.0 * (w_dag @ y0[..., None])[..., 0] - zero_in)  # 2 E^dag R A psi
-        term = slabs[0][:batch * sub].reshape(batch, sub)
-        np.multiply(d_col[0], coef, out=term)
-        psi[0, :, :sub] += term
-        for k, rung in enumerate(rungs):  # X + Y, one cell at a time
-            cell = slabs[(k + 1) % 2][:a_dim * term.size].reshape(batch, a_dim, -1, sub)
-            np.matmul(term.reshape(batch, 1, -1, sub), rung, out=cell)
-            term = cell.reshape(batch, -1)
-            flat[k + 1, :, :2 * term.shape[1]] += term.view(np.float64)
-        psi[order + 1, :, flagged:flagged + sub] += d_col[order + 1] * coef
-        _map_rows(neg_p_l_dag, rows, slabs[0])
-        psi[0, :, :sub] += 2.0 * y0
-
-    blocks = np.zeros((batch, sub, sub), dtype=complex)
-    for col in range(sub):
-        psi.fill(0.0)
-        psi[0, :, col] = 1.0
-        for _ in range(r):
-            segment()
-            if on_segment is not None:
-                on_segment(psi)
-        blocks[:, :, col] = psi[0, :, :sub]
-    return blocks
-
-
-# ---------------------------------------------------------------------------
 # phase estimation on the maximally mixed input
 
 def run_qpe(evolution: Evolution, qcfg: QpeConfig,
@@ -593,7 +130,7 @@ def run_qpe(evolution: Evolution, qcfg: QpeConfig,
     eps = max(evolution.epsilon, _EPS_FLOOR)
     bound = 2.0 * eps + eps * eps
     defect = float(np.max(np.abs(np.abs(eigs) ** 2 - 1.0)))
-    if defect > bound:
+    if not defect <= bound:  # a NaN eigenvalue is refused too
         raise SimulationError(
             f"phase estimation needs a unitary evolution: max ||u|^2 - 1| = "
             f"{defect:.3e} exceeds 2 eps + eps^2 for the claimed eps = {eps:.3e}")

@@ -22,8 +22,8 @@ from qlapeig.checks import (check_degree_budget, check_exp_gate_bound,
 from qlapeig.graph import (KernelParams, VertexSet, build_graph,
                            build_taylor_weight_matrix)
 from qlapeig.sim import operator_norm_distance
-from qlapeig.spectral import (PipelineConfig, SimulationConfig, full_pipeline,
-                              simulate_hamiltonian)
+from qlapeig.simulation import SimulationConfig, simulate_hamiltonian
+from qlapeig.spectral import PipelineConfig, full_pipeline
 from qlapeig.stateprep import (EstimatorConfig, build_degree_state,
                                build_phi_state)
 

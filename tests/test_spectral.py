@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from qlapeig import spectral
+from qlapeig import simulation, spectral
 from qlapeig.blockenc import BlockEncoding, dilate, make_signed_pair
 from qlapeig.graph import (GraphError, KernelParams, VertexSet, build_graph,
                            classical_eigensolve)
-from qlapeig.spectral import (LCU_MAX_AMPLITUDES, Evolution, PipelineConfig,
-                              QpeConfig, ResolutionError, SimulationConfig,
-                              SimulationError, extract_d_smallest, full_pipeline,
-                              recover_Lr_eigenvectors, run_qpe,
-                              simulate_hamiltonian)
+from qlapeig.simulation import (LCU_MAX_AMPLITUDES, Evolution, SimulationConfig,
+                                SimulationError, simulate_hamiltonian)
+from qlapeig.spectral import (PipelineConfig, QpeConfig, ResolutionError,
+                              extract_d_smallest, full_pipeline,
+                              recover_Lr_eigenvectors, run_qpe)
 from qlapeig.stateprep import completion_unitary
 
 from encoding_reference import dense_select
@@ -62,6 +62,14 @@ def test_simulation_config_refuses_a_time_not_positive():
     for t in (0.0, -1.0, math.nan):
         with pytest.raises(SimulationError, match="must be positive"):
             SimulationConfig(t=t)
+
+
+@pytest.mark.parametrize("path", ["oracle_exponential", "lcu_taylor"])
+def test_simulation_config_refuses_an_infinite_time(path):
+    """An infinite time would give NaN phases on the oracle path and an
+    OverflowError in the lcu path's segment count."""
+    with pytest.raises(SimulationError, match="positive and finite"):
+        SimulationConfig(t=math.inf, path=path)
 
 
 @pytest.mark.parametrize("order", [0, -3, 2.5, 13])
@@ -159,6 +167,17 @@ def three_pass_taylor(be, t, order, r):
     return block, queries // s, states
 
 
+def in_circuit_basis(rows, frame, order, sub):
+    """A stack entry's live rows, each ancilla's amplitudes given along the
+    columns of ``frame``, as (live, 2 a_dim^order, sub) amplitudes along the
+    ancillas' own basis: the frame applied to every ancilla axis."""
+    a_dim = len(frame)
+    state = rows.reshape((len(rows), 2) + (a_dim,) * order + (sub,))
+    for axis in range(2, order + 2):
+        state = np.moveaxis(np.tensordot(frame, state, axes=(1, axis)), 0, axis)
+    return state.reshape(len(rows), -1, sub)
+
+
 def assert_matches_three_pass(enc, t, eps, order=None):
     """The metered path against ``three_pass_taylor``: the block, the query
     count, and each column's full state after every segment.  The metered
@@ -166,20 +185,21 @@ def assert_matches_three_pass(enc, t, eps, order=None):
     flag, ancilla order .. 1, subject; the reference's other rows are zero.
     It runs a stack of subject channels and reports the stacked state after
     each segment, input column by input column: entry b's state is that of
-    input bases[b][:, col], along the columns of bases[b].  Split back into
-    entries and mapped back to the subject, the inputs' states combine into
-    column c's as sum conj(input[c]) state, the inputs being an orthonormal
-    basis.  The evolution's eigenvalues are the reference block's pinching
-    to h's eigenbasis Q, and the off-diagonal part of Q^dag block Q is the
-    one reported (zero for a split run, which leaves only round-off
-    there)."""
+    input bases[b][:, col], along the columns of bases[b], each ancilla
+    along the columns of frames[b] (``in_circuit_basis``).  Split back into
+    entries and mapped back to the ancillas' and the subject's bases, the
+    inputs' states combine into column c's as sum conj(input[c]) state, the
+    inputs being an orthonormal basis.  The evolution's eigenvalues are the
+    reference block's pinching to h's eigenbasis Q, and the off-diagonal
+    part of Q^dag block Q is the one reported (zero for a split run, which
+    leaves only round-off there)."""
     cfg = SimulationConfig(t=t, eps=eps, path="lcu_taylor", truncation_order=order)
     h = enc.alpha * enc.block()
     spectrum = np.linalg.eigh((h + h.conj().T) / 2.0)
     calls = []
-    out = spectral._lcu_taylor(
+    out = simulation._lcu_taylor(
         enc, spectrum, cfg,
-        on_segment=lambda bases, psi: calls.append((bases, psi.copy())))
+        on_segment=lambda bases, frames, psi: calls.append((bases, frames, psi.copy())))
     order, r, s = out.meta["order"], out.meta["segments"], enc.subject_dim
     ref, queries, ref_states = three_pass_taylor(enc, t, order, r)
     pinched = spectrum[1].conj().T @ ref @ spectrum[1]
@@ -193,8 +213,9 @@ def assert_matches_three_pass(enc, t, eps, order=None):
     live = order + 2
     rows = (0, order + 1) + tuple(range(order, 0, -1)) + (order + 2,)
     for j in range(r):  # the j-th segment of each input's run of r
-        mapped = [(bases[b][:, i // r], psi[:, b].reshape(live, -1, sub) @ bases[b].T)
-                  for i, (bases, psi) in enumerate(calls) if i % r == j
+        mapped = [(bases[b][:, i // r],
+                   in_circuit_basis(psi[:, b], frames[b], order, sub) @ bases[b].T)
+                  for i, (bases, frames, psi) in enumerate(calls) if i % r == j
                   for b in range(len(bases))]
         assert len(mapped) == s
         for c in range(s):
@@ -277,6 +298,19 @@ def rotated_dilation(rng, n):
     return BlockEncoding(1.0, 1, 0.0, n, backend="dense", unitary=u)
 
 
+def rotation_rungs(rng, n):
+    """A one-ancilla encoding [[H, S], [-S, H]] of a random complex
+    Hermitian H, S = sqrt(I - H^2).  Its blocks are functions of H, so its
+    cross-channel entries in H's eigenbasis are round-off (below 2e-15 at
+    n = 4), but each channel's rung [[a, b], [-b, a]] is a rotation, not a
+    reflection."""
+    h = random_complex_hermitian(rng, n)
+    vals, vecs = np.linalg.eigh(h)
+    root = vecs @ np.diag(np.sqrt(1.0 - vals ** 2)) @ vecs.conj().T
+    return BlockEncoding(1.0, 1, 0.0, n, backend="dense",
+                         unitary=np.block([[h, root], [-root, h]]))
+
+
 @pytest.mark.parametrize("n,t,eps,order", [(2, 1.0, 1e-2, 4), (4, 1.0, 1e-9, 10),
                                            (2, 2.0, 1e-9, 11)])
 def test_lcu_taylor_matches_three_pass_circuit_with_noncommuting_blocks(n, t, eps,
@@ -312,23 +346,25 @@ def test_lcu_taylor_matches_three_pass_circuit_with_more_columns_than_rows(
 def whole_subject(enc, spectrum, cfg):
     """``_lcu_taylor`` with the channel split refused: the circuit over the
     whole subject in the original basis."""
-    with mock.patch.object(spectral, "_CHANNEL_FLOOR", -1.0):
-        out = spectral._lcu_taylor(enc, spectrum, cfg)
+    with mock.patch.object(simulation, "_CHANNEL_FLOOR", -1.0):
+        out = simulation._lcu_taylor(enc, spectrum, cfg)
     assert out.meta["channels"] == 1
     return out
 
 
-@pytest.mark.parametrize("make", [two_term_lcu, lambda rng: rotated_dilation(rng, 4)],
-                         ids=["two_term_lcu", "rotated_dilation"])
+@pytest.mark.parametrize("make", [two_term_lcu, lambda rng: rotated_dilation(rng, 4),
+                                  lambda rng: rotation_rungs(rng, 4)],
+                         ids=["two_term_lcu", "rotated_dilation", "rotation_rungs"])
 def test_lcu_taylor_encoding_that_does_not_split_runs_whole(make):
     """Blocks of U that are not functions of the encoded block leave
-    cross-channel entries of order one in its eigenbasis: the circuit runs
-    as one channel over the whole subject, unrotated, bit for bit."""
+    cross-channel entries of order one in its eigenbasis, and rungs that
+    are not reflections have no reflection basis: the circuit runs as one
+    channel over the whole subject, unrotated, bit for bit."""
     enc = make(np.random.default_rng(41))
     h = enc.alpha * enc.block()
     spectrum = np.linalg.eigh((h + h.conj().T) / 2.0)
     cfg = SimulationConfig(t=1.0, eps=1e-4, path="lcu_taylor")
-    out = spectral._lcu_taylor(enc, spectrum, cfg)
+    out = simulation._lcu_taylor(enc, spectrum, cfg)
     assert out.meta["channels"] == 1
     assert out.block().tobytes() == whole_subject(enc, spectrum, cfg).block().tobytes()
 
@@ -374,7 +410,7 @@ def test_lcu_taylor_peak_memory_on_the_benchmark_instance(monkeypatch):
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     x *= rng.uniform(0.35, 0.55, size=(4, 1))
     runs = []
-    inner = spectral._lcu_taylor
+    inner = simulation._lcu_taylor
 
     def traced(be, spectrum, cfg):
         tracemalloc.start()
@@ -385,7 +421,7 @@ def test_lcu_taylor_peak_memory_on_the_benchmark_instance(monkeypatch):
             tracemalloc.stop()
         return out
 
-    monkeypatch.setattr(spectral, "_lcu_taylor", traced)
+    monkeypatch.setattr(simulation, "_lcu_taylor", traced)
     full_pipeline(VertexSet.from_vectors(x), KernelParams(0.5, 6),
                   PipelineConfig(target="L", norm_case="general",
                                  sim_path="lcu_taylor", sim_eps=1e-6))
@@ -410,7 +446,7 @@ def test_lcu_taylor_segment_loop_allocates_no_slab(complex_block):
     cfg = SimulationConfig(t=6.0, eps=1e-9, path="lcu_taylor")
     held, extra = [], []
 
-    def watch(bases, psi):
+    def watch(bases, frames, psi):
         current, peak = tracemalloc.get_traced_memory()
         if held:
             extra.append(peak - held[-1])
@@ -419,7 +455,7 @@ def test_lcu_taylor_segment_loop_allocates_no_slab(complex_block):
 
     tracemalloc.start()
     try:
-        out = spectral._lcu_taylor(enc, np.linalg.eigh(h), cfg, on_segment=watch)
+        out = simulation._lcu_taylor(enc, np.linalg.eigh(h), cfg, on_segment=watch)
     finally:
         tracemalloc.stop()
     order, s = out.meta["order"], enc.subject_dim
@@ -566,6 +602,18 @@ def test_run_qpe_unitarity_bound_is_two_eps_plus_eps_squared(claimed):
         else:
             with pytest.raises(SimulationError, match="unitary"):
                 run_qpe(evo, qcfg)
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan)])
+def test_run_qpe_refuses_a_nan_eigenvalue(bad):
+    """A NaN eigenvalue fails the unitarity check with SimulationError, as
+    one off the unit circle does, rather than reaching the shot sampler as
+    NaN probabilities."""
+    phases = np.exp(-1j * np.array([0.0, 0.7, 1.9]))
+    phases[1] = bad
+    evo = Evolution(np.eye(3), phases, 1e-6, {})
+    with pytest.raises(SimulationError, match="unitary"):
+        run_qpe(evo, QpeConfig(phase_bits=4, shots=64, seed=0))
 
 
 def test_qpe_wraparound_guard():

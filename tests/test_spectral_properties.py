@@ -1,19 +1,25 @@
-"""Differential property tests of the spectral stage against slow
-references.
+"""Differential property tests of the simulation and spectral stages
+against slow references.
 
-- SELECT of the metered ``lcu_taylor`` path: ``_taylor_select`` (batched
-  real GEMMs with fused rung pairs between two preallocated row slabs, in
-  place over the live rows of a stack of B in {1, 2, 4} entries with the
-  ancillas reversed) against the per-(row, rung) complex ``moveaxis`` round
-  trip on each entry's full register in circuit order with its own rung,
-  within round-off, real and complex U mixed in one stack.
+- SELECT of the metered ``lcu_taylor`` path's whole-subject runs:
+  ``_taylor_select`` (real GEMMs with fused rung pairs between two
+  preallocated row slabs, in place over the live rows with the ancillas
+  reversed) against the per-(row, rung) complex ``moveaxis`` round trip on
+  the full register in circuit order, within round-off, for real and
+  complex U.
 - The channel split of the metered path: ``_lcu_taylor`` on the dilation of
   a random real or complex Hermitian block, s in {2, 4, 8}, its spectrum
   generic, degenerate, or with an eigenvalue at the scale, one channel per
   eigenvector, against the same circuit over the whole subject (the split
   refused): the evolution within 1e-12 and the same query count.  The
   split's channels, stacked, against the same kernel run on one channel at
-  a time (``taylor_reference``), for generic and degenerate spectra.
+  a time (``taylor_reference``), for generic and degenerate spectra, the
+  split run never reaching ``_taylor_select``.
+- The reflection basis of a split run's rungs: ``_reflection_basis``'s
+  closed-form V against the definition, V unitary and V diag(1, -1) V^dag
+  equal to the rung within ``ROUND_OFF``, for a in {+-1, +-(1 - 1e-15)} or
+  uniform and b real or complex; a stack with one rung bent off a
+  reflection, or rungs wider than 2 x 2, is refused.
 - Phase estimation on an evolution Q diag(u) Q^dag, the oracle path's for a
   random complex Hermitian h, its spectrum generic or degenerate:
   ``run_qpe`` (Born probabilities from the trace moments
@@ -41,12 +47,12 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from qlapeig import spectral
+from qlapeig import simulation, spectral
 from qlapeig.blockenc import BlockEncoding, dilate
-from qlapeig.spectral import (LCU_MAX_AMPLITUDES, MAX_TAYLOR_ORDER, Evolution,
-                              QpeConfig, ResolutionError, SimulationConfig,
-                              SimulationError, _select_factors, _taylor_select,
-                              extract_d_smallest, run_qpe, simulate_hamiltonian)
+from qlapeig.simulation import (LCU_MAX_AMPLITUDES, MAX_TAYLOR_ORDER, Evolution,
+                                SimulationConfig, SimulationError, _select_factors,
+                                _taylor_select, simulate_hamiltonian)
+from qlapeig.spectral import QpeConfig, ResolutionError, extract_d_smallest, run_qpe
 from qpe_reference import post_state, row_block_probs
 from taylor_reference import channel_by_channel
 
@@ -87,47 +93,38 @@ def select_reference(psi, u_mat, order):
 
 @st.composite
 def instances(draw):
-    """(a_dim, s, order, real U? per stack entry, seed): a stack of B in
-    {1, 2, 4} rungs, real and complex mixed, with order up to the lcu size
-    guard over the whole stack."""
+    """(a_dim, s, order, real U?, seed), with order up to the lcu size
+    guard."""
     a_dim = draw(st.sampled_from([2, 4]))
     s = draw(st.sampled_from([1, 2, 4]))
-    batch = draw(st.sampled_from([1, 2, 4]))
-    reals = tuple(draw(st.lists(st.booleans(), min_size=batch, max_size=batch)))
     top = max(o for o in range(1, MAX_TAYLOR_ORDER + 1)
-              if batch * np.prod(state_shape(a_dim, s, o)) <= LCU_MAX_AMPLITUDES)
-    return (a_dim, s, draw(st.integers(1, top)), reals,
+              if np.prod(state_shape(a_dim, s, o)) <= LCU_MAX_AMPLITUDES)
+    return (a_dim, s, draw(st.integers(1, top)), draw(st.booleans()),
             draw(st.integers(0, 2**32 - 1)))
 
 
 @PROPERTY
 @given(instances())
 def test_taylor_select_matches_per_row_moveaxis(instance):
-    """Each entry of a stack against the reference on its own rung."""
-    a_dim, s, order, reals, seed = instance
+    a_dim, s, order, real, seed = instance
     rng = np.random.default_rng(seed)
     dim = a_dim * s
+    m = rng.standard_normal((dim, dim))
+    if not real:
+        m = m + 1j * rng.standard_normal((dim, dim))
+    u_mat = np.linalg.qr(m)[0].astype(complex)
+    factors = _select_factors(u_mat, s)
+    assert (factors[0][1] is None) == real and (factors[1][1] is None) == real
     shape = state_shape(a_dim, s, order)
-    u_mats, want, got = [], [], []
-    for real in reals:
-        m = rng.standard_normal((dim, dim))
-        if not real:
-            m = m + 1j * rng.standard_normal((dim, dim))
-        u_mats.append(np.linalg.qr(m)[0].astype(complex))
-        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        want.append(live_layout(select_reference(psi.copy(), u_mats[-1], order),
-                                order))
-        got.append(live_layout(psi, order))
-    factors = _select_factors(np.stack(u_mats), s)
-    assert (factors[0][1] is None) == all(reals) == (factors[1][1] is None)
-    want, got = np.stack(want, axis=1), np.ascontiguousarray(np.stack(got, axis=1))
-    slabs = np.empty((2 if all(reals) else 3, got[0].size), dtype=complex)
+    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = live_layout(select_reference(psi.copy(), u_mat, order), order)
+    got = np.ascontiguousarray(live_layout(psi, order))
+    slabs = np.empty((2 if real else 3, got[0].size), dtype=complex)
     assert _taylor_select(got, factors, order, slabs) is got
     assert got.shape == want.shape
     # the fused pairs and real GEMMs round differently from one complex
     # GEMM per rung
-    for b in range(len(reals)):
-        assert np.max(np.abs(got[:, b] - want[:, b])) <= 1e-12
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @st.composite
@@ -164,9 +161,9 @@ def test_lcu_taylor_channels_match_the_whole_subject(instance):
     s, complex_block, spectrum, t, eps, seed = instance
     enc, eig = split_dilation(np.random.default_rng(seed), s, complex_block, spectrum)
     cfg = SimulationConfig(t=t, eps=eps, path="lcu_taylor")
-    out = spectral._lcu_taylor(enc, eig, cfg)
-    with mock.patch.object(spectral, "_CHANNEL_FLOOR", -1.0):
-        whole = spectral._lcu_taylor(enc, eig, cfg)
+    out = simulation._lcu_taylor(enc, eig, cfg)
+    with mock.patch.object(simulation, "_CHANNEL_FLOOR", -1.0):
+        whole = simulation._lcu_taylor(enc, eig, cfg)
     assert whole.meta["channels"] == 1
     assert out.meta["channels"] == s or spectrum == "scale"
     assert np.max(np.abs(out.phases - whole.phases)) <= 1e-12
@@ -179,16 +176,59 @@ def test_lcu_taylor_channels_match_the_whole_subject(instance):
 def test_lcu_taylor_stack_matches_one_channel_at_a_time(instance):
     """The s channels of a split run, stacked, against the same kernel run
     on each channel alone (``taylor_reference``): the evolution within
-    1e-12 and the same query count."""
+    1e-12 and the same query count.  A split run's SELECT is the sign table:
+    it never reaches ``_taylor_select``."""
     s, complex_block, spectrum, t, eps, seed = instance
     enc, eig = split_dilation(np.random.default_rng(seed), s, complex_block, spectrum)
     cfg = SimulationConfig(t=t, eps=eps, path="lcu_taylor")
-    out = spectral._lcu_taylor(enc, eig, cfg)
-    with mock.patch.object(spectral, "_taylor_channels", channel_by_channel):
-        ref = spectral._lcu_taylor(enc, eig, cfg)
+    with mock.patch.object(simulation, "_taylor_select", side_effect=AssertionError):
+        out = simulation._lcu_taylor(enc, eig, cfg)
+    with mock.patch.object(simulation, "_taylor_channels", channel_by_channel):
+        ref = simulation._lcu_taylor(enc, eig, cfg)
     assert out.meta["channels"] == ref.meta["channels"] == s
     assert np.max(np.abs(out.phases - ref.phases)) <= 1e-12
     assert out.meta["query_count"] == ref.meta["query_count"]
+
+
+# a few ulps: V and its product take a handful of roundings each
+ROUND_OFF = 2e-15
+
+
+@st.composite
+def reflection_rungs(draw):
+    """A rung [[a, b], [conj b, -a]], |b| = sqrt(1 - a^2): a from +-1 and
+    +-(1 - 1e-15), where a formula that divides by 1 - |a| fails, or
+    uniform in [-1, 1]; b real, of either sign, or complex."""
+    a = draw(st.one_of(st.sampled_from([1.0, -1.0, 1.0 - 1e-15, -(1.0 - 1e-15)]),
+                       st.floats(-1.0, 1.0)))
+    if draw(st.booleans()):
+        phase = complex(np.exp(1j * draw(st.floats(0.0, 2.0 * math.pi))))
+    else:
+        phase = draw(st.sampled_from([1.0, -1.0]))
+    b = math.sqrt((1.0 - a) * (1.0 + a)) * phase
+    return np.array([[a, b], [np.conj(b), -a]], dtype=complex)
+
+
+@PROPERTY
+@given(st.lists(reflection_rungs(), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+@example([np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)], 0)
+def test_reflection_basis_of_the_rungs(rungs, seed):
+    rungs = np.stack(rungs)
+    frames = simulation._reflection_basis(rungs)
+    assert frames.shape == rungs.shape
+    for v, u in zip(frames, rungs):
+        assert np.max(np.abs(v.conj().T @ v - np.eye(2))) <= ROUND_OFF
+        assert np.max(np.abs((v * [1.0, -1.0]) @ v.conj().T - u)) <= ROUND_OFF
+    # one entry of one rung moved 100 times the floor: not a reflection,
+    # and the whole stack runs unsplit
+    rng = np.random.default_rng(seed)
+    bent = rungs.copy()
+    bent[rng.integers(len(bent)), rng.integers(2), rng.integers(2)] += (
+        100.0 * simulation._CHANNEL_FLOOR * np.exp(2j * math.pi * rng.random()))
+    assert simulation._reflection_basis(bent) is None
+    wide = np.kron(rungs, np.eye(2))  # a reflection, but of a 4-dimensional ancilla
+    assert simulation._reflection_basis(wide) is None
 
 
 def sequential_qpe(evolution, qcfg):

@@ -3,11 +3,17 @@
 A dense ``BlockEncoding`` carries its unitary matrix, but a consumer of an
 encoding reads ``block()`` or runs ``apply``, which every backend answers.
 Inside ``src/qlapeig`` the ``unitary`` attribute is read only by the methods
-of ``BlockEncoding`` itself and by ``spectral._lcu_taylor``, whose SELECT
+of ``BlockEncoding`` itself and by ``simulation._lcu_taylor``, whose SELECT
 multiplies by the query's matrix.  A read anywhere else would tie that code
 to the dense backend (a combination materializing its circuit, say), so this
 scan fails on one, as an attribute or through ``getattr``.  The tests and
 ``tests/encoding_reference.py`` read unitaries as the dense references.
+
+The metered path's preparations P_R and P_L stay ``_householder``
+reflections, the one definition ``BlockEncoding.apply`` reflects by, run in
+place on the state: a second scan fails if ``simulation``, the metered
+path's module, or ``spectral`` refers to ``completion_unitary``, the dense
+matrix of such a reflection.
 """
 
 import ast
@@ -17,7 +23,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qlapeig"
 FILES = sorted(SRC.glob("*.py"))
-ALLOWED = {"blockenc": "BlockEncoding", "spectral": "_lcu_taylor"}
+ALLOWED = {"blockenc": "BlockEncoding", "simulation": "_lcu_taylor"}
 
 
 def unitary_reads(tree):
@@ -50,3 +56,28 @@ def test_only_the_encoding_and_the_metered_path_read_a_unitary(path):
     reads = [(line, owner) for line, owner in unitary_reads(ast.parse(path.read_text()))
              if owner != ALLOWED.get(path.stem)]
     assert reads == [], f"qlapeig.{path.stem} reads an encoding's unitary at {reads}"
+
+
+def uses_of(tree, name):
+    """Lines where ``name`` is referred to, as a name or an attribute, or
+    imported."""
+    lines = []
+    for node in ast.walk(tree):
+        if (getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+                or isinstance(node, ast.ImportFrom)
+                and any(alias.name == name for alias in node.names)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_use_scan_finds_every_spelling():
+    source = ("from .stateprep import (PrepConfig,\n    completion_unitary as cu)\n"
+              "a = completion_unitary(v)\nb = stateprep.completion_unitary(v)\n"
+              "c = completion_unitary\n")
+    assert uses_of(ast.parse(source), "completion_unitary") == [1, 3, 4, 5]
+
+
+@pytest.mark.parametrize("stem", ["simulation", "spectral"])
+def test_the_metered_path_builds_no_dense_preparation(stem):
+    tree = ast.parse((SRC / f"{stem}.py").read_text())
+    assert uses_of(tree, "completion_unitary") == []
