@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockenc import (BlockEncoding, LaplacianEncodingResult, dilate,
-                       encode_calL, encode_W_over_n, encoding_report,
-                       sandwich_negative_power, taylor_consistent_reference,
-                       w_consistent_reference)
+from .blockenc import (BlockEncoding, LaplacianEncodingResult, encode_calL,
+                       encode_W_over_n, encoding_report, sandwich_negative_power,
+                       taylor_consistent_reference, w_consistent_reference)
 from .graph import (GraphError, GraphMatrices, KernelParams, VertexSet,
                     build_graph, classical_eigensolve, graph_matrices_to_json,
                     resolve_norm_case)
@@ -423,12 +422,7 @@ def full_pipeline(vs: VertexSet, kp: KernelParams, cfg: PipelineConfig):
         t = 0.9 * 2.0 * math.pi / bound
     with _Stage("simulation"):
         sim_cfg = SimulationConfig(t=t, eps=cfg.sim_eps, path=cfg.sim_path)
-        sim_enc = enc.encoding
-        if cfg.sim_path == "lcu_taylor":
-            # the metered path needs an explicit unitary; rebuild the verified
-            # block as a compact one-ancilla encoding at the same scale
-            sim_enc = dilate(sim_enc.alpha * sim_enc.block(), sim_enc.alpha)
-        evolution = simulate_hamiltonian(sim_enc, sim_cfg)
+        evolution = simulate_hamiltonian(enc.encoding, sim_cfg)
     report["simulation"] = {"path": sim_cfg.path, "eps": sim_cfg.eps,
                             "t": sim_cfg.t,
                             "query_count": evolution.meta.get("query_count")}

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg as sla
 
 from qlapeig import simulation, spectral
-from qlapeig.blockenc import BlockEncoding, dilate, make_signed_pair
+from qlapeig.blockenc import BlockEncoding, dilate, purified_density_encoding
 from qlapeig.graph import (GraphError, KernelParams, VertexSet, build_graph,
                            classical_eigensolve)
 from qlapeig.simulation import (LCU_MAX_AMPLITUDES, Evolution, SimulationConfig,
@@ -18,9 +18,6 @@ from qlapeig.spectral import (PipelineConfig, QpeConfig, ResolutionError,
                               extract_d_smallest, full_pipeline,
                               recover_Lr_eigenvectors, run_qpe)
 from qlapeig.stateprep import completion_unitary
-
-from encoding_reference import dense_select
-from qpe_reference import row_block_probs
 
 
 def random_hermitian(rng, n, norm=0.8):
@@ -99,15 +96,6 @@ def test_lcu_taylor_error_contract(n, t, eps):
     assert out.meta["query_count"] == out.meta["segments"] * 3 * out.meta["order"]
 
 
-def two_term_lcu(rng):
-    """The materialized two-term LCU of two complex dilations at s = 2, its
-    queries carrying a_dim = 4: a pair qubit and a dilation ancilla."""
-    encs = [dilate(random_complex_hermitian(rng, 2), 1.0) for _ in range(2)]
-    pair = make_signed_pair([0.7, -0.3])
-    return BlockEncoding(pair.beta, pair.b + 1, pair.epsilon_y, 2,
-                         unitary=dense_select(pair, encs))
-
-
 def three_pass_taylor(be, t, order, r):
     """Reference for the metered path: each of the r segments runs the circuit
     -A R A^dag R A literally, three passes of the encoding circuit A per
@@ -167,57 +155,46 @@ def three_pass_taylor(be, t, order, r):
     return block, queries // s, states
 
 
-def in_circuit_basis(rows, frame, order, sub):
-    """A stack entry's live rows, each ancilla's amplitudes given along the
-    columns of ``frame``, as (live, 2 a_dim^order, sub) amplitudes along the
+def in_circuit_basis(rows, frame, order):
+    """A channel's live rows, each ancilla's amplitudes given along the
+    columns of ``frame``, as (live, 2^(order + 1), 1) amplitudes along the
     ancillas' own basis: the frame applied to every ancilla axis."""
-    a_dim = len(frame)
-    state = rows.reshape((len(rows), 2) + (a_dim,) * order + (sub,))
+    state = rows.reshape((len(rows), 2) + (2,) * order)
     for axis in range(2, order + 2):
         state = np.moveaxis(np.tensordot(frame, state, axes=(1, axis)), 0, axis)
-    return state.reshape(len(rows), -1, sub)
+    return state.reshape(len(rows), -1, 1)
 
 
 def assert_matches_three_pass(enc, t, eps, order=None):
-    """The metered path against ``three_pass_taylor``: the block, the query
+    """The metered path on the block of ``enc``, a one-ancilla dilation,
+    against ``three_pass_taylor`` on its unitary: the evolution, the query
     count, and each column's full state after every segment.  The metered
     path holds the live coefficient rows 0 .. order + 1, each laid out as
-    flag, ancilla order .. 1, subject; the reference's other rows are zero.
-    It runs a stack of subject channels and reports the stacked state after
-    each segment, input column by input column: entry b's state is that of
-    input bases[b][:, col], along the columns of bases[b], each ancilla
-    along the columns of frames[b] (``in_circuit_basis``).  Split back into
-    entries and mapped back to the ancillas' and the subject's bases, the
-    inputs' states combine into column c's as sum conj(input[c]) state, the
-    inputs being an orthonormal basis.  The evolution's eigenvalues are the
-    reference block's pinching to h's eigenbasis Q, and the off-diagonal
-    part of Q^dag block Q is the one reported (zero for a split run, which
-    leaves only round-off there)."""
+    flag, ancilla order .. 1; the reference's other rows are zero.  It runs
+    the s channels stacked and reports the stack after each segment:
+    channel b's state is that of the input bases[b][:, 0] = Q[:, b], each
+    ancilla along the columns of frames[b] (``in_circuit_basis``).  Mapped
+    back to the ancillas' and the subject's bases, the channels' states
+    combine into input column c's as sum_b conj(Q[c, b]) state_b, the
+    channels' inputs being an orthonormal basis."""
     cfg = SimulationConfig(t=t, eps=eps, path="lcu_taylor", truncation_order=order)
     h = enc.alpha * enc.block()
     spectrum = np.linalg.eigh((h + h.conj().T) / 2.0)
     calls = []
     out = simulation._lcu_taylor(
-        enc, spectrum, cfg,
+        enc.alpha, spectrum, cfg,
         on_segment=lambda bases, frames, psi: calls.append((bases, frames, psi.copy())))
     order, r, s = out.meta["order"], out.meta["segments"], enc.subject_dim
     ref, queries, ref_states = three_pass_taylor(enc, t, order, r)
-    pinched = spectrum[1].conj().T @ ref @ spectrum[1]
-    assert np.max(np.abs(out.phases - pinched.diagonal())) <= 1e-12
-    np.fill_diagonal(pinched, 0.0)
-    assert abs(out.meta["off_diagonal"] - np.linalg.norm(pinched, 2)) <= 1e-12
+    assert np.max(np.abs(out.block() - ref)) <= 1e-12
     assert out.meta["query_count"] == queries
-    assert out.meta["channels"] in (1, s)
-    sub = s // out.meta["channels"]
-    assert len(calls) == sub * r and len(ref_states) == s * r
+    assert len(calls) == r and len(ref_states) == s * r
     live = order + 2
     rows = (0, order + 1) + tuple(range(order, 0, -1)) + (order + 2,)
-    for j in range(r):  # the j-th segment of each input's run of r
-        mapped = [(bases[b][:, i // r],
-                   in_circuit_basis(psi[:, b], frames[b], order, sub) @ bases[b].T)
-                  for i, (bases, frames, psi) in enumerate(calls) if i % r == j
-                  for b in range(len(bases))]
-        assert len(mapped) == s
+    for j, (bases, frames, psi) in enumerate(calls):  # after segment j
+        mapped = [(bases[b][:, 0],
+                   in_circuit_basis(psi[:, b], frames[b], order) @ bases[b].T)
+                  for b in range(s)]
         for c in range(s):
             got = sum(np.conj(inp[c]) * state for inp, state in mapped)
             want = ref_states[c * r + j]
@@ -225,6 +202,17 @@ def assert_matches_three_pass(enc, t, eps, order=None):
             want = want[:live].transpose(rows).reshape(got.shape)
             assert np.max(np.abs(got - want)) <= 1e-12
     return out
+
+
+def exact_dilation(h, alpha):
+    """The dilation [[G, S], [S, -G]] of G = h / alpha with S = Q diag(sqrt(1
+    - a^2)) Q^dag from h's ``eigh``, a = lambda / alpha: the circuit the
+    metered path meters.  At a repeated eigenvalue at the scale,
+    ``dilate``'s SVD gives another valid S, about 1e-8 away."""
+    vals, q = np.linalg.eigh((h + h.conj().T) / 2.0)
+    root = (q * np.sqrt(1.0 - np.clip(vals / alpha, -1.0, 1.0) ** 2)) @ q.conj().T
+    g = h / alpha
+    return BlockEncoding(alpha, 1, 0.0, len(h), unitary=np.block([[g, root], [root, -g]]))
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -241,21 +229,12 @@ def test_lcu_taylor_matches_three_pass_circuit(n, t, eps):
 @pytest.mark.parametrize("t,eps,order", [(1.0, 1e-2, 4), (2.0, 1e-2, 5),
                                          (4.0, 1e-4, 7), (1.0, 1e-4, 9)])
 def test_lcu_taylor_matches_three_pass_circuit_real_block(n, t, eps, order):
-    """A real symmetric block, as every pipeline target is, dilates to a real
-    U: SELECT then runs no imaginary GEMM.  Odd orders end their odd rows
-    with a single rung after the fused pairs."""
+    """A real symmetric block, as every pipeline target is, at odd and even
+    orders."""
     rng = np.random.default_rng(n * 1000 + order * 10 + int(t))
     enc = dilate(random_hermitian(rng, n), 1.0)
     assert not enc.unitary.imag.any()
     assert assert_matches_three_pass(enc, t, eps, order).meta["order"] == order
-
-
-def test_lcu_taylor_matches_three_pass_circuit_wide_ancilla():
-    """A two-term combination has a 4-dimensional ancilla per query, so the
-    compact rows of E are strided by a_dim = 4."""
-    enc = two_term_lcu(np.random.default_rng(31))
-    assert enc.unitary.shape[0] == 4 * 2
-    assert_matches_three_pass(enc, 2.0, 1e-2)
 
 
 @pytest.mark.parametrize("n,t,order", [(4, 1.0, 10), (2, 2.0, 11)])
@@ -267,67 +246,13 @@ def test_lcu_taylor_matches_three_pass_circuit_at_high_order(n, t, order):
     assert assert_matches_three_pass(enc, t, 1e-9).meta["order"] == order
 
 
-@pytest.mark.parametrize("wide,t,eps,order", [(False, 0.1, 1e-2, 2),
-                                              (False, 1.0, 1e-4, 6),
-                                              (True, 1.0, 1e-4, 6)])
-def test_lcu_taylor_matches_three_pass_circuit_with_no_idle_slot(wide, t, eps,
-                                                                 order):
+@pytest.mark.parametrize("t,eps,order", [(0.1, 1e-2, 2), (1.0, 1e-4, 6)])
+def test_lcu_taylor_matches_three_pass_circuit_with_no_idle_slot(t, eps, order):
     """At orders 2 and 6 the live rows 0 .. order + 1 fill the coefficient
     register (cdim = 4 and 8), so no slot is left idle."""
-    rng = np.random.default_rng(order * 10 + wide)
-    if wide:
-        enc = two_term_lcu(rng)
-    else:
-        enc = dilate(random_complex_hermitian(rng, 4), 1.0)
+    enc = dilate(random_complex_hermitian(np.random.default_rng(order * 10), 4), 1.0)
     assert 1 << max(1, (order + 1).bit_length()) == order + 2
     assert assert_matches_three_pass(enc, t, eps, order).meta["order"] == order
-
-
-def rotated_dilation(rng, n):
-    """A one-ancilla encoding [[H, S V], [W S, -W H V]] of a random complex
-    Hermitian H, S = sqrt(I - H^2), V and W random unitaries.  ``dilate``'s
-    blocks are all functions of H, so its rungs U_j and U_{j+1} commute and
-    the order inside a fused pair cannot show; here the blocks do not
-    commute, so it does."""
-    h = random_complex_hermitian(rng, n)
-    vals, vecs = np.linalg.eigh(h)
-    root = vecs @ np.diag(np.sqrt(1.0 - vals ** 2)) @ vecs.conj().T
-    v, w = (np.linalg.qr(rng.standard_normal((n, n))
-                         + 1j * rng.standard_normal((n, n)))[0] for _ in range(2))
-    u = np.block([[h, root @ v], [w @ root, -w @ h @ v]])
-    return BlockEncoding(1.0, 1, 0.0, n, backend="dense", unitary=u)
-
-
-def rotation_rungs(rng, n):
-    """A one-ancilla encoding [[H, S], [-S, H]] of a random complex
-    Hermitian H, S = sqrt(I - H^2).  Its blocks are functions of H, so its
-    cross-channel entries in H's eigenbasis are round-off (below 2e-15 at
-    n = 4), but each channel's rung [[a, b], [-b, a]] is a rotation, not a
-    reflection."""
-    h = random_complex_hermitian(rng, n)
-    vals, vecs = np.linalg.eigh(h)
-    root = vecs @ np.diag(np.sqrt(1.0 - vals ** 2)) @ vecs.conj().T
-    return BlockEncoding(1.0, 1, 0.0, n, backend="dense",
-                         unitary=np.block([[h, root], [-root, h]]))
-
-
-@pytest.mark.parametrize("n,t,eps,order", [(2, 1.0, 1e-2, 4), (4, 1.0, 1e-9, 10),
-                                           (2, 2.0, 1e-9, 11)])
-def test_lcu_taylor_matches_three_pass_circuit_with_noncommuting_blocks(n, t, eps,
-                                                                        order):
-    """Rungs that do not commute: the fused pair must be U_{j+1} U_j.  At
-    orders 10 and 11 the zero-ancilla block alone barely moves when it is
-    not; the full states do."""
-    enc = rotated_dilation(np.random.default_rng(n * 100 + order), n)
-    assert assert_matches_three_pass(enc, t, eps, order).meta["order"] == order
-
-
-def test_lcu_taylor_matches_three_pass_circuit_wide_ancilla_at_the_guard():
-    """a_dim = 4 at the largest order the size guard admits."""
-    enc = two_term_lcu(np.random.default_rng(31))
-    order = assert_matches_three_pass(enc, 2.0, 1e-4).meta["order"]
-    # cdim = 16 coefficient slots, a_dim = 4 per rung, the flag, s = 2
-    assert 16 * 4 ** order * 2 * 2 <= LCU_MAX_AMPLITUDES < 16 * 4 ** (order + 1) * 2 * 2
 
 
 @pytest.mark.parametrize("complex_block", [False, True])
@@ -343,68 +268,87 @@ def test_lcu_taylor_matches_three_pass_circuit_with_more_columns_than_rows(
     assert out.meta["order"] + 2 < enc.subject_dim
 
 
-def whole_subject(enc, spectrum, cfg):
-    """``_lcu_taylor`` with the channel split refused: the circuit over the
-    whole subject in the original basis."""
-    with mock.patch.object(simulation, "_CHANNEL_FLOOR", -1.0):
-        out = simulation._lcu_taylor(enc, spectrum, cfg)
-    assert out.meta["channels"] == 1
-    return out
+@pytest.mark.parametrize("complex_block", [False, True])
+def test_lcu_taylor_matches_three_pass_circuit_at_the_scale(complex_block):
+    """Eigenvalues at +-alpha, one of them repeated, where sqrt(I - G^2) is
+    ill-conditioned, against the exact dilation from h's ``eigh``."""
+    rng = np.random.default_rng(4004 + complex_block)
+    m = rng.standard_normal((4, 4))
+    if complex_block:
+        m = m + 1j * rng.standard_normal((4, 4))
+    q = np.linalg.qr(m)[0]
+    h = (q * np.array([2.0, 2.0, -2.0, 0.7])) @ q.conj().T
+    assert_matches_three_pass(exact_dilation(h, 2.0), 1.0, 1e-6)
 
 
-@pytest.mark.parametrize("make", [two_term_lcu, lambda rng: rotated_dilation(rng, 4),
-                                  lambda rng: rotation_rungs(rng, 4)],
-                         ids=["two_term_lcu", "rotated_dilation", "rotation_rungs"])
-def test_lcu_taylor_encoding_that_does_not_split_runs_whole(make):
-    """Blocks of U that are not functions of the encoded block leave
-    cross-channel entries of order one in its eigenbasis, and rungs that
-    are not reflections have no reflection basis: the circuit runs as one
-    channel over the whole subject, unrotated, bit for bit."""
-    enc = make(np.random.default_rng(41))
-    h = enc.alpha * enc.block()
-    spectrum = np.linalg.eigh((h + h.conj().T) / 2.0)
-    cfg = SimulationConfig(t=1.0, eps=1e-4, path="lcu_taylor")
-    out = simulation._lcu_taylor(enc, spectrum, cfg)
-    assert out.meta["channels"] == 1
-    assert out.block().tobytes() == whole_subject(enc, spectrum, cfg).block().tobytes()
-
-
-def test_lcu_taylor_regular_graph_at_the_scale_runs_whole():
+def test_lcu_taylor_regular_graph_at_the_scale_splits():
     """The complete graph K_4's Laplacian 4 I - J, dilated at alpha = ||L||
     = 4, has its eigenvalue 4 three times at the scale, where sqrt(I - A^2)
-    is ill-conditioned: ``dilate``'s SVD leaves cross-channel entries of
-    about 4e-9, above the floor, so the circuit runs as one channel, and it
-    still meets eps.  Its eigenvalues are the block's pinching to the
-    eigenbasis Q of L, each within the measured error of e^(-i lambda t).
-    The pinching drops the off-diagonal part of Q^dag B Q, which is
-    reported, at most 2 ||B - e^(-iLt)|| <= 2 eps.  Phase estimation runs
-    on the pinched evolution: its Born weights are the register's for
-    Q diag(u) Q^dag."""
+    is ill-conditioned.  The channels come from the eigenvalues in closed
+    form, so the run still splits, one ``on_segment`` call per segment, and
+    meets eps, each eigenvalue within the measured error of
+    e^(-i lambda t)."""
     lap = 4.0 * np.eye(4) - np.ones((4, 4))
     enc = dilate(lap, np.linalg.norm(lap, 2))
     assert enc.alpha == pytest.approx(4.0)
     eps = 1e-6
-    out = simulate_hamiltonian(enc, SimulationConfig(t=1.0, eps=eps, path="lcu_taylor"))
-    assert out.meta["channels"] == 1
-    assert np.linalg.norm(out.block() - sla.expm(-1j * lap), 2) <= eps
+    cfg = SimulationConfig(t=1.0, eps=eps, path="lcu_taylor")
     h = enc.alpha * enc.block()
     vals, q = np.linalg.eigh((h + h.conj().T) / 2.0)
+    calls = []
+    out = simulation._lcu_taylor(enc.alpha, (vals, q), cfg,
+                                 on_segment=lambda *args: calls.append(args))
+    assert len(calls) == out.meta["segments"]
+    assert np.linalg.norm(out.block() - sla.expm(-1j * lap), 2) <= eps
     measured = out.meta["measured_error"]
     assert measured <= eps
     assert np.max(np.abs(out.phases - np.exp(-1j * vals))) <= measured
     assert np.array_equal(out.basis, q)
-    assert 0.0 <= out.meta["off_diagonal"] <= 2.0 * eps
-    bits = 10
-    samples = run_qpe(out, QpeConfig(phase_bits=bits, shots=4096, seed=0))
-    assert np.max(np.abs(samples.probs - row_block_probs(out, bits))) <= 1e-12
+
+
+@pytest.mark.parametrize("excess,refused", [(1e-9, True), (1e-12, False)])
+def test_lcu_taylor_refuses_a_block_beyond_the_scale(excess, refused):
+    """A block whose norm exceeds the scale by more than 1e-10, ``dilate``'s
+    own threshold, has no dilation to meter and is refused; a smaller
+    excess is round-off, clipped, and runs."""
+    enc = BlockEncoding(1.0, 1, 0.0, 2, backend="composite",
+                        _block=np.diag([0.5, -(1.0 + excess)]))
+    cfg = SimulationConfig(t=1.0, eps=1e-4, path="lcu_taylor")
+    if refused:
+        with pytest.raises(SimulationError, match="exceeds the dilation scale"):
+            simulate_hamiltonian(enc, cfg)
+    else:
+        assert simulate_hamiltonian(enc, cfg).meta["measured_error"] <= cfg.eps
+
+
+@pytest.mark.parametrize("backend", ["purified", "composite"])
+def test_lcu_taylor_meters_any_encoding_as_its_dilation(backend):
+    """Whatever circuit encodes the block, the metered path meters its
+    dilation: a purified or composite encoding gives, bit for bit, the
+    evolution of ``dilate(alpha block, alpha)``.  Complex blocks at alpha = 1
+    and 2 keep ``dilate``'s block bit-identical to the encoding's."""
+    rng = np.random.default_rng(71)
+    if backend == "purified":
+        v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        enc = purified_density_encoding(v / np.linalg.norm(v), 4)
+    else:
+        enc = BlockEncoding(2.0, 1, 0.0, 4, backend="composite",
+                            _block=random_complex_hermitian(rng, 4))
+    assert enc.backend == backend
+    cfg = SimulationConfig(t=3.0, eps=1e-6, path="lcu_taylor")
+    out = simulate_hamiltonian(enc, cfg)
+    ref = simulate_hamiltonian(dilate(enc.alpha * enc.block(), enc.alpha), cfg)
+    assert out.basis.tobytes() == ref.basis.tobytes()
+    assert out.phases.tobytes() == ref.phases.tobytes()
+    assert out.meta == ref.meta
 
 
 def test_lcu_taylor_peak_memory_on_the_benchmark_instance(monkeypatch):
     """The segment runs in place on one state buffer with two row slabs of
     scratch: on the metered-taylor benchmark's n=4 L job (seed 301; order
     10, s = 4) the traced peak of the simulation stays under 1.5 live-row
-    states of the whole subject.  The job's dilation splits into s = 4
-    channels, whose stacked state is one whole-subject state."""
+    states of the whole circuit, one ancilla qubit per query: the s
+    channels' stacked state."""
     rng = np.random.default_rng([301, 0])
     x = rng.standard_normal((4, 2))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -412,11 +356,11 @@ def test_lcu_taylor_peak_memory_on_the_benchmark_instance(monkeypatch):
     runs = []
     inner = simulation._lcu_taylor
 
-    def traced(be, spectrum, cfg):
+    def traced(alpha, spectrum, cfg):
         tracemalloc.start()
         try:
-            out = inner(be, spectrum, cfg)
-            runs.append((out, be, tracemalloc.get_traced_memory()[1]))
+            out = inner(alpha, spectrum, cfg)
+            runs.append((out, len(spectrum[0]), tracemalloc.get_traced_memory()[1]))
         finally:
             tracemalloc.stop()
         return out
@@ -425,12 +369,10 @@ def test_lcu_taylor_peak_memory_on_the_benchmark_instance(monkeypatch):
     full_pipeline(VertexSet.from_vectors(x), KernelParams(0.5, 6),
                   PipelineConfig(target="L", norm_case="general",
                                  sim_path="lcu_taylor", sim_eps=1e-6))
-    (out, be, peak), = runs
-    order, s = out.meta["order"], be.subject_dim
-    a_dim = be.unitary.shape[0] // s
-    assert (order, s, a_dim) == (10, 4, 2)
-    assert out.meta["channels"] == s
-    state_bytes = (order + 2) * 2 * a_dim ** order * s * 16
+    (out, s, peak), = runs
+    order = out.meta["order"]
+    assert (order, s) == (10, 4)
+    state_bytes = (order + 2) * 2 * 2 ** order * s * 16
     assert peak <= 1.5 * state_bytes
 
 
@@ -455,12 +397,11 @@ def test_lcu_taylor_segment_loop_allocates_no_slab(complex_block):
 
     tracemalloc.start()
     try:
-        out = simulation._lcu_taylor(enc, np.linalg.eigh(h), cfg, on_segment=watch)
+        out = simulation._lcu_taylor(enc.alpha, np.linalg.eigh(h), cfg, on_segment=watch)
     finally:
         tracemalloc.stop()
     order, s = out.meta["order"], enc.subject_dim
     slab_bytes = 2 * 2 ** order * s * 16
-    assert out.meta["channels"] == s  # stacked: one call per segment
     assert len(extra) == out.meta["segments"] - 1 > 0
     assert max(extra) < slab_bytes
 
@@ -476,10 +417,13 @@ def test_lcu_taylor_unreachable_order_names_sim_eps():
 
 def test_lcu_taylor_amplitude_cap_names_the_cap():
     """An order whose live rows exceed LCU_MAX_AMPLITUDES is refused before
-    any state is allocated, naming the cap."""
-    enc = two_term_lcu(np.random.default_rng(31))
-    with pytest.raises(GraphError, match=f"LCU_MAX_AMPLITUDES = {LCU_MAX_AMPLITUDES}"):
-        simulate_hamiltonian(enc, SimulationConfig(t=2.0, eps=1e-6,
+    any state is allocated, naming the cap: s = 32 at order 12 needs
+    cdim 2^order 2 s = 16 * 4096 * 2 * 32 = 2^22 amplitudes."""
+    enc = dilate(random_hermitian(np.random.default_rng(31), 32), 1.0)
+    refusal = (f"order 12 needs {1 << 22} amplitudes, "
+               f"beyond LCU_MAX_AMPLITUDES = {LCU_MAX_AMPLITUDES}")
+    with pytest.raises(GraphError, match=refusal):
+        simulate_hamiltonian(enc, SimulationConfig(t=2.0, eps=1e-10,
                                                    path="lcu_taylor"))
 
 
@@ -921,8 +865,8 @@ def test_full_pipeline_report_shape():
 
 
 def test_full_pipeline_metered_path():
-    """The CLI-reachable lcu_taylor path runs on the verified block re-dilated
-    compactly, and stays within its error budget."""
+    """The CLI-reachable lcu_taylor path meters the dilation of the verified
+    encoding's block, and stays within its error budget."""
     vs = VertexSet.from_vectors([[0.5, 0.1], [0.1, 0.45]])
     kp = KernelParams(0.5, 6)
     cfg = PipelineConfig(target="L", d=1, qpe_bits=8, qpe_shots=2048, seed=9,

@@ -1,25 +1,15 @@
 """Differential property tests of the simulation and spectral stages
 against slow references.
 
-- SELECT of the metered ``lcu_taylor`` path's whole-subject runs:
-  ``_taylor_select`` (real GEMMs with fused rung pairs between two
-  preallocated row slabs, in place over the live rows with the ancillas
-  reversed) against the per-(row, rung) complex ``moveaxis`` round trip on
-  the full register in circuit order, within round-off, for real and
-  complex U.
-- The channel split of the metered path: ``_lcu_taylor`` on the dilation of
-  a random real or complex Hermitian block, s in {2, 4, 8}, its spectrum
-  generic, degenerate, or with an eigenvalue at the scale, one channel per
-  eigenvector, against the same circuit over the whole subject (the split
-  refused): the evolution within 1e-12 and the same query count.  The
-  split's channels, stacked, against the same kernel run on one channel at
-  a time (``taylor_reference``), for generic and degenerate spectra, the
-  split run never reaching ``_taylor_select``.
-- The reflection basis of a split run's rungs: ``_reflection_basis``'s
-  closed-form V against the definition, V unitary and V diag(1, -1) V^dag
-  equal to the rung within ``ROUND_OFF``, for a in {+-1, +-(1 - 1e-15)} or
-  uniform and b real or complex; a stack with one rung bent off a
-  reflection, or rungs wider than 2 x 2, is refused.
+- The channels of the metered ``lcu_taylor`` path, for a random real or
+  complex Hermitian block, s in {2, 4, 8}, its spectrum generic,
+  degenerate, or with an eigenvalue at the scale: the s channels, stacked,
+  against the same kernel run on one channel at a time
+  (``taylor_reference``), the evolution within 1e-12 and the same query
+  count, and against exp(-i h t) within eps.
+- The half-angle frame of each channel's rung: V unitary and
+  V diag(1, -1) V^T equal to the rung [[a, b], [b, -a]], b = sqrt(1 - a^2),
+  within ``ROUND_OFF``, for a in {+-1, +-(1 - 1e-15)} or uniform.
 - Phase estimation on an evolution Q diag(u) Q^dag, the oracle path's for a
   random complex Hermitian h, its spectrum generic or degenerate:
   ``run_qpe`` (Born probabilities from the trace moments
@@ -46,12 +36,12 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from qlapeig import simulation, spectral
-from qlapeig.blockenc import BlockEncoding, dilate
-from qlapeig.simulation import (LCU_MAX_AMPLITUDES, MAX_TAYLOR_ORDER, Evolution,
-                                SimulationConfig, SimulationError, _select_factors,
-                                _taylor_select, simulate_hamiltonian)
+from qlapeig.blockenc import BlockEncoding
+from qlapeig.simulation import (Evolution, SimulationConfig, SimulationError,
+                                simulate_hamiltonian)
 from qlapeig.spectral import QpeConfig, ResolutionError, extract_d_smallest, run_qpe
 from qpe_reference import post_state, row_block_probs
 from taylor_reference import channel_by_channel
@@ -60,71 +50,6 @@ from taylor_reference import channel_by_channel
 # reproducible instance, and shrinking would rerun order-12 states for minutes
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40,
                     phases=(Phase.explicit, Phase.reuse, Phase.generate))
-
-
-def state_shape(a_dim, s, order):
-    """The full register in circuit order: coefficient row, ancilla 1 ..
-    order, flag, subject."""
-    cdim = 1 << max(1, (order + 1).bit_length())
-    return (cdim,) + (a_dim,) * order + (2, s)
-
-
-def live_layout(psi, order):
-    """``_taylor_select``'s layout of a circuit-order state: rows 0 .. order
-    + 1, each with axes flag, ancilla order .. 1, subject."""
-    return psi[: order + 2].transpose(
-        (0, order + 1) + tuple(range(order, 0, -1)) + (order + 2,))
-
-
-def select_reference(psi, u_mat, order):
-    """Rung j applies U_j to (ancilla j, subject) of every row k >= j, each
-    row moved to the front and back on its own."""
-    def apply_on(x, axes):
-        moved = np.moveaxis(x, axes, range(len(axes)))
-        flat = u_mat @ moved.reshape(u_mat.shape[0], -1)
-        return np.moveaxis(flat.reshape(moved.shape), range(len(axes)), axes)
-
-    for j in range(1, order + 1):
-        for k in range(j, order + 1):
-            psi[k] = apply_on(psi[k], [j - 1, psi.ndim - 2])
-    psi[order + 1] = np.flip(psi[order + 1], axis=-2)
-    return psi
-
-
-@st.composite
-def instances(draw):
-    """(a_dim, s, order, real U?, seed), with order up to the lcu size
-    guard."""
-    a_dim = draw(st.sampled_from([2, 4]))
-    s = draw(st.sampled_from([1, 2, 4]))
-    top = max(o for o in range(1, MAX_TAYLOR_ORDER + 1)
-              if np.prod(state_shape(a_dim, s, o)) <= LCU_MAX_AMPLITUDES)
-    return (a_dim, s, draw(st.integers(1, top)), draw(st.booleans()),
-            draw(st.integers(0, 2**32 - 1)))
-
-
-@PROPERTY
-@given(instances())
-def test_taylor_select_matches_per_row_moveaxis(instance):
-    a_dim, s, order, real, seed = instance
-    rng = np.random.default_rng(seed)
-    dim = a_dim * s
-    m = rng.standard_normal((dim, dim))
-    if not real:
-        m = m + 1j * rng.standard_normal((dim, dim))
-    u_mat = np.linalg.qr(m)[0].astype(complex)
-    factors = _select_factors(u_mat, s)
-    assert (factors[0][1] is None) == real and (factors[1][1] is None) == real
-    shape = state_shape(a_dim, s, order)
-    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    want = live_layout(select_reference(psi.copy(), u_mat, order), order)
-    got = np.ascontiguousarray(live_layout(psi, order))
-    slabs = np.empty((2 if real else 3, got[0].size), dtype=complex)
-    assert _taylor_select(got, factors, order, slabs) is got
-    assert got.shape == want.shape
-    # the fused pairs and real GEMMs round differently from one complex
-    # GEMM per rung
-    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @st.composite
@@ -138,9 +63,9 @@ def split_instances(draw):
             draw(st.integers(0, 2**32 - 1)))
 
 
-def split_dilation(rng, s, complex_block, spectrum):
-    """The dilation of a random real or complex Hermitian block whose
-    spectrum is of the given kind (``split_instances``), and its ``eigh``."""
+def split_block(rng, s, complex_block, spectrum):
+    """A random real or complex Hermitian block whose spectrum is of the
+    given kind (``split_instances``), and its ``eigh``."""
     m = rng.standard_normal((s, s))
     if complex_block:
         m = m + 1j * rng.standard_normal((s, s))
@@ -150,85 +75,51 @@ def split_dilation(rng, s, complex_block, spectrum):
         vals = rng.choice(vals[:2], s)
     elif spectrum == "scale":
         vals[: 1 + (s > 2)] = 1.0 if rng.random() < 0.5 else -1.0
-    enc = dilate((q * vals) @ q.conj().T, 1.0)
-    h = enc.block()
-    return enc, np.linalg.eigh((h + h.conj().T) / 2.0)
+    h = (q * vals) @ q.conj().T
+    return h, np.linalg.eigh((h + h.conj().T) / 2.0)
 
 
 @PROPERTY
 @given(split_instances())
-def test_lcu_taylor_channels_match_the_whole_subject(instance):
-    s, complex_block, spectrum, t, eps, seed = instance
-    enc, eig = split_dilation(np.random.default_rng(seed), s, complex_block, spectrum)
-    cfg = SimulationConfig(t=t, eps=eps, path="lcu_taylor")
-    out = simulation._lcu_taylor(enc, eig, cfg)
-    with mock.patch.object(simulation, "_CHANNEL_FLOOR", -1.0):
-        whole = simulation._lcu_taylor(enc, eig, cfg)
-    assert whole.meta["channels"] == 1
-    assert out.meta["channels"] == s or spectrum == "scale"
-    assert np.max(np.abs(out.phases - whole.phases)) <= 1e-12
-    assert np.max(np.abs(out.block() - whole.block())) <= 1e-12
-    assert out.meta["query_count"] == whole.meta["query_count"]
-
-
-@PROPERTY
-@given(split_instances().filter(lambda inst: inst[2] != "scale"))
 def test_lcu_taylor_stack_matches_one_channel_at_a_time(instance):
-    """The s channels of a split run, stacked, against the same kernel run
-    on each channel alone (``taylor_reference``): the evolution within
-    1e-12 and the same query count.  A split run's SELECT is the sign table:
-    it never reaches ``_taylor_select``."""
+    """The s channels of a run, stacked, against the same kernel run on each
+    channel alone (``taylor_reference``): the evolution within 1e-12 and the
+    same query count; and the evolution within eps of exp(-i h t)."""
     s, complex_block, spectrum, t, eps, seed = instance
-    enc, eig = split_dilation(np.random.default_rng(seed), s, complex_block, spectrum)
+    h, eig = split_block(np.random.default_rng(seed), s, complex_block, spectrum)
     cfg = SimulationConfig(t=t, eps=eps, path="lcu_taylor")
-    with mock.patch.object(simulation, "_taylor_select", side_effect=AssertionError):
-        out = simulation._lcu_taylor(enc, eig, cfg)
+    out = simulation._lcu_taylor(1.0, eig, cfg)
     with mock.patch.object(simulation, "_taylor_channels", channel_by_channel):
-        ref = simulation._lcu_taylor(enc, eig, cfg)
-    assert out.meta["channels"] == ref.meta["channels"] == s
+        ref = simulation._lcu_taylor(1.0, eig, cfg)
     assert np.max(np.abs(out.phases - ref.phases)) <= 1e-12
     assert out.meta["query_count"] == ref.meta["query_count"]
+    assert np.linalg.norm(out.block() - expm(-1j * t * h), 2) <= eps
 
 
 # a few ulps: V and its product take a handful of roundings each
 ROUND_OFF = 2e-15
 
 
-@st.composite
-def reflection_rungs(draw):
-    """A rung [[a, b], [conj b, -a]], |b| = sqrt(1 - a^2): a from +-1 and
-    +-(1 - 1e-15), where a formula that divides by 1 - |a| fails, or
-    uniform in [-1, 1]; b real, of either sign, or complex."""
-    a = draw(st.one_of(st.sampled_from([1.0, -1.0, 1.0 - 1e-15, -(1.0 - 1e-15)]),
-                       st.floats(-1.0, 1.0)))
-    if draw(st.booleans()):
-        phase = complex(np.exp(1j * draw(st.floats(0.0, 2.0 * math.pi))))
-    else:
-        phase = draw(st.sampled_from([1.0, -1.0]))
-    b = math.sqrt((1.0 - a) * (1.0 + a)) * phase
-    return np.array([[a, b], [np.conj(b), -a]], dtype=complex)
-
-
 @PROPERTY
-@given(st.lists(reflection_rungs(), min_size=1, max_size=4),
-       st.integers(0, 2**32 - 1))
-@example([np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)], 0)
-def test_reflection_basis_of_the_rungs(rungs, seed):
-    rungs = np.stack(rungs)
-    frames = simulation._reflection_basis(rungs)
-    assert frames.shape == rungs.shape
-    for v, u in zip(frames, rungs):
-        assert np.max(np.abs(v.conj().T @ v - np.eye(2))) <= ROUND_OFF
-        assert np.max(np.abs((v * [1.0, -1.0]) @ v.conj().T - u)) <= ROUND_OFF
-    # one entry of one rung moved 100 times the floor: not a reflection,
-    # and the whole stack runs unsplit
-    rng = np.random.default_rng(seed)
-    bent = rungs.copy()
-    bent[rng.integers(len(bent)), rng.integers(2), rng.integers(2)] += (
-        100.0 * simulation._CHANNEL_FLOOR * np.exp(2j * math.pi * rng.random()))
-    assert simulation._reflection_basis(bent) is None
-    wide = np.kron(rungs, np.eye(2))  # a reflection, but of a 4-dimensional ancilla
-    assert simulation._reflection_basis(wide) is None
+@given(st.lists(st.one_of(st.sampled_from([1.0, -1.0, 1.0 - 1e-15, -(1.0 - 1e-15)]),
+                          st.floats(-1.0, 1.0)), min_size=1, max_size=4))
+@example([-1.0])
+def test_reflection_basis_of_the_rungs(a):
+    """The frames a run hands ``on_segment``, for channels a from +-1 and
+    +-(1 - 1e-15), where a formula that divides by 1 - |a| fails, or uniform
+    in [-1, 1]: each the definition's V for its rung."""
+    a = np.array(a)
+    seen = []
+    simulation._lcu_taylor(1.0, (a, np.eye(len(a))),
+                           SimulationConfig(t=0.1, eps=1e-2, path="lcu_taylor"),
+                           on_segment=lambda bases, frames, psi: seen.append(frames))
+    frames = seen[0]
+    assert frames.shape == (len(a), 2, 2)
+    for v, a_mu in zip(frames, a):
+        b = math.sqrt((1.0 - a_mu) * (1.0 + a_mu))
+        assert np.max(np.abs(v.T @ v - np.eye(2))) <= ROUND_OFF
+        rung = np.array([[a_mu, b], [b, -a_mu]])
+        assert np.max(np.abs((v * [1.0, -1.0]) @ v.T - rung)) <= ROUND_OFF
 
 
 def sequential_qpe(evolution, qcfg):

@@ -1,13 +1,14 @@
-"""Only an encoding's own methods and the metered path read its unitary.
+"""Only an encoding's own methods read its unitary.
 
 A dense ``BlockEncoding`` carries its unitary matrix, but a consumer of an
 encoding reads ``block()`` or runs ``apply``, which every backend answers.
 Inside ``src/qlapeig`` the ``unitary`` attribute is read only by the methods
-of ``BlockEncoding`` itself and by ``simulation._lcu_taylor``, whose SELECT
-multiplies by the query's matrix.  A read anywhere else would tie that code
-to the dense backend (a combination materializing its circuit, say), so this
-scan fails on one, as an attribute or through ``getattr``.  The tests and
-``tests/encoding_reference.py`` read unitaries as the dense references.
+of ``BlockEncoding`` itself: the metered path takes its query, the
+dilation of the encoded block, in closed form from the block's spectrum.  A
+read anywhere else would tie that code to the dense backend (a combination
+materializing its circuit, say), so this scan fails on one, as an attribute
+or through ``getattr``.  The tests and ``tests/encoding_reference.py`` read
+unitaries as the dense references.
 
 The metered path's preparations P_R and P_L stay ``_householder``
 reflections, the one definition ``BlockEncoding.apply`` reflects by, run in
@@ -23,7 +24,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qlapeig"
 FILES = sorted(SRC.glob("*.py"))
-ALLOWED = {"blockenc": "BlockEncoding", "simulation": "_lcu_taylor"}
+ALLOWED = {"blockenc": "BlockEncoding"}
 
 
 def unitary_reads(tree):
