@@ -2,7 +2,13 @@
 
 Each check returns a JSON-ready dict with a ``pass`` flag and a violation
 count; the harness emits one line per check and pytest asserts on the same
-functions.  Randomized checks are seeded and deterministic.
+functions.  ``run_checks`` runs a suite's checks in separate processes, so
+every check in ``CHECKS`` keeps this contract.  It is seeded with its own
+seed, not a shared generator.  It shares no state with another check: it
+reads nothing another check writes (``hadamard_all``'s cache holds the same
+arrays whoever fills it), so it returns the same dict in any order and any
+process.  It returns a picklable dict of plain ints, floats, bools and
+strings.
 
 The perturbation model matches the bound hypotheses exactly: amplitude
 vectors are moved on their spheres by a prescribed chordal distance, so the
@@ -14,6 +20,8 @@ the triangle-inequality chain), so the suites run at orders 2..5.
 from __future__ import annotations
 
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -371,7 +379,28 @@ CHECKS = {
 }
 
 
+def _run_check(size: str, index: int):
+    return CHECKS[size][index]()
+
+
 def run_checks(size: str = "small"):
+    """Run the suite's checks in a pool of forked processes, one per CPU this
+    process may use (at most one per check), and return their results in
+    suite order.  A check's exception re-raises here with its own type; a
+    worker that dies raises ``BrokenProcessPool``."""
     if size not in CHECKS:
         raise ValueError(f"unknown suite size {size!r}")
-    return [fn() for fn in CHECKS[size]]
+    # imported here, so that a run without the battery does not pay for it.
+    # Fork, not spawn: a spawned worker would import numpy and qlapeig again
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    count = len(CHECKS[size])
+    workers = min(count, len(os.sched_getaffinity(0)))
+    # a forked worker writes out the buffers it inherits when it exits
+    # (multiprocessing flushes before it forks, but does not document it)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+        # by index: the suites hold lambdas, which do not pickle
+        return list(pool.map(_run_check, [size] * count, range(count)))

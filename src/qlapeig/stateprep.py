@@ -798,18 +798,23 @@ def _disentangle(state: SimState, control_reg: str, target_regs):
     tdim = int(np.prod(moved.shape[1:1 + len(t_axes)]))
     rest = moved.reshape(cdim, tdim, -1)
     new = np.zeros_like(rest)
-    for c in range(cdim):
-        mat = rest[c]
-        if np.max(np.abs(mat)) == 0:
-            continue
-        u, s, wt = np.linalg.svd(mat, full_matrices=False)
-        if len(s) > 1 and s[1] > 1e-9 * max(s[0], 1e-30):
-            raise SimError("target registers entangled beyond the control")
-        row = s[0] * wt[0, :]
-        k = int(np.argmax(np.abs(row)))
-        ph = row[k] / abs(row[k])
-        row = row * np.conj(ph)
-        if np.max(np.abs(row.imag)) > 1e-9 or np.min(row.real) < -1e-9:
-            raise SimError("freed factor is not in the nonnegative convention")
-        new[c, 0, :] = row
+    # one batched SVD over the control values whose slice is not zero
+    live = np.flatnonzero(np.max(np.abs(rest), axis=(1, 2)) != 0)
+    _, s, wt = np.linalg.svd(rest[live], full_matrices=False)
+    rows = s[:, :1] * wt[:, 0, :]
+    top = rows[np.arange(live.size), np.argmax(np.abs(rows), axis=1)]
+    # hypot rounds as abs() of one complex does; np.abs of an array can
+    # differ in the last place
+    rows = rows * np.conj(top / np.hypot(top.real, top.imag))[:, None]
+    second = s[:, 1] if s.shape[1] > 1 else np.zeros(live.size)
+    entangled = second > 1e-9 * np.maximum(s[:, 0], 1e-30)
+    signed = ((np.max(np.abs(rows.imag), axis=1) > 1e-9)
+              | (np.min(rows.real, axis=1) < -1e-9))
+    # the first control value at fault names the fault, as a loop would
+    bad = np.flatnonzero(entangled | signed)
+    if bad.size:
+        raise SimError("target registers entangled beyond the control"
+                       if entangled[bad[0]] else
+                       "freed factor is not in the nonnegative convention")
+    new[live, 0, :] = rows
     vec[...] = np.moveaxis(new.reshape(moved.shape), range(vec.ndim), perm)

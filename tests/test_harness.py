@@ -2,9 +2,11 @@
 the error-propagation property suites the harness drives."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -38,6 +40,14 @@ def write_config(path, **overrides):
     lines = [f"{k} = {v}" for k, v in base.items() if v != ""]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def toy_csv(path):
@@ -554,6 +564,70 @@ def test_verify_unknown_size_exits_2_before_running(tmp_path, monkeypatch):
     assert ran == [] and not out.exists()
 
 
+def suite_lines(results):
+    return "\n".join(dump_json(r) for r in results)
+
+
+@pytest.mark.parametrize("one_cpu", [False, True], ids=["all-cpus", "one-cpu"])
+def test_run_checks_matches_the_in_process_suite(monkeypatch, one_cpu):
+    """The pool returns, in suite order, the bytes the checks give when run
+    one after another in this process, with a pool of one CPU as well."""
+    in_process = suite_lines(fn() for fn in checks.CHECKS["small"])
+    if one_cpu:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert suite_lines(checks.run_checks("small")) == in_process
+
+
+def test_small_suite_is_order_independent():
+    """Each check gives the same result whichever checks ran before it in
+    the same process: what running them in separate processes relies on."""
+    suite = checks.CHECKS["small"]
+    forward = [fn() for fn in suite]
+    backward = [fn() for fn in reversed(suite)][::-1]
+    assert suite_lines(backward) == suite_lines(forward)
+
+
+def test_verify_worker_death_exits_3_promptly_no_file(tmp_path, monkeypatch, capsys):
+    """A check whose process dies is an internal error: ``verify`` exits 3
+    at once, writes nothing and leaves no worker running."""
+    monkeypatch.setitem(checks.CHECKS, "small",
+                        [checks.check_truncation_monotone, lambda: os._exit(1)])
+    out = tmp_path / "checks.jsonl"
+    start = time.monotonic()
+    assert main(["verify", "--sizes", "small", "--out", str(out)]) == 3
+    assert time.monotonic() - start < 10.0
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+    assert "BrokenProcessPool" in capsys.readouterr().err
+
+
+def test_cli_leaves_the_process_pool_unimported():
+    """Importing the harness and the CLI does not import the process pool:
+    only ``run_checks`` needs it, and it imports it when called."""
+    script = ("import sys, qlapeig.harness, qlapeig.cli\n"
+              "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+              " & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "[]"
+
+
+def test_verify_to_stdout_prints_each_line_once():
+    """``verify`` without ``--out`` prints each check line once, and a line
+    printed before the pool starts is not printed again by its workers."""
+    script = ("import sys\nfrom qlapeig.cli import main\n"
+              "print('before the pool')\n"
+              "sys.exit(main(['verify', '--sizes', 'small']))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.split("\n")
+    assert lines[0] == "before the pool" and lines[-1] == ""
+    names = {json.loads(line)["check"] for line in lines[1:-1]}
+    assert len(names) == len(lines) - 2 == len(checks.CHECKS["small"])
+
+
 def test_float_serialization_17_digits():
     text = dump_json({"x": 1.0 / 3.0, "v": [1.5, 2]})
     assert "0.33333333333333331" in text
@@ -600,13 +674,10 @@ def test_cold_run_leaves_scipy_unimported(tmp_path):
     config = write_config(tmp_path / "run.cfg", input=vertices, norm_case="general",
                           qpe_bits=10, qpe_shots=8192,
                           output=tmp_path / "report.json")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     script = ("import sys\nfrom qlapeig.cli import main\n"
               f"code = main(['run', '--config', {str(config)!r}])\n"
               "print(code, 'scipy' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "False"]
