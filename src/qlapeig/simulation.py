@@ -5,8 +5,9 @@ Two paths: ``oracle_exponential`` exponentiates the verified encoded block
 exactly (the contract of optimal block-Hamiltonian simulation, taken as an
 oracle), while ``lcu_taylor`` builds the truncated-Taylor linear combination
 over controlled queries to an encoding unitary, segmented so one exact
-oblivious-amplification round per segment restores unit scale.  The second
-path is the one whose query counts are metered.
+oblivious-amplification round per segment restores unit scale (Berry,
+Childs, Cleve, Kothari and Somma, PRL 114, 090502 (2015)).  The second path
+is the one whose query counts are metered.
 
 The metered query is the one-ancilla dilation U = [[G, S], [S, -G]] of the
 encoded block G = h / alpha, S = sqrt(I - G^2), whatever circuit encodes h:
@@ -15,8 +16,7 @@ direct sum over the eigenvectors of the ancilla-only rungs
 u_mu = [[a, b], [b, -a]], a = lambda_mu / alpha and b = sqrt(1 - a^2) (the
 invariant subspaces of qubitization: Low and Chuang, Quantum 3, 163 (2019)),
 and P_R, P_L and R never touch the subject.  So the circuit runs as s
-channels of one subject dimension, stacked in one buffer, through one pass
-of the r segments (``_taylor_channels``).  Each rung is the reflection
+channels of one subject dimension.  Each rung is the reflection
 u = V diag(1, -1) V^T in its real half-angle frame V = [[p, -q], [q, p]],
 p = sqrt((1 + a) / 2) and q = sqrt((1 - a) / 2).  With each channel's
 ancillas in its V basis, U_j is diag(1, -1) on ancilla j, so row k's SELECT
@@ -24,27 +24,39 @@ U_1 ... U_k is the sign T_k(z) = prod_{j <= k} (-1)^(z_j) of each cell z,
 one table for all channels with P_R's D folded in (``_sign_table``), and
 E's zero-ancilla cell is the product vector v^(x)order, v = V^T |0>.
 
-A segment is the circuit S = -A R A^dag R A, R = 2 Pi - I.  It is simulated
-with one pass of A by two identities that hold because A is unitary:
-A R A^dag = 2 E E^dag - I with E = A Pi, and E^dag (R A psi) = 2 W^dag w - Pi psi
-with W = Pi A Pi and w = Pi A psi.  The meter counts the circuit, not the
-simulation: 3 * order queries per segment, one per rung; the series order
-and the size guard are the s-dimensional circuit's, counted once.
+A segment is the circuit S = -A R A^dag R A, R = 2 Pi - I.  Because A is
+unitary, A R A^dag = 2 E E^dag - I with E = A Pi, and one segment maps psi
+to psi' = -A psi - coef A e + 2 y0 e, where e = e_0 (x) v^(x)order is the
+channel's zero cell, y0 = <e, A psi>, coef = 2 (2 conj(W) y0 - <e, psi>)
+and W = <e, A e> = sum_{k <= order} c_k d_k a^k.  The meter counts the
+circuit, not the simulation: 3 * order queries per segment, one per rung.
 
-The state holds only the live rows 0 .. order + 1 of the coefficient
-register; the others stay exactly zero.  The state is one buffer, updated
-in place, its scratch two row slabs allocated with it: nothing of a slab's
-size is allocated in the segment loop.
-P_L = I - 2 n n^T, the ``stateprep._householder`` reflection whose first
-column is c, is real and its own adjoint, and P_R = D P_L D^dag exactly,
-D = diag((-i)^k) the phases of d: each map is one GEMV and one update per
-row on the float64 views, P_R's D^dag a phase pass before it.  Between the
-maps SELECT leaves X = SELECT P_R psi, and the update is folded into X
-before P_L^dag: E c = P_L^dag Y(c), where Y(c) holds d_k V_k (|0^k> (x) c)
-in row k, V_k = U_k ... U_1, so the new state R A psi - E (2 E^dag R A psi)
-is -P_L^dag (X + Y(coef)) with 2 y0 added back on the all-zero cell,
-y0 = (P_L^dag X) there and coef = 2 (2 W^dag y0 - Pi psi).  On a channel
-W = sum_{k <= order} c_k d_k a^k.
+The circuit is channel-independent but for e.  A = P_L^dag SELECT P_R acts
+on each ancilla cell z by one map A_z of the live rows 0 .. order + 1 of the
+coefficient register and the flag (the others stay exactly zero), the same
+for every channel: SELECT is the sign table, P_R and P_L act on rows only,
+and the padding row's query swaps the flag.  So with K_j = (-A)^j (e_0 (x)
+1), 1 the all-ones cell vector, a channel's state after t segments is
+psi_t = v^(x)order o sum_j gamma_{t,j} K_j, o the product cell by cell, and
+a segment only moves the scalars: gamma shifts up one place (-A psi), coef
+is added at j = 1 and 2 y0 set at j = 0.  Every read is
+<e, v^(x)order o K_j> = sum_z v(z)^2 K_j(z), a sum over the row-0, flag-0
+entries of K_j; v(z)^2 = p^(2 (order - w)) q^(2 w) depends on z only by its
+Hamming weight w, so the read is sum_w p^(2 (order - w)) q^(2 w) G_j(w),
+G_j(w) the sum of those entries over the cells of weight w.  The kernel
+(``_taylor_channels``) runs r applications of -A on one live-row state and
+keeps G_j, then runs the s channels' recurrences together on the scalars:
+O(r order 2^order + s r^2) work, one state's memory whatever s is.  Each
+class is summed first and weighted after: weighting the 2^order cells one
+by one before summing left the channel values about 1e-14 off the unit
+circle on random rungs at eps = 1e-8, against about 1e-15 this way.
+
+-A runs in place on the state with two row slabs of scratch, so nothing of
+a slab's size is allocated per step.  P_L = I - 2 n n^T, the
+``stateprep._householder`` reflection whose first column is c, is real and
+its own adjoint, and P_R = D P_L D^dag exactly, D = diag((-i)^k) the phases
+of d: each map is one GEMV and one update per row on the float64 views,
+P_R's D^dag a phase pass before it, its D folded into the sign table.
 
 Simulation returns an ``Evolution``: U = Q diag(u) Q^dag in the eigenbasis
 Q of h = alpha block, from the one ``eigh`` of h.  The oracle path has
@@ -77,7 +89,9 @@ class SimulationError(SimError):
 
 
 MAX_TAYLOR_ORDER = 12  # lcu path: the highest truncation order chosen from eps
-LCU_MAX_AMPLITUDES = 1 << 21  # lcu path: the largest state, its channels stacked
+# lcu path: the largest live-row state, whatever s is; up to MAX_TAYLOR_ORDER
+# it is 114688 amplitudes, so the cap binds only past order 15
+LCU_MAX_AMPLITUDES = 1 << 21
 # the least error a simulated evolution claims: its round-off
 _EPS_FLOOR = 1e-12
 
@@ -181,21 +195,18 @@ def _project(rows: np.ndarray, w: np.ndarray, slab: np.ndarray) -> np.ndarray:
 
 
 def _reflect_rows(rows: np.ndarray, w: np.ndarray, proj: np.ndarray, slab: np.ndarray,
-                  negate: bool = False, after=None) -> None:
+                  negate: bool = False) -> None:
     """rows <- (I - 2 w w^T) rows in place, or its negation, given proj =
     ``_project(rows, w, ...)``: one update per row on the float64 views,
-    through the row slab ``slab``.  ``after(k)``, when given, runs right
-    after row k's update, while the row is in cache."""
+    through the row slab ``slab``."""
     flat, proj = rows.view(np.float64), proj.view(np.float64)
     term = slab.view(np.float64)[:proj.size]
-    for k, (row, wk) in enumerate(zip(flat, w)):
+    for row, wk in zip(flat, w):
         np.multiply(proj, 2.0 * wk, out=term)
         if negate:
             np.subtract(term, row, out=row)
         else:
             np.subtract(row, term, out=row)
-        if after is not None:
-            after(k)
 
 
 def _swap_flag(pad: np.ndarray, slab: np.ndarray) -> None:
@@ -226,16 +237,18 @@ def _lcu_taylor(alpha: float, spectrum: tuple, cfg: SimulationConfig,
     for the Hermitian h whose ``eigh`` is ``spectrum`` = (lambda, Q), run on
     its closed-form channels (module docstring).  A block whose norm exceeds
     the scale by more than 1e-10, ``dilate``'s threshold, has no dilation;
-    a smaller excess is round-off and is clipped.  The evolution's
-    eigenvalues are the channel values; the error
-    max_mu |u_mu - e^(-i lambda_mu t)| against exp(-i h t) is measured on
-    them.  ``on_segment(bases, frames, psi)``, when given, reads the state
-    after each segment: psi of shape (order + 2, s, 2, 2^order), channel mu
-    of row k holding the flag and ancillas order .. 1, its subject the
-    column bases[mu] of shape (s, 1), Q's column mu, and each ancilla along
-    the columns of frames[mu], mu's V; it must not write to psi."""
+    a smaller excess is round-off and is clipped.  The kernel holds one
+    live-row state, (order + 2) 2 2^order amplitudes whatever s is, which
+    ``LCU_MAX_AMPLITUDES`` bounds.  The evolution's eigenvalues are the
+    channel values; the error max_mu |u_mu - e^(-i lambda_mu t)| against
+    exp(-i h t) is measured on them.  ``on_segment(bases, frames, psi)``,
+    when given, reads the state after each segment: psi of shape
+    (order + 2, s, 2, 2^order), channel mu of row k holding the flag and
+    ancillas order .. 1, its subject the column bases[mu] of shape (s, 1),
+    Q's column mu, and each ancilla along the columns of frames[mu], mu's V.
+    The states are rebuilt for the hook from every K_j, which a run keeps
+    only when it has one: test-sized runs."""
     vals, basis = spectrum
-    s = len(vals)
     a = vals / alpha
     if np.max(np.abs(a)) > 1.0 + 1e-10:
         raise SimulationError("encoded block's norm exceeds the dilation scale")
@@ -250,42 +263,20 @@ def _lcu_taylor(alpha: float, spectrum: tuple, cfg: SimulationConfig,
         order = _choose_order(x, budget, cfg.eps)
     elif _series_tail(x, order) > budget:
         raise SimulationError("requested series order violates the error budget")
-    cdim = 1 << max(1, (order + 1).bit_length())
-    total_dim = cdim * 2 ** order * 2 * s  # one ancilla qubit per query
-    if total_dim > LCU_MAX_AMPLITUDES:
-        raise GraphError(
-            f"lcu_taylor: series order {order} needs {total_dim} amplitudes, "
-            f"beyond LCU_MAX_AMPLITUDES = {LCU_MAX_AMPLITUDES}; raise sim_eps "
-            "or use fewer vertices")
-
-    ys = np.array([x ** k / math.factorial(k) for k in range(order + 1)])
-    pad = 2.0 - ys.sum()
-    if pad < -1e-12:
-        raise SimulationError("segment weight exceeded the amplification scale")
-    c_col = np.zeros(cdim, dtype=complex)
-    d_col = np.zeros(cdim, dtype=complex)
-    c_col[: order + 1] = np.sqrt(ys / 2.0)
-    d_col[: order + 1] = np.sqrt(ys / 2.0) * (-1j) ** np.arange(order + 1)
-    c_col[order + 1] = math.sqrt(max(pad, 0.0) / 2.0)
-    d_col[order + 1] = math.sqrt(max(pad, 0.0) / 2.0)
-    # rows past order + 1 stay zero: the Householder vector of P_L vanishes
-    # there, SELECT leaves them alone and Y has no cell there.  P_L = I -
-    # 2 w w^T is real and its own adjoint, c_col being real with a positive
-    # leading entry (the phase of ``_householder`` is 1), and P_R = D P_L
-    # D^dag exactly, d_col = D c_col
     live = order + 2
-    _, w = _householder(c_col)
-    w = np.zeros(live) if w is None else np.ascontiguousarray(w.real[:live])
-    maps = (w, c_col.real[:live].copy(), d_col[:live].copy())
+    held = live * 2 * 2 ** order  # the live rows, one ancilla qubit per query
+    if held > LCU_MAX_AMPLITUDES:
+        raise GraphError(
+            f"lcu_taylor: series order {order} needs {held} amplitudes, "
+            f"beyond LCU_MAX_AMPLITUDES = {LCU_MAX_AMPLITUDES}; raise sim_eps")
+
+    maps = _segment_maps(x, order)
     queries = 3 * order * r  # A, A^dag, A per segment, one query per rung
 
-    p, q = np.sqrt((1.0 + a) / 2.0), np.sqrt((1.0 - a) / 2.0)  # V = [[p, -q], [q, p]]
-    frames = np.stack([np.stack([p, -q], -1), np.stack([q, p], -1)], 1)
-    psi = np.empty((live, 2, s, 2 ** order), dtype=complex)
-    slabs = np.empty((2, psi[0].size), dtype=complex)
+    frames = _half_angle_frames(a)
     hook = (functools.partial(on_segment, basis.T[:, :, None], frames)
             if on_segment else None)
-    phases = _taylor_channels(a, frames, r, maps, psi, slabs, hook)
+    phases = _taylor_channels(a, frames, r, maps, hook)
 
     measured = float(np.max(np.abs(phases - np.exp(-1j * vals * cfg.t))))
     if measured > cfg.eps:
@@ -297,73 +288,109 @@ def _lcu_taylor(alpha: float, spectrum: tuple, cfg: SimulationConfig,
                       "measured_error": measured})
 
 
+def _half_angle_frames(a: np.ndarray) -> np.ndarray:
+    """Each rung's real half-angle frame V = [[p, -q], [q, p]], p =
+    sqrt((1 + a) / 2) and q = sqrt((1 - a) / 2), shape (s, 2, 2)."""
+    p, q = np.sqrt((1.0 + a) / 2.0), np.sqrt((1.0 - a) / 2.0)
+    return np.stack([np.stack([p, -q], -1), np.stack([q, p], -1)], 1)
+
+
+def _segment_maps(x: float, order: int) -> tuple:
+    """(w, c, d) on the live rows 0 .. order + 1 of one segment's LCU at
+    x = alpha tau: P_L's Householder vector and the columns P_L and P_R
+    prepare, c_k = d_k i^k = sqrt(x^k / (2 k!)) for k <= order and the
+    padding row's weight bringing the total to 2.  Rows past order + 1 stay
+    zero: the Householder vector vanishes there and SELECT leaves them
+    alone.  P_L = I - 2 w w^T is real and its own adjoint, c being real with
+    a positive leading entry (the phase of ``_householder`` is 1), and
+    P_R = D P_L D^dag exactly, d = D c."""
+    ys = np.array([x ** k / math.factorial(k) for k in range(order + 1)])
+    pad = 2.0 - ys.sum()
+    if pad < -1e-12:
+        raise SimulationError("segment weight exceeded the amplification scale")
+    live = order + 2
+    cdim = 1 << max(1, (order + 1).bit_length())
+    c_col = np.zeros(cdim, dtype=complex)
+    d_col = np.zeros(cdim, dtype=complex)
+    c_col[: order + 1] = np.sqrt(ys / 2.0)
+    d_col[: order + 1] = np.sqrt(ys / 2.0) * (-1j) ** np.arange(order + 1)
+    c_col[order + 1] = math.sqrt(max(pad, 0.0) / 2.0)
+    d_col[order + 1] = math.sqrt(max(pad, 0.0) / 2.0)
+    _, w = _householder(c_col)
+    w = np.zeros(live) if w is None else np.ascontiguousarray(w.real[:live])
+    return w, c_col.real[:live].copy(), d_col[:live].copy()
+
+
+def _minus_a(state: np.ndarray, w: np.ndarray, unphase: np.ndarray,
+             table: np.ndarray, slabs: np.ndarray) -> None:
+    """state <- -A state in place, state of shape (order + 2, 2, 2^order),
+    axes row, flag, ancilla order .. 1, A the same on every channel (module
+    docstring); ``w`` is P_L's Householder vector on the live rows,
+    ``unphase`` D^dag, ``table`` the sign table and ``slabs`` two row slabs."""
+    rows = state.reshape(len(state), -1)
+    _phase_rows(rows, unphase)  # P_R = D P_L D^dag; D goes with SELECT
+    _reflect_rows(rows, w, _project(rows, w, slabs[0]), slabs[1])
+    for row, signs in zip(state[1:-1], table[1:]):
+        for half in row:
+            half *= signs
+    _swap_flag(state[-1], slabs[1])
+    _reflect_rows(rows, w, _project(rows, w, slabs[0]), slabs[1], negate=True)
+
+
 def _taylor_channels(a: np.ndarray, frames: np.ndarray, r: int, maps: tuple,
-                     psi: np.ndarray, slabs: np.ndarray, on_segment) -> np.ndarray:
-    """r segments of the circuit (module docstring) on a stack of B channels
-    of one subject dimension, channel i's rung [[a_i, b_i], [b_i, -a_i]] in
-    its frame V = ``frames[i]``, in place on psi of shape (order + 2, 2, B,
-    2^order), axes row, flag, channel, ancilla order .. 1.  ``maps`` is (w,
-    c, d) on the live rows: P_L's Householder vector and the columns P_L and
-    P_R prepare; ``slabs`` holds two row slabs.  -P_L^dag (X + Y) runs as
-    one reflection of X: w^T Y is added to its projection w^T X, which also
-    gives y0, and each row's Y is taken off right after the row's update.
-    ``on_segment(psi)`` reads the state after each segment, its channel
-    axis ahead of the flag.  Returns the B channel values."""
-    live, _, batch, _ = psi.shape
-    order = live - 2
+                     on_segment) -> np.ndarray:
+    """r segments of the circuit (module docstring) on the s channels of
+    rungs a, in their frames V = ``frames``: K_0 .. K_r by r applications of
+    -A (``_minus_a``) on one state, each read as its class sums G_j(w), then
+    the s scalar recurrences together.  ``maps`` is (w, c, d) on the live
+    rows (``_segment_maps``).  ``on_segment(psi)``, when given, reads the
+    states after each segment, rebuilt from the K_j as psi of shape
+    (order + 2, s, 2, 2^order).  Returns the s channel values."""
     w, c, d = maps
+    live = len(w)
+    order = live - 2
     table = _sign_table(order)
-    spread = (w[:-1] * c[:-1]) @ table  # sum_{k <= order} w_k d_k T_k
     unphase = _row_phases(order).conj()  # D^dag
-    zero = np.ones((batch, 1), dtype=complex)  # v^(x)order on each channel
-    for _ in range(order):
-        zero = (zero[:, :, None] * frames[:, None, 0, :]).reshape(batch, -1)
-    zero_dag = zero.conj()[:, :, None]
+    weights = np.bitwise_count(np.arange(1 << order))  # each cell's Hamming weight
+    state = np.zeros((live, 2, 1 << order), dtype=complex)
+    state[0, 0] = 1.0  # K_0 = e_0 (x) 1
+    slabs = np.empty((2, state[0].size), dtype=complex)
+    sums = np.empty((r + 1, order + 1), dtype=complex)  # G_j(w)
+    kept = []
+    for j in range(r + 1):
+        if j:
+            _minus_a(state, w, unphase, table, slabs)
+        sums.real[j] = np.bincount(weights, state[0, 0].real, order + 1)
+        sums.imag[j] = np.bincount(weights, state[0, 0].imag, order + 1)
+        if on_segment is not None:
+            kept.append(state.copy())
+
+    # reads[mu, j] = <e_mu, v^(x)order o K_j>, each class summed before weighting
+    w_class = np.arange(order + 1)
+    p2, q2 = (1.0 + a)[:, None] / 2.0, (1.0 - a)[:, None] / 2.0
+    reads = (p2 ** (order - w_class) * q2 ** w_class) @ sums.T
     # W = sum_{k <= order} c_k d_k a^k: the padding row has no zero cell
     w_dag = np.polyval((c[:-1] * d[:-1])[::-1], a).conj()
-    rows = psi.reshape(live, -1)
-    cell = slabs[1][:zero.size].reshape(zero.shape)
-    stacked = psi.transpose(0, 2, 1, 3)
-
-    def read(half):
-        """<v^(x)order| on each channel of a row's flag half."""
-        return np.matmul(half[:, None, :], zero_dag)[:, 0, 0]
-
-    def segment():
-        zero_in = read(psi[0, 0])
-        _phase_rows(rows, unphase)  # P_R = D P_L D^dag; D goes with SELECT
-        _reflect_rows(rows, w, _project(rows, w, slabs[0]), slabs[1])
-        for k in range(1, order + 1):
-            for half in psi[k]:
-                half *= table[k]
-        _swap_flag(psi[order + 1], slabs[1])
-        proj = _project(rows, w, slabs[0]).reshape(psi[0].shape)  # w^T X
-        y0 = read(psi[0, 0]) - 2.0 * w[0] * read(proj[0])  # P_L^dag X on the zero cell
-        coef = 2.0 * (2.0 * w_dag * y0 - zero_in)  # 2 E^dag R A psi
-        # w^T Y: the padding row's term on the flag-set half, the others' on
-        # the flag-clear half
-        np.multiply(zero, (w[-1] * d[-1] * coef)[:, None], out=cell)
-        proj[1] += cell
-        np.multiply(zero, coef[:, None], out=cell)
-        np.multiply(cell, spread, out=cell)
-        proj[0] += cell
-
-        def take_off(k):  # row k's Y, d_k coef T_k v^(x)order, d_k T_k = c_k table[k]
-            np.multiply(zero, (c[k] * coef)[:, None], out=cell)
-            if k > order:
-                psi[k, 1] -= cell
-            else:
-                np.multiply(cell, table[k], out=cell)
-                psi[k, 0] -= cell
-
-        _reflect_rows(rows, w, proj.reshape(-1), slabs[1], negate=True, after=take_off)
-        np.multiply(zero, 2.0 * y0[:, None], out=cell)
-        psi[0, 0] += cell
-
-    psi.fill(0.0)
-    psi[0, 0] = zero
-    for _ in range(r):
-        segment()
+    # gamma_j of psi_t is coefs[:, start + j], the window coefs[:, start:]
+    # with start = r - t: shifting gamma up one place (-A psi) moves its
+    # start down one
+    coefs = np.zeros((len(a), r + 1), dtype=complex)
+    start = r
+    coefs[:, start] = 1.0  # psi_0 = e
+    if on_segment is not None:
+        kept = np.stack(kept)
+        zero = np.ones((len(a), 1))  # v^(x)order on each channel
+        for _ in range(order):
+            zero = (zero[:, :, None] * frames[:, None, 0, :]).reshape(len(a), -1)
+    for t in range(1, r + 1):
+        held = coefs[:, start:]
+        zero_in = np.einsum("ij,ij->i", held, reads[:, :t])  # <e, psi>
+        y0 = -np.einsum("ij,ij->i", held, reads[:, 1:t + 1])  # <e, A psi>
+        start -= 1  # -A psi
+        coefs[:, start + 1] += 2.0 * (2.0 * w_dag * y0 - zero_in)  # - coef A e
+        coefs[:, start] = 2.0 * y0  # + 2 y0 e
         if on_segment is not None:
-            on_segment(stacked)
-    return read(psi[0, 0])
+            psi = np.tensordot(coefs[:, start:], kept[:t + 1], axes=(1, 0))
+            psi *= zero[:, None, None, :]
+            on_segment(psi.transpose(1, 0, 2, 3))
+    return np.einsum("ij,ij->i", coefs, reads)

@@ -311,6 +311,8 @@ def _coeff_width(p: int) -> int:
 
 
 DESK_SCALE_AMPLITUDES = 1 << 25  # ~0.5 GB of complex amplitudes
+# _disentangle's SVD batch: degree builds up to n = 16 run in one
+DISENTANGLE_BATCH_AMPLITUDES = 1 << 15
 
 
 def _desk_scale_guard(amplitudes: int, what: str, remedy: str):
@@ -653,10 +655,11 @@ def build_degree_state(vs: VertexSet, kp: KernelParams,
     spec_u = FixedPointSpec(prep.bits, 1)
     # the label maps split i and j, so the n^2 branches hold 4n amplitudes
     # each until the labels clear and the state joins back.  The build's
-    # working set peaks near 3.1 such states (tracemalloc at n = 64: 49.1 MB
-    # for a 16 MB state): the Hadamards on the joined state and _disentangle
-    # each hold two more for a moment
-    _desk_scale_guard(4 * n ** 3, "degree pipeline (working set about 3.1 states)",
+    # working set peaks near 3.0 such states (tracemalloc: 6.35 MB at n = 32
+    # for a 2.1 MB state, 50.5 MB at n = 64 for 16.8 MB): the Hadamards on
+    # the joined state hold two more for a moment, _disentangle one more and
+    # its SVD batches
+    _desk_scale_guard(4 * n ** 3, "degree pipeline (working set about 3.0 states)",
                       "lower the vertex count")
     regs = [
         Register("flag", 1, "flag"),
@@ -786,7 +789,11 @@ def _disentangle(state: SimState, control_reg: str, target_regs):
     """Return the target registers to |0...0> per value of the control
     register.  Requires the per-value target state to be pure, so a unitary
     uncompute exists; the freed factor keeps its physical (nonnegative)
-    amplitude convention."""
+    amplitude convention.  The SVDs run batched over the control values
+    whose slice is not zero, at most ``DISENTANGLE_BATCH_AMPLITUDES`` at a
+    time, and the slices are rewritten in place, so the working set over the
+    state is one copy of it (when the registers are not in order) and a
+    few batches."""
     lay = state.layout
     vec = state.label_free_row()
     c_ax = lay.dense_axis[control_reg]
@@ -797,24 +804,28 @@ def _disentangle(state: SimState, control_reg: str, target_regs):
     cdim = moved.shape[0]
     tdim = int(np.prod(moved.shape[1:1 + len(t_axes)]))
     rest = moved.reshape(cdim, tdim, -1)
-    new = np.zeros_like(rest)
-    # one batched SVD over the control values whose slice is not zero
-    live = np.flatnonzero(np.max(np.abs(rest), axis=(1, 2)) != 0)
-    _, s, wt = np.linalg.svd(rest[live], full_matrices=False)
-    rows = s[:, :1] * wt[:, 0, :]
-    top = rows[np.arange(live.size), np.argmax(np.abs(rows), axis=1)]
-    # hypot rounds as abs() of one complex does; np.abs of an array can
-    # differ in the last place
-    rows = rows * np.conj(top / np.hypot(top.real, top.imag))[:, None]
-    second = s[:, 1] if s.shape[1] > 1 else np.zeros(live.size)
-    entangled = second > 1e-9 * np.maximum(s[:, 0], 1e-30)
-    signed = ((np.max(np.abs(rows.imag), axis=1) > 1e-9)
-              | (np.min(rows.real, axis=1) < -1e-9))
-    # the first control value at fault names the fault, as a loop would
-    bad = np.flatnonzero(entangled | signed)
-    if bad.size:
-        raise SimError("target registers entangled beyond the control"
-                       if entangled[bad[0]] else
-                       "freed factor is not in the nonnegative convention")
-    new[live, 0, :] = rows
-    vec[...] = np.moveaxis(new.reshape(moved.shape), range(vec.ndim), perm)
+    live = np.flatnonzero(rest.any(axis=(1, 2)))
+    rows = np.empty((live.size, rest.shape[2]), dtype=rest.dtype)
+    batch = max(1, DISENTANGLE_BATCH_AMPLITUDES // (tdim * rest.shape[2]))
+    for start in range(0, live.size, batch):
+        _, s, wt = np.linalg.svd(rest[live[start:start + batch]], full_matrices=False)
+        part = s[:, :1] * wt[:, 0, :]
+        top = part[np.arange(len(part)), np.argmax(np.abs(part), axis=1)]
+        # hypot rounds as abs() of one complex does; np.abs of an array can
+        # differ in the last place
+        part *= np.conj(top / np.hypot(top.real, top.imag))[:, None]
+        second = s[:, 1] if s.shape[1] > 1 else np.zeros(len(part))
+        entangled = second > 1e-9 * np.maximum(s[:, 0], 1e-30)
+        signed = ((np.max(np.abs(part.imag), axis=1) > 1e-9)
+                  | (np.min(part.real, axis=1) < -1e-9))
+        # the first control value at fault names the fault, as a loop would
+        bad = np.flatnonzero(entangled | signed)
+        if bad.size:
+            raise SimError("target registers entangled beyond the control"
+                           if entangled[bad[0]] else
+                           "freed factor is not in the nonnegative convention")
+        rows[start:start + len(part)] = part
+    rest[...] = 0.0
+    rest[live, 0, :] = rows
+    if not np.may_share_memory(rest, vec):
+        vec[...] = np.moveaxis(rest.reshape(moved.shape), range(vec.ndim), perm)

@@ -17,6 +17,7 @@ import pytest
 import qlapeig.blockenc as blockenc
 import qlapeig.checks as checks
 import qlapeig.harness as harness
+import qlapeig.simulation as simulation
 import qlapeig.spectral as spectral
 from qlapeig.checks import (check_phi_budget, check_psi_budget,
                             check_state_error_propagation,
@@ -325,16 +326,21 @@ def general_csv(path, n):
     return path
 
 
-@pytest.mark.parametrize("n,sim_eps,names", [
-    (16, 1e-13, "sim_eps = 1e-13 needs a series order above MAX_TAYLOR_ORDER = 12"),
-    (32, 1e-8, "beyond LCU_MAX_AMPLITUDES = 2097152"),
+@pytest.mark.parametrize("n,sim_eps,cap,names", [
+    (16, 1e-13, None, "sim_eps = 1e-13 needs a series order above MAX_TAYLOR_ORDER = 12"),
+    (32, 1e-8, 1 << 16, "order 12 needs 114688 amplitudes, "
+                        "beyond LCU_MAX_AMPLITUDES = 65536; raise sim_eps"),
 ], ids=["order", "amplitudes"])
-def test_cli_metered_path_limits_exit_2_no_report(tmp_path, capsys, n, sim_eps,
-                                                  names):
+def test_cli_metered_path_limits_exit_2_no_report(tmp_path, capsys, monkeypatch, n,
+                                                  sim_eps, cap, names):
     """The metered path's limits are instance limits, as the desk-scale
     guard is: a sim_eps that needs a series order above MAX_TAYLOR_ORDER, or
     an order whose state exceeds LCU_MAX_AMPLITUDES, exits 2 naming the
-    setting, with no report."""
+    setting, with no report.  The state no longer grows with the vertices,
+    and order 12's is under the shipped cap, so the cap is lowered to reach
+    it."""
+    if cap is not None:
+        monkeypatch.setattr(simulation, "LCU_MAX_AMPLITUDES", cap)
     csv = general_csv(tmp_path / "v.csv", n)
     out = tmp_path / "report.json"
     cfg_file = write_config(tmp_path / "run.cfg", input=str(csv), output=str(out),

@@ -12,8 +12,8 @@ from qlapeig import simulation, spectral
 from qlapeig.blockenc import BlockEncoding, dilate, purified_density_encoding
 from qlapeig.graph import (GraphError, KernelParams, VertexSet, build_graph,
                            classical_eigensolve)
-from qlapeig.simulation import (LCU_MAX_AMPLITUDES, Evolution, SimulationConfig,
-                                SimulationError, simulate_hamiltonian)
+from qlapeig.simulation import (Evolution, SimulationConfig, SimulationError,
+                                simulate_hamiltonian)
 from qlapeig.spectral import (PipelineConfig, QpeConfig, ResolutionError,
                               extract_d_smallest, full_pipeline,
                               recover_Lr_eigenvectors, run_qpe)
@@ -344,11 +344,13 @@ def test_lcu_taylor_meters_any_encoding_as_its_dilation(backend):
 
 
 def test_lcu_taylor_peak_memory_on_the_benchmark_instance(monkeypatch):
-    """The segment runs in place on one state buffer with two row slabs of
-    scratch: on the metered-taylor benchmark's n=4 L job (seed 301; order
-    10, s = 4) the traced peak of the simulation stays under 1.5 live-row
-    states of the whole circuit, one ancilla qubit per query: the s
-    channels' stacked state."""
+    """The kernel runs -A in place on one live-row state, whatever s is: on
+    the metered-taylor benchmark's n=4 L job (seed 301; order 10, s = 4) the
+    traced peak of the simulation stays under 1.75 live-row states,
+    (order + 2) 2 2^order amplitudes (the state, its two row slabs and the
+    sign table come to 1.67 at order 10), plus four complex tables of
+    (r + 1) (s + order + 1) scalars: the class sums and the channels'
+    coefficients and reads."""
     rng = np.random.default_rng([301, 0])
     x = rng.standard_normal((4, 2))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -370,38 +372,42 @@ def test_lcu_taylor_peak_memory_on_the_benchmark_instance(monkeypatch):
                   PipelineConfig(target="L", norm_case="general",
                                  sim_path="lcu_taylor", sim_eps=1e-6))
     (out, s, peak), = runs
-    order = out.meta["order"]
+    order, r = out.meta["order"], out.meta["segments"]
     assert (order, s) == (10, 4)
-    state_bytes = (order + 2) * 2 * 2 ** order * s * 16
-    assert peak <= 1.5 * state_bytes
+    state_bytes = (order + 2) * 2 * 2 ** order * 16
+    table_bytes = 4 * (r + 1) * (s + order + 1) * 16
+    assert peak <= 1.75 * state_bytes + table_bytes
 
 
 @pytest.mark.parametrize("complex_block", [False, True])
-def test_lcu_taylor_segment_loop_allocates_no_slab(complex_block):
-    """After the first segment nothing of a row slab or more is allocated:
-    the traced peak between two ``on_segment`` calls stays below one slab
-    over what was held at the first.  The s channels run stacked, so there
-    is one call per segment."""
+def test_lcu_taylor_segment_loop_allocates_no_slab(monkeypatch, complex_block):
+    """After the first application of -A nothing of a row slab, 2 2^order
+    amplitudes, or more is allocated: the traced peak between two calls of
+    ``_minus_a`` stays below one slab over what was held at the first.  The
+    channels never enter that loop, so the slab is one channel's row and a
+    run without ``on_segment`` holds no state per channel."""
     rng = np.random.default_rng(61 + complex_block)
     h = (random_complex_hermitian if complex_block else random_hermitian)(rng, 4)
     enc = dilate(h, 1.0)
     cfg = SimulationConfig(t=6.0, eps=1e-9, path="lcu_taylor")
     held, extra = [], []
+    inner = simulation._minus_a
 
-    def watch(bases, frames, psi):
+    def watch(*args):
         current, peak = tracemalloc.get_traced_memory()
         if held:
             extra.append(peak - held[-1])
         tracemalloc.reset_peak()
         held.append(current)
+        inner(*args)
 
+    monkeypatch.setattr(simulation, "_minus_a", watch)
     tracemalloc.start()
     try:
-        out = simulation._lcu_taylor(enc.alpha, np.linalg.eigh(h), cfg, on_segment=watch)
+        out = simulation._lcu_taylor(enc.alpha, np.linalg.eigh(h), cfg)
     finally:
         tracemalloc.stop()
-    order, s = out.meta["order"], enc.subject_dim
-    slab_bytes = 2 * 2 ** order * s * 16
+    slab_bytes = 2 * 2 ** out.meta["order"] * 16
     assert len(extra) == out.meta["segments"] - 1 > 0
     assert max(extra) < slab_bytes
 
@@ -415,16 +421,24 @@ def test_lcu_taylor_unreachable_order_names_sim_eps():
                                                    path="lcu_taylor"))
 
 
-def test_lcu_taylor_amplitude_cap_names_the_cap():
-    """An order whose live rows exceed LCU_MAX_AMPLITUDES is refused before
-    any state is allocated, naming the cap: s = 32 at order 12 needs
-    cdim 2^order 2 s = 16 * 4096 * 2 * 32 = 2^22 amplitudes."""
+def test_lcu_taylor_amplitude_cap_names_the_cap(monkeypatch):
+    """The cap counts the kernel's one live-row state, (order + 2) 2 2^order
+    amplitudes, not the channels: s = 32 at order 12 runs under the cap,
+    and with the cap set to order 11's state, 13 * 2 * 2^11, order 11 still
+    runs and order 12's 14 * 2 * 2^12 = 114688 amplitudes are refused before
+    any state is allocated, naming the cap."""
     enc = dilate(random_hermitian(np.random.default_rng(31), 32), 1.0)
-    refusal = (f"order 12 needs {1 << 22} amplitudes, "
-               f"beyond LCU_MAX_AMPLITUDES = {LCU_MAX_AMPLITUDES}")
-    with pytest.raises(GraphError, match=refusal):
-        simulate_hamiltonian(enc, SimulationConfig(t=2.0, eps=1e-10,
-                                                   path="lcu_taylor"))
+    cfg = SimulationConfig(t=2.0, eps=1e-10, path="lcu_taylor")
+    assert simulate_hamiltonian(enc, cfg).meta["order"] == 12
+    monkeypatch.setattr(simulation, "LCU_MAX_AMPLITUDES", 13 * 2 * 2 ** 11)
+    assert simulate_hamiltonian(enc, SimulationConfig(
+        t=2.0, eps=1e-2, path="lcu_taylor", truncation_order=11)).meta["order"] == 11
+    refusal = ("order 12 needs 114688 amplitudes, "
+               f"beyond LCU_MAX_AMPLITUDES = {13 * 2 * 2 ** 11}; raise sim_eps")
+    with mock.patch.object(simulation, "_taylor_channels") as kernel:
+        with pytest.raises(GraphError, match=refusal):
+            simulate_hamiltonian(enc, cfg)
+    kernel.assert_not_called()
 
 
 @pytest.mark.parametrize("t,eps", [(1.0, 1e-2), (4.0, 1e-4), (2.0, 1e-6)])

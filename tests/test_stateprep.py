@@ -1,6 +1,7 @@
 """State-preparation pipeline tests against the classical graph oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -556,9 +557,27 @@ def test_degree_pipeline_guard_names_the_vertex_count():
     with pytest.raises(GraphError) as info:
         build_degree_state(vs, KernelParams(0.5, 2))
     assert str(info.value) == (
-        "degree pipeline (working set about 3.1 states): instance needs "
+        "degree pipeline (working set about 3.0 states): instance needs "
         "67108864 dense amplitudes, beyond the "
         "desk-scale budget of 33554432; lower the vertex count")
+
+
+def test_degree_build_peak_memory_at_n32():
+    """The degree build's traced peak at n = 32 (the benchmark's general-norm
+    draw) stays under 3.1 states of 4 n^3 amplitudes, the "about 3.0" its
+    guard names: ``_disentangle`` runs its SVDs in batches of at most
+    DISENTANGLE_BATCH_AMPLITUDES and rewrites the slices in place, where
+    one batch of every slice, its SVD factors and a second output array
+    took the peak to 5.4 states."""
+    rng = np.random.default_rng([301, 0])
+    vs = general_vs(rng, 32, 2, 0.35, 0.55)
+    tracemalloc.start()
+    try:
+        build_degree_state(vs, KernelParams(0.5, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * 4 * 32 ** 3 * 16
 
 
 def test_disentangle_rejects_true_entanglement():
@@ -624,11 +643,13 @@ def disentangle_per_value(rest):
 @pytest.mark.parametrize("slices", [
     "ppzp", "zzzz", "pzpz", "pspe", "zesp", "pppe",
 ])
-def test_disentangle_matches_per_value_reference(slices):
+def test_disentangle_matches_per_value_reference(monkeypatch, slices):
     """On 20 draws, the batched uncompute equals the per-value one bit for
-    bit, skips zero slices, and names the first control value's fault.
-    Slices: p a product with a nonnegative freed factor up to phase, z zero,
-    e entangled, s a product whose freed factor has a negative entry."""
+    bit, skips zero slices, and names the first control value's fault,
+    whether the four slices of 8 amplitudes run in one SVD batch, in
+    batches of two or one at a time.  Slices: p a product with a
+    nonnegative freed factor up to phase, z zero, e entangled, s a product
+    whose freed factor has a negative entry."""
     layout = RegisterLayout([
         Register("ctl", 2, "index"),
         Register("tgt", 1, "index"),
@@ -646,16 +667,18 @@ def test_disentangle_matches_per_value_reference(slices):
                 arr[c] = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
             elif kind != "z":
                 arr[c] = np.outer(t, r)
-        st = SimState(layout)
-        st.label_free_row()[...] = arr
         expected = disentangle_per_value(arr)
-        if isinstance(expected, str):
-            with pytest.raises(SimError) as info:
+        for batch in (stateprep.DISENTANGLE_BATCH_AMPLITUDES, 16, 8):
+            monkeypatch.setattr(stateprep, "DISENTANGLE_BATCH_AMPLITUDES", batch)
+            st = SimState(layout)
+            st.label_free_row()[...] = arr
+            if isinstance(expected, str):
+                with pytest.raises(SimError) as info:
+                    stateprep._disentangle(st, "ctl", ["tgt"])
+                assert str(info.value) == expected
+            else:
                 stateprep._disentangle(st, "ctl", ["tgt"])
-            assert str(info.value) == expected
-        else:
-            stateprep._disentangle(st, "ctl", ["tgt"])
-            assert np.array_equal(st.label_free_row(), expected)
+                assert np.array_equal(st.label_free_row(), expected)
 
 
 def test_degree_disconnected_limit_rejected():
